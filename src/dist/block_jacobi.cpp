@@ -1,6 +1,5 @@
 #include "dist/block_jacobi.hpp"
 
-#include "dist/subdomain.hpp"
 #include "util/error.hpp"
 
 namespace dsouth::dist {
@@ -8,26 +7,15 @@ namespace dsouth::dist {
 BlockJacobi::BlockJacobi(const DistLayout& layout, simmpi::Runtime& rt,
                          std::span<const value_t> b,
                          std::span<const value_t> x0)
-    : DistStationarySolver(layout, rt, b, x0) {
-  x_before_.resize(static_cast<std::size_t>(layout.num_ranks()));
-}
+    : DistStationarySolver(layout, rt, b, x0) {}
 
 void BlockJacobi::rank_relax(simmpi::RankContext& ctx, int p) {
-  const auto prof_relax = prof_phase(p, prof::PhaseId::kRelax);
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0) return;
-  const auto up = static_cast<std::size_t>(p);
-  auto& xp = x_[up];
-  auto& rp = r_[up];
-  x_before_[up] = xp;  // snapshot for Δx
-  const double flops = local_gauss_seidel_sweep(rd.a_local, xp, rp);
-  ctx.add_flops(flops);
-  ++rank_stats_[up].active_ranks;
-  rank_stats_[up].relaxations += rd.num_rows();
-  trace_relax(ctx, rd.num_rows());
+  const auto dx = relax_subdomain(ctx, p);
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
-  const auto& x_old = x_before_[up];
-  auto& ch = channels_[up];
+  const auto& xp = x_[static_cast<std::size_t>(p)];
+  auto& ch = channels_[static_cast<std::size_t>(p)];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
     const auto& nb = rd.neighbors[k];
     auto rec = ch.open(ctx, k, wire::RecordType::kGhostDelta);
@@ -35,7 +23,7 @@ void BlockJacobi::rank_relax(simmpi::RankContext& ctx, int p) {
       const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
       // Resilient mode ships absolute boundary x (self-healing across
       // message loss — solver_base.hpp); default mode ships the delta.
-      rec.dx[s] = resilient() ? xp[li] : xp[li] - x_old[li];
+      rec.dx[s] = resilient() ? xp[li] : dx[li];
     }
   }
   ch.flush(ctx);

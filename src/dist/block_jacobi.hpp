@@ -29,8 +29,6 @@ class BlockJacobi final : public DistStationarySolver {
   // Message p -> q: payload = Δx at p's boundary rows w.r.t. q, ordered by
   // the shared channel convention (see layout.hpp).
   void rank_relax(simmpi::RankContext& ctx, int p);
-
-  std::vector<std::vector<value_t>> x_before_;  // per-rank sweep snapshot
 };
 
 }  // namespace dsouth::dist

@@ -138,7 +138,6 @@ std::uint64_t DistributedSouthwell::deferred_sends() const {
 }
 
 void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
-  const auto prof_relax = prof_phase(p, prof::PhaseId::kRelax);
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0) return;
   const auto up = static_cast<std::size_t>(p);
@@ -149,22 +148,12 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
     if (g > norm2) return;  // a Γ estimate says a neighbor is worse off
   }
 
-  auto& xp = x_[up];
-  auto& rp = r_[up];
-  auto& snap = scratch_[up];
-  snap.assign(xp.begin(), xp.end());  // snapshot for Δx
-  const double flops = local_gauss_seidel_sweep(rd.a_local, xp, rp);
-  ctx.add_flops(flops);
-  ++rank_stats_[up].active_ranks;
-  rank_stats_[up].relaxations += rd.num_rows();
-  trace_relax(ctx, rd.num_rows());
+  // Δx at the boundary rows only: a_qp's columns and every payload read
+  // nothing else.
+  const auto dx_full = relax_subdomain(ctx, p);
+  const auto& xp = x_[up];
+  const auto& rp = r_[up];
   const value_t norm2_new = local_norm_sq(rp);
-  // Δx over the full local vector (a_qp columns only touch boundary rows,
-  // and message payloads pick out the per-neighbor boundary entries).
-  for (std::size_t li = 0; li < xp.size(); ++li) {
-    snap[li] = xp[li] - snap[li];
-  }
-  const auto dx_full = std::span<const value_t>(snap.data(), xp.size());
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   auto& dz = dz_scratch_[up];
   auto& ch = channels_[up];

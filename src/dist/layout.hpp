@@ -18,15 +18,24 @@
 ///     (b) the rows whose Δx q sends to p, and (c) q's "boundary rows
 ///     w.r.t. p" on the sending side — so one ordering serves both ends of
 ///     the channel and messages need no index payload.
-///   a_pq — |rows_p| × |ghost_rows| block: p's rows vs. q's coupled rows.
-///     Applying an incoming update is r_p -= a_pq · Δx_q.
-///   a_qp — |ghost_rows| × |rows_p| block (= a_pqᵀ for symmetric A): lets p
-///     update its ghost layer z_q -= a_qp · Δx_p with purely local data
-///     ("the process responsible for row i stores column i of A", §3).
-///   send_rows_local — p's rows coupled to q (local indices): the Δx and
-///     boundary-residual values p sends to q, in exactly the order of q's
-///     ghost_rows list for p.
+///   send_rows_local — p's rows coupled to q (local indices, ascending):
+///     the Δx and boundary-residual values p sends to q, in exactly the
+///     order of q's ghost_rows list for p.
+///   a_pq — |send_rows_local| × |ghost_rows| block: p's boundary rows
+///     toward q vs. q's coupled rows. Stored row i is local row
+///     send_rows_local[i]; no other row of p couples to q, so applying an
+///     incoming update r_p -= A_pq · Δx_q touches only those rows
+///     (subtract_coupling) and costs O(boundary), not O(subdomain).
+///   a_qp — |ghost_rows| × |rows_p| block, a_pqᵀ under the send_rows_local
+///     row map (its columns are p's local rows, of which only boundary rows
+///     toward q are stored): lets p update its ghost layer
+///     z_q -= a_qp · Δx_p with purely local data ("the process responsible
+///     for row i stores column i of A", §3).
+///   boundary_rows (per rank) — the sorted union of every neighbor's
+///     send_rows_local: the only local rows whose Δx any message or a_qp
+///     product ever reads, so a relax snapshots x on those rows alone.
 
+#include <span>
 #include <vector>
 
 #include "graph/partition.hpp"
@@ -44,14 +53,23 @@ struct NeighborBlock {
   int rank = -1;
   std::vector<index_t> ghost_rows;       ///< q's coupled rows (global, asc)
   std::vector<index_t> send_rows_local;  ///< p's coupled rows (local, asc)
-  CsrMatrix a_pq;  ///< rows_p × ghost_rows coupling block
+  CsrMatrix a_pq;  ///< send_rows_local × ghost_rows coupling block
   CsrMatrix a_qp;  ///< ghost_rows × rows_p coupling block (a_pqᵀ)
+
+  /// r_p -= a_pq · x_q, with x_q ordered by ghost_rows and r_p the full
+  /// local vector. Stored row i accumulates into r_p[send_rows_local[i]]
+  /// with CsrMatrix::spmv_acc(-1.0, ...)'s exact per-row arithmetic; the
+  /// rows a full-height block would add add only -0.0, an identity.
+  void subtract_coupling(std::span<const value_t> x_q,
+                         std::span<value_t> r_p) const;
 };
 
 struct RankData {
   std::vector<index_t> rows;  ///< global rows owned (ascending)
   CsrMatrix a_local;          ///< diagonal block (local indices)
   std::vector<NeighborBlock> neighbors;  ///< ascending by rank id
+  /// Sorted union of every neighbor's send_rows_local (local indices).
+  std::vector<index_t> boundary_rows;
 
   index_t num_rows() const { return static_cast<index_t>(rows.size()); }
   /// Index into `neighbors` for a given rank id, or -1.
@@ -79,8 +97,10 @@ class DistLayout {
   std::vector<value_t> gather(
       const std::vector<std::vector<value_t>>& local) const;
 
-  /// Structural self-check (used by tests): block dimensions, mirrored
-  /// ghost/send lists, and a_qp == a_pqᵀ.
+  /// Structural self-check (used by tests): row ownership, block
+  /// dimensions, mirrored ghost/send lists, a_pq values against A,
+  /// a_qp == a_pqᵀ under the send_rows_local row map, the blocks'
+  /// nonzeros partitioning A, and boundary_rows.
   bool validate(const CsrMatrix& a) const;
 
   /// The wire-level communication plan precomputed from the neighbor

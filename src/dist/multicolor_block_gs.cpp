@@ -1,6 +1,5 @@
 #include "dist/multicolor_block_gs.hpp"
 
-#include "dist/subdomain.hpp"
 #include "graph/graph.hpp"
 #include "util/error.hpp"
 
@@ -42,21 +41,12 @@ void MulticolorBlockGs::restore_extra(std::span<const double> in) {
 }
 
 void MulticolorBlockGs::rank_relax(simmpi::RankContext& ctx, int p) {
-  const auto prof_relax = prof_phase(p, prof::PhaseId::kRelax);
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0) return;
-  const auto up = static_cast<std::size_t>(p);
-  auto& xp = x_[up];
-  auto& rp = r_[up];
-  auto& snap = scratch_[up];
-  snap.assign(xp.begin(), xp.end());
-  const double flops = local_gauss_seidel_sweep(rd.a_local, xp, rp);
-  ctx.add_flops(flops);
-  ++rank_stats_[up].active_ranks;
-  rank_stats_[up].relaxations += rd.num_rows();
-  trace_relax(ctx, rd.num_rows());
+  const auto dx = relax_subdomain(ctx, p);
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
-  auto& ch = channels_[up];
+  const auto& xp = x_[static_cast<std::size_t>(p)];
+  auto& ch = channels_[static_cast<std::size_t>(p)];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
     const auto& nb = rd.neighbors[k];
     auto rec = ch.open(ctx, k, wire::RecordType::kGhostDelta);
@@ -64,7 +54,7 @@ void MulticolorBlockGs::rank_relax(simmpi::RankContext& ctx, int p) {
       const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
       // Resilient mode ships absolute boundary x (self-healing across
       // message loss — solver_base.hpp); default mode ships the delta.
-      rec.dx[s] = resilient() ? xp[li] : xp[li] - snap[li];
+      rec.dx[s] = resilient() ? xp[li] : dx[li];
     }
   }
   ch.flush(ctx);

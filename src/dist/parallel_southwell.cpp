@@ -51,7 +51,6 @@ void ParallelSouthwell::restore_extra(std::span<const double> in) {
 }
 
 void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
-  const auto prof_relax = prof_phase(p, prof::PhaseId::kRelax);
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0) return;
   const auto up = static_cast<std::size_t>(p);
@@ -62,16 +61,9 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
     if (g > norm2) return;  // a neighbor is (believed) worse off
   }
 
-  auto& xp = x_[up];
-  auto& rp = r_[up];
-  auto& snap = scratch_[up];
-  snap.assign(xp.begin(), xp.end());  // snapshot for Δx
-  const double flops = local_gauss_seidel_sweep(rd.a_local, xp, rp);
-  ctx.add_flops(flops);
-  ++rank_stats_[up].active_ranks;
-  rank_stats_[up].relaxations += rd.num_rows();
-  trace_relax(ctx, rd.num_rows());
-  const value_t norm2_new = local_norm_sq(rp);
+  const auto dx = relax_subdomain(ctx, p);
+  const auto& xp = x_[up];
+  const value_t norm2_new = local_norm_sq(r_[up]);
   advertised2_[up] = norm2_new;
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   auto& ch = channels_[up];
@@ -82,7 +74,7 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
       const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
       // Resilient mode ships absolute boundary x (self-healing across
       // message loss — solver_base.hpp); default mode ships the delta.
-      rec.dx[s] = resilient() ? xp[li] : xp[li] - snap[li];
+      rec.dx[s] = resilient() ? xp[li] : dx[li];
     }
     if (resilient()) resil_note_send(p, k);
   }

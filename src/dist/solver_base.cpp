@@ -14,14 +14,18 @@ void subtract_a_times_x_local(const DistLayout& layout,
   const RankData& rd = layout.rank(p);
   if (rd.num_rows() == 0) return;
   rd.a_local.spmv_acc(-1.0, x[static_cast<std::size_t>(p)], r_p);
+  std::size_t width = 0;
   for (const auto& nb : rd.neighbors) {
-    std::vector<value_t> xg(nb.ghost_rows.size());
+    width = std::max(width, nb.ghost_rows.size());
+  }
+  std::vector<value_t> xg(width);  // one gather buffer for every neighbor
+  for (const auto& nb : rd.neighbors) {
     for (std::size_t k = 0; k < nb.ghost_rows.size(); ++k) {
       const index_t g = nb.ghost_rows[k];
       xg[k] = x[static_cast<std::size_t>(layout.rank_of_row(g))]
                [static_cast<std::size_t>(layout.local_of_row(g))];
     }
-    nb.a_pq.spmv_acc(-1.0, xg, r_p);
+    nb.subtract_coupling({xg.data(), nb.ghost_rows.size()}, r_p);
   }
 }
 
@@ -69,6 +73,27 @@ void DistStationarySolver::trace_relax(simmpi::RankContext& ctx,
                   local_norm_sq(rp));
   ctx.metric_add(m_relaxed_rows_, static_cast<double>(rows));
   ctx.metric_add(m_rank_relaxations_, 1.0);
+}
+
+std::span<const value_t> DistStationarySolver::relax_subdomain(
+    simmpi::RankContext& ctx, int p) {
+  const auto prof_relax = prof_phase(p, prof::PhaseId::kRelax);
+  const auto up = static_cast<std::size_t>(p);
+  const RankData& rd = layout_->rank(p);
+  auto& xp = x_[up];
+  auto& dx = scratch_[up];
+  for (index_t li : rd.boundary_rows) {
+    dx[static_cast<std::size_t>(li)] = xp[static_cast<std::size_t>(li)];
+  }
+  ctx.add_flops(local_gauss_seidel_sweep(rd.a_local, xp, r_[up]));
+  ++rank_stats_[up].active_ranks;
+  rank_stats_[up].relaxations += rd.num_rows();
+  trace_relax(ctx, rd.num_rows());
+  for (index_t li : rd.boundary_rows) {
+    const auto i = static_cast<std::size_t>(li);
+    dx[i] = xp[i] - dx[i];
+  }
+  return dx;
 }
 
 void DistStationarySolver::trace_absorb(simmpi::RankContext& ctx) {
@@ -387,8 +412,7 @@ DistStepStats DistStationarySolver::merge_rank_stats() {
 void DistStationarySolver::apply_incoming_delta(simmpi::RankContext& ctx,
                                                 const NeighborBlock& nb,
                                                 std::span<const double> dx) {
-  DSOUTH_CHECK(dx.size() == nb.ghost_rows.size());
-  nb.a_pq.spmv_acc(-1.0, dx, r_[static_cast<std::size_t>(ctx.rank())]);
+  nb.subtract_coupling(dx, r_[static_cast<std::size_t>(ctx.rank())]);
   ctx.add_flops(2.0 * static_cast<double>(nb.a_pq.nnz()));
 }
 

@@ -324,6 +324,14 @@ class DistStationarySolver {
   /// Inverse of capture_extra; `in` is exactly what capture_extra wrote.
   virtual void restore_extra(std::span<const double> in);
 
+  /// Relax rank p's (nonempty) subdomain with one Gauss–Seidel sweep — the
+  /// relax step every solver shares, under a kRelax prof span: snapshot x
+  /// on the rank's boundary_rows, sweep, charge the sweep's flops, count
+  /// the relaxation, trace_relax. Returns scratch_[p] holding Δx at every
+  /// boundary row (indexed by local row; other entries are stale), which
+  /// is all a send loop or an a_qp product reads.
+  std::span<const value_t> relax_subdomain(simmpi::RankContext& ctx, int p);
+
   /// r_p -= a_pq · Δx_q and charge the flops; dx is ordered by the
   /// neighbor's ghost_rows channel convention.
   void apply_incoming_delta(simmpi::RankContext& ctx, const NeighborBlock& nb,
@@ -368,8 +376,9 @@ class DistStationarySolver {
   /// Per-rank wire channels over the layout's CommPlan (channel index k ==
   /// neighbor index k). Each rank phase may touch only its own slot.
   std::vector<wire::ChannelSet> channels_;
-  /// Per-rank reusable buffer (sized to the rank's subdomain) — each rank
-  /// phase may use only its own slot.
+  /// Per-rank Δx buffer of relax_subdomain (sized to the rank's subdomain,
+  /// written only at its boundary rows) — each rank phase may use only its
+  /// own slot.
   std::vector<std::vector<value_t>> scratch_;
   /// Per-rank step accounting, merged by merge_rank_stats().
   std::vector<DistStepStats> rank_stats_;

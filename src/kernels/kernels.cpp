@@ -4,6 +4,18 @@
 
 namespace dsouth::kernels {
 
+namespace {
+
+/// a_ii from the matrix's recorded diagonal position (0 where absent, as
+/// CsrMatrix::at would return).
+value_t diagonal_at(std::span<const value_t> vals,
+                    std::span<const index_t> diag, index_t i) {
+  const index_t pos = diag[static_cast<std::size_t>(i)];
+  return pos >= 0 ? vals[static_cast<std::size_t>(pos)] : 0.0;
+}
+
+}  // namespace
+
 double gs_sweep(const CsrMatrix& a_local, std::span<value_t> x,
                 std::span<value_t> r) {
   const index_t m = a_local.rows();
@@ -12,8 +24,10 @@ double gs_sweep(const CsrMatrix& a_local, std::span<value_t> x,
   auto row_ptr = a_local.row_ptr();
   auto col_idx = a_local.col_idx();
   auto vals = a_local.values();
+  auto diag = a_local.diag_pos();
+  DSOUTH_CHECK(diag.size() == static_cast<std::size_t>(m));
   for (index_t i = 0; i < m; ++i) {
-    const value_t aii = a_local.at(i, i);
+    const value_t aii = diagonal_at(vals, diag, i);
     DSOUTH_ASSERT(aii != 0.0);
     const value_t delta = r[static_cast<std::size_t>(i)] / aii;
     if (delta == 0.0) continue;
@@ -38,6 +52,8 @@ double gs_sweep_batch(const CsrMatrix& a_local, std::size_t lanes,
   auto row_ptr = a_local.row_ptr();
   auto col_idx = a_local.col_idx();
   auto vals = a_local.values();
+  auto diag = a_local.diag_pos();
+  DSOUTH_CHECK(diag.size() == static_cast<std::size_t>(m));
   // Per-row lane deltas; 64 covers every batch size the benches use and
   // the general path below handles anything larger without allocating.
   constexpr std::size_t kMaxStackLanes = 64;
@@ -47,7 +63,7 @@ double gs_sweep_batch(const CsrMatrix& a_local, std::size_t lanes,
                                                       << " lanes per call");
   std::span<value_t> delta(delta_buf, lanes);
   for (index_t i = 0; i < m; ++i) {
-    const value_t aii = a_local.at(i, i);
+    const value_t aii = diagonal_at(vals, diag, i);
     DSOUTH_ASSERT(aii != 0.0);
     value_t* xi = x.data() + static_cast<std::size_t>(i) * lanes;
     value_t* ri = r.data() + static_cast<std::size_t>(i) * lanes;

@@ -45,8 +45,10 @@ using sparse::value_t;
 /// single Gauss-Seidel sweep is carried out on the subdomain", paper §4.2):
 /// for each local row i in ascending order, x_i += r_i / a_ii and
 /// r_j -= a_ji δ for local j (symmetric block ⇒ column i is row i), with
-/// the diagonal update pinned exactly (r_i = 0). Returns the flop count
-/// charged to the machine model (≈ 2·nnz + 2·m).
+/// the diagonal update pinned exactly (r_i = 0). a_ii is read through the
+/// diagonal position CsrMatrix records at construction (no per-row
+/// search), so `a_local` must be square. Returns the flop count charged to
+/// the machine model (≈ 2·nnz + 2·m).
 double gs_sweep(const CsrMatrix& a_local, std::span<value_t> x,
                 std::span<value_t> r);
 

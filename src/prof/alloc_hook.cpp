@@ -47,9 +47,25 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
+// The nothrow forms must come from this pair too: under a sanitizer
+// runtime they would otherwise be the runtime's, and the free() below
+// would release memory it allocated.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  dsouth::prof::alloc_hook::detail::note_alloc(n);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
 void operator delete(void* p) noexcept {
   dsouth::prof::alloc_hook::detail::note_free();
   std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
 }
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }

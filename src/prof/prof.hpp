@@ -44,13 +44,12 @@ namespace dsouth::prof {
 /// against a prof record, along with the nesting invariants: every
 /// rank-lane span lies inside a driver `kStep` span, and
 /// `kDeliveryPolicy`/`kNodePrepass` spans nest inside `kFence` spans.
-/// (`kEncode` usually nests inside `kRelax`, but the correction /
-/// residual-update passes encode outside any relax span, so that one is
-/// not a checkable invariant.)
+/// (`kRelax` covers the shared sweep prologue only, so a solver's `kEncode`
+/// span follows its relax span instead of nesting inside it.)
 enum class PhaseId : int {
   kStep = 0,        ///< one full solver parallel step (driver, runtime lane)
   kAbsorb,          ///< solver rank_absorb (per-rank lane)
-  kRelax,           ///< solver rank_relax (per-rank lane)
+  kRelax,           ///< relax_subdomain: snapshot + sweep (per-rank lane)
   kEncode,          ///< wire-record encode + channel staging loops (per-rank lane)
   kStage,           ///< Runtime::stage payload handoff (per-rank lane)
   kFence,           ///< Runtime::fence merge + maturation (runtime lane)

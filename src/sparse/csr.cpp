@@ -18,6 +18,19 @@ CsrMatrix::CsrMatrix(index_t rows, index_t cols, std::vector<index_t> row_ptr,
   DSOUTH_CHECK(row_ptr_.size() == static_cast<std::size_t>(rows_) + 1);
   DSOUTH_CHECK(col_idx_.size() == values_.size());
   DSOUTH_CHECK(row_ptr_.back() == static_cast<index_t>(col_idx_.size()));
+  if (rows_ != cols_) return;
+  diag_pos_.assign(static_cast<std::size_t>(rows_), -1);
+  for (index_t i = 0; i < rows_; ++i) {
+    // Clamped: a corrupt row_ptr can get here ahead of validate().
+    const index_t b = std::max<index_t>(row_ptr_[i], 0);
+    const index_t e = std::min<index_t>(row_ptr_[i + 1], nnz());
+    for (index_t k = b; k < e; ++k) {
+      if (col_idx_[k] == i) {
+        diag_pos_[static_cast<std::size_t>(i)] = k;
+        break;
+      }
+    }
+  }
 }
 
 std::span<const index_t> CsrMatrix::row_cols(index_t i) const {
@@ -49,7 +62,14 @@ value_t CsrMatrix::at(index_t i, index_t j) const {
 
 std::vector<value_t> CsrMatrix::diagonal() const {
   std::vector<value_t> d(static_cast<std::size_t>(rows_), 0.0);
-  for (index_t i = 0; i < rows_; ++i) d[static_cast<std::size_t>(i)] = at(i, i);
+  for (index_t i = 0; i < rows_; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    if (diag_pos_.empty()) {
+      d[ui] = at(i, i);  // rectangular: no recorded positions
+    } else if (diag_pos_[ui] >= 0) {
+      d[ui] = values_[static_cast<std::size_t>(diag_pos_[ui])];
+    }
+  }
   return d;
 }
 

@@ -41,6 +41,12 @@ class CsrMatrix {
   /// Diagonal entries (0 where absent).
   std::vector<value_t> diagonal() const;
 
+  /// Per row, the position of its diagonal entry in col_idx()/values(), or
+  /// -1 where the row stores none. Recorded once at construction for
+  /// square matrices (empty for rectangular ones), so a sweep reads a_ii
+  /// without searching the row.
+  std::span<const index_t> diag_pos() const { return diag_pos_; }
+
   /// y = A x.
   void spmv(std::span<const value_t> x, std::span<value_t> y) const;
 
@@ -81,6 +87,7 @@ class CsrMatrix {
   std::vector<index_t> row_ptr_;
   std::vector<index_t> col_idx_;
   std::vector<value_t> values_;
+  std::vector<index_t> diag_pos_;
 };
 
 }  // namespace dsouth::sparse

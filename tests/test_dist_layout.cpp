@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "sparse/proxy_suite.hpp"
 #include "sparse/stencils.hpp"
 #include "util/error.hpp"
@@ -91,16 +96,104 @@ TEST(DistLayout, TransposedBlocksMatch) {
   DistLayout layout(a, p);
   for (int r = 0; r < layout.num_ranks(); ++r) {
     for (const auto& nb : layout.rank(r).neighbors) {
-      // a_qp == a_pqᵀ entry by entry.
+      // a_qp == a_pqᵀ entry by entry, under the send_rows_local row map.
       auto t = nb.a_pq.transpose();
       ASSERT_EQ(t.nnz(), nb.a_qp.nnz());
-      for (index_t i = 0; i < t.rows(); ++i) {
-        for (index_t j : t.row_cols(i)) {
-          EXPECT_DOUBLE_EQ(t.at(i, j), nb.a_qp.at(i, j));
+      for (index_t g = 0; g < t.rows(); ++g) {
+        for (index_t s : t.row_cols(g)) {
+          const index_t li = nb.send_rows_local[static_cast<std::size_t>(s)];
+          EXPECT_EQ(t.at(g, s), nb.a_qp.at(g, li));
         }
       }
     }
   }
+}
+
+TEST(DistLayout, CouplingBlocksCoverOnlyBoundaryRows) {
+  auto a = sparse::poisson2d_9pt(16, 16);
+  auto p = make_partition(a, 4);
+  DistLayout layout(a, p);
+  ASSERT_TRUE(layout.validate(a));
+  for (int r = 0; r < layout.num_ranks(); ++r) {
+    const auto& rd = layout.rank(r);
+    std::vector<index_t> uni;
+    for (const auto& nb : rd.neighbors) {
+      EXPECT_EQ(nb.a_pq.rows(),
+                static_cast<index_t>(nb.send_rows_local.size()));
+      for (index_t s = 0; s < nb.a_pq.rows(); ++s) {
+        EXPECT_GT(nb.a_pq.row_nnz(s), 0);  // every stored row is coupled
+      }
+      uni.insert(uni.end(), nb.send_rows_local.begin(),
+                 nb.send_rows_local.end());
+    }
+    std::sort(uni.begin(), uni.end());
+    uni.erase(std::unique(uni.begin(), uni.end()), uni.end());
+    EXPECT_EQ(rd.boundary_rows, uni);
+    EXPECT_LT(rd.boundary_rows.size(), rd.rows.size());  // interior exists
+  }
+}
+
+TEST(DistLayout, SubtractCouplingMatchesFullHeightProduct) {
+  // Boundary-row accumulation is bit-identical to r_p -= A_pq x_q over the
+  // full-height block (the skipped rows only ever added -0.0).
+  auto a = sparse::poisson2d_9pt(9, 9);
+  auto p = make_partition(a, 5);
+  DistLayout layout(a, p);
+  util::Rng rng(5);
+  for (int r = 0; r < layout.num_ranks(); ++r) {
+    const auto& rd = layout.rank(r);
+    for (const auto& nb : rd.neighbors) {
+      std::vector<value_t> xq(nb.ghost_rows.size());
+      rng.fill_uniform(xq, -1.0, 1.0);
+      std::vector<value_t> got(rd.rows.size());
+      rng.fill_uniform(got, -1.0, 1.0);
+      got[0] = -0.0;  // survives untouched unless row 0 is coupled
+      std::vector<value_t> want = got;
+      nb.subtract_coupling(xq, got);
+      for (index_t li = 0; li < rd.num_rows(); ++li) {
+        value_t sum = 0.0;
+        for (std::size_t g = 0; g < nb.ghost_rows.size(); ++g) {
+          const value_t v =
+              a.at(rd.rows[static_cast<std::size_t>(li)], nb.ghost_rows[g]);
+          if (v != 0.0) sum += v * xq[g];
+        }
+        want[static_cast<std::size_t>(li)] += -1.0 * sum;
+      }
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << "rank " << r << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(DistLayout, ValidateRejectsBrokenBlocks) {
+  auto a = sparse::poisson2d_5pt(8, 8);
+  auto p = make_partition(a, 4);
+  const DistLayout layout(a, p);
+  ASSERT_TRUE(layout.validate(a));
+  // A matrix with one perturbed coupling value no longer matches.
+  auto vals = std::vector<value_t>(a.values().begin(), a.values().end());
+  const auto& nb = layout.rank(0).neighbors.front();
+  const index_t gi = layout.rank(0).rows[static_cast<std::size_t>(
+      nb.send_rows_local.front())];
+  const auto cols = a.row_cols(gi);
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    if (layout.rank_of_row(cols[k]) == nb.rank) {
+      vals[static_cast<std::size_t>(a.row_ptr()[gi]) + k] += 1.0;
+      break;
+    }
+  }
+  const CsrMatrix perturbed(
+      a.rows(), a.cols(),
+      std::vector<index_t>(a.row_ptr().begin(), a.row_ptr().end()),
+      std::vector<index_t>(a.col_idx().begin(), a.col_idx().end()),
+      std::move(vals));
+  EXPECT_FALSE(layout.validate(perturbed));
+  // A matrix with an extra entry breaks the nnz partition.
+  auto bigger = sparse::poisson2d_9pt(8, 8);
+  EXPECT_FALSE(layout.validate(bigger));
 }
 
 TEST(DistLayout, NeighborRelationIsSymmetric) {

@@ -1,0 +1,270 @@
+/// Iterate digests: FNV-1a64 fingerprints of the residual series, modeled
+/// time series, final iterate, and exact CommTotals of small Poisson runs,
+/// pinned for every solver under each delivery/wire configuration, for a
+/// batched B = 3 run, and for an elastic single-kill recovery. Host-side
+/// optimisations of the solve path (coupling-block storage, relax
+/// snapshots, sweep kernels) must leave every iterate bit for bit where it
+/// was; a changed digest means a changed trajectory, not a rounding
+/// detail. On a mismatch the failure prints the row to paste back into
+/// kPinned — do that only for a change that is MEANT to move iterates.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "dist/batch.hpp"
+#include "dist/driver.hpp"
+#include "elastic/elastic.hpp"
+#include "graph/partition.hpp"
+#include "sparse/proxy_suite.hpp"
+#include "sparse/scaling.hpp"
+#include "sparse/stencils.hpp"
+#include "util/rng.hpp"
+
+namespace dsouth {
+namespace {
+
+using sparse::CsrMatrix;
+using sparse::index_t;
+using sparse::value_t;
+
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xffU;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+std::uint64_t digest(std::span<const double> values) {
+  std::uint64_t h = fnv1a(kFnvOffsetBasis, values.size());
+  for (double v : values) h = fnv1a(h, std::bit_cast<std::uint64_t>(v));
+  return h;
+}
+
+std::uint64_t digest(const dist::DistRunResult::CommTotals& c) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (std::uint64_t w :
+       {c.msgs, c.bytes, c.msgs_solve, c.msgs_residual, c.msgs_other,
+        c.msgs_logical, c.msgs_logical_solve, c.msgs_logical_residual}) {
+    h = fnv1a(h, w);
+  }
+  return h;
+}
+
+struct Digests {
+  std::uint64_t residual = 0;  ///< residual series (+ modeled time series)
+  std::uint64_t x = 0;         ///< final iterate
+  std::uint64_t comm = 0;      ///< CommTotals
+};
+
+Digests digest_run(const dist::DistRunResult& r) {
+  return {fnv1a(digest(r.residual_norm), digest(r.model_time)),
+          digest(r.final_x), digest(r.comm_totals)};
+}
+
+struct Pinned {
+  const char* name;
+  Digests want;
+};
+
+// Recorded on the implementation these digests guard; see the file
+// comment before editing.
+const Pinned kPinned[] = {
+    {"BJ/async",
+     {0x23e24dadbec4d856ULL, 0x4b9272bbeade74c3ULL, 0x78b9a7d6a3510672ULL}},
+    {"BJ/batch3",
+     {0x7aa252bd69384244ULL, 0x8fc402990e76eaa8ULL, 0xbf9a7523a0f4f7bdULL}},
+    {"BJ/bsp",
+     {0x3182961ca665577fULL, 0x337d05b0f9aa9cbdULL, 0x0c38d0f1fd609ebcULL}},
+    {"BJ/coalesce",
+     {0x3182961ca665577fULL, 0x337d05b0f9aa9cbdULL, 0x0c38d0f1fd609ebcULL}},
+    {"BJ/faults",
+     {0x0c35985f1f47554eULL, 0x89bc557479716f12ULL, 0x78b9a7d6a3510672ULL}},
+    {"BJ/node-route",
+     {0x8103dd96f419c38eULL, 0x337d05b0f9aa9cbdULL, 0x0c38d0f1fd609ebcULL}},
+    {"DS/async",
+     {0x1fc8845849d492e4ULL, 0x27646752fc58b351ULL, 0xba9df60c247bad5aULL}},
+    {"DS/batch3",
+     {0xf0512863457306b6ULL, 0x2bbab3cc278fa040ULL, 0xc6c37eb804e2ba0fULL}},
+    {"DS/bsp",
+     {0x4963f943a92d8106ULL, 0x1b68600299e5d661ULL, 0x32eb70815b2903ebULL}},
+    {"DS/coalesce",
+     {0x4963f943a92d8106ULL, 0x1b68600299e5d661ULL, 0x32eb70815b2903ebULL}},
+    {"DS/elastic-kill",
+     {0x973fb861aba8d487ULL, 0x90e6d80261d8372aULL, 0x2955c25563ca9107ULL}},
+    {"DS/faults",
+     {0x273f58edc2ed02fbULL, 0xc91f490e9f79d3a7ULL, 0xdc5e96ad7f913f74ULL}},
+    {"DS/node-route",
+     {0xc40410105081276aULL, 0x1b68600299e5d661ULL, 0x32eb70815b2903ebULL}},
+    {"MCBGS/async",
+     {0xdcedfb126816759cULL, 0x3f0be1f4d64e8ad9ULL, 0x4b6685559b8dad6fULL}},
+    {"MCBGS/batch3",
+     {0x00e4fb885ba238c3ULL, 0xcfc5140f77809a0bULL, 0x75f58929bb353868ULL}},
+    {"MCBGS/bsp",
+     {0x1f072f73784bc41aULL, 0x192b67cc173cdb97ULL, 0xf3c3b91ae81afb3fULL}},
+    {"MCBGS/coalesce",
+     {0x1f072f73784bc41aULL, 0x192b67cc173cdb97ULL, 0xf3c3b91ae81afb3fULL}},
+    {"MCBGS/faults",
+     {0x6bcb79c1b824431fULL, 0x0ef11d0cd791a357ULL, 0x4b6685559b8dad6fULL}},
+    {"MCBGS/node-route",
+     {0x8904836c7afceb08ULL, 0x192b67cc173cdb97ULL, 0xf3c3b91ae81afb3fULL}},
+    {"PS/async",
+     {0x67e8f9c1dcbe73b8ULL, 0x27646752fc58b351ULL, 0x6f44c267da088861ULL}},
+    {"PS/batch3",
+     {0x80098b1721d8e3a1ULL, 0x5ceba3d3026acaa6ULL, 0xffde612a7119c20dULL}},
+    {"PS/bsp",
+     {0xa595e6d81390b798ULL, 0x5f680170a700786cULL, 0x8b14ff2ae23945f1ULL}},
+    {"PS/coalesce",
+     {0xa595e6d81390b798ULL, 0x5f680170a700786cULL, 0x8b14ff2ae23945f1ULL}},
+    {"PS/faults",
+     {0xe7e7ed2725aef15dULL, 0x41e9ac654cdc2a1cULL, 0x0a099d3a4c38f5e4ULL}},
+    {"PS/node-route",
+     {0x571d9d3658dddb17ULL, 0x5f680170a700786cULL, 0x8b14ff2ae23945f1ULL}},
+};
+
+std::string pinned_row(const std::string& name, const Digests& d) {
+  char row[160];
+  std::snprintf(row, sizeof row,
+                "{\"%s\",\n {0x%016llxULL, 0x%016llxULL, 0x%016llxULL}},",
+                name.c_str(), static_cast<unsigned long long>(d.residual),
+                static_cast<unsigned long long>(d.x),
+                static_cast<unsigned long long>(d.comm));
+  return row;
+}
+
+void expect_pinned(const std::string& name, const Digests& got) {
+  for (const auto& p : kPinned) {
+    if (name != p.name) continue;
+    EXPECT_EQ(got.residual, p.want.residual) << pinned_row(name, got);
+    EXPECT_EQ(got.x, p.want.x) << pinned_row(name, got);
+    EXPECT_EQ(got.comm, p.want.comm) << pinned_row(name, got);
+    return;
+  }
+  ADD_FAILURE() << "no pinned digest for " << name << "\n"
+                << pinned_row(name, got);
+}
+
+struct Problem {
+  CsrMatrix a;
+  std::vector<value_t> b, x0;
+  graph::Partition part;
+};
+
+Problem make_problem(index_t nx, index_t ranks, std::uint64_t seed) {
+  Problem p;
+  p.a = sparse::symmetric_unit_diagonal_scale(sparse::poisson2d_5pt(nx, nx)).a;
+  p.b.assign(static_cast<std::size_t>(p.a.rows()), 0.0);
+  p.x0.resize(p.b.size());
+  util::Rng rng(seed);
+  rng.fill_uniform(p.x0, -1.0, 1.0);
+  sparse::normalize_initial_residual(p.a, p.b, p.x0);
+  p.part = graph::partition_recursive_bisection(
+      graph::Graph::from_matrix_structure(p.a), ranks);
+  return p;
+}
+
+struct Method {
+  const char* tag;
+  dist::DistMethod m;
+};
+
+constexpr Method kMethods[] = {
+    {"BJ", dist::DistMethod::kBlockJacobi},
+    {"MCBGS", dist::DistMethod::kMulticolorBlockGs},
+    {"PS", dist::DistMethod::kParallelSouthwell},
+    {"DS", dist::DistMethod::kDistributedSouthwell},
+};
+
+struct Config {
+  const char* tag;
+  dist::DistRunOptions opt;
+};
+
+std::vector<Config> configs() {
+  dist::DistRunOptions base;
+  base.max_parallel_steps = 20;
+  std::vector<Config> out;
+  out.push_back({"bsp", base});
+  auto async = base;
+  async.async = true;
+  out.push_back({"async", async});
+  auto faulty = base;
+  faulty.resilience.enabled = true;
+  faulty.faults.defaults.drop_probability = 0.05;
+  faulty.faults.defaults.duplicate_probability = 0.05;
+  faulty.faults.defaults.reorder_probability = 0.05;
+  faulty.faults.defaults.corrupt_probability = 0.02;
+  faulty.ds.heartbeat_period = 4;
+  out.push_back({"faults", faulty});
+  auto coal = base;
+  coal.coalesce_messages = true;
+  out.push_back({"coalesce", coal});
+  auto routed = base;
+  routed.ranks_per_node = 2;  // 6 ranks on 3 nodes, leader-routed
+  out.push_back({"node-route", routed});
+  return out;
+}
+
+TEST(IterateDigests, EveryMethodUnderEveryConfiguration) {
+  const auto p = make_problem(12, 6, 2024);
+  const dist::DistLayout layout(p.a, p.part);
+  for (const auto& cfg : configs()) {
+    for (const auto& m : kMethods) {
+      const auto r = dist::run_distributed(m.m, layout, p.b, p.x0, cfg.opt);
+      expect_pinned(std::string(m.tag) + "/" + cfg.tag, digest_run(r));
+    }
+  }
+}
+
+TEST(IterateDigests, BatchedThreeTenants) {
+  const auto p = make_problem(12, 6, 2025);
+  const dist::DistLayout layout(p.a, p.part);
+  const CsrMatrix a2 = sparse::make_tenant_variant(p.a, 0x5eed, 0.25);
+  const dist::DistLayout layout2(a2, p.part);
+  std::vector<value_t> b1(p.b.size(), 0.0), x1(p.x0.size());
+  util::Rng rng(7);
+  rng.fill_uniform(x1, -1.0, 1.0);
+  sparse::normalize_initial_residual(p.a, b1, x1);
+  const dist::DistLayout* layouts[] = {&layout, &layout, &layout2};
+  const dist::TenantSpec specs[] = {
+      {p.b, p.x0, 0.0}, {b1, x1, 0.0}, {p.b, p.x0, 0.0}};
+  dist::DistRunOptions opt;
+  opt.max_parallel_steps = 20;
+  for (const auto& m : kMethods) {
+    const auto r = dist::run_distributed_batch(m.m, layouts, specs, opt);
+    ASSERT_EQ(r.tenants.size(), 3u);
+    std::uint64_t res = kFnvOffsetBasis, x = kFnvOffsetBasis;
+    for (const auto& t : r.tenants) {
+      res = fnv1a(res, digest(t.residual_norm));
+      x = fnv1a(x, digest(t.final_x));
+    }
+    res = fnv1a(res, std::bit_cast<std::uint64_t>(r.model_time));
+    expect_pinned(std::string(m.tag) + "/batch3",
+                  {res, x, digest(r.comm_totals)});
+  }
+}
+
+TEST(IterateDigests, ElasticSingleKill) {
+  const auto p = make_problem(12, 6, 2026);
+  dist::DistRunOptions opt;
+  opt.max_parallel_steps = 20;
+  opt.faults.kills.push_back({2, 5});
+  elastic::RecoveryOptions rec;
+  rec.checkpoint_every = 4;
+  const auto er = elastic::run_elastic(dist::DistMethod::kDistributedSouthwell,
+                                       p.a, p.part, p.b, p.x0, opt, rec);
+  ASSERT_EQ(er.recoveries.size(), 1u);
+  expect_pinned("DS/elastic-kill", digest_run(er.run));
+}
+
+}  // namespace
+}  // namespace dsouth

@@ -170,5 +170,75 @@ TEST(CsrMatrix, ConstructorValidatesShape) {
   EXPECT_THROW(CsrMatrix(1, 1, {0, 2}, {0}, {1.0}), util::CheckError);
 }
 
+
+// Diagonal positions are recorded once at construction (square only); the
+// sweep kernels read a_ii through them.
+void expect_diag_pos_agrees(const CsrMatrix& a) {
+  const auto pos = a.diag_pos();
+  ASSERT_EQ(pos.size(), static_cast<std::size_t>(a.rows()));
+  const auto diag = a.diagonal();
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const index_t k = pos[static_cast<std::size_t>(i)];
+    if (k >= 0) {
+      EXPECT_GE(k, a.row_ptr()[i]);
+      EXPECT_LT(k, a.row_ptr()[i + 1]);
+      EXPECT_EQ(a.col_idx()[static_cast<std::size_t>(k)], i);
+      EXPECT_EQ(a.values()[static_cast<std::size_t>(k)], a.at(i, i));
+    } else {
+      for (index_t j : a.row_cols(i)) EXPECT_NE(j, i);
+      EXPECT_EQ(a.at(i, i), 0.0);
+    }
+    EXPECT_EQ(diag[static_cast<std::size_t>(i)], a.at(i, i));
+  }
+}
+
+TEST(CsrMatrix, DiagonalPositionsAgreeWithAt) {
+  expect_diag_pos_agrees(small_example());
+  expect_diag_pos_agrees(poisson2d_9pt(6, 5));
+  expect_diag_pos_agrees(poisson2d_9pt(6, 5).transpose());
+}
+
+TEST(CsrMatrix, DiagonalPositionsMissingDiagonalAndEmptyRows) {
+  // [ 4  1  0  0 ]
+  // [ 0  0  0  0 ]   empty row
+  // [ 0  3  0  5 ]   no stored diagonal
+  // [ 0  0  0 -2 ]
+  CooBuilder coo(4, 4);
+  coo.add(0, 0, 4.0);
+  coo.add(0, 1, 1.0);
+  coo.add(2, 1, 3.0);
+  coo.add(2, 3, 5.0);
+  coo.add(3, 3, -2.0);
+  const auto a = coo.to_csr();
+  const auto pos = a.diag_pos();
+  ASSERT_EQ(pos.size(), 4u);
+  EXPECT_EQ(pos[0], 0);
+  EXPECT_EQ(pos[1], -1);
+  EXPECT_EQ(pos[2], -1);
+  EXPECT_EQ(pos[3], 4);
+  expect_diag_pos_agrees(a);
+  EXPECT_EQ(a.diagonal(), (std::vector<value_t>{4.0, 0.0, 0.0, -2.0}));
+  EXPECT_FALSE(a.has_full_diagonal());
+  // The empty square matrix records an empty position list.
+  EXPECT_TRUE(CsrMatrix(0, 0, {0}, {}, {}).diag_pos().empty());
+  // A non-monotone row_ptr (as a corrupt binary stream delivers, ahead of
+  // validate()) stays in bounds while the positions are recorded.
+  const CsrMatrix bad(3, 3, {0, 3, 1, 3}, {0, 1, 2}, {1.0, 2.0, 3.0});
+  EXPECT_FALSE(bad.validate());
+  EXPECT_EQ(bad.diag_pos()[0], 0);
+}
+
+TEST(CsrMatrix, NonSquareRecordsNoDiagonalPositions) {
+  CooBuilder coo(2, 3);
+  coo.add(0, 0, 1.0);
+  coo.add(1, 1, 2.0);
+  coo.add(1, 2, 3.0);
+  const auto a = coo.to_csr();
+  EXPECT_TRUE(a.diag_pos().empty());
+  EXPECT_TRUE(a.transpose().diag_pos().empty());
+  // diagonal() still answers for rectangular matrices.
+  EXPECT_EQ(a.diagonal(), (std::vector<value_t>{1.0, 2.0}));
+}
+
 }  // namespace
 }  // namespace dsouth::sparse

@@ -198,7 +198,7 @@ bool check_prof_record_run(const ProfRecordRun& pr) {
   // fence spans; every rank-lane span lies inside a driver step span, and
   // a lane's absorb/relax/stage spans are mutually disjoint, so per lane
   // their wall total cannot exceed the step wall total. (Encode is checked
-  // separately: its spans can nest inside relax spans.)
+  // separately: its spans can enclose stage spans.)
   const std::uint64_t step_total = pr.phase_total("step", true);
   const std::uint64_t fence_total = pr.phase_total("fence", true);
   check(pr.phase_total("delivery_policy", true) +
