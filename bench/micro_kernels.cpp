@@ -14,7 +14,6 @@
 #include "core/scalar_engine.hpp"
 #include "core/southwell.hpp"
 #include "dist/harness.hpp"
-#include "dist/subdomain.hpp"
 #include "kernels/kernels.hpp"
 #include "graph/coloring.hpp"
 #include "graph/partition.hpp"
@@ -52,68 +51,12 @@ void BM_LocalGsSweep(benchmark::State& state) {
   std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
   std::vector<double> r(x.size(), 1.0);
   for (auto _ : state) {
-    dist::local_gauss_seidel_sweep(a, x, r);
+    kernels::gs_sweep(a, x, r);
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * a.rows());
 }
 BENCHMARK(BM_LocalGsSweep)->Arg(64)->Arg(256);
-
-void BM_GsSweepBatch(benchmark::State& state) {
-  // Batched SoA sweep (kernels.hpp): `lanes` tenants relaxed together,
-  // batch innermost so the per-row arithmetic vectorizes across tenants.
-  // Compare items/sec against lanes = 1 (and BM_LocalGsSweep) to see the
-  // SIMD win; per-lane results are bit-identical to the scalar sweep
-  // (tests/test_batch.cpp), so the speedup is free.
-  const auto dim = static_cast<sparse::index_t>(state.range(0));
-  const auto lanes = static_cast<std::size_t>(state.range(1));
-  auto a = bench_matrix(dim);
-  const auto m = static_cast<std::size_t>(a.rows());
-  std::vector<double> x(m * lanes, 0.0);
-  std::vector<double> r(m * lanes);
-  util::Rng rng(7);
-  rng.fill_uniform(r, -1.0, 1.0);
-  for (auto _ : state) {
-    kernels::gs_sweep_batch(a, lanes, x, r);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetLabel("lanes=" + std::to_string(lanes));
-  state.SetItemsProcessed(state.iterations() * a.rows() *
-                          static_cast<std::int64_t>(lanes));
-}
-BENCHMARK(BM_GsSweepBatch)
-    ->Args({64, 1})
-    ->Args({64, 4})
-    ->Args({64, 8})
-    ->Args({64, 16})
-    ->Args({256, 1})
-    ->Args({256, 4})
-    ->Args({256, 8})
-    ->Args({256, 16});
-
-void BM_NormSqBatch(benchmark::State& state) {
-  // Per-lane residual norms of a batched SoA block — the coordinator's
-  // per-step convergence sweep (dist/batch.cpp).
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const auto lanes = static_cast<std::size_t>(state.range(1));
-  std::vector<double> r(rows * lanes);
-  util::Rng rng(9);
-  rng.fill_uniform(r, -1.0, 1.0);
-  std::vector<double> out(lanes);
-  for (auto _ : state) {
-    std::fill(out.begin(), out.end(), 0.0);
-    kernels::norm_sq_batch(r, lanes, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetLabel("lanes=" + std::to_string(lanes));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(rows * lanes));
-}
-BENCHMARK(BM_NormSqBatch)
-    ->Args({4096, 1})
-    ->Args({4096, 4})
-    ->Args({4096, 8})
-    ->Args({4096, 16});
 
 void BM_SequentialSouthwellSweep(benchmark::State& state) {
   const auto dim = static_cast<sparse::index_t>(state.range(0));

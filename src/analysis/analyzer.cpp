@@ -20,8 +20,8 @@ struct EpochScan {
     double flops = 0.0;
     std::uint64_t msgs = 0;
     std::uint64_t bytes = 0;
-    // Physical-hop tier accumulators (version-5 node-aware traces; see
-    // tiered below). Filled from "hop" events; zero otherwise.
+    // Physical-hop tier accumulators (node-aware traces; see tiered
+    // below). Filled from "hop" events; zero otherwise.
     std::uint64_t msgs_intra = 0;
     std::uint64_t bytes_intra = 0;
     std::uint64_t msgs_inter = 0;
@@ -339,8 +339,8 @@ CriticalPathReport analyze_critical_path(const RunTrace& run,
   std::uint64_t epoch_staleness_max = 0;
   for (const trace::Event& e : run.events) {
     if (e.kind != trace::EventKind::kFence) {
-      // Non-fence delivery (version-4 traces): a deliver event marks data
-      // maturing this epoch whose send cost was charged when it was put —
+      // Non-fence delivery: a deliver event marks data maturing this
+      // epoch whose send cost was charged when it was put —
       // tallied per step so the attribution can point at stale arrivals.
       if (e.kind == trace::EventKind::kDeliver) {
         epoch_delivered += 1;
@@ -522,6 +522,8 @@ const char* FaultReport::action_name(int action) {
       return "truncate";
     case kStall:
       return "stall";
+    case kDeadDrop:
+      return "dead_drop";
     default:
       return "?";
   }
@@ -540,18 +542,6 @@ FaultReport analyze_faults(const RunTrace& run) {
     rep.by_action[static_cast<std::size_t>(e.tag)] += 1;
     rep.by_source[static_cast<std::size_t>(e.rank)] += 1;
     rep.total += 1;
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.faults_dropped")) {
-    rep.metric_dropped = m->total();
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.faults_duplicated")) {
-    rep.metric_duplicated = m->total();
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.faults_corrupted")) {
-    rep.metric_corrupted = m->total();
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.faults_reordered")) {
-    rep.metric_reordered = m->total();
   }
   return rep;
 }
@@ -580,18 +570,6 @@ AsyncReport analyze_async(const RunTrace& run) {
     rep.delivered += 1;
     rep.staleness_sum += staleness;
     rep.staleness_max = std::max(rep.staleness_max, staleness);
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.async_delivered")) {
-    rep.metric_delivered = m->total();
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.async_staleness_sum")) {
-    rep.metric_staleness_sum = m->total();
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.async_staleness_max")) {
-    // Per-rank gauge: the run-wide figure is the max slot, not the sum.
-    double mx = 0.0;
-    for (double v : m->per_rank) mx = std::max(mx, v);
-    rep.metric_staleness_max = mx;
   }
   return rep;
 }
@@ -665,25 +643,6 @@ NodeReport analyze_node_routing(const RunTrace& run) {
               if (a.src != b.src) return a.src < b.src;
               return a.dst < b.dst;
             });
-  if (const MetricSeries* m = run.find_metric("simmpi.node_msgs_intra")) {
-    rep.metric_msgs_intra = m->total();
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.node_bytes_intra")) {
-    rep.metric_bytes_intra = m->total();
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.node_msgs_inter")) {
-    rep.metric_msgs_inter = m->total();
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.node_bytes_inter")) {
-    rep.metric_bytes_inter = m->total();
-  }
-  if (const MetricSeries* m = run.find_metric("simmpi.node_forward_frames")) {
-    rep.metric_forward_frames = m->total();
-  }
-  if (const MetricSeries* m =
-          run.find_metric("simmpi.node_forwarded_records")) {
-    rep.metric_forwarded_records = m->total();
-  }
   return rep;
 }
 

@@ -127,11 +127,12 @@ CommMatrixReport analyze_comm_matrix(const RunTrace& run);
 
 /// The places an epoch's modeled seconds can go:
 /// T_epoch = max_p(flops_p·c + msgs_p·α + bytes_p·β) + γ·msgs/P + σ.
-/// Node-aware (version-5) traces charge per physical hop on a two-tier
-/// network instead (MachineModel::rank_cost_tiered): the latency/bandwidth
-/// terms then cover the straggler's *inter-node* hops and the two intra
-/// terms its intra-node hops (zero for single-level traces, so the first
-/// five terms keep their meaning everywhere).
+/// Traces with hop events (node-aware runs) charge per physical hop on a
+/// two-tier network instead (MachineModel::rank_cost_tiered): the
+/// latency/bandwidth terms then cover the straggler's *inter-node* hops and
+/// the two intra terms its intra-node hops (zero for single-level traces,
+/// so the first five terms keep their meaning everywhere). Every report
+/// carries all seven terms.
 enum class CostTerm : int {
   kCompute = 0,        ///< straggler's flops·c_flop
   kLatency = 1,        ///< straggler's (inter) msgs·α
@@ -142,10 +143,6 @@ enum class CostTerm : int {
   kBandwidthIntra = 6, ///< straggler's intra-node bytes·β_intra (tiered only)
 };
 inline constexpr int kNumCostTerms = 7;
-/// Terms live in a single-level (non-tiered) trace — the first five. The
-/// renderers emit only these for such traces, keeping their CSV/JSON
-/// byte-identical to pre-node-aware builds.
-inline constexpr int kNumFlatCostTerms = 5;
 
 /// "compute"/"latency"/"bandwidth"/"network"/"sync"/"latency_intra"/
 /// "bandwidth_intra".
@@ -160,7 +157,7 @@ struct CriticalPathReport {
     double recorded_seconds = 0.0;  ///< fence event a0
     double modeled_seconds = 0.0;   ///< recomputed from events
     CostTerm dominant = CostTerm::kSync;
-    /// Non-fence delivery (version-4 "deliver" events): messages that
+    /// Non-fence delivery ("deliver" events): messages that
     /// matured at THIS fence after an event-driven latency draw, and the
     /// worst staleness among them. The α/β cost of those messages was
     /// charged in their send epoch (above), so an epoch can be network-
@@ -180,14 +177,15 @@ struct CriticalPathReport {
   double total_modeled_seconds = 0.0;
   /// True when every epoch's recomputed seconds equal the fence record
   /// bit-for-bit — the analyzer's proof that it reconstructed the machine
-  /// model's accounting exactly. Drop-free version-2 traces must match,
-  /// and so must node-aware version-5 traces: hop tallies are integers,
-  /// so the tiered rebuild is order-independent and lands on the
-  /// runtime's doubles addend for addend.
+  /// model's accounting exactly. Every drop-free trace must match,
+  /// node-aware ones included: hop tallies are integers, so the tiered
+  /// rebuild is order-independent and lands on the runtime's doubles
+  /// addend for addend.
   bool model_matches = false;
   /// True when the trace carries hop events: the rebuild charged
   /// rank_cost_tiered from physical hops rather than rank_cost from puts,
-  /// and the two intra CostTerms are live.
+  /// and the two intra CostTerms can be nonzero. Selects the cost formula
+  /// only; the rendered shape is the same either way.
   bool tiered = false;
 };
 
@@ -239,10 +237,11 @@ ConvergenceReport analyze_convergence(const RunTrace& run);
 // (e) Fault injection (src/faults)
 // ---------------------------------------------------------------------------
 
-/// Tally of the version-3 "fault" events the runtime records when a
-/// FaultSchedule is attached (trace.hpp: peer = destination, tag = action
-/// code, a0 = message seq, a1 = action detail). Empty/zero for fault-free
-/// traces — the renderers emit a faults section only when any() is true.
+/// Tally of the "fault" events the runtime records when a FaultSchedule is
+/// attached (trace.hpp: peer = destination, tag = action code, a0 =
+/// message seq, a1 = action detail). All-zero for fault-free traces;
+/// `dsouth-analyze -check` matches the tallies against the run's
+/// simmpi.faults_* counters (faults_corrupted counts corrupt + truncate).
 struct FaultReport {
   /// Action codes, exactly as the runtime emits them.
   enum Action : int {
@@ -252,8 +251,9 @@ struct FaultReport {
     kCorrupt = 3,
     kTruncate = 4,
     kStall = 5,
+    kDeadDrop = 6,  ///< traffic from or to a permanently dead rank
   };
-  static constexpr int kNumActions = 6;
+  static constexpr int kNumActions = 7;
   static const char* action_name(int action);
 
   std::array<std::uint64_t, kNumActions> by_action{};
@@ -262,14 +262,6 @@ struct FaultReport {
   std::uint64_t total = 0;
 
   bool any() const { return total > 0; }
-
-  /// The runtime's simmpi.faults_* metric totals, when the trace carries
-  /// them (cross-checked against the event tallies by `dsouth-analyze
-  /// -check`; faults_corrupted counts corrupt + truncate actions).
-  std::optional<double> metric_dropped;
-  std::optional<double> metric_duplicated;
-  std::optional<double> metric_corrupted;
-  std::optional<double> metric_reordered;
 };
 
 FaultReport analyze_faults(const RunTrace& run);
@@ -278,11 +270,11 @@ FaultReport analyze_faults(const RunTrace& run);
 // (f) Asynchronous delivery (simmpi EventDriven policy)
 // ---------------------------------------------------------------------------
 
-/// Tally of the version-4 "deliver" events the runtime records when the
-/// EventDriven delivery policy is attached (trace.hpp: rank = destination,
-/// peer = source, tag = MsgTag code, a0 = staleness in epochs, a1 = payload
-/// doubles). Empty/zero for bulk-synchronous traces — the renderers emit an
-/// async section only when any() is true.
+/// Tally of the "deliver" events the runtime records when the EventDriven
+/// delivery policy is attached (trace.hpp: rank = destination, peer =
+/// source, tag = MsgTag code, a0 = staleness in epochs, a1 = payload
+/// doubles). All-zero for bulk-synchronous traces; `dsouth-analyze -check`
+/// matches the tallies against the simmpi.async_* metrics.
 struct AsyncReport {
   std::uint64_t delivered = 0;      ///< total matured deliveries
   std::uint64_t staleness_sum = 0;  ///< Σ staleness over deliveries
@@ -301,14 +293,6 @@ struct AsyncReport {
                           : static_cast<double>(staleness_sum) /
                                 static_cast<double>(delivered);
   }
-
-  /// The runtime's simmpi.async_* metric totals, when the trace carries
-  /// them (cross-checked against the event tallies by `dsouth-analyze
-  /// -check`). metric_staleness_max is the max over the per-rank gauge
-  /// slots, not a sum.
-  std::optional<double> metric_delivered;
-  std::optional<double> metric_staleness_sum;
-  std::optional<double> metric_staleness_max;
 };
 
 AsyncReport analyze_async(const RunTrace& run);
@@ -317,14 +301,13 @@ AsyncReport analyze_async(const RunTrace& run);
 // (g) Node-aware routing (simmpi/node_topology.hpp)
 // ---------------------------------------------------------------------------
 
-/// Tally of the version-5 "hop" events the runtime records when a
-/// non-flat node topology is attached (trace.hpp: rank = paying rank,
-/// peer = physical destination, tag = hop kind, a0 = modeled bytes, a1 =
-/// logical records). The report needs no node map: hop kinds alone carry
-/// the tier split, and the leader-pair matrix falls out of the
-/// inter_leader events' (rank, peer) endpoints. Empty/zero for
-/// single-level traces — the renderers emit a node section only when
-/// any() is true.
+/// Tally of the "hop" events the runtime records when a non-flat node
+/// topology is attached (trace.hpp: rank = paying rank, peer = physical
+/// destination, tag = hop kind, a0 = modeled bytes, a1 = logical records).
+/// The report needs no node map: hop kinds alone carry the tier split, and
+/// the leader-pair matrix falls out of the inter_leader events' (rank,
+/// peer) endpoints. All-zero for single-level traces; `dsouth-analyze
+/// -check` matches the tallies against the simmpi.node_* counters.
 struct NodeReport {
   /// Hop kinds, exactly as the runtime emits them (trace.hpp constants).
   static constexpr int kNumHopKinds = 5;
@@ -353,16 +336,6 @@ struct NodeReport {
   std::vector<LeaderPair> leader_pairs;
 
   bool any() const { return msgs_intra + msgs_inter > 0; }
-
-  /// The runtime's simmpi.node_* metric totals, when the trace carries
-  /// them (cross-checked against the event tallies by `dsouth-analyze
-  /// -check`).
-  std::optional<double> metric_msgs_intra;
-  std::optional<double> metric_bytes_intra;
-  std::optional<double> metric_msgs_inter;
-  std::optional<double> metric_bytes_inter;
-  std::optional<double> metric_forward_frames;
-  std::optional<double> metric_forwarded_records;
 };
 
 NodeReport analyze_node_routing(const RunTrace& run);
@@ -371,11 +344,9 @@ NodeReport analyze_node_routing(const RunTrace& run);
 // (h) Elastic recovery (src/elastic)
 // ---------------------------------------------------------------------------
 
-/// Tally of the version-6 "elastic" events the elastic driver records when
-/// the fault plan configures permanent kills (trace.hpp: tag = action code,
-/// a0/a1 = per-action detail). Empty/zero for kill-free traces — the
-/// renderers emit an elastic section only when any() is true, so fault-free
-/// elastic output is byte-identical to a plain run's.
+/// Tally of the "elastic" events the elastic driver records when the fault
+/// plan configures permanent kills (trace.hpp: tag = action code, a0/a1 =
+/// per-action detail). All-zero for kill-free traces.
 struct ElasticReport {
   /// Action codes, exactly as elastic::run_elastic emits them.
   enum Action : int {

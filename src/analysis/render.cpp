@@ -20,7 +20,6 @@ RunAnalysis analyze_run(const RunTrace& run, const AnalyzeOptions& opt) {
   RunAnalysis a;
   a.label = run.label;
   a.num_ranks = run.num_ranks;
-  a.trace_version = run.version;
   a.dropped_events = run.dropped_events;
   a.timeline = analyze_timeline(run, opt.model);
   a.comm = analyze_comm_matrix(run);
@@ -60,8 +59,7 @@ void render_ascii(std::ostream& os, const RunAnalysis& a,
   os << "=== dsouth-analyze: " << (a.label.empty() ? "(unnamed run)" : a.label)
      << " ===\n";
   os << "Ranks: " << a.num_ranks << "   fenced epochs: "
-     << a.timeline.steps.size() << "   events analyzed from trace v"
-     << a.trace_version << "\n";
+     << a.timeline.steps.size() << "\n";
   if (a.dropped_events > 0) {
     os << "WARNING: " << a.dropped_events
        << " events were dropped at capture (ring overflow); counts below "
@@ -232,9 +230,7 @@ void render_ascii(std::ostream& os, const RunAnalysis& a,
      << ") ---\n";
   util::Table cp({"term", "seconds", "share", "epochs dominated"});
   const double tot = a.critical_path.total_recorded_seconds;
-  const int num_terms =
-      a.critical_path.tiered ? kNumCostTerms : kNumFlatCostTerms;
-  for (int t = 0; t < num_terms; ++t) {
+  for (int t = 0; t < kNumCostTerms; ++t) {
     const auto i = static_cast<std::size_t>(t);
     cp.row().cell(cost_term_name(static_cast<CostTerm>(t)));
     cp.cell(format_double(a.critical_path.total_seconds_by_term[i] * 1e3, 4) +
@@ -249,8 +245,8 @@ void render_ascii(std::ostream& os, const RunAnalysis& a,
   os << "Model reconstruction: "
      << (a.critical_path.model_matches
              ? "every epoch matches the fence record bit-exactly"
-             : "MISMATCH vs fence records (v1 trace without compute "
-               "events, or dropped events?)")
+             : "MISMATCH vs fence records (wrong machine model, or "
+               "dropped events?)")
      << "\n";
   // Straggler ranking: who was the max-cost rank most often.
   std::vector<int> order(static_cast<std::size_t>(a.num_ranks));
@@ -416,21 +412,17 @@ std::string comm_matrix_csv(const RunAnalysis& a) {
 }
 
 std::string critical_path_csv(const RunAnalysis& a) {
-  // The two intra-tier columns appear only for node-aware (tiered) traces,
-  // keeping single-level CSV byte-identical to the pre-tier schema.
-  const bool tiered = a.critical_path.tiered;
-  const int num_terms = tiered ? kNumCostTerms : kNumFlatCostTerms;
-  std::string out =
-      tiered ? "epoch,straggler,compute,latency,bandwidth,network,sync,"
-               "latency_intra,bandwidth_intra,"
-               "recorded_seconds,modeled_seconds,dominant\n"
-             : "epoch,straggler,compute,latency,bandwidth,network,sync,"
-               "recorded_seconds,modeled_seconds,dominant\n";
+  std::string out = "epoch,straggler";
+  for (int t = 0; t < kNumCostTerms; ++t) {
+    out += ',';
+    out += cost_term_name(static_cast<CostTerm>(t));
+  }
+  out += ",recorded_seconds,modeled_seconds,dominant\n";
   for (const auto& s : a.critical_path.steps) {
     out += std::to_string(s.epoch);
     out += ',';
     out += std::to_string(s.straggler);
-    for (int t = 0; t < num_terms; ++t) {
+    for (int t = 0; t < kNumCostTerms; ++t) {
       out += ',';
       csv_num(out, s.terms[static_cast<std::size_t>(t)]);
     }
@@ -509,24 +501,20 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
   out.reserve(1 << 14);
   out += "{";
   kv_s(out, "schema", "dsouth.analysis", /*first=*/true);
-  kv_i(out, "schema_version", 1);
+  kv_i(out, "schema_version", 2);
   kv_s(out, "run", a.label);
   kv_i(out, "num_ranks", a.num_ranks);
-  kv_i(out, "trace_version", a.trace_version);
   kv_u(out, "dropped_events", a.dropped_events);
 
-  // model parameters the attribution used; the intra-tier pair appears
-  // only for node-aware (tiered) traces so single-level JSON is unchanged
+  // model parameters the attribution used
   out += ",\"machine_model\":{";
   kv(out, "alpha", opt.model.alpha, true);
   kv(out, "beta", opt.model.beta);
   kv(out, "flop_time", opt.model.flop_time);
   kv(out, "gamma", opt.model.gamma);
   kv(out, "sigma", opt.model.sigma);
-  if (a.critical_path.tiered) {
-    kv(out, "alpha_intra", opt.model.alpha_intra);
-    kv(out, "beta_intra", opt.model.beta_intra);
-  }
+  kv(out, "alpha_intra", opt.model.alpha_intra);
+  kv(out, "beta_intra", opt.model.beta_intra);
   out += "}";
 
   // (a) timeline
@@ -585,12 +573,8 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
   kv(out, "total_modeled_seconds", a.critical_path.total_modeled_seconds);
   out += ",\"model_matches\":";
   out += a.critical_path.model_matches ? "true" : "false";
-  // Intra-tier terms appear only for tiered traces (byte-identity for
-  // single-level analysis JSON).
-  const int num_terms =
-      a.critical_path.tiered ? kNumCostTerms : kNumFlatCostTerms;
   out += ",\"terms\":{";
-  for (int t = 0; t < num_terms; ++t) {
+  for (int t = 0; t < kNumCostTerms; ++t) {
     const auto i = static_cast<std::size_t>(t);
     if (t) out += ',';
     out += json_quote(cost_term_name(static_cast<CostTerm>(t)));
@@ -612,19 +596,15 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
     out += '{';
     kv_u(out, "epoch", s.epoch, true);
     kv_i(out, "straggler", s.straggler);
-    for (int t = 0; t < num_terms; ++t) {
+    for (int t = 0; t < kNumCostTerms; ++t) {
       kv(out, cost_term_name(static_cast<CostTerm>(t)),
          s.terms[static_cast<std::size_t>(t)]);
     }
     kv(out, "recorded_seconds", s.recorded_seconds);
     kv(out, "modeled_seconds", s.modeled_seconds);
     kv_s(out, "dominant", cost_term_name(s.dominant));
-    if (a.async.any()) {
-      // Per-step non-fence delivery; keys appear only for async traces so
-      // bulk-synchronous JSON stays byte-identical.
-      kv_u(out, "async_delivered", s.async_delivered);
-      kv_u(out, "async_staleness_max", s.async_staleness_max);
-    }
+    kv_u(out, "async_delivered", s.async_delivered);
+    kv_u(out, "async_staleness_max", s.async_staleness_max);
     out += '}';
   }
   out += "]}";
@@ -665,141 +645,84 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
   }
   out += "]}";
 
-  // (e) faults — emitted only when the trace carried fault events, so
-  // fault-free analysis JSON is byte-identical to the previous schema.
-  if (a.faults.any()) {
-    out += ",\"faults\":{";
-    kv_u(out, "total", a.faults.total, true);
-    for (int t = 0; t < FaultReport::kNumActions; ++t) {
-      kv_u(out, FaultReport::action_name(t),
-           a.faults.by_action[static_cast<std::size_t>(t)]);
-    }
-    out += ",\"by_source\":[";
-    for (int r = 0; r < a.num_ranks; ++r) {
-      if (r) out += ',';
-      out += std::to_string(a.faults.by_source[static_cast<std::size_t>(r)]);
-    }
-    out += ']';
-    if (a.faults.metric_dropped) {
-      kv(out, "metric_dropped", *a.faults.metric_dropped);
-    }
-    if (a.faults.metric_duplicated) {
-      kv(out, "metric_duplicated", *a.faults.metric_duplicated);
-    }
-    if (a.faults.metric_corrupted) {
-      kv(out, "metric_corrupted", *a.faults.metric_corrupted);
-    }
-    if (a.faults.metric_reordered) {
-      kv(out, "metric_reordered", *a.faults.metric_reordered);
-    }
+  // (e)-(h) feature sections: always present, all-zero when the run had
+  // the feature off.
+  out += ",\"faults\":{";
+  kv_u(out, "total", a.faults.total, true);
+  for (int t = 0; t < FaultReport::kNumActions; ++t) {
+    kv_u(out, FaultReport::action_name(t),
+         a.faults.by_action[static_cast<std::size_t>(t)]);
+  }
+  out += ",\"by_source\":[";
+  for (int r = 0; r < a.num_ranks; ++r) {
+    if (r) out += ',';
+    out += std::to_string(a.faults.by_source[static_cast<std::size_t>(r)]);
+  }
+  out += "]}";
+
+  out += ",\"async\":{";
+  kv_u(out, "delivered", a.async.delivered, true);
+  kv_u(out, "staleness_sum", a.async.staleness_sum);
+  kv_u(out, "staleness_max", a.async.staleness_max);
+  kv(out, "mean_staleness", a.async.mean_staleness());
+  out += ",\"staleness_histogram\":[";
+  for (std::size_t s = 0; s < a.async.staleness_histogram.size(); ++s) {
+    if (s) out += ',';
+    out += std::to_string(a.async.staleness_histogram[s]);
+  }
+  out += "],\"by_dest\":[";
+  for (int r = 0; r < a.num_ranks; ++r) {
+    if (r) out += ',';
+    out += std::to_string(a.async.by_dest[static_cast<std::size_t>(r)]);
+  }
+  out += "]}";
+
+  out += ",\"node\":{";
+  kv_u(out, "msgs_intra", a.node.msgs_intra, true);
+  kv_u(out, "bytes_intra", a.node.bytes_intra);
+  kv_u(out, "msgs_inter", a.node.msgs_inter);
+  kv_u(out, "bytes_inter", a.node.bytes_inter);
+  kv_u(out, "forwarded_records", a.node.forwarded_records);
+  out += ",\"hops\":{";
+  for (int k = 0; k < NodeReport::kNumHopKinds; ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    if (k) out += ',';
+    out += json_quote(NodeReport::hop_name(k));
+    out += ":{";
+    kv_u(out, "count", a.node.hops_by_kind[i], true);
+    kv_u(out, "bytes", a.node.bytes_by_kind[i]);
     out += '}';
   }
-
-  // (f) async delivery — likewise emitted only when the trace carried
-  // deliver events, so bulk-synchronous analysis JSON stays byte-identical.
-  if (a.async.any()) {
-    out += ",\"async\":{";
-    kv_u(out, "delivered", a.async.delivered, true);
-    kv_u(out, "staleness_sum", a.async.staleness_sum);
-    kv_u(out, "staleness_max", a.async.staleness_max);
-    kv(out, "mean_staleness", a.async.mean_staleness());
-    out += ",\"staleness_histogram\":[";
-    for (std::size_t s = 0; s < a.async.staleness_histogram.size(); ++s) {
-      if (s) out += ',';
-      out += std::to_string(a.async.staleness_histogram[s]);
-    }
-    out += "],\"by_dest\":[";
-    for (int r = 0; r < a.num_ranks; ++r) {
-      if (r) out += ',';
-      out += std::to_string(a.async.by_dest[static_cast<std::size_t>(r)]);
-    }
-    out += ']';
-    if (a.async.metric_delivered) {
-      kv(out, "metric_delivered", *a.async.metric_delivered);
-    }
-    if (a.async.metric_staleness_sum) {
-      kv(out, "metric_staleness_sum", *a.async.metric_staleness_sum);
-    }
-    if (a.async.metric_staleness_max) {
-      kv(out, "metric_staleness_max", *a.async.metric_staleness_max);
-    }
+  out += "},\"leader_pairs\":[";
+  const auto ntop = static_cast<std::size_t>(std::max(0, opt.top_pairs));
+  for (std::size_t i = 0; i < a.node.leader_pairs.size() && i < ntop; ++i) {
+    const auto& pr = a.node.leader_pairs[i];
+    if (i) out += ',';
+    out += '{';
+    kv_i(out, "src", pr.src, true);
+    kv_i(out, "dst", pr.dst);
+    kv_u(out, "frames", pr.frames);
+    kv_u(out, "records", pr.records);
+    kv_u(out, "bytes", pr.bytes);
     out += '}';
   }
+  out += "]}";
 
-  // (g) node-aware routing — likewise emitted only when the trace carried
-  // hop events, so single-level analysis JSON stays byte-identical.
-  if (a.node.any()) {
-    out += ",\"node\":{";
-    kv_u(out, "msgs_intra", a.node.msgs_intra, true);
-    kv_u(out, "bytes_intra", a.node.bytes_intra);
-    kv_u(out, "msgs_inter", a.node.msgs_inter);
-    kv_u(out, "bytes_inter", a.node.bytes_inter);
-    kv_u(out, "forwarded_records", a.node.forwarded_records);
-    out += ",\"hops\":{";
-    for (int k = 0; k < NodeReport::kNumHopKinds; ++k) {
-      const auto i = static_cast<std::size_t>(k);
-      if (k) out += ',';
-      out += json_quote(NodeReport::hop_name(k));
-      out += ":{";
-      kv_u(out, "count", a.node.hops_by_kind[i], true);
-      kv_u(out, "bytes", a.node.bytes_by_kind[i]);
-      out += '}';
-    }
-    out += "},\"leader_pairs\":[";
-    const auto ntop = static_cast<std::size_t>(std::max(0, opt.top_pairs));
-    for (std::size_t i = 0;
-         i < a.node.leader_pairs.size() && i < ntop; ++i) {
-      const auto& pr = a.node.leader_pairs[i];
-      if (i) out += ',';
-      out += '{';
-      kv_i(out, "src", pr.src, true);
-      kv_i(out, "dst", pr.dst);
-      kv_u(out, "frames", pr.frames);
-      kv_u(out, "records", pr.records);
-      kv_u(out, "bytes", pr.bytes);
-      out += '}';
-    }
-    out += ']';
-    if (a.node.metric_msgs_intra) {
-      kv(out, "metric_msgs_intra", *a.node.metric_msgs_intra);
-    }
-    if (a.node.metric_bytes_intra) {
-      kv(out, "metric_bytes_intra", *a.node.metric_bytes_intra);
-    }
-    if (a.node.metric_msgs_inter) {
-      kv(out, "metric_msgs_inter", *a.node.metric_msgs_inter);
-    }
-    if (a.node.metric_bytes_inter) {
-      kv(out, "metric_bytes_inter", *a.node.metric_bytes_inter);
-    }
-    if (a.node.metric_forward_frames) {
-      kv(out, "metric_forward_frames", *a.node.metric_forward_frames);
-    }
-    if (a.node.metric_forwarded_records) {
-      kv(out, "metric_forwarded_records", *a.node.metric_forwarded_records);
-    }
-    out += '}';
+  out += ",\"elastic\":{";
+  kv_u(out, "total", a.elastic.total, true);
+  for (int t = 0; t < ElasticReport::kNumActions; ++t) {
+    kv_u(out, ElasticReport::action_name(t),
+         a.elastic.by_action[static_cast<std::size_t>(t)]);
   }
-
-  // (h) elastic recovery — likewise emitted only when the trace carried
-  // elastic events, so kill-free analysis JSON stays byte-identical.
-  if (a.elastic.any()) {
-    out += ",\"elastic\":{";
-    kv_u(out, "total", a.elastic.total, true);
-    for (int t = 0; t < ElasticReport::kNumActions; ++t) {
-      kv_u(out, ElasticReport::action_name(t),
-           a.elastic.by_action[static_cast<std::size_t>(t)]);
-    }
-    kv_u(out, "checkpoint_bytes_last", a.elastic.checkpoint_bytes_last);
-    kv_u(out, "checkpoint_bytes_max", a.elastic.checkpoint_bytes_max);
-    kv_u(out, "rows_moved", a.elastic.rows_moved);
-    out += ",\"dead_ranks\":[";
-    for (std::size_t i = 0; i < a.elastic.dead_ranks.size(); ++i) {
-      if (i) out += ',';
-      out += std::to_string(a.elastic.dead_ranks[i]);
-    }
-    out += "]}";
+  kv_u(out, "checkpoint_bytes_last", a.elastic.checkpoint_bytes_last);
+  kv_u(out, "checkpoint_bytes_max", a.elastic.checkpoint_bytes_max);
+  kv_u(out, "rows_moved", a.elastic.rows_moved);
+  out += ",\"dead_ranks\":[";
+  for (std::size_t i = 0; i < a.elastic.dead_ranks.size(); ++i) {
+    if (i) out += ',';
+    out += std::to_string(a.elastic.dead_ranks[i]);
   }
+  out += "]}";
   out += '}';
   return out;
 }

@@ -19,23 +19,16 @@ namespace dsouth::analysis {
 struct RunAnalysis {
   std::string label;
   int num_ranks = 0;
-  int trace_version = 0;
   std::uint64_t dropped_events = 0;
   TimelineReport timeline;
   CommMatrixReport comm;
   CriticalPathReport critical_path;
   ConvergenceReport convergence;
-  /// Fault-injection tallies; all-zero (and omitted from every renderer)
-  /// for fault-free traces, so fault-free output is unchanged.
+  /// Feature tallies, all-zero when the run had the feature off. The JSON
+  /// always carries their sections; the ASCII report skips empty ones.
   FaultReport faults;
-  /// Async-delivery tallies (staleness histogram); all-zero and omitted
-  /// for bulk-synchronous traces, keeping their output unchanged.
-  AsyncReport async;
-  /// Node-aware hop tallies (tier totals, leader pairs); all-zero and
-  /// omitted for single-level traces, keeping their output unchanged.
-  NodeReport node;
-  /// Elastic checkpoint/recovery tallies; all-zero and omitted for
-  /// kill-free traces, keeping their output unchanged.
+  AsyncReport async;    ///< staleness histogram
+  NodeReport node;      ///< tier totals, leader pairs
   ElasticReport elastic;
 };
 
@@ -60,8 +53,9 @@ std::string comm_matrix_csv(const RunAnalysis& a);    ///< nonzero (src,dst)
 std::string critical_path_csv(const RunAnalysis& a);  ///< one row per epoch
 std::string convergence_csv(const RunAnalysis& a);    ///< one row per epoch
 
-/// The whole analysis as one JSON document (schema
-/// "dsouth.analysis", version 1; see docs/observability.md).
+/// The whole analysis as one JSON document (schema "dsouth.analysis",
+/// version 2; see docs/observability.md). Its shape is fixed: every
+/// section and key is present for every run.
 std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt = {});
 
 }  // namespace dsouth::analysis

@@ -1,8 +1,11 @@
 #include "analysis/run_trace.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
+#include "analysis/analyzer.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -41,24 +44,12 @@ RunTrace from_trace_log(const trace::TraceLog& log, std::string label) {
 
 namespace {
 
-/// The JSONL versions this reader understands. Version 1 traces (pre
-/// "compute" events) still parse; the critical-path report then sees zero
-/// flops and says so (RunTrace::version lets callers warn). Version 3
-/// adds "fault" events (fault injection, src/faults); version 4 adds
-/// "deliver" events (asynchronous delivery, simmpi/delivery.hpp); version
-/// 5 adds "hop" events (node-aware routing, simmpi/node_topology.hpp);
-/// version 6 adds "elastic" events (checkpoint/restart + repartitioning,
-/// src/elastic) — all picked up through the shared event-kind table in
-/// parse_kind.
-constexpr int kMinVersion = 1;
-constexpr int kMaxVersion = 6;
-
 trace::EventKind parse_kind(const std::string& name) {
   for (int k = 0; k < trace::kNumEventKinds; ++k) {
     const auto kind = static_cast<trace::EventKind>(k);
     if (name == trace::event_kind_name(kind)) return kind;
   }
-  DSOUTH_CHECK_MSG(false, "JSONL trace: unknown event kind '" << name << "'");
+  DSOUTH_CHECK_MSG(false, "unknown event kind '" << name << "'");
   return trace::EventKind::kPut;  // unreachable
 }
 
@@ -69,14 +60,136 @@ trace::MetricKind parse_metric_kind(const std::string& name) {
   if (name == trace::metric_kind_name(trace::MetricKind::kGauge)) {
     return trace::MetricKind::kGauge;
   }
-  DSOUTH_CHECK_MSG(false, "JSONL trace: unknown metric kind '" << name << "'");
+  DSOUTH_CHECK_MSG(false, "unknown metric kind '" << name << "'");
   return trace::MetricKind::kCounter;  // unreachable
+}
+
+constexpr double kUint64End = 18446744073709551616.0;  // 2^64
+constexpr double kIntEnd = 2147483648.0;               // 2^31
+
+/// `v` as an integer in [0, end), checked before any cast: casting a
+/// fractional, negative, non-finite or too-large double to an integer type
+/// is undefined behaviour, and the analyzers size tables from these fields.
+double checked_count(double v, double end, const char* field) {
+  DSOUTH_CHECK_MSG(v >= 0.0 && v < end && std::trunc(v) == v,
+                   "field '" << field << "' = " << v
+                             << " is not an integer in [0, " << end << ")");
+  return v;
+}
+
+double count_field(const JsonValue& v, const char* key, double end) {
+  return checked_count(v.at(key).as_number(), end, key);
+}
+
+/// Exclusive upper bounds for the (a0, a1) fields an analyzer casts to an
+/// integer type (trace.hpp documents each kind's fields); 0 marks a field
+/// no analyzer casts.
+std::pair<double, double> count_bounds(const trace::Event& e) {
+  switch (e.kind) {
+    case trace::EventKind::kPut:    // a1 = bytes
+    case trace::EventKind::kFence:  // a1 = epoch messages
+      return {0.0, kUint64End};
+    case trace::EventKind::kRelax:    // a0 = rows
+    case trace::EventKind::kAbsorb:   // a0 = messages
+    case trace::EventKind::kDeliver:  // a0 = staleness
+      return {kUint64End, 0.0};
+    case trace::EventKind::kHop:  // a0 = bytes, a1 = records
+      return {kUint64End, kUint64End};
+    case trace::EventKind::kElastic:  // a kill's a0 is the dead rank (int)
+      return {e.tag == ElasticReport::kKill ? kIntEnd : kUint64End,
+              kUint64End};
+    case trace::EventKind::kCompute:
+    case trace::EventKind::kFault:
+      break;
+  }
+  return {0.0, 0.0};
+}
+
+trace::Event parse_event(const JsonValue& v, const RunTrace& run,
+                         std::uint64_t fences_so_far) {
+  const double ranks = run.num_ranks;
+  trace::Event e;
+  e.kind = parse_kind(v.at("kind").as_string());
+  e.seq = static_cast<std::uint64_t>(count_field(v, "seq", kUint64End));
+  e.epoch = static_cast<std::uint64_t>(count_field(v, "epoch", kUint64End));
+  // Fences are runtime-wide (rank -1); every other event names a rank of
+  // the run, which the analyzers index per-rank tables with.
+  const double rank = v.at("rank").as_number();
+  if (e.kind == trace::EventKind::kFence) {
+    DSOUTH_CHECK_MSG(rank == -1.0, "fence event has rank " << rank);
+    e.rank = -1;
+  } else {
+    e.rank = static_cast<std::int32_t>(checked_count(rank, ranks, "rank"));
+  }
+  if (const JsonValue* peer = v.find("peer")) {
+    e.peer = static_cast<std::int32_t>(
+        checked_count(peer->as_number(), ranks, "peer"));
+  }
+  if (const JsonValue* tag = v.find("tag")) {
+    e.tag = static_cast<std::int32_t>(
+        checked_count(tag->as_number(), kIntEnd, "tag"));
+  }
+  e.t_model = v.at("t_model").as_number();
+  e.a0 = v.at("a0").as_number();
+  e.a1 = v.at("a1").as_number();
+  DSOUTH_CHECK_MSG(std::isfinite(e.t_model) && std::isfinite(e.a0) &&
+                       std::isfinite(e.a1),
+                   "event times and details must be finite");
+  const auto [a0_end, a1_end] = count_bounds(e);
+  if (a0_end > 0.0) checked_count(e.a0, a0_end, "a0");
+  if (a1_end > 0.0) checked_count(e.a1, a1_end, "a1");
+  if (e.kind == trace::EventKind::kDeliver) {
+    // A message delivered s epochs late was staged s fences ago, so its
+    // staleness is bounded by the run so far; that also bounds the
+    // analyzer's staleness histogram by the trace's length.
+    DSOUTH_CHECK_MSG(e.a0 <= static_cast<double>(e.epoch) &&
+                         e.a0 <= static_cast<double>(fences_so_far),
+                     "deliver staleness " << e.a0 << " exceeds its epoch "
+                                          << e.epoch << " or the "
+                                          << fences_so_far
+                                          << " epochs fenced so far");
+  }
+  if (const JsonValue* wall = v.find("t_wall")) {
+    e.t_wall = wall->as_number();
+  }
+  return e;
+}
+
+MetricSeries parse_metric(const JsonValue& v, const RunTrace& run) {
+  MetricSeries m;
+  m.name = v.at("name").as_string();
+  m.kind = parse_metric_kind(v.at("metric_kind").as_string());
+  const auto& slots = v.at("per_rank").as_array();
+  DSOUTH_CHECK_MSG(slots.size() == static_cast<std::size_t>(run.num_ranks),
+                   "metric '" << m.name << "' has " << slots.size()
+                              << " slots for " << run.num_ranks << " ranks");
+  m.per_rank.reserve(slots.size());
+  for (const auto& s : slots) m.per_rank.push_back(s.as_number());
+  return m;
+}
+
+RunTrace parse_header(const JsonValue& v) {
+  const std::int64_t version = v.at("version").as_int();
+  DSOUTH_CHECK_MSG(version == trace::kTraceVersion,
+                   "trace schema version " << version
+                                           << "; this build reads version "
+                                           << trace::kTraceVersion);
+  RunTrace run;
+  run.num_ranks = static_cast<int>(count_field(v, "num_ranks", kIntEnd));
+  DSOUTH_CHECK_MSG(run.num_ranks > 0, "header has no ranks");
+  run.dropped_events = static_cast<std::uint64_t>(
+      count_field(v, "dropped_events", kUint64End));
+  if (const JsonValue* label = v.find("run")) {
+    run.label = label->as_string();
+  }
+  return run;
 }
 
 }  // namespace
 
 std::vector<RunTrace> parse_jsonl(std::string_view text) {
   std::vector<RunTrace> runs;
+  std::uint64_t fences = 0;  // fence events of the current run so far
   std::size_t pos = 0;
   std::size_t line_no = 0;
   while (pos < text.size()) {
@@ -92,71 +205,29 @@ std::vector<RunTrace> parse_jsonl(std::string_view text) {
     }
     if (blank) continue;
 
-    JsonValue v;
+    // Every rejection below names the offending line.
     try {
-      v = util::parse_json(line);
+      const JsonValue v = util::parse_json(line);
+      const std::string& type = v.at("type").as_string();
+      if (type == "header") {
+        runs.push_back(parse_header(v));
+        fences = 0;
+        continue;
+      }
+      DSOUTH_CHECK_MSG(!runs.empty(),
+                       "'" << type << "' line before any header");
+      RunTrace& run = runs.back();
+      if (type == "event") {
+        run.events.push_back(parse_event(v, run, fences));
+        if (run.events.back().kind == trace::EventKind::kFence) ++fences;
+      } else if (type == "metric") {
+        run.metrics.push_back(parse_metric(v, run));
+      } else {
+        DSOUTH_CHECK_MSG(false, "unknown type '" << type << "'");
+      }
     } catch (const util::CheckError& e) {
       DSOUTH_CHECK_MSG(false, "JSONL trace line " << line_no << ": "
                                                   << e.what());
-    }
-    const std::string& type = v.at("type").as_string();
-    if (type == "header") {
-      RunTrace run;
-      run.version = static_cast<int>(v.at("version").as_int());
-      DSOUTH_CHECK_MSG(
-          run.version >= kMinVersion && run.version <= kMaxVersion,
-          "JSONL trace: unsupported schema version " << run.version);
-      run.num_ranks = static_cast<int>(v.at("num_ranks").as_int());
-      DSOUTH_CHECK(run.num_ranks > 0);
-      run.dropped_events =
-          static_cast<std::uint64_t>(v.at("dropped_events").as_int());
-      if (const JsonValue* label = v.find("run")) {
-        run.label = label->as_string();
-      }
-      runs.push_back(std::move(run));
-      continue;
-    }
-    DSOUTH_CHECK_MSG(!runs.empty(), "JSONL trace line "
-                                        << line_no
-                                        << ": '" << type
-                                        << "' line before any header");
-    RunTrace& run = runs.back();
-    if (type == "event") {
-      trace::Event e;
-      e.kind = parse_kind(v.at("kind").as_string());
-      e.seq = static_cast<std::uint64_t>(v.at("seq").as_int());
-      e.epoch = static_cast<std::uint64_t>(v.at("epoch").as_int());
-      e.rank = static_cast<std::int32_t>(v.at("rank").as_int());
-      if (const JsonValue* peer = v.find("peer")) {
-        e.peer = static_cast<std::int32_t>(peer->as_int());
-      }
-      if (const JsonValue* tag = v.find("tag")) {
-        e.tag = static_cast<std::int32_t>(tag->as_int());
-      }
-      e.t_model = v.at("t_model").as_number();
-      e.a0 = v.at("a0").as_number();
-      e.a1 = v.at("a1").as_number();
-      if (const JsonValue* wall = v.find("t_wall")) {
-        e.t_wall = wall->as_number();
-      }
-      run.events.push_back(e);
-    } else if (type == "metric") {
-      MetricSeries m;
-      m.name = v.at("name").as_string();
-      m.kind = parse_metric_kind(v.at("metric_kind").as_string());
-      const auto& slots = v.at("per_rank").as_array();
-      DSOUTH_CHECK_MSG(
-          slots.size() == static_cast<std::size_t>(run.num_ranks),
-          "JSONL trace: metric '" << m.name << "' has " << slots.size()
-                                  << " slots for " << run.num_ranks
-                                  << " ranks");
-      m.per_rank.reserve(slots.size());
-      for (const auto& s : slots) m.per_rank.push_back(s.as_number());
-      run.metrics.push_back(std::move(m));
-    } else {
-      DSOUTH_CHECK_MSG(false, "JSONL trace line " << line_no
-                                                  << ": unknown type '"
-                                                  << type << "'");
     }
   }
   for (const RunTrace& run : runs) {

@@ -31,7 +31,6 @@ struct MetricSeries {
 struct RunTrace {
   std::string label;  ///< the bench's run label ("bone010p P=13 DS", …)
   int num_ranks = 0;
-  int version = 0;  ///< JSONL schema version (0 when built from a TraceLog)
   std::uint64_t dropped_events = 0;  ///< ring overflows; 0 = complete trace
   std::vector<trace::Event> events;  ///< in seq order
   std::vector<MetricSeries> metrics;
@@ -44,8 +43,13 @@ struct RunTrace {
 RunTrace from_trace_log(const trace::TraceLog& log, std::string label);
 
 /// Parse a JSON Lines capture (possibly holding several runs — one header
-/// line each, see docs/observability.md). Unknown event kinds or a header
-/// version this build does not know are rejected with CheckError; events
+/// line each, see docs/observability.md). A header whose version is not
+/// trace::kTraceVersion, an unknown event kind, or an event field the
+/// analyzers could not use safely is rejected with CheckError naming the
+/// line: times and details must be finite, every field an analyzer casts
+/// to an integer must be integral, non-negative and in range, ranks and
+/// peers must name ranks of the run, and a delivery's staleness cannot
+/// exceed its epoch or the epochs the run has fenced so far. Events
 /// lacking optional fields (`peer`, `tag`, `t_wall`) get the in-memory
 /// defaults, so parse(write_jsonl(log)) == from_trace_log(log) field for
 /// field (minus the non-deterministic wall clock).

@@ -1,9 +1,7 @@
 #include "dist/batch.hpp"
 
-#include <cmath>
 #include <functional>
 
-#include "kernels/kernels.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 #include "wire/wire.hpp"
@@ -158,27 +156,12 @@ BatchRunResult run_distributed_batch(DistMethod method,
     ctx.consume();
   };
 
-  // Per-tenant exact residual norms via the batched SoA kernel, with
-  // per-rank partial sums so each lane reproduces its solver's
-  // global_residual_norm() bit-for-bit (same addends, same order).
-  std::vector<value_t> norm_acc(batch), rank_acc(batch), soa;
+  // Per-tenant exact residual norms.
   std::vector<double> rn(batch);
   const auto compute_norms = [&] {
-    std::fill(norm_acc.begin(), norm_acc.end(), value_t{0});
-    for (int p = 0; p < num_ranks; ++p) {
-      const auto rows =
-          static_cast<std::size_t>(layout.rank(p).num_rows());
-      if (rows == 0) continue;
-      soa.resize(rows * batch);
-      for (std::size_t t = 0; t < batch; ++t) {
-        const auto rp = h.solver(t).local_r(p);
-        for (std::size_t i = 0; i < rows; ++i) soa[i * batch + t] = rp[i];
-      }
-      std::fill(rank_acc.begin(), rank_acc.end(), value_t{0});
-      kernels::norm_sq_batch(soa, batch, rank_acc);
-      for (std::size_t t = 0; t < batch; ++t) norm_acc[t] += rank_acc[t];
+    for (std::size_t t = 0; t < batch; ++t) {
+      rn[t] = h.solver(t).global_residual_norm();
     }
-    for (std::size_t t = 0; t < batch; ++t) rn[t] = std::sqrt(norm_acc[t]);
   };
   const auto target_of = [&](std::size_t t) {
     return specs[t].stop_at_residual > 0.0 ? specs[t].stop_at_residual

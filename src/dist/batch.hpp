@@ -46,9 +46,8 @@
 /// delegates to run_distributed, so a single-tenant "batched" run is
 /// byte-identical to an unbatched one (iterates AND traces) by
 /// construction, the same degeneracy contract flat topologies and
-/// staleness-0 async follow. Residual-norm accounting for B >= 2 uses the
-/// batched SoA kernel (kernels::norm_sq_batch) with per-rank partial sums,
-/// which reproduces each solver's global_residual_norm() bit-for-bit.
+/// staleness-0 async follow. Residual-norm accounting for B >= 2 reads
+/// each tenant solver's global_residual_norm().
 ///
 /// Unsupported in batched runs (checked): watchdog and divergence_abort
 /// (observer policies defined on a single trajectory), and

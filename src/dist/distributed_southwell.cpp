@@ -4,7 +4,7 @@
 #include <bit>
 #include <numeric>
 
-#include "dist/subdomain.hpp"
+#include "kernels/kernels.hpp"
 #include "util/error.hpp"
 
 namespace dsouth::dist {
@@ -43,7 +43,7 @@ DistributedSouthwell::DistributedSouthwell(
   std::vector<value_t> norms2(static_cast<std::size_t>(nranks));
   for (int p = 0; p < nranks; ++p) {
     norms2[static_cast<std::size_t>(p)] =
-        local_norm_sq(r_[static_cast<std::size_t>(p)]);
+        kernels::norm_sq(r_[static_cast<std::size_t>(p)]);
   }
   for (int p = 0; p < nranks; ++p) {
     const RankData& rd = layout.rank(p);
@@ -141,7 +141,7 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0) return;
   const auto up = static_cast<std::size_t>(p);
-  const value_t norm2 = local_norm_sq(r_[up]);
+  const value_t norm2 = kernels::norm_sq(r_[up]);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
   if (norm2 <= 0.0) return;
   for (value_t g : gamma2_[up]) {
@@ -153,7 +153,7 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   const auto dx_full = relax_subdomain(ctx, p);
   const auto& xp = x_[up];
   const auto& rp = r_[up];
-  const value_t norm2_new = local_norm_sq(rp);
+  const value_t norm2_new = kernels::norm_sq(rp);
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   auto& dz = dz_scratch_[up];
   auto& ch = channels_[up];
@@ -220,7 +220,7 @@ void DistributedSouthwell::rank_correct(simmpi::RankContext& ctx, int p,
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0 || rd.neighbors.empty()) return;
   const auto up = static_cast<std::size_t>(p);
-  const value_t norm2 = local_norm_sq(r_[up]);
+  const value_t norm2 = kernels::norm_sq(r_[up]);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   const auto& rp = r_[up];

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "dist/solver_base.hpp"
-#include "dist/subdomain.hpp"
+#include "kernels/kernels.hpp"
 #include "util/error.hpp"
 #include "util/indexed_heap.hpp"
 
@@ -30,7 +30,7 @@ GreedySchwarzResult run_greedy_schwarz(const DistLayout& layout,
   util::IndexedMaxHeap<value_t> heap(static_cast<std::size_t>(nranks));
   double total_sq = 0.0;
   for (int p = 0; p < nranks; ++p) {
-    const value_t n2 = local_norm_sq(r[static_cast<std::size_t>(p)]);
+    const value_t n2 = kernels::norm_sq(r[static_cast<std::size_t>(p)]);
     heap.push(static_cast<std::size_t>(p), n2);
     total_sq += n2;
   }
@@ -47,10 +47,10 @@ GreedySchwarzResult run_greedy_schwarz(const DistLayout& layout,
     const RankData& rd = layout.rank(p);
     const auto up = static_cast<std::size_t>(p);
     x_before = x[up];
-    local_gauss_seidel_sweep(rd.a_local, x[up], r[up]);
+    kernels::gs_sweep(rd.a_local, x[up], r[up]);
     result.total_row_relaxations += rd.num_rows();
     result.relaxed_rank.push_back(p);
-    heap.update(up, local_norm_sq(r[up]));
+    heap.update(up, kernels::norm_sq(r[up]));
     // Propagate Δx to the neighbors' residuals immediately (multiplicative
     // Schwarz: strictly sequential updates).
     dx.resize(x[up].size());
@@ -69,7 +69,7 @@ GreedySchwarzResult run_greedy_schwarz(const DistLayout& layout,
         const index_t g = nb.ghost_rows[k];
         r[uq][static_cast<std::size_t>(layout.local_of_row(g))] -= contrib[k];
       }
-      heap.update(uq, local_norm_sq(r[uq]));
+      heap.update(uq, kernels::norm_sq(r[uq]));
     }
     double sq = 0.0;
     for (int q = 0; q < nranks; ++q) {

@@ -66,9 +66,8 @@ RunHarness::RunHarness(DistMethod method,
   const int num_ranks = layout.num_ranks();
   const bool batched = specs.size() > 1;
 
-  // The delivery policy must be attached before the tracer (so the async
-  // metrics register) and before the solver (so async_mode() is stable
-  // from construction on).
+  // The delivery policy must be attached before the solver (so
+  // async_mode() is stable from construction on).
   if (opt.async) {
     simmpi::EventDrivenOptions eo;
     eo.seed = opt.async_seed;
@@ -108,8 +107,7 @@ RunHarness::RunHarness(DistMethod method,
   // what the host *spent*, and nothing it measures feeds back in.
   if (opt.profiler) rt_.set_profiler(opt.profiler);
   // A fault schedule is attached only for a nonzero plan, so the default
-  // path stays byte-identical to a fault-free build (no extra draws, no
-  // extra metrics).
+  // path makes no fault draws.
   if (opt.faults.any()) {
     fault_schedule_ =
         std::make_unique<faults::FaultSchedule>(opt.faults, num_ranks);
@@ -229,10 +227,10 @@ void RunHarness::fill_totals(DistRunResult& result) const {
 std::shared_ptr<const trace::TraceLog> RunHarness::finish() {
   if (opt_->profiler && tracer_) {
     // Advisory prof.* gauges, rank-0 slot. Registered only when a profiler
-    // rides along, so prof-off traces stay byte-identical to pre-profiling
-    // builds. The values are the profiler's own alloc-window deltas — the
-    // same numbers the prof record exports, which is exactly what
-    // `dsouth-analyze -check -prof-record` cross-checks.
+    // rides along: without one these values do not exist, and a zero would
+    // claim they did. The values are the profiler's own alloc-window
+    // deltas — the same numbers the prof record exports, which is exactly
+    // what `dsouth-analyze -check -prof-record` cross-checks.
     auto& m = tracer_->metrics();
     const auto id_track =
         m.register_metric("prof.alloc_tracking", trace::MetricKind::kGauge);

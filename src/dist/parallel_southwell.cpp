@@ -1,6 +1,6 @@
 #include "dist/parallel_southwell.hpp"
 
-#include "dist/subdomain.hpp"
+#include "kernels/kernels.hpp"
 #include "util/error.hpp"
 
 namespace dsouth::dist {
@@ -18,7 +18,7 @@ ParallelSouthwell::ParallelSouthwell(const DistLayout& layout,
   // Setup exchange: neighbors start with exact knowledge (Alg. 2 line 5).
   for (int p = 0; p < nranks; ++p) {
     advertised2_[static_cast<std::size_t>(p)] =
-        local_norm_sq(r_[static_cast<std::size_t>(p)]);
+        kernels::norm_sq(r_[static_cast<std::size_t>(p)]);
   }
   for (int p = 0; p < nranks; ++p) {
     const RankData& rd = layout.rank(p);
@@ -54,7 +54,7 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0) return;
   const auto up = static_cast<std::size_t>(p);
-  const value_t norm2 = local_norm_sq(r_[up]);
+  const value_t norm2 = kernels::norm_sq(r_[up]);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
   if (norm2 <= 0.0) return;
   for (value_t g : gamma2_[up]) {
@@ -63,7 +63,7 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
 
   const auto dx = relax_subdomain(ctx, p);
   const auto& xp = x_[up];
-  const value_t norm2_new = local_norm_sq(r_[up]);
+  const value_t norm2_new = kernels::norm_sq(r_[up]);
   advertised2_[up] = norm2_new;
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   auto& ch = channels_[up];
@@ -86,7 +86,7 @@ void ParallelSouthwell::rank_residual_update(simmpi::RankContext& ctx,
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0 || rd.neighbors.empty()) return;
   const auto up = static_cast<std::size_t>(p);
-  const value_t norm2 = local_norm_sq(r_[up]);
+  const value_t norm2 = kernels::norm_sq(r_[up]);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
   const bool norm_changed = norm2 != advertised2_[up];
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dist/subdomain.hpp"
+#include "kernels/kernels.hpp"
 #include "util/error.hpp"
 
 namespace dsouth::dist {
@@ -70,7 +70,7 @@ void DistStationarySolver::trace_relax(simmpi::RankContext& ctx,
   if (!ctx.tracing()) return;
   const auto& rp = r_[static_cast<std::size_t>(ctx.rank())];
   ctx.trace_event(trace::EventKind::kRelax, static_cast<double>(rows),
-                  local_norm_sq(rp));
+                  kernels::norm_sq(rp));
   ctx.metric_add(m_relaxed_rows_, static_cast<double>(rows));
   ctx.metric_add(m_rank_relaxations_, 1.0);
 }
@@ -85,7 +85,7 @@ std::span<const value_t> DistStationarySolver::relax_subdomain(
   for (index_t li : rd.boundary_rows) {
     dx[static_cast<std::size_t>(li)] = xp[static_cast<std::size_t>(li)];
   }
-  ctx.add_flops(local_gauss_seidel_sweep(rd.a_local, xp, r_[up]));
+  ctx.add_flops(kernels::gs_sweep(rd.a_local, xp, r_[up]));
   ++rank_stats_[up].active_ranks;
   rank_stats_[up].relaxations += rd.num_rows();
   trace_relax(ctx, rd.num_rows());
@@ -110,7 +110,7 @@ void DistStationarySolver::trace_absorb(simmpi::RankContext& ctx) {
 
 double DistStationarySolver::global_residual_norm() const {
   double sum = 0.0;
-  for (const auto& rp : r_) sum += local_norm_sq(rp);
+  for (const auto& rp : r_) sum += kernels::norm_sq(rp);
   return std::sqrt(sum);
 }
 

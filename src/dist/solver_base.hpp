@@ -279,7 +279,6 @@ class DistStationarySolver {
   std::vector<value_t> gather_x() const;
 
   std::span<const value_t> local_x(int p) const { return x_[p]; }
-  std::span<const value_t> local_r(int p) const { return r_[p]; }
 
  protected:
   /// True when the runtime's delivery policy is EventDriven — the cue for

@@ -91,9 +91,6 @@ void write_runtime(Writer& w, const simmpi::RuntimeState& rs) {
   w.u64(rs.epochs);
   w.f64(rs.model_time);
   w.f64(rs.last_epoch_seconds);
-  // Reserved, always 0 (v1 kept a delivery-delay RNG cursor here). Kept so
-  // checkpoint sizes, which bench records gate on, stay unchanged.
-  w.u64(0);
   w.u64(rs.arrival_counter);
   w.u64s(rs.lane_seq);
   std::vector<std::uint64_t> stats;
@@ -131,7 +128,6 @@ simmpi::RuntimeState read_runtime(Reader& r, int num_ranks) {
   rs.epochs = r.u64();
   rs.model_time = r.f64();
   rs.last_epoch_seconds = r.f64();
-  DSOUTH_CHECK_MSG(r.u64() == 0, "checkpoint: reserved runtime word is set");
   rs.arrival_counter = r.u64();
   rs.lane_seq = r.u64s();
   DSOUTH_CHECK_MSG(

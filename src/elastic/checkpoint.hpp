@@ -43,7 +43,7 @@ namespace dsouth::elastic {
 using sparse::index_t;
 
 /// Current encoder version (decode() rejects anything else).
-inline constexpr std::uint64_t kCheckpointVersion = 2;
+inline constexpr std::uint64_t kCheckpointVersion = 3;
 
 /// Configuration bits carried in the header's `flags` word. They pin the
 /// feature combination the state was captured under; restore into a

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "dist/harness.hpp"
-#include "dist/subdomain.hpp"
 #include "util/error.hpp"
 
 namespace dsouth::krylov {

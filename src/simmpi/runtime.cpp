@@ -30,36 +30,40 @@ Runtime::Runtime(int num_ranks, MachineModel model)
 }
 
 void Runtime::set_tracer(trace::Tracer* tracer) {
+  DSOUTH_CHECK(!tracer || tracer->num_ranks() == num_ranks_);
   tracer_ = tracer;
-  if (!tracer_) {
-    m_msgs_sent_ = trace::kInvalidMetric;
-    m_bytes_sent_ = trace::kInvalidMetric;
-    m_flops_ = trace::kInvalidMetric;
-    m_msgs_logical_ = trace::kInvalidMetric;
-    m_msgs_by_tag_.fill(trace::kInvalidMetric);
-    refresh_fault_metrics();
-    refresh_async_metrics();
-    refresh_node_metrics();
-    return;
-  }
-  DSOUTH_CHECK(tracer->num_ranks() == num_ranks_);
-  auto& m = tracer_->metrics();
-  m_msgs_sent_ = m.register_metric("simmpi.msgs_sent",
-                                   trace::MetricKind::kCounter);
-  m_bytes_sent_ = m.register_metric("simmpi.bytes_sent",
-                                    trace::MetricKind::kCounter);
-  m_flops_ = m.register_metric("simmpi.flops", trace::MetricKind::kCounter);
-  m_msgs_logical_ = m.register_metric("simmpi.msgs_logical",
-                                      trace::MetricKind::kCounter);
+  // One fixed metric set for every run: a feature that is off leaves its
+  // counters at zero. Without a tracer every id is invalid (a no-op).
+  const auto reg = [this](const char* name, trace::MetricKind kind) {
+    return tracer_ ? tracer_->metrics().register_metric(name, kind)
+                   : trace::kInvalidMetric;
+  };
+  constexpr auto kCounter = trace::MetricKind::kCounter;
+  m_msgs_sent_ = reg("simmpi.msgs_sent", kCounter);
+  m_bytes_sent_ = reg("simmpi.bytes_sent", kCounter);
+  m_flops_ = reg("simmpi.flops", kCounter);
+  m_msgs_logical_ = reg("simmpi.msgs_logical", kCounter);
   m_msgs_by_tag_[static_cast<std::size_t>(MsgTag::kSolve)] =
-      m.register_metric("simmpi.msgs_solve", trace::MetricKind::kCounter);
+      reg("simmpi.msgs_solve", kCounter);
   m_msgs_by_tag_[static_cast<std::size_t>(MsgTag::kResidual)] =
-      m.register_metric("simmpi.msgs_residual", trace::MetricKind::kCounter);
+      reg("simmpi.msgs_residual", kCounter);
   m_msgs_by_tag_[static_cast<std::size_t>(MsgTag::kOther)] =
-      m.register_metric("simmpi.msgs_other", trace::MetricKind::kCounter);
-  refresh_fault_metrics();
-  refresh_async_metrics();
-  refresh_node_metrics();
+      reg("simmpi.msgs_other", kCounter);
+  m_faults_dropped_ = reg("simmpi.faults_dropped", kCounter);
+  m_faults_duplicated_ = reg("simmpi.faults_duplicated", kCounter);
+  m_faults_corrupted_ = reg("simmpi.faults_corrupted", kCounter);
+  m_faults_reordered_ = reg("simmpi.faults_reordered", kCounter);
+  m_faults_killed_ = reg("simmpi.faults_killed", kCounter);
+  m_async_delivered_ = reg("simmpi.async_delivered", kCounter);
+  m_async_staleness_sum_ = reg("simmpi.async_staleness_sum", kCounter);
+  m_async_staleness_max_ =
+      reg("simmpi.async_staleness_max", trace::MetricKind::kGauge);
+  m_node_msgs_intra_ = reg("simmpi.node_msgs_intra", kCounter);
+  m_node_bytes_intra_ = reg("simmpi.node_bytes_intra", kCounter);
+  m_node_msgs_inter_ = reg("simmpi.node_msgs_inter", kCounter);
+  m_node_bytes_inter_ = reg("simmpi.node_bytes_inter", kCounter);
+  m_node_forward_frames_ = reg("simmpi.node_forward_frames", kCounter);
+  m_node_forwarded_records_ = reg("simmpi.node_forwarded_records", kCounter);
 }
 
 void Runtime::set_profiler(prof::Profiler* profiler) {
@@ -77,7 +81,6 @@ void Runtime::set_fault_schedule(const faults::FaultSchedule* schedule) {
   }
   faults_ = schedule;
   kills_ = faults_ && faults_->any_kills();
-  refresh_fault_metrics();
 }
 
 bool Runtime::rank_dead(int rank) const {
@@ -144,12 +147,11 @@ void Runtime::set_delivery_policy(const DeliveryPolicy* policy) {
   policy_ = policy ? policy : &bulk_synchronous_policy();
   // max_staleness == 0 means no message may outlive its staging epoch —
   // which is exactly the bulk-synchronous contract. The policy degenerates
-  // and the runtime treats it as BSP outright (no deliver events, no async
-  // metrics), so a staleness-0 EventDriven run is byte-identical to one
-  // under BulkSynchronousPolicy.
+  // and the runtime treats it as BSP outright (no deliver events), so a
+  // staleness-0 EventDriven run is byte-identical to one under
+  // BulkSynchronousPolicy.
   async_ = policy_->kind() == DeliveryPolicyKind::kEventDriven &&
            policy_->max_staleness() > 0;
-  refresh_async_metrics();
 }
 
 void Runtime::set_node_topology(const NodeTopology* topo,
@@ -186,74 +188,6 @@ void Runtime::set_node_topology(const NodeTopology* topo,
     group_touched_.clear();
   }
   topo_ = topo;
-  refresh_node_metrics();
-}
-
-void Runtime::refresh_node_metrics() {
-  if (!tracer_ || !topo_) {
-    m_node_msgs_intra_ = trace::kInvalidMetric;
-    m_node_bytes_intra_ = trace::kInvalidMetric;
-    m_node_msgs_inter_ = trace::kInvalidMetric;
-    m_node_bytes_inter_ = trace::kInvalidMetric;
-    m_node_forward_frames_ = trace::kInvalidMetric;
-    m_node_forwarded_records_ = trace::kInvalidMetric;
-    return;
-  }
-  auto& m = tracer_->metrics();
-  m_node_msgs_intra_ = m.register_metric("simmpi.node_msgs_intra",
-                                         trace::MetricKind::kCounter);
-  m_node_bytes_intra_ = m.register_metric("simmpi.node_bytes_intra",
-                                          trace::MetricKind::kCounter);
-  m_node_msgs_inter_ = m.register_metric("simmpi.node_msgs_inter",
-                                         trace::MetricKind::kCounter);
-  m_node_bytes_inter_ = m.register_metric("simmpi.node_bytes_inter",
-                                          trace::MetricKind::kCounter);
-  m_node_forward_frames_ = m.register_metric("simmpi.node_forward_frames",
-                                             trace::MetricKind::kCounter);
-  m_node_forwarded_records_ = m.register_metric(
-      "simmpi.node_forwarded_records", trace::MetricKind::kCounter);
-}
-
-void Runtime::refresh_async_metrics() {
-  if (!tracer_ || !async_) {
-    m_async_delivered_ = trace::kInvalidMetric;
-    m_async_staleness_sum_ = trace::kInvalidMetric;
-    m_async_staleness_max_ = trace::kInvalidMetric;
-    return;
-  }
-  auto& m = tracer_->metrics();
-  m_async_delivered_ = m.register_metric("simmpi.async_delivered",
-                                         trace::MetricKind::kCounter);
-  m_async_staleness_sum_ = m.register_metric("simmpi.async_staleness_sum",
-                                             trace::MetricKind::kCounter);
-  m_async_staleness_max_ = m.register_metric("simmpi.async_staleness_max",
-                                             trace::MetricKind::kGauge);
-}
-
-void Runtime::refresh_fault_metrics() {
-  if (!tracer_ || !faults_) {
-    m_faults_dropped_ = trace::kInvalidMetric;
-    m_faults_duplicated_ = trace::kInvalidMetric;
-    m_faults_corrupted_ = trace::kInvalidMetric;
-    m_faults_reordered_ = trace::kInvalidMetric;
-    m_faults_killed_ = trace::kInvalidMetric;
-    return;
-  }
-  auto& m = tracer_->metrics();
-  m_faults_dropped_ = m.register_metric("simmpi.faults_dropped",
-                                        trace::MetricKind::kCounter);
-  m_faults_duplicated_ = m.register_metric("simmpi.faults_duplicated",
-                                           trace::MetricKind::kCounter);
-  m_faults_corrupted_ = m.register_metric("simmpi.faults_corrupted",
-                                          trace::MetricKind::kCounter);
-  m_faults_reordered_ = m.register_metric("simmpi.faults_reordered",
-                                          trace::MetricKind::kCounter);
-  // Registered only for plans that configure permanent failure, so
-  // message-fault-only traces keep their pre-elastic metric set.
-  m_faults_killed_ = faults_->any_kills()
-                         ? m.register_metric("simmpi.faults_killed",
-                                             trace::MetricKind::kCounter)
-                         : trace::kInvalidMetric;
 }
 
 std::span<const Message> Runtime::window(int rank) const {
@@ -521,8 +455,7 @@ void Runtime::fence() {
   // Fault-event hook: kFault events go into the SOURCE rank's trace lane
   // (mid-merge, like the puts they describe) and are folded into the
   // global stream by the end_epoch() below — which therefore runs AFTER
-  // the merge loop. For fault-free runs the merge loop records nothing,
-  // so the trace stream is byte-identical to the pre-fault ordering.
+  // the merge loop. For fault-free runs the merge loop records nothing.
   auto record_fault = [this, closed_epoch](int src, int dest, int action,
                                            std::uint64_t seq, double detail) {
     if (tracer_) {
@@ -681,7 +614,7 @@ void Runtime::fence() {
   // bit-identical regardless of the order ranks were stepped in. Runs
   // BEFORE end_epoch() so the kDeliver events recorded into destination
   // lanes here fold into this fence's merge; bulk-synchronous runs record
-  // nothing here, so their streams keep the pre-async ordering exactly.
+  // nothing here.
   for (int r = 0; r < num_ranks_; ++r) {
     const auto i = static_cast<std::size_t>(r);
     auto& held = deferred_[i];
@@ -723,9 +656,8 @@ void Runtime::fence() {
           met.add(m_async_delivered_, r, 1.0);
           met.add(m_async_staleness_sum_, r,
                   static_cast<double>(staleness));
-          if (m_async_staleness_max_ != trace::kInvalidMetric &&
-              static_cast<double>(staleness) >
-                  met.value(m_async_staleness_max_, r)) {
+          if (static_cast<double>(staleness) >
+              met.value(m_async_staleness_max_, r)) {
             met.set(m_async_staleness_max_, r,
                     static_cast<double>(staleness));
           }

@@ -229,17 +229,18 @@ class Runtime {
                           std::uint64_t doubles);
 
   /// Attach a structured-event tracer (docs/observability.md). Not owned;
-  /// must outlive the runtime (or be detached with nullptr). Registers the
-  /// runtime's metrics ("simmpi.msgs_sent" etc.) into the tracer's
-  /// registry. Call before the first epoch: registration is not
+  /// must outlive the runtime (or be detached with nullptr). Registers
+  /// every "simmpi.*" metric into the tracer's registry, in one fixed
+  /// order, whatever else is attached: counters of a feature that is off
+  /// stay zero. Call before the first epoch: registration is not
   /// thread-safe against in-flight rank programs, and attaching mid-run
   /// would start the trace at a nonzero epoch.
   ///
   /// Determinism: the trace stream inherits the fence-merge guarantee —
   /// per-rank event lanes merge at each fence() in (source, record-order)
   /// order, so the stream is bit-identical across execution backends.
-  /// With no tracer attached every hook below is an inlined null test and
-  /// results are byte-identical to an untraced build.
+  /// With no tracer attached every hook below is an inlined null test;
+  /// attaching one never changes results.
   void set_tracer(trace::Tracer* tracer);
 
   /// The attached tracer, or nullptr.
@@ -254,11 +255,10 @@ class Runtime {
   ///
   /// Composition and determinism: fault draws are stateless hashes of
   /// (epoch, src, dst, seq), so runs are bit-identical across execution
-  /// backends. With no schedule attached (the default) every
-  /// hook is an inlined null test and behaviour is byte-identical to a
-  /// build that never heard of fault injection. When both a tracer and a
-  /// schedule are attached (either order), the runtime registers the
-  /// "simmpi.faults_*" counters and emits kFault trace events.
+  /// backends. With no schedule attached (the default) every hook is an
+  /// inlined null test and no message is touched. When a tracer is also
+  /// attached, the runtime bumps the "simmpi.faults_*" counters and emits
+  /// kFault trace events.
   void set_fault_schedule(const faults::FaultSchedule* schedule);
 
   /// The attached fault schedule, or nullptr.
@@ -288,7 +288,8 @@ class Runtime {
 
   /// Attach a delivery policy (simmpi/delivery.hpp). Not owned; must
   /// outlive the runtime. Defaults to the shared BulkSynchronousPolicy,
-  /// under which behaviour is byte-identical to the pre-policy runtime.
+  /// under which every message is delivered at the fence that closes its
+  /// staging epoch.
   /// Call before the first epoch, like set_tracer: switching policies
   /// mid-run would mix delivery semantics within one trace.
   ///
@@ -296,8 +297,8 @@ class Runtime {
   /// back by the policy's stateless latency draw, clamped so no message
   /// lands more than max_staleness() epochs after it was staged; the
   /// runtime then counts deliveries and staleness in CommStats, and — when
-  /// a tracer is also attached — registers the "simmpi.async_*" metrics
-  /// and emits kDeliver trace events into destination lanes.
+  /// a tracer is also attached — bumps the "simmpi.async_*" metrics and
+  /// emits kDeliver trace events into destination lanes.
   void set_delivery_policy(const DeliveryPolicy* policy);
 
   /// The attached policy (never null — BulkSynchronous by default).
@@ -339,9 +340,9 @@ class Runtime {
   ///
   /// Attaching a *flat* topology (every node holds exactly one rank) is
   /// equivalent to detaching: there is no intra-node tier to model, the
-  /// runtime takes the legacy path outright, and results stay
-  /// byte-identical to a build that never heard of topologies — the same
-  /// degeneracy contract the staleness-0 EventDriven policy follows.
+  /// runtime charges per staged put, and results stay byte-identical to a
+  /// topology-free run — the same degeneracy contract the staleness-0
+  /// EventDriven policy follows.
   void set_node_topology(const NodeTopology* topo,
                          NodeRoutingOptions opts = {});
 
@@ -363,8 +364,8 @@ class Runtime {
   /// must never feed back into the simulation. The runtime only ever
   /// writes ScopedPhase spans around its own work (stage, fence, the
   /// delivery-draw and node-prepass sections); with no profiler attached
-  /// each hook is an inlined null test and behaviour is byte-identical to
-  /// a build that never heard of profiling (tests/test_prof.cpp).
+  /// each hook is an inlined null test, and attaching one never changes
+  /// the simulation (tests/test_prof.cpp).
   void set_profiler(prof::Profiler* profiler);
 
   /// The attached profiler, or nullptr.
@@ -451,24 +452,6 @@ class Runtime {
     std::vector<double> payload;
   };
 
-  /// Register (or invalidate) the "simmpi.faults_*" metrics depending on
-  /// whether both a tracer and a fault schedule are attached. Idempotent;
-  /// called from set_tracer and set_fault_schedule so attach order does
-  /// not matter.
-  void refresh_fault_metrics();
-
-  /// Same pattern for the "simmpi.async_*" metrics: registered only when
-  /// both a tracer and an EventDriven policy are attached, so
-  /// bulk-synchronous traces carry no async metrics and stay
-  /// byte-identical to pre-async builds.
-  void refresh_async_metrics();
-
-  /// Same pattern for the "simmpi.node_*" metrics: registered only when
-  /// both a tracer and a (non-flat) topology are attached, so
-  /// topology-free traces carry no node metrics and stay byte-identical
-  /// to pre-node-aware builds.
-  void refresh_node_metrics();
-
   /// The fence's node-aware accounting pre-pass (topology attached only):
   /// walks the staging lanes in (source, send-order) order — the same
   /// deterministic order the delivery merge uses — classifying every put
@@ -482,7 +465,8 @@ class Runtime {
   MachineModel model_;
   trace::Tracer* tracer_ = nullptr;
   prof::Profiler* prof_ = nullptr;
-  // Runtime-owned metric ids (kInvalidMetric while untraced).
+  // Runtime-owned metric ids, all registered by set_tracer whatever is
+  // attached (kInvalidMetric while untraced).
   trace::MetricId m_msgs_sent_ = trace::kInvalidMetric;
   trace::MetricId m_bytes_sent_ = trace::kInvalidMetric;
   trace::MetricId m_flops_ = trace::kInvalidMetric;
@@ -491,23 +475,14 @@ class Runtime {
   trace::MetricId m_msgs_logical_ = trace::kInvalidMetric;
   std::array<trace::MetricId, kNumTags> m_msgs_by_tag_{
       trace::kInvalidMetric, trace::kInvalidMetric, trace::kInvalidMetric};
-  // Fault-injection counters, registered only when BOTH a tracer and a
-  // fault schedule are attached — so fault-free traces carry no fault
-  // metrics and stay byte-identical to pre-fault builds.
   trace::MetricId m_faults_dropped_ = trace::kInvalidMetric;
   trace::MetricId m_faults_duplicated_ = trace::kInvalidMetric;
   trace::MetricId m_faults_corrupted_ = trace::kInvalidMetric;
   trace::MetricId m_faults_reordered_ = trace::kInvalidMetric;
-  // Registered only when the schedule also configures permanent kills, so
-  // message-fault-only traces stay byte-identical to pre-elastic builds.
   trace::MetricId m_faults_killed_ = trace::kInvalidMetric;
-  // Asynchronous-delivery counters, registered only when BOTH a tracer
-  // and an EventDriven policy are attached (see refresh_async_metrics).
   trace::MetricId m_async_delivered_ = trace::kInvalidMetric;
   trace::MetricId m_async_staleness_sum_ = trace::kInvalidMetric;
   trace::MetricId m_async_staleness_max_ = trace::kInvalidMetric;
-  // Node-aware tier counters, registered only when BOTH a tracer and a
-  // non-flat topology are attached (see refresh_node_metrics).
   trace::MetricId m_node_msgs_intra_ = trace::kInvalidMetric;
   trace::MetricId m_node_bytes_intra_ = trace::kInvalidMetric;
   trace::MetricId m_node_msgs_inter_ = trace::kInvalidMetric;

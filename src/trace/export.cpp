@@ -48,30 +48,9 @@ void write_jsonl(std::ostream& out, const TraceLog& log,
   std::string line;
   line.reserve(256);
 
-  // Version history: 1 = PR-2 schema (put/fence/relax/absorb);
-  // 2 = adds "compute" events (flops charged via Runtime::add_flops) and
-  // the "simmpi.flops" counter, consumed by the analysis layer;
-  // 3 = adds "fault" events (fault injection, src/faults);
-  // 4 = adds "deliver" events (asynchronous delivery, simmpi/delivery.hpp);
-  // 5 = adds "hop" events (node-aware routing, simmpi/node_topology.hpp).
-  // The header advertises the lowest version whose features the capture
-  // actually uses, so traces of fault-free bulk-synchronous runs stay
-  // byte-identical to the version-2 schema.
-  bool has_fault_events = false;
-  bool has_deliver_events = false;
-  bool has_hop_events = false;
-  bool has_elastic_events = false;
-  for (const Event& e : log.events) {
-    if (e.kind == EventKind::kFault) has_fault_events = true;
-    if (e.kind == EventKind::kDeliver) has_deliver_events = true;
-    if (e.kind == EventKind::kHop) has_hop_events = true;
-    if (e.kind == EventKind::kElastic) has_elastic_events = true;
-  }
-  line = has_elastic_events   ? "{\"type\":\"header\",\"version\":6,"
-         : has_hop_events     ? "{\"type\":\"header\",\"version\":5,"
-         : has_deliver_events ? "{\"type\":\"header\",\"version\":4,"
-         : has_fault_events   ? "{\"type\":\"header\",\"version\":3,"
-                              : "{\"type\":\"header\",\"version\":2,";
+  line = "{\"type\":\"header\",";
+  append_kv(line, "version", kTraceVersion);
+  line += ",";
   append_kv(line, "num_ranks", log.num_ranks);
   line += ",";
   append_kv(line, "events", static_cast<std::uint64_t>(log.events.size()));

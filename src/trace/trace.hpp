@@ -16,8 +16,8 @@
 ///
 /// Overhead contract: tracing is attached by pointer
 /// (Runtime::set_tracer); with no tracer attached every hook is an inlined
-/// null-pointer test and the simulation's results, CommStats, and modeled
-/// time are byte-identical to a build that never heard of tracing. With a
+/// null-pointer test, and attaching one never changes the simulation's
+/// results, CommStats, or modeled time (TraceOverhead tests). With a
 /// tracer attached, recording is an append to a preallocated-on-demand
 /// per-rank ring (drop-oldest beyond `ring_capacity`, with a drop count).
 
@@ -43,7 +43,8 @@ enum class EventKind : std::uint8_t {
   /// A fault-injection action applied to a staged message at the fence
   /// (src/faults, docs/resilience.md), recorded by the Runtime into the
   /// *source* rank's lane. `peer` = destination, `tag` = action code
-  /// (0 drop, 1 duplicate, 2 reorder, 3 corrupt, 4 truncate, 5 stall),
+  /// (0 drop, 1 duplicate, 2 reorder, 3 corrupt, 4 truncate, 5 stall,
+  /// 6 dead-endpoint drop under a kill plan),
   /// a0 = the message's per-source send seq, a1 = action detail (extra
   /// epochs for reorder/stall, flipped-bit index for corrupt, delivered
   /// length for truncate, 0 otherwise).
@@ -53,8 +54,7 @@ enum class EventKind : std::uint8_t {
   /// the *destination* rank's lane at the delivering fence. `peer` =
   /// source rank, `tag` = the message's simmpi::MsgTag as int, a0 =
   /// staleness (epochs between staging and delivery), a1 = payload
-  /// doubles. Bulk-synchronous runs record none of these, keeping their
-  /// traces byte-identical to pre-async builds.
+  /// doubles. Bulk-synchronous runs record none of these.
   kDeliver = 6,
   /// One physical transfer under a node topology (simmpi/node_topology.hpp,
   /// DESIGN.md §13), recorded by the Runtime at the fence into the *paying*
@@ -63,8 +63,7 @@ enum class EventKind : std::uint8_t {
   /// inter-node, 3 leader → destination relay, 4 inter-node direct),
   /// a0 = modeled bytes of the hop, a1 = logical wire records it carries.
   /// Tier: tags 2 and 4 are inter-node, the rest intra-node. Topology-free
-  /// runs record none of these, keeping their traces byte-identical to
-  /// pre-node-aware builds.
+  /// runs record none of these.
   kHop = 7,
   /// An elastic checkpoint/recovery action (src/elastic, docs/resilience.md
   /// "Permanent failure and recovery"), recorded by the elastic driver into
@@ -73,11 +72,16 @@ enum class EventKind : std::uint8_t {
   /// from checkpoint, 3 repartition applied), a0/a1 = action detail:
   /// checkpoint → bytes encoded / step, kill → dead rank / kill epoch,
   /// restore → restored step / restored epoch, repartition → dead rank /
-  /// rows redistributed. Fault-free runs record none of these, keeping
-  /// their traces byte-identical to pre-elastic builds.
+  /// rows redistributed. Fault-free runs record none of these.
   kElastic = 8,
 };
 inline constexpr int kNumEventKinds = 9;
+
+/// The JSONL schema version (docs/observability.md). One schema covers
+/// every run: a feature that is off just records no events of its kind
+/// and leaves its counters at zero. write_jsonl always writes this number
+/// and analysis::parse_jsonl accepts no other.
+inline constexpr int kTraceVersion = 7;
 
 /// Hop kinds carried in a kHop event's tag field.
 inline constexpr int kHopIntraDirect = 0;  ///< same-node message

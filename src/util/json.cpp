@@ -93,10 +93,12 @@ double JsonValue::as_number() const {
 
 std::int64_t JsonValue::as_int() const {
   const double v = as_number();
-  const auto i = static_cast<std::int64_t>(v);
-  DSOUTH_CHECK_MSG(static_cast<double>(i) == v,
+  // Range-check before the cast: converting an out-of-range or non-finite
+  // double to int64 is undefined behaviour.
+  DSOUTH_CHECK_MSG(v >= -9223372036854775808.0 && v < 9223372036854775808.0 &&
+                       std::trunc(v) == v,
                    "JSON number " << v << " is not an integer");
-  return i;
+  return static_cast<std::int64_t>(v);
 }
 
 const std::string& JsonValue::as_string() const {

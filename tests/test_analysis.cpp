@@ -311,7 +311,7 @@ TEST(AnalyzerDeterminism, EveryRenderedFormatIsByteIdenticalAcrossBackends) {
 
 TEST(RunTrace, JsonlRoundTripPreservesEveryDeterministicField) {
   const auto r = golden_ds_run();
-  auto direct = from_trace_log(*r.trace_log, "golden");
+  const auto direct = from_trace_log(*r.trace_log, "golden");
 
   std::ostringstream os;
   trace::TraceExportOptions eopt;
@@ -322,7 +322,6 @@ TEST(RunTrace, JsonlRoundTripPreservesEveryDeterministicField) {
   const auto& parsed = parsed_runs[0];
 
   EXPECT_EQ(parsed.label, "golden");
-  EXPECT_EQ(parsed.version, 2);  // compute events -> schema v2
   EXPECT_EQ(parsed.num_ranks, direct.num_ranks);
   EXPECT_EQ(parsed.dropped_events, direct.dropped_events);
   ASSERT_EQ(parsed.events.size(), direct.events.size());
@@ -347,19 +346,32 @@ TEST(RunTrace, JsonlRoundTripPreservesEveryDeterministicField) {
     EXPECT_EQ(parsed.metrics[i].per_rank, direct.metrics[i].per_rank);
   }
   // And the analyses built from both paths agree byte-for-byte.
-  // trace_version records provenance (0 = in-memory log, 2 = JSONL) and is
-  // the one legitimate difference; align it so the rest must match exactly.
-  direct.version = parsed.version;
   EXPECT_EQ(to_json(analyze_run(parsed)), to_json(analyze_run(direct)));
 }
 
 TEST(RunTrace, ParserRejectsGarbageAndUnknownVersions) {
   EXPECT_THROW(parse_jsonl("not json\n"), util::CheckError);
-  EXPECT_THROW(
-      parse_jsonl(R"({"type":"header","version":99,"num_ranks":2,)"
-                  R"("events":0,"dropped_events":0})"
-                  "\n"),
-      util::CheckError);
+  // Only trace::kTraceVersion parses; older and newer versions alike are
+  // refused, with both numbers in the message.
+  const auto header = [](int version) {
+    return R"({"type":"header","version":)" + std::to_string(version) +
+           R"(,"num_ranks":2,"events":0,"dropped_events":0})" + "\n";
+  };
+  EXPECT_EQ(parse_jsonl(header(trace::kTraceVersion)).size(), 1u);
+  for (int version : {2, 6, 99}) {
+    try {
+      parse_jsonl(header(version));
+      ADD_FAILURE() << "version " << version << " parsed";
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("version " + std::to_string(trace::kTraceVersion)),
+                std::string::npos)
+          << what;
+    }
+  }
   // Events before any header have no run to belong to.
   EXPECT_THROW(
       parse_jsonl(R"({"type":"event","kind":"fence","seq":0,"epoch":0,)"
@@ -367,6 +379,53 @@ TEST(RunTrace, ParserRejectsGarbageAndUnknownVersions) {
                   "\n"),
       util::CheckError);
   EXPECT_TRUE(parse_jsonl("\n\n").empty());
+}
+
+TEST(RunTrace, ParserRejectsFieldsAnalyzersCannotUse) {
+  // Each crafted event follows a valid header and one fence, and must be
+  // refused with a CheckError naming its line — never reach an analyzer
+  // (a 1e15 staleness would size the staleness histogram to 8 PB, and
+  // casting -1 to an unsigned count is undefined behaviour).
+  const std::string prefix =
+      R"({"type":"header","version":)" + std::to_string(trace::kTraceVersion) +
+      R"(,"num_ranks":2,"events":2,"dropped_events":0})" "\n"
+      R"({"type":"event","kind":"fence","seq":0,"epoch":0,"rank":-1,)"
+      R"("t_model":1,"a0":1,"a1":0})" "\n";
+  const auto deliver = [](const std::string& epoch, const std::string& a0) {
+    return R"({"type":"event","kind":"deliver","seq":1,"epoch":)" + epoch +
+           R"(,"rank":0,"peer":1,"tag":0,"t_model":1,"a0":)" + a0 +
+           R"(,"a1":4})" "\n";
+  };
+  // The well-formed variant parses, so each rejection below is the field.
+  ASSERT_EQ(parse_jsonl(prefix + deliver("1", "1")).size(), 1u);
+  const std::vector<std::string> bad = {
+      deliver("1", "1e15"),  // staleness beyond the run
+      deliver("1", "-1"),    // negative count
+      deliver("1", "0.5"),   // fractional count
+      deliver("1", "1e999"), // non-finite
+      deliver("0", "1"),     // staleness beyond its own epoch
+      deliver("1e30", "1"),  // epoch outside uint64
+      deliver("-1", "0"),    // negative epoch
+      R"({"type":"event","kind":"relax","seq":1,"epoch":1,"rank":2,)"
+      R"("t_model":1,"a0":3,"a1":0.5})" "\n",  // rank outside the run
+      R"({"type":"event","kind":"put","seq":1,"epoch":1,"rank":0,"peer":-3,)"
+      R"("tag":0,"t_model":1,"a0":2,"a1":16})" "\n",  // bad peer
+      R"({"type":"event","kind":"put","seq":1,"epoch":1,"rank":0,"peer":1,)"
+      R"("tag":0,"t_model":1,"a0":2,"a1":16.5})" "\n",  // fractional bytes
+      R"({"type":"event","kind":"hop","seq":1,"epoch":1,"rank":0,"peer":1,)"
+      R"("tag":0,"t_model":1e999,"a0":16,"a1":1})" "\n",  // non-finite time
+      R"({"type":"event","kind":"elastic","seq":1,"epoch":1,"rank":0,)"
+      R"("tag":1,"t_model":1,"a0":3e9,"a1":1})" "\n",  // dead rank > int
+  };
+  for (const std::string& line : bad) {
+    try {
+      parse_jsonl(prefix + line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RunTrace, FindMetricLooksUpByName) {

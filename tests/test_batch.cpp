@@ -1,6 +1,5 @@
 /// Tests for batched multi-tenant serving (DESIGN.md §14, docs/serving.md):
-/// the tenant-frame codec, the batched SoA kernels' per-lane bit-identity
-/// (including the signed-zero subtlety), ChannelSet's batch sink and
+/// the tenant-frame codec, ChannelSet's batch sink and
 /// ship_batch's (peer, tag) grouping with per-tenant accounting, the
 /// runtime's tenant tallies across reset_stats(), the B = 1 degeneracy
 /// (byte-identical to run_distributed — iterates AND traces — for all four
@@ -12,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "dist/driver.hpp"
 #include "dist/layout.hpp"
 #include "graph/partition.hpp"
-#include "kernels/kernels.hpp"
 #include "simmpi/rank_context.hpp"
 #include "simmpi/runtime.hpp"
 #include "sparse/proxy_suite.hpp"
@@ -105,88 +102,6 @@ TEST(TenantFrame, MalformedFramesThrowStructuredErrors) {
   extra.push_back(9.0);
   EXPECT_THROW(wire::for_each_tenant(std::span<const double>(extra), sink),
                wire::DecodeError);
-}
-
-// ---------------------------------------------------------------------------
-// Batched kernels: per-lane bit-identity with the scalar ones.
-
-CsrMatrix kernel_matrix() {
-  return sparse::symmetric_unit_diagonal_scale(sparse::poisson2d_5pt(7, 7)).a;
-}
-
-TEST(Kernels, GsSweepBatchMatchesScalarPerLaneBitwise) {
-  const CsrMatrix a = kernel_matrix();
-  const auto m = static_cast<std::size_t>(a.rows());
-  for (std::size_t lanes : {1u, 3u, 4u, 8u}) {
-    // Scalar reference state per lane.
-    std::vector<std::vector<value_t>> xs(lanes), rs(lanes);
-    util::Rng rng(0xBA7C0 + lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      xs[l].resize(m);
-      rs[l].resize(m);
-      rng.fill_uniform(xs[l], -1.0, 1.0);
-      rng.fill_uniform(rs[l], -1.0, 1.0);
-      // Exercise the per-lane zero-delta skip, including the signed zero
-      // the masked-arithmetic shortcut would destroy.
-      rs[l][l % m] = 0.0;
-      rs[l][(l + 3) % m] = -0.0;
-    }
-    // SoA copies.
-    std::vector<value_t> xb(m * lanes), rb(m * lanes);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        xb[i * lanes + l] = xs[l][i];
-        rb[i * lanes + l] = rs[l][i];
-      }
-    }
-    double scalar_flops = 0.0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      scalar_flops += kernels::gs_sweep(a, xs[l], rs[l]);
-    }
-    const double batch_flops = kernels::gs_sweep_batch(a, lanes, xb, rb);
-    EXPECT_EQ(batch_flops, scalar_flops);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        // Bit-exact, sign of zero included.
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(xb[i * lanes + l]),
-                  std::bit_cast<std::uint64_t>(xs[l][i]))
-            << "x row " << i << " lane " << l << " of " << lanes;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(rb[i * lanes + l]),
-                  std::bit_cast<std::uint64_t>(rs[l][i]))
-            << "r row " << i << " lane " << l << " of " << lanes;
-      }
-    }
-  }
-}
-
-TEST(Kernels, NormSqBatchMatchesScalarPerLaneBitwise) {
-  const std::size_t m = 33;
-  for (std::size_t lanes : {1u, 2u, 5u, 16u}) {
-    std::vector<std::vector<value_t>> rs(lanes);
-    std::vector<value_t> rb(m * lanes);
-    util::Rng rng(0x5EED + lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      rs[l].resize(m);
-      rng.fill_uniform(rs[l], -2.0, 2.0);
-      for (std::size_t i = 0; i < m; ++i) rb[i * lanes + l] = rs[l][i];
-    }
-    std::vector<value_t> out(lanes, 0.0);
-    kernels::norm_sq_batch(rb, lanes, out);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      EXPECT_EQ(out[l], kernels::norm_sq(rs[l])) << "lane " << l;
-    }
-    // Accumulators carry across blocks: two calls over disjoint row halves
-    // produce the SAME addition sequence per lane as one full call, so the
-    // split is bitwise invisible (how the coordinator walks rank blocks).
-    const std::size_t half_rows = m / 2;
-    std::vector<value_t> acc(lanes, 0.0);
-    const auto all = std::span<const value_t>(rb);
-    kernels::norm_sq_batch(all.first(half_rows * lanes), lanes, acc);
-    kernels::norm_sq_batch(all.subspan(half_rows * lanes), lanes, acc);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      EXPECT_EQ(acc[l], out[l]) << "split lane " << l;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -534,11 +534,12 @@ TEST(NodeAnalysis, NodeReportMatchesRuntimeTotalsAndMetrics) {
   EXPECT_EQ(rep.hops_by_kind[trace::kHopInterLeader],
             r.node_totals->forward_frames);
   // ...and the simmpi.node_* metrics the tracer captured agree as well.
-  ASSERT_TRUE(rep.metric_msgs_intra.has_value());
-  EXPECT_EQ(static_cast<std::uint64_t>(*rep.metric_msgs_intra),
-            rep.msgs_intra);
-  ASSERT_TRUE(rep.metric_forward_frames.has_value());
-  EXPECT_EQ(static_cast<std::uint64_t>(*rep.metric_forward_frames),
+  const auto* msgs_intra = run.find_metric("simmpi.node_msgs_intra");
+  ASSERT_NE(msgs_intra, nullptr);
+  EXPECT_EQ(static_cast<std::uint64_t>(msgs_intra->total()), rep.msgs_intra);
+  const auto* frames_metric = run.find_metric("simmpi.node_forward_frames");
+  ASSERT_NE(frames_metric, nullptr);
+  EXPECT_EQ(static_cast<std::uint64_t>(frames_metric->total()),
             rep.hops_by_kind[trace::kHopInterLeader]);
   // Leader pairs name actual leaders and account for every frame.
   const auto topo = simmpi::NodeTopology::ranks_per_node(8, 2);

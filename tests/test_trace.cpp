@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "analysis/run_trace.hpp"
+#include "dist/batch.hpp"
 #include "dist/driver.hpp"
+#include "elastic/elastic.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "simmpi/rank_context.hpp"
@@ -18,6 +23,7 @@
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace dsouth::trace {
@@ -566,6 +572,126 @@ TEST(TraceOverhead, RingDropsAreBackendIndependent) {
   EXPECT_GT(seq.trace_log->dropped_events, 0u);
   EXPECT_EQ(seq.trace_log->dropped_events, thr.trace_log->dropped_events);
   EXPECT_EQ(jsonl_of(*seq.trace_log), jsonl_of(*thr.trace_log));
+}
+
+// ---------------------------------------------------------------------------
+// One schema: every traced run, whatever it turns on, writes the same header
+// version and the same ordered simmpi.* metric set, and each feature's event
+// tallies equal its counters (both zero when the feature is off).
+// ---------------------------------------------------------------------------
+
+std::uint64_t metric_total(const analysis::RunTrace& run, const char* name) {
+  const auto* m = run.find_metric(name);
+  EXPECT_NE(m, nullptr) << name;
+  return m ? static_cast<std::uint64_t>(m->total()) : 0;
+}
+
+TEST(TraceSchema, EveryFeatureWritesOneVersionAndCounterSet) {
+  auto p = make_problem(12, 8, 91);
+  const auto method = DistMethod::kDistributedSouthwell;
+  DistRunOptions base;
+  base.max_parallel_steps = 16;
+  base.trace.enabled = true;
+
+  struct SchemaRun {
+    const char* name;
+    trace::EventKind feature;  ///< the run must record events of this kind
+    std::shared_ptr<const trace::TraceLog> log;
+  };
+  std::vector<SchemaRun> runs;
+  runs.push_back({"plain", trace::EventKind::kPut,
+                  run_distributed(method, p.a, p.part, p.b, p.x0, base)
+                      .trace_log});
+
+  DistRunOptions faulty = base;
+  faulty.faults.defaults.drop_probability = 0.05;
+  faulty.faults.defaults.duplicate_probability = 0.05;
+  faulty.faults.defaults.reorder_probability = 0.05;
+  faulty.faults.defaults.corrupt_probability = 0.05;
+  faulty.resilience.enabled = true;
+  runs.push_back({"faults", trace::EventKind::kFault,
+                  run_distributed(method, p.a, p.part, p.b, p.x0, faulty)
+                      .trace_log});
+
+  DistRunOptions async = base;
+  async.async = true;
+  runs.push_back({"async", trace::EventKind::kDeliver,
+                  run_distributed(method, p.a, p.part, p.b, p.x0, async)
+                      .trace_log});
+
+  DistRunOptions node = base;
+  node.ranks_per_node = 2;
+  node.node_route = true;
+  runs.push_back({"node", trace::EventKind::kHop,
+                  run_distributed(method, p.a, p.part, p.b, p.x0, node)
+                      .trace_log});
+
+  DistLayout layout(p.a, p.part);
+  const DistLayout* layouts[] = {&layout};
+  const TenantSpec specs[] = {
+      {p.b, p.x0, 0.0}, {p.b, p.x0, 0.0}, {p.b, p.x0, 0.0}};
+  runs.push_back({"batch", trace::EventKind::kPut,
+                  run_distributed_batch(method, layouts, specs, base)
+                      .trace_log});
+
+  DistRunOptions killed = base;
+  killed.faults.kills.push_back({3, 6});
+  elastic::RecoveryOptions rec;
+  rec.checkpoint_every = 4;
+  runs.push_back(
+      {"elastic", trace::EventKind::kElastic,
+       elastic::run_elastic(method, p.a, p.part, p.b, p.x0, killed, rec)
+           .run.trace_log});
+
+  std::vector<std::string> first_names;
+  for (const auto& r : runs) {
+    SCOPED_TRACE(r.name);
+    ASSERT_TRUE(r.log);
+    const std::string text = jsonl_of(*r.log);
+    const auto header = util::parse_json(text.substr(0, text.find('\n')));
+    EXPECT_EQ(header.at("version").as_int(), trace::kTraceVersion);
+    const auto parsed = analysis::parse_jsonl(text);
+    ASSERT_EQ(parsed.size(), 1u);
+    const analysis::RunTrace& run = parsed[0];
+
+    std::vector<std::string> names;
+    for (const auto& m : run.metrics) {
+      if (m.name.rfind("simmpi.", 0) == 0) names.push_back(m.name);
+    }
+    if (first_names.empty()) first_names = names;
+    EXPECT_EQ(names, first_names);
+
+    std::array<std::uint64_t, trace::kNumEventKinds> by_kind{};
+    std::array<std::uint64_t, 7> fault_actions{};
+    std::uint64_t staleness = 0, intra = 0, inter = 0, frames = 0;
+    for (const auto& e : run.events) {
+      ++by_kind[static_cast<std::size_t>(e.kind)];
+      if (e.kind == trace::EventKind::kFault) {
+        ++fault_actions.at(static_cast<std::size_t>(e.tag));
+      } else if (e.kind == trace::EventKind::kDeliver) {
+        staleness += static_cast<std::uint64_t>(e.a0);
+      } else if (e.kind == trace::EventKind::kHop) {
+        ++(trace::hop_is_inter(e.tag) ? inter : intra);
+        frames += e.tag == trace::kHopInterLeader;
+      }
+    }
+    EXPECT_GT(by_kind[static_cast<std::size_t>(r.feature)], 0u);
+    // Fault action codes as trace.hpp documents them (5 = stall has no
+    // counter).
+    EXPECT_EQ(fault_actions[0], metric_total(run, "simmpi.faults_dropped"));
+    EXPECT_EQ(fault_actions[1],
+              metric_total(run, "simmpi.faults_duplicated"));
+    EXPECT_EQ(fault_actions[2], metric_total(run, "simmpi.faults_reordered"));
+    EXPECT_EQ(fault_actions[3] + fault_actions[4],
+              metric_total(run, "simmpi.faults_corrupted"));
+    EXPECT_EQ(fault_actions[6], metric_total(run, "simmpi.faults_killed"));
+    EXPECT_EQ(by_kind[static_cast<std::size_t>(trace::EventKind::kDeliver)],
+              metric_total(run, "simmpi.async_delivered"));
+    EXPECT_EQ(staleness, metric_total(run, "simmpi.async_staleness_sum"));
+    EXPECT_EQ(intra, metric_total(run, "simmpi.node_msgs_intra"));
+    EXPECT_EQ(inter, metric_total(run, "simmpi.node_msgs_inter"));
+    EXPECT_EQ(frames, metric_total(run, "simmpi.node_forward_frames"));
+  }
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 /// deterministic output of this tool is byte-identical no matter which
 /// execution backend produced the capture. `-check` turns that promise
 /// into an exit code: it fails unless the critical-path report reproduces
-/// every fence's modeled seconds bit-exactly AND the comm-matrix totals
-/// equal the run's simmpi.* counters (i.e. CommStats) exactly. Every rule
-/// is evaluated — a failure is reported and accumulated, never an early
-/// exit — so one pass lists everything wrong with a capture.
+/// every fence's modeled seconds bit-exactly AND the comm-matrix totals and
+/// the fault, deliver and hop event tallies equal the run's simmpi.*
+/// counters (i.e. CommStats) exactly. Every trace carries every counter, so
+/// every rule runs on every trace; each is evaluated — a failure is
+/// reported and accumulated, never an early exit — so one pass lists
+/// everything wrong with a capture.
 ///
 /// `-prof-record FILE` adds the host-profiling cross-rules: the
 /// dsouth.prof_record document (a bench's `-prof-record` output) must
@@ -249,9 +251,12 @@ bool check_prof_vs_trace(const RunTrace& run,
   check(pr != nullptr, "prof record has an entry for this run label");
   if (pr == nullptr) return ok;
   check(pr->num_ranks == run.num_ranks, "prof record num_ranks == trace P");
-  auto metric_total = [&](const char* name) -> std::uint64_t {
+  // Compared as doubles (exact below 2^53): a metric value read from a
+  // file may be negative or huge, and casting that to an integer type is
+  // undefined behaviour.
+  auto metric_total = [&](const char* name) {
     const auto* m = run.find_metric(name);
-    return m ? static_cast<std::uint64_t>(m->total()) : 0;
+    return m ? m->total() : 0.0;
   };
   if (run.find_metric("prof.allocs_total") != nullptr) {
     check(metric_total("prof.alloc_tracking") ==
@@ -283,112 +288,108 @@ bool run_checks(const RunTrace& run, const RunAnalysis& a) {
   check(a.critical_path.model_matches,
         "critical path reproduces every fence's modeled seconds bit-exactly");
 
-  // Comm-matrix totals vs the run's end-of-run counters (CommStats' view).
-  auto counter_total = [&](const char* name) -> std::uint64_t {
+  // Every trace carries the full simmpi.* metric set (one schema), so
+  // every rule below runs on every trace; a trace that lacks a metric
+  // fails the presence rule after them.
+  std::string missing;
+  auto metric = [&](const char* name) {
     const auto* m = run.find_metric(name);
-    return m ? static_cast<std::uint64_t>(m->total()) : 0;
+    if (m == nullptr) missing += std::string(" ") + name;
+    return m;
   };
-  if (run.find_metric("simmpi.msgs_sent") != nullptr) {
-    check(a.comm.total_msgs == counter_total("simmpi.msgs_sent"),
-          "comm matrix total msgs == simmpi.msgs_sent");
-    check(a.comm.total_bytes == counter_total("simmpi.bytes_sent"),
-          "comm matrix total bytes == simmpi.bytes_sent");
-    using dsouth::simmpi::MsgTag;
-    check(a.comm.total_by_tag[static_cast<int>(MsgTag::kSolve)] ==
-              counter_total("simmpi.msgs_solve"),
-          "solve-tag msgs == simmpi.msgs_solve");
-    check(a.comm.total_by_tag[static_cast<int>(MsgTag::kResidual)] ==
-              counter_total("simmpi.msgs_residual"),
-          "residual-tag msgs == simmpi.msgs_residual");
-    check(a.comm.total_by_tag[static_cast<int>(MsgTag::kOther)] ==
-              counter_total("simmpi.msgs_other"),
-          "other-tag msgs == simmpi.msgs_other");
-    // Wire-layer split (present in traces since the codec landed): kPut
-    // events, the comm matrix and msgs_sent count physical puts; logical
-    // records can only exceed them (coalesced frames carry several
-    // records per put).
-    if (run.find_metric("simmpi.msgs_logical") != nullptr) {
-      check(counter_total("simmpi.msgs_logical") >=
-                counter_total("simmpi.msgs_sent"),
-            "simmpi.msgs_logical >= simmpi.msgs_sent");
-    }
-  } else {
-    check(false, "trace has simmpi.* counters (needed for comm cross-check)");
-  }
+  // Compared as doubles, like metric_total in check_prof_vs_trace.
+  auto counter_total = [&](const char* name) {
+    const auto* m = metric(name);
+    return m ? m->total() : 0.0;
+  };
+
+  // Comm-matrix totals vs the run's end-of-run counters (CommStats' view).
+  check(a.comm.total_msgs == counter_total("simmpi.msgs_sent"),
+        "comm matrix total msgs == simmpi.msgs_sent");
+  check(a.comm.total_bytes == counter_total("simmpi.bytes_sent"),
+        "comm matrix total bytes == simmpi.bytes_sent");
+  using dsouth::simmpi::MsgTag;
+  check(a.comm.total_by_tag[static_cast<int>(MsgTag::kSolve)] ==
+            counter_total("simmpi.msgs_solve"),
+        "solve-tag msgs == simmpi.msgs_solve");
+  check(a.comm.total_by_tag[static_cast<int>(MsgTag::kResidual)] ==
+            counter_total("simmpi.msgs_residual"),
+        "residual-tag msgs == simmpi.msgs_residual");
+  check(a.comm.total_by_tag[static_cast<int>(MsgTag::kOther)] ==
+            counter_total("simmpi.msgs_other"),
+        "other-tag msgs == simmpi.msgs_other");
+  // Wire-layer split: kPut events, the comm matrix and msgs_sent count
+  // physical puts; logical records can only exceed them (coalesced frames
+  // carry several records per put).
+  check(counter_total("simmpi.msgs_logical") >=
+            counter_total("simmpi.msgs_sent"),
+        "simmpi.msgs_logical >= simmpi.msgs_sent");
 
   // Fault-injection cross-checks: the runtime bumps one simmpi.faults_*
   // counter per fault event it records (faults_corrupted covers both the
-  // corrupt and truncate actions; stalls have no counter), so the version-3
-  // event tallies must reproduce the metric totals exactly. Traces without
-  // the counters (fault-free runs, older captures) skip this block — the
-  // fault report is then all-zero and there is nothing to cross-check.
-  if (run.find_metric("simmpi.faults_dropped") != nullptr) {
-    using dsouth::analysis::FaultReport;
-    const auto& f = a.faults;
-    check(f.by_action[FaultReport::kDrop] ==
-              counter_total("simmpi.faults_dropped"),
-          "drop fault events == simmpi.faults_dropped");
-    check(f.by_action[FaultReport::kDuplicate] ==
-              counter_total("simmpi.faults_duplicated"),
-          "duplicate fault events == simmpi.faults_duplicated");
-    check(f.by_action[FaultReport::kReorder] ==
-              counter_total("simmpi.faults_reordered"),
-          "reorder fault events == simmpi.faults_reordered");
-    check(f.by_action[FaultReport::kCorrupt] +
-                  f.by_action[FaultReport::kTruncate] ==
-              counter_total("simmpi.faults_corrupted"),
-          "corrupt+truncate fault events == simmpi.faults_corrupted");
-  }
+  // corrupt and truncate actions, faults_killed the drops of traffic from
+  // or to a dead rank; stalls have no counter), so the event
+  // tallies must reproduce the metric totals exactly.
+  using dsouth::analysis::FaultReport;
+  const auto& f = a.faults;
+  check(f.by_action[FaultReport::kDrop] ==
+            counter_total("simmpi.faults_dropped"),
+        "drop fault events == simmpi.faults_dropped");
+  check(f.by_action[FaultReport::kDuplicate] ==
+            counter_total("simmpi.faults_duplicated"),
+        "duplicate fault events == simmpi.faults_duplicated");
+  check(f.by_action[FaultReport::kReorder] ==
+            counter_total("simmpi.faults_reordered"),
+        "reorder fault events == simmpi.faults_reordered");
+  check(f.by_action[FaultReport::kCorrupt] +
+                f.by_action[FaultReport::kTruncate] ==
+            counter_total("simmpi.faults_corrupted"),
+        "corrupt+truncate fault events == simmpi.faults_corrupted");
+  check(f.by_action[FaultReport::kDeadDrop] ==
+            counter_total("simmpi.faults_killed"),
+        "dead-endpoint drop events == simmpi.faults_killed");
 
   // Async-delivery cross-checks: under the EventDriven policy the runtime
-  // records one version-4 deliver event per matured message and bumps the
+  // records one deliver event per matured message and bumps the
   // simmpi.async_* metrics in the same place, so event tallies and metric
-  // totals must agree exactly. Bulk-synchronous traces lack the counters
-  // and skip the block (the async report is then all-zero).
-  if (run.find_metric("simmpi.async_delivered") != nullptr) {
-    check(a.async.delivered == counter_total("simmpi.async_delivered"),
-          "deliver events == simmpi.async_delivered");
-    check(a.async.staleness_sum ==
-              counter_total("simmpi.async_staleness_sum"),
-          "deliver-event staleness sum == simmpi.async_staleness_sum");
-    // async_staleness_max is a per-rank gauge: compare against the max
-    // slot, not the sum.
-    std::uint64_t metric_max = 0;
-    if (const auto* m = run.find_metric("simmpi.async_staleness_max")) {
-      for (double v : m->per_rank) {
-        metric_max = std::max(metric_max, static_cast<std::uint64_t>(v));
-      }
-    }
-    check(a.async.staleness_max == metric_max,
-          "deliver-event staleness max == simmpi.async_staleness_max");
+  // totals must agree exactly.
+  check(a.async.delivered == counter_total("simmpi.async_delivered"),
+        "deliver events == simmpi.async_delivered");
+  check(a.async.staleness_sum == counter_total("simmpi.async_staleness_sum"),
+        "deliver-event staleness sum == simmpi.async_staleness_sum");
+  // async_staleness_max is a per-rank gauge: compare against the max slot,
+  // not the sum.
+  double metric_max = 0.0;
+  if (const auto* m = metric("simmpi.async_staleness_max")) {
+    for (double v : m->per_rank) metric_max = std::max(metric_max, v);
   }
+  check(a.async.staleness_max == metric_max,
+        "deliver-event staleness max == simmpi.async_staleness_max");
 
-  // Node-aware routing cross-checks: the fence pre-pass records one
-  // version-5 hop event per physical message and bumps the simmpi.node_*
-  // counters in the same place, so the event tier sums must reproduce the
-  // metric totals exactly, and the leader->leader hop count must equal the
-  // forward-frame counter. Single-level traces lack the counters and skip
-  // the block (the node report is then all-zero).
-  if (run.find_metric("simmpi.node_msgs_intra") != nullptr) {
-    using dsouth::analysis::NodeReport;
-    const auto& n = a.node;
-    check(n.msgs_intra == counter_total("simmpi.node_msgs_intra"),
-          "intra-tier hop events == simmpi.node_msgs_intra");
-    check(n.bytes_intra == counter_total("simmpi.node_bytes_intra"),
-          "intra-tier hop bytes == simmpi.node_bytes_intra");
-    check(n.msgs_inter == counter_total("simmpi.node_msgs_inter"),
-          "inter-tier hop events == simmpi.node_msgs_inter");
-    check(n.bytes_inter == counter_total("simmpi.node_bytes_inter"),
-          "inter-tier hop bytes == simmpi.node_bytes_inter");
-    check(n.hops_by_kind[dsouth::trace::kHopInterLeader] ==
-              counter_total("simmpi.node_forward_frames"),
-          "leader->leader hop events == simmpi.node_forward_frames");
-    check(n.forwarded_records ==
-              counter_total("simmpi.node_forwarded_records"),
-          "forwarded-record tally == simmpi.node_forwarded_records");
-  }
+  // Node-aware routing cross-checks: the fence pre-pass records one hop
+  // event per physical message and bumps the simmpi.node_* counters in the
+  // same place, so the event tier sums must reproduce the metric totals
+  // exactly, and the leader->leader hop count must equal the forward-frame
+  // counter.
+  const auto& n = a.node;
+  check(n.msgs_intra == counter_total("simmpi.node_msgs_intra"),
+        "intra-tier hop events == simmpi.node_msgs_intra");
+  check(n.bytes_intra == counter_total("simmpi.node_bytes_intra"),
+        "intra-tier hop bytes == simmpi.node_bytes_intra");
+  check(n.msgs_inter == counter_total("simmpi.node_msgs_inter"),
+        "inter-tier hop events == simmpi.node_msgs_inter");
+  check(n.bytes_inter == counter_total("simmpi.node_bytes_inter"),
+        "inter-tier hop bytes == simmpi.node_bytes_inter");
+  check(n.hops_by_kind[dsouth::trace::kHopInterLeader] ==
+            counter_total("simmpi.node_forward_frames"),
+        "leader->leader hop events == simmpi.node_forward_frames");
+  check(n.forwarded_records == counter_total("simmpi.node_forwarded_records"),
+        "forwarded-record tally == simmpi.node_forwarded_records");
+  check(missing.empty(),
+        "trace carries every simmpi.* metric the rules read" +
+            (missing.empty() ? std::string() : " (missing:" + missing + ")"));
 
-  // Elastic recovery cross-checks: the elastic driver records version-6
+  // Elastic recovery cross-checks: the elastic driver records elastic
   // events but no metrics (the final generation's CommStats were restored
   // from a checkpoint, so counters cannot corroborate events), so these
   // rules are internal to the event stream. Every recovery emits exactly
@@ -503,7 +504,7 @@ int run_main(int argc, char** argv) {
   if (list_only) {
     for (const auto& r : runs) {
       std::cout << r.label << "  (P=" << r.num_ranks << ", "
-                << r.events.size() << " events, v" << r.version << ")\n";
+                << r.events.size() << " events)\n";
     }
     return 0;
   }
