@@ -83,8 +83,8 @@ int run(int argc, char** argv) {
   std::string kill_desc;
   for (const auto& k : kills) {
     if (!kill_desc.empty()) kill_desc += ", ";
-    kill_desc += "r" + std::to_string(k.rank) + "@" +
-                 std::to_string(k.epoch);
+    kill_desc.append("r").append(std::to_string(k.rank)).append("@").append(
+        std::to_string(k.epoch));
   }
   print_header(
       "Elastic recovery — convergence after permanent rank failure",
@@ -151,7 +151,7 @@ int run(int argc, char** argv) {
       };
       for (std::size_t i = 0; i < er.recoveries.size(); ++i) {
         const auto& ev = er.recoveries[i];
-        const std::string sfx = "_" + std::to_string(i);
+        const std::string sfx = std::string("_").append(std::to_string(i));
         extra.emplace_back("recovery_dead_rank" + sfx,
                            static_cast<std::uint64_t>(ev.dead_rank));
         extra.emplace_back("recovery_resumed_step" + sfx,

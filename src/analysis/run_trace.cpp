@@ -231,6 +231,14 @@ std::vector<RunTrace> parse_jsonl(std::string_view text) {
     }
   }
   for (const RunTrace& run : runs) {
+    // The analyzers size per-rank tables from num_ranks, so a header alone
+    // must not reach them: a metric line, whose per_rank array has to hold
+    // exactly num_ranks slots, confirms the count (every traced run writes
+    // the fixed simmpi.* set).
+    DSOUTH_CHECK_MSG(!run.metrics.empty(),
+                     "JSONL trace: run '" << run.label << "' has no metric "
+                                          << "line to confirm num_ranks "
+                                          << run.num_ranks);
     for (std::size_t i = 1; i < run.events.size(); ++i) {
       DSOUTH_CHECK_MSG(run.events[i - 1].seq < run.events[i].seq,
                        "JSONL trace: events out of seq order in run '"

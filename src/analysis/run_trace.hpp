@@ -49,7 +49,9 @@ RunTrace from_trace_log(const trace::TraceLog& log, std::string label);
 /// line: times and details must be finite, every field an analyzer casts
 /// to an integer must be integral, non-negative and in range, ranks and
 /// peers must name ranks of the run, and a delivery's staleness cannot
-/// exceed its epoch or the epochs the run has fenced so far. Events
+/// exceed its epoch or the epochs the run has fenced so far. A run with no
+/// metric line is rejected too: only a metric's per-rank slots confirm the
+/// header's num_ranks, which sizes the analyzers' tables. Events
 /// lacking optional fields (`peer`, `tag`, `t_wall`) get the in-memory
 /// defaults, so parse(write_jsonl(log)) == from_trace_log(log) field for
 /// field (minus the non-deterministic wall clock).

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <iterator>
+#include <numeric>
 
 #include "util/error.hpp"
 
@@ -9,15 +12,48 @@ namespace dsouth::graph {
 
 Graph Graph::from_matrix_structure(const sparse::CsrMatrix& a) {
   DSOUTH_CHECK(a.rows() == a.cols());
-  std::vector<std::pair<index_t, index_t>> edges;
-  edges.reserve(static_cast<std::size_t>(a.nnz()));
-  for (index_t i = 0; i < a.rows(); ++i) {
+  const index_t n = a.rows();
+  const auto nn = static_cast<std::size_t>(n);
+  for (index_t i = 0; i < n; ++i) {
+    const auto cols = a.row_cols(i);
+    DSOUTH_CHECK_MSG(std::adjacent_find(cols.begin(), cols.end(),
+                                        std::greater_equal<>()) == cols.end(),
+                     "row " << i << " columns do not strictly ascend");
+    DSOUTH_CHECK(cols.empty() || (cols.front() >= 0 && cols.back() < n));
+  }
+  // Structural transpose by counting sort: rows are scanned in ascending
+  // order, so each transposed row comes out strictly ascending too.
+  std::vector<index_t> tptr(nn + 1, 0);
+  for (index_t j : a.col_idx()) ++tptr[static_cast<std::size_t>(j) + 1];
+  std::partial_sum(tptr.begin(), tptr.end(), tptr.begin());
+  std::vector<index_t> tadj(static_cast<std::size_t>(a.nnz()));
+  for (index_t i = 0; i < n; ++i) {
     for (index_t j : a.row_cols(i)) {
-      if (j == i) continue;
-      edges.emplace_back(std::min(i, j), std::max(i, j));
+      tadj[static_cast<std::size_t>(tptr[static_cast<std::size_t>(j)]++)] = i;
     }
   }
-  return from_edges(a.rows(), edges);
+  // The scatter advanced each start to the next row's; shift them back.
+  for (std::size_t j = nn; j > 0; --j) tptr[j] = tptr[j - 1];
+  tptr[0] = 0;
+
+  // Neighbors of i: the union of row i and column i, minus i itself.
+  Graph g;
+  g.n_ = n;
+  g.ptr_.assign(nn + 1, 0);
+  g.adj_.reserve(static_cast<std::size_t>(a.nnz()));
+  for (index_t i = 0; i < n; ++i) {
+    const auto row = a.row_cols(i);
+    const auto first = static_cast<std::ptrdiff_t>(g.adj_.size());
+    std::set_union(row.begin(), row.end(),
+                   tadj.begin() + tptr[static_cast<std::size_t>(i)],
+                   tadj.begin() + tptr[static_cast<std::size_t>(i) + 1],
+                   std::back_inserter(g.adj_));
+    const auto self = std::find(g.adj_.begin() + first, g.adj_.end(), i);
+    if (self != g.adj_.end()) g.adj_.erase(self);
+    g.ptr_[static_cast<std::size_t>(i) + 1] =
+        static_cast<index_t>(g.adj_.size());
+  }
+  return g;
 }
 
 Graph Graph::from_edges(index_t num_vertices,

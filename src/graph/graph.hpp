@@ -22,11 +22,15 @@ class Graph {
 
   /// Adjacency of a square matrix: edge (i, j) iff a_ij or a_ji stored,
   /// i != j. For the (structurally symmetric) matrices in this project the
-  /// symmetrization is a no-op but it is applied defensively.
+  /// symmetrization is a no-op but it is applied defensively. Cost:
+  /// O(rows + nnz): each row is merged with the same row of the structural
+  /// transpose, built by counting sort. Every row's columns must strictly
+  /// ascend (CheckError otherwise). Equals from_edges over the stored
+  /// off-diagonal pairs.
   static Graph from_matrix_structure(const sparse::CsrMatrix& a);
 
-  /// Build from an explicit edge list (u, v pairs; duplicates and
-  /// self-loops removed).
+  /// Build from an explicit edge list (u, v pairs in any order; duplicates
+  /// and self-loops removed). Cost: O(E log E) for one sort of the pairs.
   static Graph from_edges(index_t num_vertices,
                           std::span<const std::pair<index_t, index_t>> edges);
 

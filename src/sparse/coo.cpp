@@ -26,41 +26,56 @@ void CooBuilder::add_sym(index_t i, index_t j, value_t v) {
   if (i != j) add(j, i, v);
 }
 
-CsrMatrix CooBuilder::to_csr(bool drop_zeros) const {
+CsrMatrix CooBuilder::to_csr() const {
   const std::size_t m = is_.size();
-  // Sort entry permutation by (row, col); stable so duplicate order is
-  // deterministic (summation order affects the last ulp).
-  std::vector<std::size_t> perm(m);
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  std::stable_sort(perm.begin(), perm.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     if (is_[a] != is_[b]) return is_[a] < is_[b];
-                     return js_[a] < js_[b];
-                   });
+  const auto rows = static_cast<std::size_t>(rows_);
+  // Stable counting sort by row: row i's entries land in
+  // order[start_i, start_{i+1}) in insertion order. row_ptr holds the
+  // starts until the merge below overwrites row_ptr[i + 1] with row i's
+  // output end.
+  std::vector<index_t> row_ptr(rows + 1, 0);
+  for (index_t i : is_) ++row_ptr[static_cast<std::size_t>(i) + 1];
+  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
+  std::vector<std::size_t> order(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    index_t& next = row_ptr[static_cast<std::size_t>(is_[k])];
+    order[static_cast<std::size_t>(next++)] = k;
+  }
+  // The scatter advanced each start to the next row's; shift them back.
+  for (std::size_t i = rows; i > 0; --i) row_ptr[i] = row_ptr[i - 1];
+  row_ptr[0] = 0;
 
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(rows_) + 1, 0);
   std::vector<index_t> col_idx;
   std::vector<value_t> values;
   col_idx.reserve(m);
   values.reserve(m);
-
-  std::size_t k = 0;
-  while (k < m) {
-    const index_t i = is_[perm[k]];
-    const index_t j = js_[perm[k]];
-    value_t sum = 0.0;
-    while (k < m && is_[perm[k]] == i && js_[perm[k]] == j) {
-      sum += vs_[perm[k]];
-      ++k;
+  const auto col_less = [this](std::size_t a, std::size_t b) {
+    return js_[a] < js_[b];
+  };
+  // (column, insertion index) is a total order, so an unstable sort by it
+  // puts equal columns in insertion order, as a stable sort would.
+  const auto key_less = [this](std::size_t a, std::size_t b) {
+    return js_[a] != js_[b] ? js_[a] < js_[b] : a < b;
+  };
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto end = static_cast<std::size_t>(row_ptr[i + 1]);
+    const auto first = order.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto last = order.begin() + static_cast<std::ptrdiff_t>(end);
+    // Rows that arrive column-ascending (every DistLayout block does)
+    // merge as they are.
+    if (!std::is_sorted(first, last, col_less)) {
+      std::sort(first, last, key_less);
     }
-    if (drop_zeros && sum == 0.0) continue;
-    col_idx.push_back(j);
-    values.push_back(sum);
-    ++row_ptr[static_cast<std::size_t>(i) + 1];
-  }
-  for (index_t i = 0; i < rows_; ++i) {
-    row_ptr[static_cast<std::size_t>(i) + 1] +=
-        row_ptr[static_cast<std::size_t>(i)];
+    for (std::size_t k = begin; k < end;) {
+      const index_t j = js_[order[k]];
+      value_t sum = 0.0;
+      for (; k < end && js_[order[k]] == j; ++k) sum += vs_[order[k]];
+      col_idx.push_back(j);
+      values.push_back(sum);
+    }
+    row_ptr[i + 1] = static_cast<index_t>(col_idx.size());
+    begin = end;
   }
   return CsrMatrix(rows_, cols_, std::move(row_ptr), std::move(col_idx),
                    std::move(values));

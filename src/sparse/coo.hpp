@@ -1,8 +1,10 @@
 #pragma once
 
 /// \file coo.hpp
-/// Coordinate-format (triplet) builder. All assemblers (stencils, FEM) and
-/// the Matrix Market reader accumulate entries here, then convert to CSR.
+/// Coordinate-format (triplet) builder. The stencils, the Matrix Market
+/// reader and the distributed layout's blocks accumulate entries here, then
+/// convert to CSR. (The FEM assemblers build their CSR pattern first and
+/// skip the triplets; see fem.hpp.)
 
 #include <vector>
 
@@ -13,7 +15,8 @@ namespace dsouth::sparse {
 class CsrMatrix;  // csr.hpp
 
 /// Triplet accumulator. Duplicate (i, j) entries are summed on conversion
-/// (the natural semantics for finite-element assembly).
+/// (the natural semantics for finite-element assembly), in insertion
+/// order.
 class CooBuilder {
  public:
   CooBuilder(index_t rows, index_t cols);
@@ -30,9 +33,13 @@ class CooBuilder {
   /// once.
   void add_sym(index_t i, index_t j, value_t v);
 
-  /// Convert to CSR: sorts by (row, col), sums duplicates, drops explicit
-  /// zeros produced by cancellation only if `drop_zeros` is set.
-  CsrMatrix to_csr(bool drop_zeros = false) const;
+  /// Convert to CSR with ascending columns per row. Each duplicate run is
+  /// summed from 0.0 in insertion order, and an entry whose sum cancels to
+  /// zero is kept. Cost: O(entries + rows) for a stable counting sort by
+  /// row, plus a sort of each row whose columns do not arrive ascending;
+  /// working memory is one index per entry and the outputs are reserved
+  /// once.
+  CsrMatrix to_csr() const;
 
  private:
   index_t rows_, cols_;

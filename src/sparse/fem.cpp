@@ -1,15 +1,17 @@
 #include "sparse/fem.hpp"
 
+#include <algorithm>
 #include <array>
+#include <numeric>
 
-#include "sparse/coo.hpp"
 #include "util/error.hpp"
 
 namespace dsouth::sparse {
 
 namespace {
 
-DofMap make_dof_map(const TriMesh& mesh, int dofs_per_vertex) {
+template <typename Mesh>
+DofMap make_dof_map(const Mesh& mesh, int dofs_per_vertex) {
   DofMap map;
   map.dofs_per_vertex = dofs_per_vertex;
   map.vertex_to_dof.assign(static_cast<std::size_t>(mesh.num_vertices()), -1);
@@ -22,6 +24,119 @@ DofMap make_dof_map(const TriMesh& mesh, int dofs_per_vertex) {
   }
   map.num_dofs = next;
   return map;
+}
+
+/// Pattern-first P1 assembly, shared by the three assemblers. The
+/// constructor builds the CSR pattern from the elements alone: every
+/// interior vertex lists the interior vertices it shares an element with
+/// (itself included), sorted and deduplicated, and each listed vertex pair
+/// expands into a dofs_per_vertex-square block of entries. DofMap numbers
+/// interior vertices in ascending order, so every row's columns ascend.
+/// Values start at 0.0 and the element loop adds into them in place, so
+/// each entry sums its contributions in element order: the order in which
+/// a stable (row, col) sort of element-ordered triplets sums them, which
+/// keeps the matrix bit-identical to triplet assembly.
+class P1Csr {
+ public:
+  template <std::size_t K>
+  P1Csr(const std::vector<std::array<index_t, K>>& elements,
+        const DofMap& map);
+
+  /// The vertex-pair block whose first dofs are di (row) and dj (column);
+  /// entry (r, c) adds to dof pair (di + r, dj + c).
+  class Block {
+   public:
+    Block(value_t* first, index_t stride) : first_(first), stride_(stride) {}
+    value_t& operator()(int r, int c) const { return first_[r * stride_ + c]; }
+
+   private:
+    value_t* first_;
+    index_t stride_;  // row length: entry (r + 1, c) sits a row further
+  };
+
+  /// Looks the block up once; the two vertices must share an element.
+  Block block(index_t di, index_t dj);
+
+  CsrMatrix finish() && {
+    return CsrMatrix(n_, n_, std::move(row_ptr_), std::move(col_idx_),
+                     std::move(values_));
+  }
+
+ private:
+  index_t n_;
+  std::vector<index_t> row_ptr_, col_idx_;
+  std::vector<value_t> values_;
+};
+
+template <std::size_t K>
+P1Csr::P1Csr(const std::vector<std::array<index_t, K>>& elements,
+             const DofMap& map)
+    : n_(map.num_dofs) {
+  const index_t dpv = map.dofs_per_vertex;
+  const auto nv = static_cast<std::size_t>(n_ / dpv);
+  // An element's interior vertices, as indices 0..nv-1 in dof order.
+  std::array<index_t, K> iv{};
+  auto interior = [&](const std::array<index_t, K>& e) {
+    std::size_t count = 0;
+    for (index_t v : e) {
+      const index_t d = map.vertex_to_dof[static_cast<std::size_t>(v)];
+      if (d >= 0) iv[count++] = d / dpv;
+    }
+    return count;
+  };
+
+  // Vertex lists, with repeats: count, then fill.
+  std::vector<std::size_t> vptr(nv + 1, 0);
+  for (const auto& e : elements) {
+    const std::size_t count = interior(e);
+    for (std::size_t a = 0; a < count; ++a) {
+      vptr[static_cast<std::size_t>(iv[a]) + 1] += count;
+    }
+  }
+  std::partial_sum(vptr.begin(), vptr.end(), vptr.begin());
+  std::vector<index_t> vadj(vptr.back());
+  std::vector<std::size_t> vend(vptr.begin(), vptr.end() - 1);
+  for (const auto& e : elements) {
+    const std::size_t count = interior(e);
+    for (std::size_t a = 0; a < count; ++a) {
+      for (std::size_t b = 0; b < count; ++b) {
+        vadj[vend[static_cast<std::size_t>(iv[a])]++] = iv[b];
+      }
+    }
+  }
+  // Sort and dedupe each list in place; vend moves to its new end.
+  for (std::size_t u = 0; u < nv; ++u) {
+    index_t* first = vadj.data() + vptr[u];
+    index_t* last = vadj.data() + vend[u];
+    std::sort(first, last);
+    vend[u] = static_cast<std::size_t>(std::unique(first, last) - vadj.data());
+  }
+
+  // Expand: vertex u's list becomes its dpv rows, each holding the dpv
+  // columns of every listed vertex.
+  std::size_t pairs = 0;
+  for (std::size_t u = 0; u < nv; ++u) pairs += vend[u] - vptr[u];
+  row_ptr_.reserve(static_cast<std::size_t>(n_) + 1);
+  col_idx_.reserve(pairs * static_cast<std::size_t>(dpv * dpv));
+  row_ptr_.push_back(0);
+  for (std::size_t u = 0; u < nv; ++u) {
+    for (index_t r = 0; r < dpv; ++r) {
+      for (std::size_t j = vptr[u]; j < vend[u]; ++j) {
+        for (index_t c = 0; c < dpv; ++c) col_idx_.push_back(vadj[j] * dpv + c);
+      }
+      row_ptr_.push_back(static_cast<index_t>(col_idx_.size()));
+    }
+  }
+  values_.assign(col_idx_.size(), 0.0);
+}
+
+P1Csr::Block P1Csr::block(index_t di, index_t dj) {
+  const auto i = static_cast<std::size_t>(di);
+  const index_t* row = col_idx_.data() + row_ptr_[i];
+  const index_t* end = col_idx_.data() + row_ptr_[i + 1];
+  const index_t* at = std::lower_bound(row, end, dj);
+  DSOUTH_ASSERT(at != end && *at == dj);
+  return {values_.data() + (at - col_idx_.data()), end - row};
 }
 
 /// P1 shape-function gradient coefficients on a triangle:
@@ -50,7 +165,7 @@ CsrMatrix assemble_p1_poisson(const TriMesh& mesh, DofMap* dof_map) {
   DSOUTH_CHECK(mesh.is_valid());
   DofMap map = make_dof_map(mesh, 1);
   DSOUTH_CHECK_MSG(map.num_dofs > 0, "mesh has no interior vertices");
-  CooBuilder coo(map.num_dofs, map.num_dofs);
+  P1Csr csr(mesh.tris, map);
   for (index_t t = 0; t < mesh.num_triangles(); ++t) {
     const TriGeom g = tri_geometry(mesh, t);
     const auto& tri = mesh.tris[static_cast<std::size_t>(t)];
@@ -63,12 +178,12 @@ CsrMatrix assemble_p1_poisson(const TriMesh& mesh, DofMap* dof_map) {
             map.vertex_to_dof[static_cast<std::size_t>(tri[j])];
         if (dj < 0) continue;
         const double k = (g.b[i] * g.b[j] + g.c[i] * g.c[j]) * inv4a;
-        coo.add(di, dj, k);
+        csr.block(di, dj)(0, 0) += k;
       }
     }
   }
   if (dof_map) *dof_map = std::move(map);
-  return coo.to_csr();
+  return std::move(csr).finish();
 }
 
 CsrMatrix assemble_p1_elasticity(const TriMesh& mesh,
@@ -103,7 +218,7 @@ CsrMatrix assemble_p1_elasticity(const TriMesh& mesh,
     return ((bx + by) % 2 == 0) ? 1.0 : opt.jump_contrast;
   };
 
-  CooBuilder coo(map.num_dofs, map.num_dofs);
+  P1Csr csr(mesh.tris, map);
   for (index_t t = 0; t < mesh.num_triangles(); ++t) {
     const TriGeom g = tri_geometry(mesh, t);
     const double es = element_scale(t);
@@ -131,20 +246,17 @@ CsrMatrix assemble_p1_elasticity(const TriMesh& mesh,
         const double kxy = g.area * (bi * d01 * cj + ci * d22 * bj);
         const double kyx = g.area * (ci * d01 * bj + bi * d22 * cj);
         const double kyy = g.area * (ci * d00 * cj + bi * d22 * bj);
-        coo.add(di, dj, kxx);
-        coo.add(di, dj + 1, kxy);
-        coo.add(di + 1, dj, kyx);
-        coo.add(di + 1, dj + 1, kyy);
+        const P1Csr::Block blk = csr.block(di, dj);
+        blk(0, 0) += kxx;
+        blk(0, 1) += kxy;
+        blk(1, 0) += kyx;
+        blk(1, 1) += kyy;
       }
     }
   }
   if (dof_map) *dof_map = std::move(map);
-  return coo.to_csr();
+  return std::move(csr).finish();
 }
-
-}  // namespace dsouth::sparse
-
-namespace dsouth::sparse {
 
 CsrMatrix assemble_p1_elasticity_3d(const TetMesh& mesh,
                                     const ElasticityOptions& opt,
@@ -153,18 +265,7 @@ CsrMatrix assemble_p1_elasticity_3d(const TetMesh& mesh,
   DSOUTH_CHECK(opt.poisson_ratio >= 0.0 && opt.poisson_ratio < 0.5);
   DSOUTH_CHECK(opt.youngs_modulus > 0.0);
   DSOUTH_CHECK(opt.jump_contrast > 0.0 && opt.jump_blocks > 0);
-  // Dof map: 3 dofs per interior vertex.
-  DofMap map;
-  map.dofs_per_vertex = 3;
-  map.vertex_to_dof.assign(static_cast<std::size_t>(mesh.num_vertices()), -1);
-  index_t next = 0;
-  for (index_t v = 0; v < mesh.num_vertices(); ++v) {
-    if (!mesh.on_boundary[static_cast<std::size_t>(v)]) {
-      map.vertex_to_dof[static_cast<std::size_t>(v)] = next;
-      next += 3;
-    }
-  }
-  map.num_dofs = next;
+  DofMap map = make_dof_map(mesh, 3);
   DSOUTH_CHECK_MSG(map.num_dofs > 0, "mesh has no interior vertices");
 
   const double nu = opt.poisson_ratio;
@@ -193,7 +294,7 @@ CsrMatrix assemble_p1_elasticity_3d(const TetMesh& mesh,
                : opt.jump_contrast;
   };
 
-  CooBuilder coo(map.num_dofs, map.num_dofs);
+  P1Csr csr(mesh.tets, map);
   for (index_t t = 0; t < mesh.num_tets(); ++t) {
     const auto& tet = mesh.tets[static_cast<std::size_t>(t)];
     const double vol = mesh.signed_volume(t);
@@ -243,20 +344,21 @@ CsrMatrix assemble_p1_elasticity_3d(const TetMesh& mesh,
         const double dot = grad[i][0] * grad[j][0] +
                            grad[i][1] * grad[j][1] +
                            grad[i][2] * grad[j][2];
+        const P1Csr::Block blk = csr.block(di, dj);
         for (int r = 0; r < 3; ++r) {
           for (int c = 0; c < 3; ++c) {
             const double k_rc =
                 vol * (lam * grad[i][r] * grad[j][c] +
                        mu * grad[j][r] * grad[i][c] +
                        (r == c ? mu * dot : 0.0));
-            coo.add(di + r, dj + c, k_rc);
+            blk(r, c) += k_rc;
           }
         }
       }
     }
   }
   if (dof_map) *dof_map = std::move(map);
-  return coo.to_csr();
+  return std::move(csr).finish();
 }
 
 }  // namespace dsouth::sparse

@@ -10,6 +10,14 @@
 /// elasticity stiffness matrices have positive off-diagonal couplings, so
 /// point/small-block Jacobi can diverge on them — which is exactly the
 /// Block Jacobi failure mode the paper's evaluation exhibits.
+///
+/// All three assemblers build the CSR pattern first and then add element
+/// contributions in place, with no triplet buffer. Cost: O(element
+/// contributions + nnz), plus a sort of each interior vertex's short
+/// neighbor list and one binary search per element vertex pair. Each entry
+/// sums its element contributions from 0.0 in element order (the insertion
+/// order of the element loop), so the result is bit-identical to
+/// converting the element-ordered triplets with CooBuilder::to_csr.
 
 #include "sparse/csr.hpp"
 #include "sparse/mesh.hpp"

@@ -357,7 +357,23 @@ TEST(RunTrace, ParserRejectsGarbageAndUnknownVersions) {
     return R"({"type":"header","version":)" + std::to_string(version) +
            R"(,"num_ranks":2,"events":0,"dropped_events":0})" + "\n";
   };
-  EXPECT_EQ(parse_jsonl(header(trace::kTraceVersion)).size(), 1u);
+  const std::string metric =
+      R"({"type":"metric","name":"simmpi.msgs","metric_kind":"counter",)"
+      R"("per_rank":[0,0]})" "\n";
+  EXPECT_EQ(parse_jsonl(header(trace::kTraceVersion) + metric).size(), 1u);
+  // A header alone never reaches an analyzer: nothing confirms num_ranks,
+  // and a crafted count would size P-long tables to bad_alloc.
+  EXPECT_THROW(parse_jsonl(header(trace::kTraceVersion)), util::CheckError);
+  try {
+    parse_jsonl(R"({"type":"header","version":)" +
+                std::to_string(trace::kTraceVersion) +
+                R"(,"num_ranks":2000000000,"dropped_events":0})");
+    ADD_FAILURE() << "a header-only run with 2e9 ranks parsed";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("no metric line"),
+              std::string::npos)
+        << e.what();
+  }
   for (int version : {2, 6, 99}) {
     try {
       parse_jsonl(header(version));
@@ -396,8 +412,11 @@ TEST(RunTrace, ParserRejectsFieldsAnalyzersCannotUse) {
            R"(,"rank":0,"peer":1,"tag":0,"t_model":1,"a0":)" + a0 +
            R"(,"a1":4})" "\n";
   };
+  const std::string metric =
+      R"({"type":"metric","name":"simmpi.msgs","metric_kind":"counter",)"
+      R"("per_rank":[1,0]})" "\n";
   // The well-formed variant parses, so each rejection below is the field.
-  ASSERT_EQ(parse_jsonl(prefix + deliver("1", "1")).size(), 1u);
+  ASSERT_EQ(parse_jsonl(prefix + deliver("1", "1") + metric).size(), 1u);
   const std::vector<std::string> bad = {
       deliver("1", "1e15"),  // staleness beyond the run
       deliver("1", "-1"),    // negative count
@@ -419,7 +438,7 @@ TEST(RunTrace, ParserRejectsFieldsAnalyzersCannotUse) {
   };
   for (const std::string& line : bad) {
     try {
-      parse_jsonl(prefix + line);
+      parse_jsonl(prefix + line + metric);
       ADD_FAILURE() << "accepted: " << line;
     } catch (const util::CheckError& e) {
       EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)

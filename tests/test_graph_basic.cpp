@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <set>
 
+#include "sparse/coo.hpp"
 #include "sparse/stencils.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dsouth::graph {
 namespace {
@@ -38,6 +40,56 @@ TEST(Graph, FromMatrixStructureMatchesStencil) {
   EXPECT_EQ(g.degree(4), 4);  // center
   EXPECT_EQ(g.degree(0), 2);  // corner
   EXPECT_EQ(g.max_degree(), 4);
+}
+
+void expect_same_graph(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  EXPECT_EQ(got.num_edges(), want.num_edges());
+  for (index_t v = 0; v < got.num_vertices(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(got.neighbors(v), want.neighbors(v)))
+        << "vertex " << v;
+  }
+}
+
+TEST(Graph, FromMatrixStructureEqualsFromEdgesOnUnsymmetricStructure) {
+  // Seeded patterns with one-sided entries, missing diagonals, empty rows
+  // and columns, and a dense row: the merge of each row with the same row
+  // of the transpose must give from_edges' sorted, deduplicated lists.
+  util::Rng rng(0x6a7b);
+  for (index_t n : {1, 2, 9, 40, 150}) {
+    sparse::CooBuilder coo(n, n);
+    std::vector<std::pair<index_t, index_t>> edges;
+    const auto draws = static_cast<std::size_t>(3 * n);
+    for (std::size_t k = 0; k < draws; ++k) {
+      const auto i = static_cast<index_t>(
+          rng.next_below(static_cast<std::uint64_t>((n + 1) / 2)));
+      const auto j =
+          static_cast<index_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+      coo.add(i, j, 1.0);
+      edges.emplace_back(i, j);
+    }
+    for (index_t j = 0; j < n; j += 2) {  // row n-1 couples to every other
+      coo.add(n - 1, j, 1.0);
+      edges.emplace_back(n - 1, j);
+    }
+    const auto a = coo.to_csr();
+    if (n > 2) {
+      ASSERT_FALSE(a.is_symmetric()) << n;
+    }
+    expect_same_graph(Graph::from_matrix_structure(a),
+                      Graph::from_edges(n, edges));
+  }
+}
+
+TEST(Graph, FromMatrixStructureRejectsUnsortedRows) {
+  // Row 1 lists column 2 before column 0; the merge needs ascending rows.
+  const sparse::CsrMatrix unsorted(3, 3, {0, 1, 3, 4}, {0, 2, 0, 2},
+                                   {1.0, 1.0, 1.0, 1.0});
+  EXPECT_THROW(Graph::from_matrix_structure(unsorted), util::CheckError);
+  // A repeated column is not strictly ascending either.
+  const sparse::CsrMatrix repeated(2, 2, {0, 2, 3}, {1, 1, 1},
+                                   {1.0, 1.0, 1.0});
+  EXPECT_THROW(Graph::from_matrix_structure(repeated), util::CheckError);
 }
 
 TEST(Graph, OutOfRangeEdgeThrows) {

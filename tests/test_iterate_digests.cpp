@@ -1,9 +1,12 @@
 /// Iterate digests: FNV-1a64 fingerprints of the residual series, modeled
 /// time series, final iterate, and exact CommTotals of small Poisson runs,
 /// pinned for every solver under each delivery/wire configuration, for a
-/// batched B = 3 run, and for an elastic single-kill recovery. Host-side
-/// optimisations of the solve path (coupling-block storage, relax
-/// snapshots, sweep kernels) must leave every iterate bit for bit where it
+/// batched B = 3 run, and for an elastic single-kill recovery; plus the
+/// set-up outputs every run starts from: each proxy's CSR and the small
+/// FEM problem's, the matrix graph and partition of two proxies, and one
+/// DistLayout's blocks. Host-side optimisations of the set-up or solve
+/// path (assembly, graph build, coupling-block storage, relax snapshots,
+/// sweep kernels) must leave every matrix and iterate bit for bit where it
 /// was; a changed digest means a changed trajectory, not a rounding
 /// detail. On a mismatch the failure prints the row to paste back into
 /// kPinned — do that only for a change that is MEANT to move iterates.
@@ -19,6 +22,7 @@
 
 #include "dist/batch.hpp"
 #include "dist/driver.hpp"
+#include "dist/layout.hpp"
 #include "elastic/elastic.hpp"
 #include "graph/partition.hpp"
 #include "sparse/proxy_suite.hpp"
@@ -60,6 +64,15 @@ std::uint64_t digest(const dist::DistRunResult::CommTotals& c) {
   return h;
 }
 
+std::uint64_t digest(std::span<const index_t> indices) {
+  std::uint64_t h = fnv1a(kFnvOffsetBasis, indices.size());
+  for (index_t i : indices) h = fnv1a(h, static_cast<std::uint64_t>(i));
+  return h;
+}
+
+/// Three words per pinned row. A run fills them with its residual series,
+/// final iterate and CommTotals; a set-up row with its structure, column
+/// indices and values (see the set-up tests below).
 struct Digests {
   std::uint64_t residual = 0;  ///< residual series (+ modeled time series)
   std::uint64_t x = 0;         ///< final iterate
@@ -69,6 +82,16 @@ struct Digests {
 Digests digest_run(const dist::DistRunResult& r) {
   return {fnv1a(digest(r.residual_norm), digest(r.model_time)),
           digest(r.final_x), digest(r.comm_totals)};
+}
+
+/// {row_ptr and shape, col_idx, value bits}.
+Digests digest_csr(const CsrMatrix& a) {
+  return {fnv1a(digest(a.row_ptr()), static_cast<std::uint64_t>(a.cols())),
+          digest(a.col_idx()), digest(a.values())};
+}
+
+std::uint64_t fold(std::uint64_t h, const Digests& d) {
+  return fnv1a(fnv1a(fnv1a(h, d.residual), d.x), d.comm);
 }
 
 struct Pinned {
@@ -129,6 +152,42 @@ const Pinned kPinned[] = {
      {0xe7e7ed2725aef15dULL, 0x41e9ac654cdc2a1cULL, 0x0a099d3a4c38f5e4ULL}},
     {"PS/node-route",
      {0x571d9d3658dddb17ULL, 0x5f680170a700786cULL, 0x8b14ff2ae23945f1ULL}},
+    {"csr/Emilia_923p",
+     {0xa883bb9b7ce8a963ULL, 0x6a9efa4e1f42d2ebULL, 0x28ed4dfb38c3f4caULL}},
+    {"csr/Fault_639p",
+     {0xa883bb9b7ce8a963ULL, 0x6a9efa4e1f42d2ebULL, 0x9374213e0e1c406eULL}},
+    {"csr/Flan_1565p",
+     {0x785278584b189599ULL, 0x05920d977b2673f2ULL, 0xe20528203cf173bdULL}},
+    {"csr/Geo_1438p",
+     {0xd83cabdd0b49c120ULL, 0x2717c1f8a17e7684ULL, 0x8839451de4b8b5a0ULL}},
+    {"csr/Hook_1498p",
+     {0xd91126d07c2a43c3ULL, 0xf09f5e1c6bd4882bULL, 0x2f2009feebc4fa53ULL}},
+    {"csr/Serenap",
+     {0xd83cabdd0b49c120ULL, 0x2717c1f8a17e7684ULL, 0x7fc494b08bfbfcf1ULL}},
+    {"csr/StocF-1465p",
+     {0xf6b21618c247d8ccULL, 0xc4fa1d44ad755782ULL, 0x2a41d27fe32eccefULL}},
+    {"csr/af_5_k101p",
+     {0x86de5779daaf3a71ULL, 0xaf1ec8a53f77ad82ULL, 0x34da0a663ff8d0a7ULL}},
+    {"csr/audikw_1p",
+     {0xdd0c7cf94ae1348bULL, 0xc40a74348215dcd6ULL, 0x652fd362c2e7ea3eULL}},
+    {"csr/bone010p",
+     {0x6448dadcf80dabcaULL, 0x9ebb8d3d15d63b32ULL, 0x173ed01ab03dec22ULL}},
+    {"csr/boneS10p",
+     {0xdd0c7cf94ae1348bULL, 0xc40a74348215dcd6ULL, 0x43a7b5d0c47ac578ULL}},
+    {"csr/inline_1p",
+     {0x2976b3a770ee9b60ULL, 0x40055c4308ebf42dULL, 0xd32af82800798258ULL}},
+    {"csr/ldoorp",
+     {0x54c242ec662c982aULL, 0x10aeb6772b10279aULL, 0x19918eb5f43c3984ULL}},
+    {"csr/msdoorp",
+     {0xf3e97dcde50e8240ULL, 0x9665cb818faf9ad4ULL, 0xf906532ca4d963f7ULL}},
+    {"csr/small-fem",
+     {0x21c86c910813f381ULL, 0xfc59ddfc072ae1dfULL, 0xbb0f1d5ad544553eULL}},
+    {"graph/Emilia_923p",
+     {0x98fe40c0e13d9f7aULL, 0x4b9bc6b959dc466bULL, 0x34654eed12747f32ULL}},
+    {"graph/bone010p",
+     {0x8bd45a5cd1d08854ULL, 0x857907abc2ea051eULL, 0x9455f8a55d1214b7ULL}},
+    {"layout/bone010p",
+     {0x0a0b90159f513539ULL, 0x8028f4ab6d38edd8ULL, 0x8e94fb7be25944b6ULL}},
 };
 
 std::string pinned_row(const std::string& name, const Digests& d) {
@@ -264,6 +323,48 @@ TEST(IterateDigests, ElasticSingleKill) {
                                        p.a, p.part, p.b, p.x0, opt, rec);
   ASSERT_EQ(er.recoveries.size(), 1u);
   expect_pinned("DS/elastic-kill", digest_run(er.run));
+}
+
+TEST(SetupDigests, EveryProxyCsr) {
+  for (const auto& name : sparse::proxy_names()) {
+    expect_pinned("csr/" + name, digest_csr(sparse::make_proxy(name, 0.05).a));
+  }
+  expect_pinned("csr/small-fem",
+                digest_csr(sparse::make_small_fem_problem().a));
+}
+
+TEST(SetupDigests, GraphAndPartition) {
+  for (const char* name : {"bone010p", "Emilia_923p"}) {
+    const auto g =
+        graph::Graph::from_matrix_structure(sparse::make_proxy(name, 0.05).a);
+    std::vector<index_t> degrees, adjacency;
+    for (index_t v = 0; v < g.num_vertices(); ++v) {
+      degrees.push_back(g.degree(v));
+      for (index_t w : g.neighbors(v)) adjacency.push_back(w);
+    }
+    const auto part = graph::partition_recursive_bisection(g, 16);
+    expect_pinned(std::string("graph/") + name,
+                  {digest(degrees), digest(adjacency), digest(part.part)});
+  }
+}
+
+TEST(SetupDigests, LayoutBlocks) {
+  const CsrMatrix a = sparse::make_proxy("bone010p", 0.05).a;
+  const dist::DistLayout layout(
+      a, graph::partition_recursive_bisection(
+             graph::Graph::from_matrix_structure(a), 16));
+  Digests d{kFnvOffsetBasis, kFnvOffsetBasis, kFnvOffsetBasis};
+  for (int p = 0; p < layout.num_ranks(); ++p) {
+    const dist::RankData& rd = layout.rank(p);
+    d.residual = fold(d.residual, digest_csr(rd.a_local));
+    for (const dist::NeighborBlock& nb : rd.neighbors) {
+      d.x = fold(fold(d.x, digest_csr(nb.a_pq)), digest_csr(nb.a_qp));
+      d.comm = fnv1a(fnv1a(fnv1a(d.comm, static_cast<std::uint64_t>(nb.rank)),
+                           digest(nb.ghost_rows)),
+                     digest(nb.send_rows_local));
+    }
+  }
+  expect_pinned("layout/bone010p", d);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
+#include "reference_csr.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/stencils.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dsouth::sparse {
 namespace {
@@ -40,13 +44,84 @@ TEST(CooBuilder, DuplicatesAreSummed) {
   EXPECT_DOUBLE_EQ(a.at(0, 1), 4.0);
 }
 
+// to_csr drops no zeros: a duplicate run that cancels keeps its entry,
+// stored as an explicit 0.0 in its column slot.
 TEST(CooBuilder, DropZerosOnCancellation) {
   CooBuilder coo(1, 2);
   coo.add(0, 0, 1.0);
   coo.add(0, 0, -1.0);
   coo.add(0, 1, 3.0);
-  EXPECT_EQ(coo.to_csr(false).nnz(), 2);
-  EXPECT_EQ(coo.to_csr(true).nnz(), 1);
+  auto a = coo.to_csr();
+  EXPECT_EQ(a.nnz(), 2);
+  EXPECT_EQ(a.row_cols(0)[0], 0);
+  EXPECT_EQ(a.at(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(a.at(0, 1), 3.0);
+}
+
+// Values whose sums depend on their order (1e16 swallows a unit
+// neighbour), exact cancellations and both signed zeros.
+value_t draw_value(util::Rng& rng) {
+  switch (rng.next_below(6)) {
+    case 0: return -0.0;
+    case 1: return 0.0;
+    case 2: return 1e16;
+    case 3: return -1e16;
+    default: return rng.uniform(-1.0, 1.0);
+  }
+}
+
+// Seeded triplets over the even rows only (odd rows stay empty). A
+// cancelling twin follows some entries; `sorted` reorders the whole list
+// by (row, col), stably, as already-sorted input.
+testref::Triplets random_triplets(std::uint64_t seed, index_t rows,
+                                  index_t cols, std::size_t entries,
+                                  bool sorted) {
+  util::Rng rng(seed);
+  testref::Triplets t{rows, cols, {}, {}, {}};
+  while (t.is.size() < entries) {
+    const auto i = static_cast<index_t>(
+        2 * rng.next_below(static_cast<std::uint64_t>((rows + 1) / 2)));
+    const auto j =
+        static_cast<index_t>(rng.next_below(static_cast<std::uint64_t>(cols)));
+    const value_t v = draw_value(rng);
+    t.add(i, j, v);
+    if (rng.next_below(4) == 0) t.add(i, j, -v);
+  }
+  if (sorted) {
+    std::vector<std::size_t> perm(t.is.size());
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    std::stable_sort(perm.begin(), perm.end(),
+                     [&t](std::size_t a, std::size_t b) {
+                       if (t.is[a] != t.is[b]) return t.is[a] < t.is[b];
+                       return t.js[a] < t.js[b];
+                     });
+    testref::Triplets s{rows, cols, {}, {}, {}};
+    for (std::size_t k : perm) s.add(t.is[k], t.js[k], t.vs[k]);
+    t = std::move(s);
+  }
+  return t;
+}
+
+TEST(CooBuilder, ToCsrMatchesStableSortReferenceBitForBit) {
+  struct Shape {
+    index_t rows, cols;
+    std::size_t entries;
+  };
+  // Square and rectangular; dense enough for long duplicate runs, sparse
+  // enough for singletons; and with no entries at all.
+  const Shape shapes[] = {{0, 0, 0},    {5, 3, 0},   {1, 1, 64},
+                          {7, 7, 40},   {13, 5, 400}, {4, 29, 60},
+                          {64, 64, 700}, {3, 200, 900}};
+  std::uint64_t seed = 0xc005eed;
+  for (const Shape& s : shapes) {
+    for (bool sorted : {false, true}) {
+      const auto t = random_triplets(seed++, s.rows, s.cols, s.entries, sorted);
+      EXPECT_TRUE(testref::bit_identical(t.to_builder().to_csr(),
+                                         testref::reference_to_csr(t)))
+          << s.rows << "x" << s.cols << ", " << s.entries << " entries"
+          << (sorted ? ", sorted" : "");
+    }
+  }
 }
 
 TEST(CsrMatrix, StructureAndAccessors) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "reference_csr.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/fem.hpp"
 #include "sparse/mesh3d.hpp"
@@ -146,6 +147,109 @@ TEST(Fem3dElasticity, InvalidOptionsThrow) {
   opt.poisson_ratio = 0.3;
   opt.jump_contrast = -1.0;
   EXPECT_THROW(assemble_p1_elasticity_3d(mesh, opt), util::CheckError);
+}
+
+// Reference: the triplet assembly the 3-D assembler replaced, element
+// loop for element loop, converted by the stable-sort reference. The
+// pattern-first assembler must reproduce it bit for bit.
+CsrMatrix reference_elasticity_3d(const TetMesh& mesh,
+                                  const ElasticityOptions& opt) {
+  std::vector<index_t> dof(static_cast<std::size_t>(mesh.num_vertices()), -1);
+  index_t n = 0;
+  for (index_t v = 0; v < mesh.num_vertices(); ++v) {
+    if (!mesh.on_boundary[static_cast<std::size_t>(v)]) {
+      dof[static_cast<std::size_t>(v)] = n;
+      n += 3;
+    }
+  }
+  const double nu = opt.poisson_ratio;
+  const double lambda_base =
+      opt.youngs_modulus * nu / ((1.0 + nu) * (1.0 - 2.0 * nu));
+  const double mu_base = opt.youngs_modulus / (2.0 * (1.0 + nu));
+  auto element_scale = [&](index_t t) -> double {
+    if (opt.jump_contrast == 1.0) return 1.0;
+    const auto& tet = mesh.tets[static_cast<std::size_t>(t)];
+    double cx = 0, cy = 0, cz = 0;
+    for (index_t v : tet) {
+      cx += mesh.vx[static_cast<std::size_t>(v)];
+      cy += mesh.vy[static_cast<std::size_t>(v)];
+      cz += mesh.vz[static_cast<std::size_t>(v)];
+    }
+    cx /= 4.0;
+    cy /= 4.0;
+    cz /= 4.0;
+    auto block = [&](double c) {
+      return std::min(opt.jump_blocks - 1,
+                      static_cast<int>(c * opt.jump_blocks));
+    };
+    return ((block(cx) + block(cy) + block(cz)) % 2 == 0) ? 1.0
+                                                          : opt.jump_contrast;
+  };
+  testref::Triplets coo{n, n, {}, {}, {}};
+  for (index_t t = 0; t < mesh.num_tets(); ++t) {
+    const auto& tet = mesh.tets[static_cast<std::size_t>(t)];
+    const double vol = mesh.signed_volume(t);
+    const double m[3][3] = {
+        {mesh.vx[tet[1]] - mesh.vx[tet[0]], mesh.vx[tet[2]] - mesh.vx[tet[0]],
+         mesh.vx[tet[3]] - mesh.vx[tet[0]]},
+        {mesh.vy[tet[1]] - mesh.vy[tet[0]], mesh.vy[tet[2]] - mesh.vy[tet[0]],
+         mesh.vy[tet[3]] - mesh.vy[tet[0]]},
+        {mesh.vz[tet[1]] - mesh.vz[tet[0]], mesh.vz[tet[2]] - mesh.vz[tet[0]],
+         mesh.vz[tet[3]] - mesh.vz[tet[0]]}};
+    const double det = 6.0 * vol;
+    const double inv[3][3] = {
+        {(m[1][1] * m[2][2] - m[1][2] * m[2][1]) / det,
+         (m[0][2] * m[2][1] - m[0][1] * m[2][2]) / det,
+         (m[0][1] * m[1][2] - m[0][2] * m[1][1]) / det},
+        {(m[1][2] * m[2][0] - m[1][0] * m[2][2]) / det,
+         (m[0][0] * m[2][2] - m[0][2] * m[2][0]) / det,
+         (m[0][2] * m[1][0] - m[0][0] * m[1][2]) / det},
+        {(m[1][0] * m[2][1] - m[1][1] * m[2][0]) / det,
+         (m[0][1] * m[2][0] - m[0][0] * m[2][1]) / det,
+         (m[0][0] * m[1][1] - m[0][1] * m[1][0]) / det}};
+    double grad[4][3];
+    for (int k = 0; k < 3; ++k) {
+      for (int c = 0; c < 3; ++c) grad[k + 1][c] = inv[k][c];
+    }
+    for (int c = 0; c < 3; ++c) {
+      grad[0][c] = -(grad[1][c] + grad[2][c] + grad[3][c]);
+    }
+    const double es = element_scale(t);
+    const double lam = lambda_base * es;
+    const double mu = mu_base * es;
+    for (int i = 0; i < 4; ++i) {
+      const index_t di = dof[static_cast<std::size_t>(tet[i])];
+      if (di < 0) continue;
+      for (int j = 0; j < 4; ++j) {
+        const index_t dj = dof[static_cast<std::size_t>(tet[j])];
+        if (dj < 0) continue;
+        const double dot = grad[i][0] * grad[j][0] + grad[i][1] * grad[j][1] +
+                           grad[i][2] * grad[j][2];
+        for (int r = 0; r < 3; ++r) {
+          for (int c = 0; c < 3; ++c) {
+            coo.add(di + r, dj + c,
+                    vol * (lam * grad[i][r] * grad[j][c] +
+                           mu * grad[j][r] * grad[i][c] +
+                           (r == c ? mu * dot : 0.0)));
+          }
+        }
+      }
+    }
+  }
+  return testref::reference_to_csr(coo);
+}
+
+TEST(Fem3dElasticity, MatchesTripletAssemblyBitForBit) {
+  ElasticityOptions opt;
+  opt.poisson_ratio = 0.42;
+  opt.jump_blocks = 2;
+  for (double contrast : {1.0, 100.0}) {
+    opt.jump_contrast = contrast;
+    const auto mesh = make_perturbed_box_mesh(6, 5, 7, 0.15, 11);
+    EXPECT_TRUE(testref::bit_identical(assemble_p1_elasticity_3d(mesh, opt),
+                                       reference_elasticity_3d(mesh, opt)))
+        << "jump_contrast " << contrast;
+  }
 }
 
 }  // namespace

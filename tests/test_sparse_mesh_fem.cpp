@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
+#include "reference_csr.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/fem.hpp"
 #include "sparse/mesh.hpp"
@@ -167,6 +169,126 @@ TEST(FemPoisson, SolvesManufacturedProblem) {
     norm += exact[i] * exact[i];
   }
   EXPECT_LT(std::sqrt(err / norm), 0.05);
+}
+
+// Reference: the triplet assembly these assemblers replaced, element loop
+// for element loop, converted by the stable-sort reference. The
+// pattern-first assemblers must reproduce it bit for bit.
+std::vector<index_t> reference_dofs(const TriMesh& mesh, int per_vertex) {
+  std::vector<index_t> dof(static_cast<std::size_t>(mesh.num_vertices()), -1);
+  index_t next = 0;
+  for (index_t v = 0; v < mesh.num_vertices(); ++v) {
+    if (!mesh.on_boundary[static_cast<std::size_t>(v)]) {
+      dof[static_cast<std::size_t>(v)] = next;
+      next += per_vertex;
+    }
+  }
+  return dof;
+}
+
+struct ReferenceGeom {
+  std::array<double, 3> b, c;
+  double area;
+};
+
+ReferenceGeom reference_geometry(const TriMesh& mesh, index_t t) {
+  const auto& tri = mesh.tris[static_cast<std::size_t>(t)];
+  const double x0 = mesh.vx[tri[0]], y0 = mesh.vy[tri[0]];
+  const double x1 = mesh.vx[tri[1]], y1 = mesh.vy[tri[1]];
+  const double x2 = mesh.vx[tri[2]], y2 = mesh.vy[tri[2]];
+  return {{y1 - y2, y2 - y0, y0 - y1},
+          {x2 - x1, x0 - x2, x1 - x0},
+          mesh.signed_area(t)};
+}
+
+CsrMatrix reference_poisson(const TriMesh& mesh) {
+  const auto dof = reference_dofs(mesh, 1);
+  const index_t n = mesh.num_interior();
+  testref::Triplets coo{n, n, {}, {}, {}};
+  for (index_t t = 0; t < mesh.num_triangles(); ++t) {
+    const ReferenceGeom g = reference_geometry(mesh, t);
+    const auto& tri = mesh.tris[static_cast<std::size_t>(t)];
+    const double inv4a = 1.0 / (4.0 * g.area);
+    for (int i = 0; i < 3; ++i) {
+      const index_t di = dof[static_cast<std::size_t>(tri[i])];
+      if (di < 0) continue;
+      for (int j = 0; j < 3; ++j) {
+        const index_t dj = dof[static_cast<std::size_t>(tri[j])];
+        if (dj < 0) continue;
+        coo.add(di, dj, (g.b[i] * g.b[j] + g.c[i] * g.c[j]) * inv4a);
+      }
+    }
+  }
+  return testref::reference_to_csr(coo);
+}
+
+CsrMatrix reference_elasticity(const TriMesh& mesh,
+                               const ElasticityOptions& opt) {
+  const auto dof = reference_dofs(mesh, 2);
+  const index_t n = 2 * mesh.num_interior();
+  const double nu = opt.poisson_ratio;
+  const double scale = opt.youngs_modulus / ((1.0 + nu) * (1.0 - 2.0 * nu));
+  const double d00_base = scale * (1.0 - nu);
+  const double d01_base = scale * nu;
+  const double d22_base = scale * (1.0 - 2.0 * nu) / 2.0;
+  auto element_scale = [&](index_t t) -> double {
+    if (opt.jump_contrast == 1.0) return 1.0;
+    const auto& tri = mesh.tris[static_cast<std::size_t>(t)];
+    const double cx = (mesh.vx[tri[0]] + mesh.vx[tri[1]] + mesh.vx[tri[2]]) / 3.0;
+    const double cy = (mesh.vy[tri[0]] + mesh.vy[tri[1]] + mesh.vy[tri[2]]) / 3.0;
+    const int bx = std::min(opt.jump_blocks - 1,
+                            static_cast<int>(cx * opt.jump_blocks));
+    const int by = std::min(opt.jump_blocks - 1,
+                            static_cast<int>(cy * opt.jump_blocks));
+    return ((bx + by) % 2 == 0) ? 1.0 : opt.jump_contrast;
+  };
+  testref::Triplets coo{n, n, {}, {}, {}};
+  for (index_t t = 0; t < mesh.num_triangles(); ++t) {
+    const ReferenceGeom g = reference_geometry(mesh, t);
+    const double es = element_scale(t);
+    const double d00 = d00_base * es;
+    const double d01 = d01_base * es;
+    const double d22 = d22_base * es;
+    const auto& tri = mesh.tris[static_cast<std::size_t>(t)];
+    const double inv2a = 1.0 / (2.0 * g.area);
+    for (int i = 0; i < 3; ++i) {
+      const index_t di = dof[static_cast<std::size_t>(tri[i])];
+      if (di < 0) continue;
+      const double bi = g.b[i] * inv2a, ci = g.c[i] * inv2a;
+      for (int j = 0; j < 3; ++j) {
+        const index_t dj = dof[static_cast<std::size_t>(tri[j])];
+        if (dj < 0) continue;
+        const double bj = g.b[j] * inv2a, cj = g.c[j] * inv2a;
+        coo.add(di, dj, g.area * (bi * d00 * bj + ci * d22 * cj));
+        coo.add(di, dj + 1, g.area * (bi * d01 * cj + ci * d22 * bj));
+        coo.add(di + 1, dj, g.area * (ci * d01 * bj + bi * d22 * cj));
+        coo.add(di + 1, dj + 1, g.area * (ci * d00 * cj + bi * d22 * bj));
+      }
+    }
+  }
+  return testref::reference_to_csr(coo);
+}
+
+TEST(FemPoisson, MatchesTripletAssemblyBitForBit) {
+  for (std::uint64_t seed : {3, 17}) {
+    const auto mesh = make_perturbed_grid_mesh(11, 8, 0.25, seed);
+    EXPECT_TRUE(testref::bit_identical(assemble_p1_poisson(mesh),
+                                       reference_poisson(mesh)))
+        << "seed " << seed;
+  }
+}
+
+TEST(FemElasticity, MatchesTripletAssemblyBitForBit) {
+  ElasticityOptions opt;
+  opt.poisson_ratio = 0.45;
+  for (double contrast : {1.0, 50.0, 1.0e3}) {
+    opt.jump_contrast = contrast;
+    opt.jump_blocks = 3;
+    const auto mesh = make_perturbed_grid_mesh(10, 9, 0.2, 29);
+    EXPECT_TRUE(testref::bit_identical(assemble_p1_elasticity(mesh, opt),
+                                       reference_elasticity(mesh, opt)))
+        << "jump_contrast " << contrast;
+  }
 }
 
 }  // namespace
