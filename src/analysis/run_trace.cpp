@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "analysis/analyzer.hpp"
@@ -31,7 +30,7 @@ RunTrace from_trace_log(const trace::TraceLog& log, std::string label) {
   run.label = std::move(label);
   run.num_ranks = log.num_ranks;
   run.dropped_events = log.dropped_events;
-  run.events = log.events;
+  run.events = log.events;  // shares the chunks; no event is copied
   const trace::MetricsRegistry& reg = log.metrics;
   run.metrics.reserve(reg.size());
   for (std::size_t i = 0; i < reg.size(); ++i) {
@@ -110,8 +109,14 @@ trace::Event parse_event(const JsonValue& v, const RunTrace& run,
   const double ranks = run.num_ranks;
   trace::Event e;
   e.kind = parse_kind(v.at("kind").as_string());
-  e.seq = static_cast<std::uint64_t>(count_field(v, "seq", kUint64End));
-  e.epoch = static_cast<std::uint64_t>(count_field(v, "epoch", kUint64End));
+  // No Event field holds the seq: it is the event's index in its run.
+  const double seq = v.at("seq").as_number();
+  const std::size_t index = run.events.size();
+  DSOUTH_CHECK_MSG(seq == static_cast<double>(index),
+                   "event seq " << seq << " is not its index " << index
+                                << " in the run");
+  e.epoch = static_cast<std::uint32_t>(
+      count_field(v, "epoch", static_cast<double>(trace::kEpochEnd)));
   // Fences are runtime-wide (rank -1); every other event names a rank of
   // the run, which the analyzers index per-rank tables with.
   const double rank = v.at("rank").as_number();
@@ -126,8 +131,8 @@ trace::Event parse_event(const JsonValue& v, const RunTrace& run,
         checked_count(peer->as_number(), ranks, "peer"));
   }
   if (const JsonValue* tag = v.find("tag")) {
-    e.tag = static_cast<std::int32_t>(
-        checked_count(tag->as_number(), kIntEnd, "tag"));
+    e.tag = static_cast<std::int8_t>(
+        checked_count(tag->as_number(), trace::kTagEnd, "tag"));
   }
   e.t_model = v.at("t_model").as_number();
   e.a0 = v.at("a0").as_number();
@@ -148,9 +153,6 @@ trace::Event parse_event(const JsonValue& v, const RunTrace& run,
                                           << e.epoch << " or the "
                                           << fences_so_far
                                           << " epochs fenced so far");
-  }
-  if (const JsonValue* wall = v.find("t_wall")) {
-    e.t_wall = wall->as_number();
   }
   return e;
 }
@@ -185,75 +187,86 @@ RunTrace parse_header(const JsonValue& v) {
   return run;
 }
 
-}  // namespace
-
-std::vector<RunTrace> parse_jsonl(std::string_view text) {
-  std::vector<RunTrace> runs;
-  std::uint64_t fences = 0;  // fence events of the current run so far
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::size_t end = eol == std::string_view::npos ? text.size() : eol;
-    std::string_view line = text.substr(pos, end - pos);
-    pos = end + (eol == std::string_view::npos ? 0 : 1);
-    ++line_no;
+/// The line parser behind both entry points: feed every line in order,
+/// then call finish(). Each rejection names the offending line.
+class JsonlParser {
+ public:
+  void add_line(std::string_view line) {
+    ++line_no_;
     // Skip blank lines (a concatenation of captures may leave them).
     bool blank = true;
     for (char c : line) {
       if (c != ' ' && c != '\t' && c != '\r') blank = false;
     }
-    if (blank) continue;
+    if (blank) return;
 
-    // Every rejection below names the offending line.
     try {
       const JsonValue v = util::parse_json(line);
       const std::string& type = v.at("type").as_string();
       if (type == "header") {
-        runs.push_back(parse_header(v));
-        fences = 0;
-        continue;
+        runs_.push_back(parse_header(v));
+        fences_ = 0;
+        return;
       }
-      DSOUTH_CHECK_MSG(!runs.empty(),
+      DSOUTH_CHECK_MSG(!runs_.empty(),
                        "'" << type << "' line before any header");
-      RunTrace& run = runs.back();
+      RunTrace& run = runs_.back();
       if (type == "event") {
-        run.events.push_back(parse_event(v, run, fences));
-        if (run.events.back().kind == trace::EventKind::kFence) ++fences;
+        run.events.push_back(parse_event(v, run, fences_));
+        if (run.events.back().kind == trace::EventKind::kFence) ++fences_;
       } else if (type == "metric") {
         run.metrics.push_back(parse_metric(v, run));
       } else {
         DSOUTH_CHECK_MSG(false, "unknown type '" << type << "'");
       }
     } catch (const util::CheckError& e) {
-      DSOUTH_CHECK_MSG(false, "JSONL trace line " << line_no << ": "
+      DSOUTH_CHECK_MSG(false, "JSONL trace line " << line_no_ << ": "
                                                   << e.what());
     }
   }
-  for (const RunTrace& run : runs) {
-    // The analyzers size per-rank tables from num_ranks, so a header alone
-    // must not reach them: a metric line, whose per_rank array has to hold
-    // exactly num_ranks slots, confirms the count (every traced run writes
-    // the fixed simmpi.* set).
-    DSOUTH_CHECK_MSG(!run.metrics.empty(),
-                     "JSONL trace: run '" << run.label << "' has no metric "
-                                          << "line to confirm num_ranks "
-                                          << run.num_ranks);
-    for (std::size_t i = 1; i < run.events.size(); ++i) {
-      DSOUTH_CHECK_MSG(run.events[i - 1].seq < run.events[i].seq,
-                       "JSONL trace: events out of seq order in run '"
-                           << run.label << "'");
+
+  std::vector<RunTrace> finish() {
+    for (const RunTrace& run : runs_) {
+      // The analyzers size per-rank tables from num_ranks, so a header
+      // alone must not reach them: a metric line, whose per_rank array has
+      // to hold exactly num_ranks slots, confirms the count (every traced
+      // run writes the fixed simmpi.* set).
+      DSOUTH_CHECK_MSG(!run.metrics.empty(),
+                       "JSONL trace: run '" << run.label << "' has no metric "
+                                            << "line to confirm num_ranks "
+                                            << run.num_ranks);
     }
+    return std::move(runs_);
   }
-  return runs;
+
+ private:
+  std::vector<RunTrace> runs_;
+  std::uint64_t fences_ = 0;  // fence events of the current run so far
+  std::size_t line_no_ = 0;
+};
+
+}  // namespace
+
+std::vector<RunTrace> parse_jsonl(std::string_view text) {
+  JsonlParser parser;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t eol = text.find('\n', pos);
+    const std::size_t end = eol == std::string_view::npos ? text.size() : eol;
+    parser.add_line(text.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  return parser.finish();
 }
 
 std::vector<RunTrace> read_jsonl_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   DSOUTH_CHECK_MSG(in.good(), "cannot open trace file '" << path << "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_jsonl(buf.str());
+  JsonlParser parser;
+  std::string line;
+  while (std::getline(in, line)) parser.add_line(line);
+  DSOUTH_CHECK_MSG(!in.bad(), "error reading trace file '" << path << "'");
+  return parser.finish();
 }
 
 }  // namespace dsouth::analysis

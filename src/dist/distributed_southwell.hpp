@@ -52,7 +52,12 @@ struct DistributedSouthwellOptions {
   /// wrong (a neighbor's overestimate that the owner believes was already
   /// corrected), which livelocks plain Algorithm 3;
   /// the heartbeat bounds that staleness. 0 disables (the paper's exact
-  /// algorithm; safe under the ordered bulk-synchronous default).
+  /// algorithm). Plain Algorithm 3 can also stall for good under the
+  /// ordered bulk-synchronous default: bench/suite/README.md reports 3 of
+  /// 40 bone010p P = 256 and 1 of 200 Emilia_923p P = 16 instances that
+  /// stop converging with the heartbeat off. The ROADMAP's "crossing
+  /// records" item traces this to Γ̃ being overwritten by records that
+  /// cross in the same epoch, and plans the fix.
   index_t heartbeat_period = 0;
 };
 

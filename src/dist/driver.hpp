@@ -166,9 +166,9 @@ struct DistRunOptions {
   /// Structured tracing (src/trace). `trace.enabled = true` attaches a
   /// tracer to the runtime for the whole run; the merged event log and
   /// metric totals come back in DistRunResult::trace_log. The trace stream
-  /// is deterministic: byte-identical across backends and thread counts
-  /// (wall-clock timestamps are recorded but excluded from default
-  /// exports). Disabled tracing has zero effect on results or stats.
+  /// is deterministic, every field of it: byte-identical across backends
+  /// and thread counts (events carry modeled time only; host time is
+  /// dsouth::prof's). Disabled tracing has zero effect on results or stats.
   trace::TraceOptions trace{};
   /// Deterministic fault injection (src/faults). A schedule is compiled
   /// and attached to the runtime only when the plan is nonzero

@@ -63,13 +63,14 @@ void write_jsonl(std::ostream& out, const TraceLog& log,
   line += "}\n";
   out << line;
 
+  std::uint64_t seq = 0;  // an event's seq is its index in the log
   for (const Event& e : log.events) {
     line = "{\"type\":\"event\",";
     append_kv(line, "kind", std::string(event_kind_name(e.kind)));
     line += ",";
-    append_kv(line, "seq", e.seq);
+    append_kv(line, "seq", seq++);
     line += ",";
-    append_kv(line, "epoch", e.epoch);
+    append_kv(line, "epoch", static_cast<std::uint64_t>(e.epoch));
     line += ",";
     append_kv(line, "rank", e.rank);
     if (e.peer >= 0) {
@@ -78,7 +79,7 @@ void write_jsonl(std::ostream& out, const TraceLog& log,
     }
     if (e.tag >= 0) {
       line += ",";
-      append_kv(line, "tag", e.tag);
+      append_kv(line, "tag", static_cast<int>(e.tag));
     }
     line += ",";
     append_kv(line, "t_model", e.t_model);
@@ -86,10 +87,6 @@ void write_jsonl(std::ostream& out, const TraceLog& log,
     append_kv(line, "a0", e.a0);
     line += ",";
     append_kv(line, "a1", e.a1);
-    if (opt.include_wall_clock) {
-      line += ",";
-      append_kv(line, "t_wall", e.t_wall);
-    }
     line += "}\n";
     out << line;
   }
@@ -157,6 +154,7 @@ void ChromeTraceWriter::add_run(const TraceLog& log,
   line += ",\"args\":{\"name\":\"runtime (fences)\"}}";
   emit(line);
 
+  std::uint64_t seq = 0;  // an event's seq is its index in the log
   for (const Event& e : log.events) {
     const bool fence = e.kind == EventKind::kFence;
     // clear()+append instead of assignment: GCC 12's -Wrestrict misfires
@@ -173,9 +171,9 @@ void ChromeTraceWriter::add_run(const TraceLog& log,
     line += ",";
     append_kv(line, "ts", e.t_model * 1e6);  // Chrome ts is microseconds
     line += ",\"args\":{";
-    append_kv(line, "epoch", e.epoch);
+    append_kv(line, "epoch", static_cast<std::uint64_t>(e.epoch));
     line += ",";
-    append_kv(line, "seq", e.seq);
+    append_kv(line, "seq", seq++);
     switch (e.kind) {
       case EventKind::kPut:
         line += ",";
@@ -247,10 +245,6 @@ void ChromeTraceWriter::add_run(const TraceLog& log,
         line += ",";
         append_kv(line, "detail1", e.a1);
         break;
-    }
-    if (opt.include_wall_clock) {
-      line += ",";
-      append_kv(line, "wall", e.t_wall);
     }
     line += "}}";
     emit(line);

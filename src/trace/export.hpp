@@ -5,11 +5,10 @@
 /// Chrome trace_event JSON for chrome://tracing / Perfetto. The schema is
 /// documented in docs/observability.md.
 ///
-/// Determinism: with default options both formats are a pure function of
-/// the deterministic TraceLog fields, so two runs that are bit-identical
-/// in simulation produce byte-identical files — the trace determinism
-/// tests compare exporter output across execution backends directly.
-/// `include_wall_clock` opts into the one non-deterministic field.
+/// Determinism: both formats are a pure function of the TraceLog, whose
+/// fields are all deterministic, so two runs that are bit-identical in
+/// simulation produce byte-identical files — the trace determinism tests
+/// compare exporter output across execution backends directly.
 
 #include <iosfwd>
 #include <string>
@@ -19,16 +18,14 @@
 namespace dsouth::trace {
 
 struct TraceExportOptions {
-  /// Emit the host wall-clock timestamp per event ("t_wall" / args.wall).
-  /// Off by default: it is the only non-deterministic Event field.
-  bool include_wall_clock = false;
   /// Free-form run label carried in the JSONL header line and used as the
   /// Chrome process name (e.g. "DS P=32 bone010p").
   std::string run_label;
 };
 
-/// JSON Lines: one header object, one object per event (in seq order), one
-/// object per metric. See docs/observability.md for the field tables.
+/// JSON Lines: one header object, one object per event (in log order; an
+/// event's "seq" is its index), one object per metric. See
+/// docs/observability.md for the field tables.
 void write_jsonl(std::ostream& out, const TraceLog& log,
                  const TraceExportOptions& opt = {});
 

@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
-#include <chrono>
+#include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -30,67 +31,97 @@ const char* event_kind_name(EventKind kind) {
   return "?";
 }
 
-namespace {
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+EventLog::const_iterator EventLog::begin() const {
+  const_iterator it;
+  if (chunks_.empty()) return it;
+  it.next_ = chunks_.data() + 1;
+  it.last_ = chunks_.data() + chunks_.size();
+  it.enter(chunks_.data());
+  return it;
 }
-}  // namespace
+
+EventLog::const_iterator EventLog::end() const {
+  const_iterator it;
+  if (chunks_.empty()) return it;
+  it.cur_ = chunks_.back()->data() + chunks_.back()->size();
+  return it;
+}
+
+EventLog::Chunk& EventLog::writable_tail() {
+  if (chunks_.empty() || chunks_.back()->size() == kChunkEvents) {
+    chunks_.push_back(std::make_shared<Chunk>());
+    chunks_.back()->reserve(kChunkEvents);
+  } else if (chunks_.back().use_count() > 1) {
+    // Another log shares this partly filled tail: give this log its own
+    // copy, so the events the other log holds are never overwritten.
+    auto own = std::make_shared<Chunk>();
+    own->reserve(kChunkEvents);
+    own->assign(chunks_.back()->begin(), chunks_.back()->end());
+    chunks_.back() = std::move(own);
+  }
+  return *chunks_.back();
+}
+
+void EventLog::append(std::span<const Event> events) {
+  while (!events.empty()) {
+    Chunk& tail = writable_tail();
+    const std::size_t n = std::min(events.size(), kChunkEvents - tail.size());
+    tail.insert(tail.end(), events.begin(), events.begin() + n);
+    events = events.subspan(n);
+  }
+}
 
 Tracer::Tracer(int num_ranks, TraceOptions opt)
     : num_ranks_(num_ranks),
       opt_(opt),
       metrics_(num_ranks),
-      lanes_(static_cast<std::size_t>(num_ranks)),
-      wall_t0_ns_(steady_now_ns()) {
+      lanes_(static_cast<std::size_t>(num_ranks)) {
   DSOUTH_CHECK(num_ranks > 0);
   DSOUTH_CHECK(opt.ring_capacity > 0);
-}
-
-double Tracer::wall_now() const {
-  return static_cast<double>(steady_now_ns() - wall_t0_ns_) * 1e-9;
 }
 
 void Tracer::record(int rank, EventKind kind, int peer, int tag, double a0,
                     double a1, std::uint64_t epoch, double t_model) {
   DSOUTH_ASSERT(rank >= 0 && rank < num_ranks_);
+  DSOUTH_CHECK(epoch < kEpochEnd);
+  DSOUTH_CHECK(tag >= -1 && tag < kTagEnd);
   Lane& lane = lanes_[static_cast<std::size_t>(rank)];
   Event e;
   e.kind = kind;
   e.rank = rank;
   e.peer = peer;
-  e.tag = tag;
-  e.epoch = epoch;
+  e.tag = static_cast<std::int8_t>(tag);
+  e.epoch = static_cast<std::uint32_t>(epoch);
   e.a0 = a0;
   e.a1 = a1;
   e.t_model = t_model;
-  e.t_wall = opt_.record_wall_clock ? wall_now() : 0.0;
+  // Ring indices wrap by one compare, not a division per event.
   if (lane.count < opt_.ring_capacity) {
-    if (lane.buf.size() < opt_.ring_capacity &&
-        lane.buf.size() == lane.count) {
+    if (lane.buf.size() == lane.count) {
       lane.buf.push_back(e);  // storage still growing to capacity
     } else {
-      lane.buf[(lane.head + lane.count) % lane.buf.size()] = e;
+      std::size_t slot = lane.head + lane.count;
+      if (slot >= lane.buf.size()) slot -= lane.buf.size();
+      lane.buf[slot] = e;
     }
     ++lane.count;
   } else {
     // Ring full: drop the oldest (deterministic — lane contents depend only
     // on this rank's program order).
     lane.buf[lane.head] = e;
-    lane.head = (lane.head + 1) % lane.buf.size();
+    if (++lane.head == lane.buf.size()) lane.head = 0;
     ++lane.dropped;
   }
 }
 
 void Tracer::merge_lanes() {
   for (Lane& lane : lanes_) {
-    for (std::size_t i = 0; i < lane.count; ++i) {
-      Event e = lane.buf[(lane.head + i) % lane.buf.size()];
-      e.seq = next_seq_++;
-      merged_.push_back(e);
-    }
+    // The live ring is at most two contiguous runs: [head, end) and the
+    // wrapped-around prefix.
+    const std::span<const Event> buf(lane.buf);
+    const std::size_t first = std::min(lane.count, buf.size() - lane.head);
+    merged_.append(buf.subspan(lane.head, first));
+    merged_.append(buf.first(lane.count - first));
     dropped_ += lane.dropped;
     lane.head = 0;
     lane.count = 0;
@@ -100,16 +131,15 @@ void Tracer::merge_lanes() {
 
 void Tracer::end_epoch(std::uint64_t closed_epoch, double t_model_after,
                        double epoch_seconds, std::uint64_t epoch_msgs) {
+  DSOUTH_CHECK(closed_epoch < kEpochEnd);
   merge_lanes();
   Event e;
   e.kind = EventKind::kFence;
   e.rank = -1;
-  e.epoch = closed_epoch;
-  e.seq = next_seq_++;
+  e.epoch = static_cast<std::uint32_t>(closed_epoch);
   e.a0 = epoch_seconds;
   e.a1 = static_cast<double>(epoch_msgs);
   e.t_model = t_model_after;
-  e.t_wall = opt_.record_wall_clock ? wall_now() : 0.0;
   merged_.push_back(e);
 }
 
@@ -117,10 +147,9 @@ void Tracer::flush() { merge_lanes(); }
 
 TraceLog Tracer::take_log() {
   TraceLog log(num_ranks_);
-  log.events = std::move(merged_);
+  log.events = std::exchange(merged_, EventLog{});
   log.metrics = std::move(metrics_);
   log.dropped_events = dropped_;
-  merged_.clear();
   return log;
 }
 

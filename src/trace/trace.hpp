@@ -10,18 +10,23 @@
 /// never perturbs the simulation. At every fence the lanes are merged into
 /// the global event stream in (source rank, record order) order — exactly
 /// the order the Runtime merges staged puts — which makes the merged stream
-/// **bit-identical across execution backends and thread counts**. The only
-/// non-deterministic field is the optional wall-clock timestamp, which the
-/// exporters omit by default (export.hpp).
+/// **bit-identical across execution backends and thread counts**. Every
+/// event field is deterministic; host time belongs to dsouth::prof.
 ///
 /// Overhead contract: tracing is attached by pointer
 /// (Runtime::set_tracer); with no tracer attached every hook is an inlined
 /// null-pointer test, and attaching one never changes the simulation's
 /// results, CommStats, or modeled time (TraceOverhead tests). With a
 /// tracer attached, recording is an append to a preallocated-on-demand
-/// per-rank ring (drop-oldest beyond `ring_capacity`, with a drop count).
+/// per-rank ring (drop-oldest beyond `ring_capacity`, with a drop count),
+/// and the fence drains each ring into the shared EventLog with at most
+/// two contiguous copies.
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "trace/metrics.hpp"
@@ -98,18 +103,102 @@ inline bool hop_is_inter(int hop_tag) {
 /// Returns "put"/"fence"/"relax"/"absorb"/"compute"/"fault"/"deliver"/"hop".
 const char* event_kind_name(EventKind kind);
 
-/// One trace record. All fields except `t_wall` are deterministic.
+/// Exclusive bounds on the narrow Event fields; Tracer::record and the
+/// JSONL parser reject values outside them.
+inline constexpr std::uint64_t kEpochEnd = std::uint64_t{1} << 32;
+inline constexpr int kTagEnd = 128;
+
+/// One trace record: 40 bytes, every field deterministic. An event has no
+/// stored sequence number: its position in the EventLog is its seq. The
+/// doubles come first so the record packs without interior padding.
 struct Event {
-  EventKind kind = EventKind::kPut;
-  std::int32_t rank = -1;  ///< recording rank; -1 for runtime-wide (fence)
-  std::int32_t peer = -1;  ///< put: destination rank; otherwise -1
-  std::int32_t tag = -1;   ///< put: simmpi::MsgTag as int; otherwise -1
-  std::uint64_t epoch = 0;  ///< epoch in flight when recorded
-  std::uint64_t seq = 0;    ///< global order, assigned at the fence merge
   double a0 = 0.0;          ///< kind-specific (see EventKind)
   double a1 = 0.0;          ///< kind-specific (see EventKind)
-  double t_model = 0.0;  ///< modeled seconds at record time (deterministic)
-  double t_wall = 0.0;   ///< host seconds since tracer start (NOT determ.)
+  double t_model = 0.0;     ///< modeled seconds at record time
+  std::int32_t rank = -1;   ///< recording rank; -1 for runtime-wide (fence)
+  std::int32_t peer = -1;   ///< other rank (see EventKind); -1 if none
+  std::uint32_t epoch = 0;  ///< epoch in flight when recorded
+  EventKind kind = EventKind::kPut;
+  std::int8_t tag = -1;  ///< kind-specific code (see EventKind); -1 if none
+};
+
+/// The one store of merged trace events: the Tracer's stream, TraceLog,
+/// and the analysis layer's RunTrace (in memory or parsed from JSONL) all
+/// hold an EventLog. Append-only; it grows in fixed chunks of
+/// kChunkEvents, never by reallocation. Copying a log shares its chunks:
+/// full chunks never change, and a partly filled tail chunk is copied only
+/// when a log that shares it is appended to. An append invalidates
+/// iterators; references stay valid, except those into a shared tail that
+/// the append replaced with this log's own copy. Const access is safe
+/// from any thread; an append needs exclusive access to the log it
+/// appends to, as with any container.
+class EventLog {
+  using Chunk = std::vector<Event>;  // reserved to kChunkEvents, never grown
+  using ChunkPtr = std::shared_ptr<Chunk>;
+
+ public:
+  static constexpr std::size_t kChunkEvents = 4096;
+
+  /// Forward iterator that walks the chunks in order.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Event;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Event*;
+    using reference = const Event&;
+
+    const_iterator() = default;
+    reference operator*() const { return *cur_; }
+    pointer operator->() const { return cur_; }
+    const_iterator& operator++() {
+      if (++cur_ == chunk_end_ && next_ != last_) enter(next_++);
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const const_iterator& o) const { return cur_ == o.cur_; }
+
+   private:
+    friend class EventLog;
+    void enter(const ChunkPtr* chunk) {
+      cur_ = (*chunk)->data();
+      chunk_end_ = cur_ + (*chunk)->size();
+    }
+
+    const Event* cur_ = nullptr;
+    const Event* chunk_end_ = nullptr;
+    const ChunkPtr* next_ = nullptr;  // the chunk after the current one
+    const ChunkPtr* last_ = nullptr;  // one past the final chunk
+  };
+
+  std::size_t size() const {
+    return chunks_.empty()
+               ? 0
+               : (chunks_.size() - 1) * kChunkEvents + chunks_.back()->size();
+  }
+  bool empty() const { return chunks_.empty(); }
+  const Event& operator[](std::size_t i) const {
+    return (*chunks_[i / kChunkEvents])[i % kChunkEvents];
+  }
+  const Event& back() const { return chunks_.back()->back(); }
+  const_iterator begin() const;
+  const_iterator end() const;
+
+  void push_back(const Event& e) { append(std::span<const Event>(&e, 1)); }
+  /// Append `events` in order, filling the tail chunk with contiguous
+  /// copies before starting the next.
+  void append(std::span<const Event> events);
+
+ private:
+  /// The tail chunk with room for one more event, made first when the
+  /// tail is full or missing, and copied first when another log shares it.
+  Chunk& writable_tail();
+
+  std::vector<ChunkPtr> chunks_;  // every chunk but the last is full
 };
 
 /// Tracer knobs. `enabled` is consumed by the callers that own the tracer's
@@ -121,17 +210,14 @@ struct TraceOptions {
   /// drain at every fence, so this only bounds pathological epochs; drops
   /// are counted, deterministic, and reported in the export header.
   std::size_t ring_capacity = 4096;
-  /// Stamp events with host wall-clock seconds. Recording is cheap but the
-  /// values are non-deterministic; exporters omit them unless asked.
-  bool record_wall_clock = true;
 };
 
 /// The merged result of a traced run (what DistRunResult carries and the
 /// exporters consume).
 struct TraceLog {
   int num_ranks = 0;
-  std::vector<Event> events;  ///< fence-merged, globally ordered by `seq`
-  MetricsRegistry metrics;    ///< final per-rank counter/gauge values
+  EventLog events;          ///< fence-merged; an event's seq is its index
+  MetricsRegistry metrics;  ///< final per-rank counter/gauge values
   std::uint64_t dropped_events = 0;  ///< ring overflows (0 in healthy runs)
 
   explicit TraceLog(int ranks) : num_ranks(ranks), metrics(ranks) {}
@@ -154,11 +240,14 @@ class Tracer {
 
   /// Record an event into `rank`'s lane. `epoch` and `t_model` come from
   /// the runtime (they are epoch-stable, hence safe to read mid-epoch).
+  /// Throws CheckError when `epoch` >= kEpochEnd or `tag` is outside
+  /// [-1, kTagEnd), the ranges an Event stores.
   void record(int rank, EventKind kind, int peer, int tag, double a0,
               double a1, std::uint64_t epoch, double t_model);
 
   /// Merge all rank lanes into the global stream in (rank, record order)
   /// order, then append the fence event itself. Called by Runtime::fence().
+  /// Throws CheckError when `closed_epoch` >= kEpochEnd.
   void end_epoch(std::uint64_t closed_epoch, double t_model_after,
                  double epoch_seconds, std::uint64_t epoch_msgs);
 
@@ -167,7 +256,7 @@ class Tracer {
   void flush();
 
   /// Events merged so far (valid between epochs).
-  const std::vector<Event>& events() const { return merged_; }
+  const EventLog& events() const { return merged_; }
   std::uint64_t dropped_events() const { return dropped_; }
 
   /// Move the merged stream + metrics out into a TraceLog.
@@ -184,16 +273,13 @@ class Tracer {
   };
 
   void merge_lanes();
-  double wall_now() const;
 
   int num_ranks_;
   TraceOptions opt_;
   MetricsRegistry metrics_;
   std::vector<Lane> lanes_;
-  std::vector<Event> merged_;
-  std::uint64_t next_seq_ = 0;
+  EventLog merged_;
   std::uint64_t dropped_ = 0;
-  std::uint64_t wall_t0_ns_ = 0;  // steady_clock at construction
 };
 
 }  // namespace dsouth::trace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -170,8 +172,7 @@ TEST(CriticalPath, TermsMatchHandComputedBreakdownOnSyntheticTrace) {
     e.rank = rank;
     e.peer = peer;
     e.tag = tag;
-    e.epoch = epoch;
-    e.seq = run.events.size();
+    e.epoch = static_cast<std::uint32_t>(epoch);
     e.a0 = a0;
     e.a1 = a1;
     run.events.push_back(e);
@@ -333,11 +334,9 @@ TEST(RunTrace, JsonlRoundTripPreservesEveryDeterministicField) {
     EXPECT_EQ(a.peer, b.peer) << i;
     EXPECT_EQ(a.tag, b.tag) << i;
     EXPECT_EQ(a.epoch, b.epoch) << i;
-    EXPECT_EQ(a.seq, b.seq) << i;
     EXPECT_EQ(a.a0, b.a0) << i;
     EXPECT_EQ(a.a1, b.a1) << i;
     EXPECT_EQ(a.t_model, b.t_model) << i;
-    // t_wall is non-deterministic and excluded from the default export.
   }
   ASSERT_EQ(parsed.metrics.size(), direct.metrics.size());
   for (std::size_t i = 0; i < parsed.metrics.size(); ++i) {
@@ -435,6 +434,11 @@ TEST(RunTrace, ParserRejectsFieldsAnalyzersCannotUse) {
       R"("tag":0,"t_model":1e999,"a0":16,"a1":1})" "\n",  // non-finite time
       R"({"type":"event","kind":"elastic","seq":1,"epoch":1,"rank":0,)"
       R"("tag":1,"t_model":1,"a0":3e9,"a1":1})" "\n",  // dead rank > int
+      R"({"type":"event","kind":"relax","seq":2,"epoch":1,"rank":0,)"
+      R"("t_model":1,"a0":3,"a1":0.5})" "\n",  // seq is not its index (1)
+      deliver("4294967296", "1"),  // epoch beyond 32 bits
+      R"({"type":"event","kind":"put","seq":1,"epoch":1,"rank":0,"peer":1,)"
+      R"("tag":128,"t_model":1,"a0":2,"a1":16})" "\n",  // tag beyond 8 bits
   };
   for (const std::string& line : bad) {
     try {
@@ -445,6 +449,60 @@ TEST(RunTrace, ParserRejectsFieldsAnalyzersCannotUse) {
           << e.what();
     }
   }
+}
+
+TEST(RunTrace, FromTraceLogSharesTheEventStorage) {
+  const auto r = golden_ds_run();
+  const auto run = from_trace_log(*r.trace_log, "golden");
+  ASSERT_FALSE(run.events.empty());
+  ASSERT_EQ(run.events.size(), r.trace_log->events.size());
+  EXPECT_EQ(&run.events[0], &r.trace_log->events[0]);
+  EXPECT_EQ(&run.events.back(), &r.trace_log->events.back());
+}
+
+TEST(RunTrace, FileReaderMatchesTextParserLineForLine) {
+  const auto r = golden_ds_run();
+  std::ostringstream os;
+  trace::TraceExportOptions eopt;
+  eopt.run_label = "golden";
+  trace::write_jsonl(os, *r.trace_log, eopt);
+  const std::string text = os.str();
+  const std::string path = ::testing::TempDir() + "reader_matches_parser.jsonl";
+  const auto write = [&](const std::string& body) {
+    std::ofstream out(path, std::ios::binary);
+    out << body;
+  };
+
+  write(text);
+  const auto from_file = read_jsonl_file(path);
+  const auto from_text = parse_jsonl(text);
+  ASSERT_EQ(from_file.size(), 1u);
+  ASSERT_EQ(from_text.size(), 1u);
+  EXPECT_EQ(from_file[0].events.size(), from_text[0].events.size());
+  EXPECT_EQ(to_json(analyze_run(from_file[0])),
+            to_json(analyze_run(from_text[0])));
+
+  // A bad line deep in the file is reported with the same line number.
+  std::string bad = text;
+  const std::size_t line3 = bad.find('\n', bad.find('\n') + 1) + 1;
+  bad.insert(line3, "{\"type\":\"event\"}\n");
+  write(bad);
+  std::string file_error, text_error;
+  try {
+    read_jsonl_file(path);
+  } catch (const util::CheckError& e) {
+    file_error = e.what();
+  }
+  try {
+    parse_jsonl(bad);
+  } catch (const util::CheckError& e) {
+    text_error = e.what();
+  }
+  EXPECT_NE(file_error.find("JSONL trace line 3:"), std::string::npos)
+      << file_error;
+  EXPECT_NE(text_error.find("JSONL trace line 3:"), std::string::npos)
+      << text_error;
+  std::remove(path.c_str());
 }
 
 TEST(RunTrace, FindMetricLooksUpByName) {

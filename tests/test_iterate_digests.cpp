@@ -1,15 +1,17 @@
 /// Iterate digests: FNV-1a64 fingerprints of the residual series, modeled
 /// time series, final iterate, and exact CommTotals of small Poisson runs,
 /// pinned for every solver under each delivery/wire configuration, for a
-/// batched B = 3 run, and for an elastic single-kill recovery; plus the
-/// set-up outputs every run starts from: each proxy's CSR and the small
-/// FEM problem's, the matrix graph and partition of two proxies, and one
-/// DistLayout's blocks. Host-side optimisations of the set-up or solve
-/// path (assembly, graph build, coupling-block storage, relax snapshots,
-/// sweep kernels) must leave every matrix and iterate bit for bit where it
-/// was; a changed digest means a changed trajectory, not a rounding
-/// detail. On a mismatch the failure prints the row to paste back into
-/// kPinned — do that only for a change that is MEANT to move iterates.
+/// batched B = 3 run, and for an elastic single-kill recovery; the bytes
+/// that six traced DS runs export (JSONL, the analyzer's JSON document and
+/// the Chrome trace); plus the set-up outputs every run starts from: each
+/// proxy's CSR and the small FEM problem's, the matrix graph and partition
+/// of two proxies, and one DistLayout's blocks. Host-side optimisations of
+/// the set-up, solve or trace path (assembly, graph build, coupling-block
+/// storage, relax snapshots, sweep kernels, event storage) must leave every
+/// matrix, iterate and exported byte where it was; a changed digest means a
+/// changed trajectory or file format, not a rounding detail. On a mismatch
+/// the failure prints the row to paste back into kPinned — do that only for
+/// a change that is MEANT to move iterates or the trace format.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +19,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "analysis/render.hpp"
+#include "analysis/run_trace.hpp"
 #include "dist/batch.hpp"
 #include "dist/driver.hpp"
 #include "dist/layout.hpp"
@@ -28,6 +34,7 @@
 #include "sparse/proxy_suite.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/stencils.hpp"
+#include "trace/export.hpp"
 #include "util/rng.hpp"
 
 namespace dsouth {
@@ -70,9 +77,19 @@ std::uint64_t digest(std::span<const index_t> indices) {
   return h;
 }
 
+std::uint64_t digest_bytes(std::string_view bytes) {
+  std::uint64_t h = fnv1a(kFnvOffsetBasis, bytes.size());
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
 /// Three words per pinned row. A run fills them with its residual series,
-/// final iterate and CommTotals; a set-up row with its structure, column
-/// indices and values (see the set-up tests below).
+/// final iterate and CommTotals; a trace row with its JSONL export,
+/// analysis JSON and Chrome export; a set-up row with its structure,
+/// column indices and values (see the tests below).
 struct Digests {
   std::uint64_t residual = 0;  ///< residual series (+ modeled time series)
   std::uint64_t x = 0;         ///< final iterate
@@ -88,6 +105,18 @@ Digests digest_run(const dist::DistRunResult& r) {
 Digests digest_csr(const CsrMatrix& a) {
   return {fnv1a(digest(a.row_ptr()), static_cast<std::uint64_t>(a.cols())),
           digest(a.col_idx()), digest(a.values())};
+}
+
+/// {JSONL export, analysis JSON, Chrome export}, all labelled `label`.
+Digests digest_trace(const trace::TraceLog& log, const std::string& label) {
+  trace::TraceExportOptions eopt;
+  eopt.run_label = label;
+  std::ostringstream jsonl, chrome;
+  trace::write_jsonl(jsonl, log, eopt);
+  trace::write_chrome_trace(chrome, log, eopt);
+  const auto a = analysis::analyze_run(analysis::from_trace_log(log, label));
+  return {digest_bytes(jsonl.str()), digest_bytes(analysis::to_json(a)),
+          digest_bytes(chrome.str())};
 }
 
 std::uint64_t fold(std::uint64_t h, const Digests& d) {
@@ -188,6 +217,18 @@ const Pinned kPinned[] = {
      {0x8bd45a5cd1d08854ULL, 0x857907abc2ea051eULL, 0x9455f8a55d1214b7ULL}},
     {"layout/bone010p",
      {0x0a0b90159f513539ULL, 0x8028f4ab6d38edd8ULL, 0x8e94fb7be25944b6ULL}},
+    {"trace/async",
+     {0x933af970950af29aULL, 0xd670b5dd8d3f68c1ULL, 0x902368cc0e907e97ULL}},
+    {"trace/batch3",
+     {0x0ae71e301f1eff0cULL, 0xb7f2e0617a1aa4bcULL, 0x4523c42896985a28ULL}},
+    {"trace/bsp",
+     {0xc95677bc0dde2b83ULL, 0xdbdbd2b948cc9baaULL, 0x8ac05f02a630b490ULL}},
+    {"trace/elastic-kill",
+     {0xae89ee0897dde828ULL, 0xd4a2657074711f7dULL, 0x1a6ed7e2c9b1b0a5ULL}},
+    {"trace/faults",
+     {0x6b5fdde9e84a4086ULL, 0xb49df336559c8a48ULL, 0xabc41e08c92e8657ULL}},
+    {"trace/node-route",
+     {0x16772474c5e8bb6cULL, 0x8777a183b401efb0ULL, 0x1257591faa259f58ULL}},
 };
 
 std::string pinned_row(const std::string& name, const Digests& d) {
@@ -323,6 +364,46 @@ TEST(IterateDigests, ElasticSingleKill) {
                                        p.a, p.part, p.b, p.x0, opt, rec);
   ASSERT_EQ(er.recoveries.size(), 1u);
   expect_pinned("DS/elastic-kill", digest_run(er.run));
+}
+
+// The exported bytes of six traced DS runs: plain bulk-synchronous,
+// faults with resilience, event-driven async, node routing, a B = 3 batch
+// and an elastic single kill. Together they record every event kind.
+TEST(TraceExportDigests, SixTracedRuns) {
+  const auto p = make_problem(12, 6, 2027);
+  const dist::DistLayout layout(p.a, p.part);
+  const auto ds = dist::DistMethod::kDistributedSouthwell;
+  for (auto cfg : configs()) {
+    if (std::string_view(cfg.tag) == "coalesce") continue;
+    cfg.opt.trace.enabled = true;
+    const auto r = dist::run_distributed(ds, layout, p.b, p.x0, cfg.opt);
+    ASSERT_TRUE(r.trace_log);
+    const std::string name = std::string("trace/") + cfg.tag;
+    expect_pinned(name, digest_trace(*r.trace_log, name));
+  }
+
+  dist::DistRunOptions opt;
+  opt.max_parallel_steps = 20;
+  opt.trace.enabled = true;
+  const dist::DistLayout* layouts[] = {&layout, &layout, &layout};
+  std::vector<value_t> x1(p.x0.size());
+  util::Rng rng(11);
+  rng.fill_uniform(x1, -1.0, 1.0);
+  const dist::TenantSpec specs[] = {
+      {p.b, p.x0, 0.0}, {p.b, x1, 0.0}, {p.b, p.x0, 0.0}};
+  const auto br = dist::run_distributed_batch(ds, layouts, specs, opt);
+  ASSERT_TRUE(br.trace_log);
+  expect_pinned("trace/batch3", digest_trace(*br.trace_log, "trace/batch3"));
+
+  opt.faults.kills.push_back({2, 5});
+  elastic::RecoveryOptions rec;
+  rec.checkpoint_every = 4;
+  const auto er =
+      elastic::run_elastic(ds, p.a, p.part, p.b, p.x0, opt, rec);
+  ASSERT_EQ(er.recoveries.size(), 1u);
+  ASSERT_TRUE(er.run.trace_log);
+  expect_pinned("trace/elastic-kill",
+                digest_trace(*er.run.trace_log, "trace/elastic-kill"));
 }
 
 TEST(SetupDigests, EveryProxyCsr) {

@@ -5,6 +5,7 @@
 #include <array>
 #include <cctype>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -95,8 +96,98 @@ TEST(Tracer, FenceMergesLanesInRankThenRecordOrder) {
   EXPECT_EQ(ev[2].kind, EventKind::kPut);
   EXPECT_EQ(ev[3].kind, EventKind::kFence);
   EXPECT_EQ(ev[3].rank, -1);
-  for (std::size_t k = 0; k < ev.size(); ++k) {
-    EXPECT_EQ(ev[k].seq, k);  // global order is assigned densely
+  // An event's seq is its index in the log: the export numbers the merged
+  // stream densely.
+  std::ostringstream os;
+  write_jsonl(os, t.take_log());
+  std::istringstream lines(os.str());
+  std::string line;
+  std::getline(lines, line);  // header
+  for (std::size_t k = 0; k < 4; ++k) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_NE(line.find("\"seq\":" + std::to_string(k) + ","),
+              std::string::npos)
+        << line;
+  }
+}
+
+TEST(Tracer, RejectsEpochsAndTagsAnEventCannotHold) {
+  Tracer t(1);
+  EXPECT_THROW(t.record(0, EventKind::kRelax, -1, -1, 0.0, 0.0, kEpochEnd,
+                        0.0),
+               util::CheckError);
+  EXPECT_THROW(t.record(0, EventKind::kPut, 0, kTagEnd, 0.0, 0.0, 0, 0.0),
+               util::CheckError);
+  EXPECT_THROW(t.record(0, EventKind::kPut, 0, -2, 0.0, 0.0, 0, 0.0),
+               util::CheckError);
+  EXPECT_THROW(t.end_epoch(kEpochEnd, 0.0, 0.0, 0), util::CheckError);
+  // The largest values that fit are stored exactly.
+  t.record(0, EventKind::kPut, 0, kTagEnd - 1, 0.0, 0.0, kEpochEnd - 1, 0.0);
+  t.end_epoch(kEpochEnd - 1, 0.0, 0.0, 1);
+  const auto& ev = t.events();
+  ASSERT_EQ(ev.size(), 2u);
+  EXPECT_EQ(ev[0].tag, kTagEnd - 1);
+  EXPECT_EQ(ev[0].epoch, kEpochEnd - 1);
+  EXPECT_EQ(ev[1].epoch, kEpochEnd - 1);
+}
+
+// ---------------------------------------------------------------------------
+// EventLog: the one store of merged events.
+// ---------------------------------------------------------------------------
+
+static_assert(sizeof(Event) == 40, "trace::Event is a 40-byte record");
+
+TEST(EventLog, GrowsInChunksWithoutMovingEvents) {
+  EventLog log;
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(log.begin(), log.end());
+  const std::size_t n = 2 * EventLog::kChunkEvents + 5;
+  std::vector<Event> batch(n);
+  for (std::size_t i = 0; i < n; ++i) batch[i].a0 = static_cast<double>(i);
+  log.append(std::span<const Event>(batch).first(3));
+  const Event* first = &log[0];
+  log.append(std::span<const Event>(batch).subspan(3));  // spans 3 chunks
+  ASSERT_EQ(log.size(), n);
+  EXPECT_EQ(&log[0], first);  // growth never moves a stored event
+  std::size_t k = 0;
+  for (const Event& e : log) {
+    EXPECT_EQ(&e, &log[k]);  // iteration visits events in index order
+    EXPECT_EQ(e.a0, static_cast<double>(k));
+    ++k;
+  }
+  EXPECT_EQ(k, n);
+  EXPECT_EQ(log.back().a0, static_cast<double>(n - 1));
+  log.push_back(batch[0]);
+  EXPECT_EQ(&log[0], first);
+  EXPECT_EQ(log.size(), n + 1);
+}
+
+TEST(EventLog, CopiesShareChunksAndCopyASharedTailOnAppend) {
+  const std::size_t full = EventLog::kChunkEvents;
+  EventLog a;
+  Event e;
+  for (std::size_t i = 0; i < full + 10; ++i) {
+    e.a0 = static_cast<double>(i);
+    a.push_back(e);
+  }
+  EventLog b = a;
+  EXPECT_EQ(&b[0], &a[0]);        // the full chunk is shared
+  EXPECT_EQ(&b[full], &a[full]);  // so is the tail, until an append
+  e.a0 = -1.0;
+  b.push_back(e);
+  EXPECT_EQ(&b[0], &a[0]);        // full chunks stay shared
+  EXPECT_NE(&b[full], &a[full]);  // b took its own copy of the tail
+  const Event* a_tail = &a[full];
+  e.a0 = -2.0;
+  a.push_back(e);  // a now holds its tail alone and appends in place
+  EXPECT_EQ(&a[full], a_tail);
+  ASSERT_EQ(a.size(), full + 11);
+  ASSERT_EQ(b.size(), full + 11);
+  EXPECT_EQ(a.back().a0, -2.0);
+  EXPECT_EQ(b.back().a0, -1.0);
+  for (std::size_t i = 0; i < full + 10; ++i) {
+    EXPECT_EQ(a[i].a0, static_cast<double>(i));
+    EXPECT_EQ(b[i].a0, static_cast<double>(i));
   }
 }
 
@@ -411,8 +502,9 @@ TEST_P(TraceDeterminism, StreamIsWellFormed) {
   ASSERT_TRUE(r.trace_log);
   const auto& ev = r.trace_log->events;
   std::uint64_t last_epoch = 0;
-  for (std::size_t k = 0; k < ev.size(); ++k) {
-    EXPECT_EQ(ev[k].seq, k);
+  auto it = ev.begin();
+  for (std::size_t k = 0; k < ev.size(); ++k, ++it) {
+    EXPECT_EQ(&*it, &ev[k]);  // iteration visits events in seq (index) order
     EXPECT_GE(ev[k].epoch, last_epoch);  // epochs are nondecreasing
     last_epoch = ev[k].epoch;
     switch (ev[k].kind) {
@@ -430,6 +522,7 @@ TEST_P(TraceDeterminism, StreamIsWellFormed) {
         break;
     }
   }
+  EXPECT_EQ(it, ev.end());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -457,7 +550,6 @@ TEST(TraceExport, JsonlAndChromeAreValidJson) {
   ASSERT_TRUE(r.trace_log);
 
   trace::TraceExportOptions eopt;
-  eopt.include_wall_clock = true;  // exercise the optional field too
   eopt.run_label = "unit \"quoted\" label\n";
   std::istringstream lines(jsonl_of(*r.trace_log, eopt));
   std::string line;
