@@ -8,7 +8,7 @@
 /// failure) and resumes. The bench fails (nonzero exit) unless every
 /// method's final residual reaches the Table-2 tolerance — that exit code,
 /// plus the `-json` record gated against the committed BENCH_elastic.json
-/// baseline, is the CI "Elastic matrix" job.
+/// baseline, is the CI "Elastic gate".
 ///
 /// Everything reported except wall clock is deterministic: kill epochs are
 /// explicit (or seeded stateless draws), checkpoints are versioned byte

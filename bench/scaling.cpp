@@ -12,12 +12,12 @@
 ///  * a deterministic record (-json, schema dsouth.bench_record) whose
 ///    per-run `allocs_per_step` field gates the allocation-free warm
 ///    steady state in CI. It is measured on a dedicated sequential,
-///    untraced, unprofiled solver window, so it is bit-identical whatever
-///    `-backend` the instrumented run used.
+///    untraced solver window, so it is bit-identical whatever `-backend`
+///    the instrumented run used.
 ///
-/// Supports the shared `-trace/-metrics/-prof/-prof-record/-json` capture
-/// flags; tracing is force-enabled internally because the analysis sweep
-/// needs the event log (this never changes deterministic results).
+/// Supports the shared `-trace/-metrics/-json` capture flags; tracing is
+/// force-enabled internally because the analysis sweep needs the event
+/// log (this never changes deterministic results).
 
 #include <cstdint>
 #include <iostream>
@@ -27,6 +27,7 @@
 #include "prof/prof.hpp"
 #include "support/bench_support.hpp"
 #include "util/ascii_plot.hpp"
+#include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
 namespace dsouth::bench {
@@ -34,18 +35,18 @@ namespace {
 
 /// Deterministic allocations per warm solver step: warm up, then count
 /// operator-new calls across a measured window of direct step() calls.
-/// Sequential backend, no tracer, no profiler — the count is a pure
-/// function of the solver code path (expected 0: the warm steady state is
-/// allocation-free, tests/test_wire.cpp), so the CI gate can require it
-/// bit-exactly even when the instrumented run above used `-backend
-/// threads`. Returns 0 when the alloc hook is not linked in.
+/// Sequential backend, no tracer — the count is a pure function of the
+/// solver code path (expected 0: the warm steady state is allocation-free,
+/// tests/test_wire.cpp), so the CI gate can require it bit-exactly even
+/// when the instrumented run above used `-backend threads`. Returns 0 when
+/// the alloc hook is not linked in.
 std::uint64_t measure_allocs_per_step(const DistProblem& problem,
                                       const graph::Partition& part,
                                       const dist::DistRunOptions& base) {
   dist::DistLayout layout(problem.a, part);
   // Only the machine model and the solver switches carry over: every
-  // attachment the harness could add (tracer, profiler, faults, async
-  // delivery, node topology, coalescing, resilience) stays off.
+  // attachment the harness could add (tracer, faults, async delivery,
+  // node topology, coalescing, resilience) stays off.
   dist::DistRunOptions opt;
   opt.machine = base.machine;
   opt.ds = base.ds;
@@ -71,16 +72,13 @@ int run(int argc, char** argv) {
   auto procs = args.get_int_list_or("procs", {16, 32, 64, 128, 256});
   const auto analysis_reps =
       static_cast<int>(args.get_int_or("analysis-reps", 5));
+  DSOUTH_CHECK_MSG(analysis_reps >= 1, "-analysis-reps must be >= 1");
 
   auto base_opt = default_run_options();
   apply_backend_args(args, base_opt);
   base_opt.max_parallel_steps = static_cast<index_t>(
       args.get_int_or("steps", base_opt.max_parallel_steps));
-  // Declared before the TraceCapture so the capture's destructor can still
-  // reach the profilers when interleaving the Chrome export.
-  ProfCapture profs("scaling", args);
   TraceCapture capture(args);
-  capture.set_prof_source(&profs);
   capture.apply(base_opt);
   base_opt.trace.enabled = true;  // the analysis sweep needs the event log
   BenchRecorder record("scaling", args);
@@ -112,10 +110,8 @@ int run(int argc, char** argv) {
     const auto p = static_cast<index_t>(p64);
     auto part = partition_for(problem.a, p);
     dist::DistLayout layout(problem.a, part);
-    auto opt = base_opt;
-    profs.apply(opt, static_cast<int>(p));
     auto res = dist::run_distributed(dist::DistMethod::kDistributedSouthwell,
-                                     layout, problem.b, problem.x0, opt);
+                                     layout, problem.b, problem.x0, base_opt);
     const std::string label = matrix + " P=" + std::to_string(p) + " DS";
 
     // Trace-analysis cost at this P (averaged over -analysis-reps): wall
@@ -126,7 +122,6 @@ int run(int argc, char** argv) {
     std::uint64_t analysis_bytes = 0;
     std::size_t hot_pairs = 0;
     {
-      const auto prof_analysis = profs.analysis_scope();
       const auto runt = analysis::from_trace_log(*res.trace_log, label);
       const std::uint64_t allocs0 = prof::alloc_hook::allocations();
       const std::uint64_t bytes0 = prof::alloc_hook::bytes();
@@ -145,7 +140,6 @@ int run(int argc, char** argv) {
         measure_allocs_per_step(problem, part, base_opt);
 
     capture.add_run(label, res);
-    profs.add_run(label);
     record.add_run(label, matrix, res,
                    {{"allocs_per_step", allocs_per_step}});
 

@@ -117,102 +117,6 @@ void apply_backend_args(const util::ArgParser& args,
   opt.node_route = !args.has("no-node-route");
 }
 
-ProfCapture::ProfCapture(std::string bench_name, const util::ArgParser& args)
-    : bench_name_(std::move(bench_name)) {
-  enabled_ = args.has("prof");
-  if (args.has("prof-record")) {
-    enabled_ = true;
-    record_path_ = args.get_or("prof-record", "");
-    if (record_path_.empty()) {
-      record_path_ = csv_path("PROF_" + bench_name_ + ".json");
-    }
-  }
-}
-
-ProfCapture::~ProfCapture() {
-  try {
-    write();
-  } catch (const std::exception& e) {
-    std::cerr << "prof record: " << e.what() << "\n";
-  }
-}
-
-void ProfCapture::apply(dist::DistRunOptions& opt, int num_ranks) {
-  if (!enabled_) return;
-  current_ = std::make_unique<prof::Profiler>(num_ranks);
-  opt.profiler = current_.get();
-}
-
-prof::ScopedPhase ProfCapture::analysis_scope() const {
-  prof::Profiler* p = current_.get();
-  return prof::ScopedPhase(p, p ? p->runtime_lane() : 0,
-                           prof::PhaseId::kAnalysis);
-}
-
-void ProfCapture::add_run(const std::string& label) {
-  if (!enabled_ || !current_) return;
-  runs_.push_back({label, std::move(current_)});
-}
-
-const prof::Profiler* ProfCapture::find(const std::string& label) const {
-  for (const auto& run : runs_) {
-    if (run.label == label) return run.prof.get();
-  }
-  return nullptr;
-}
-
-void ProfCapture::write() {
-  if (record_path_.empty() || written_) return;
-  written_ = true;
-  std::ofstream out(record_path_);
-  DSOUTH_CHECK_MSG(out.good(),
-                   "cannot open prof record file '" << record_path_ << "'");
-  out << "{\"schema\":\"dsouth.prof_record\",\"schema_version\":1,"
-      << "\"bench\":" << util::json_quote(bench_name_) << ",\"runs\":[";
-  for (std::size_t r = 0; r < runs_.size(); ++r) {
-    const auto& run = runs_[r];
-    const prof::Profiler& pf = *run.prof;
-    out << (r == 0 ? "\n " : ",\n ") << "{\"label\":"
-        << util::json_quote(run.label) << ",\"num_ranks\":" << pf.num_ranks()
-        << ",\"alloc_tracking\":" << (pf.alloc_tracking() ? "true" : "false")
-        << ",\"allocs_total\":" << pf.allocs_total()
-        << ",\"allocs_bytes\":" << pf.allocs_bytes()
-        << ",\"frees_total\":" << pf.frees_total()
-        << ",\"dropped_spans\":" << pf.dropped_spans() << ",\"phases\":[";
-    bool first_phase = true;
-    for (int lane = 0; lane < pf.num_lanes(); ++lane) {
-      for (int ph = 0; ph < prof::kNumPhases; ++ph) {
-        const auto phase = static_cast<prof::PhaseId>(ph);
-        const prof::PhaseStats& st = pf.stats(lane, phase);
-        if (st.count == 0) continue;  // zero-count slots are omitted
-        out << (first_phase ? "\n  " : ",\n  ") << "{\"phase\":"
-            << util::json_quote(prof::phase_name(phase))
-            << ",\"lane\":" << lane << ",\"count\":" << st.count
-            << ",\"total_ns\":" << st.total_ns << ",\"max_ns\":" << st.max_ns
-            << ",\"hist\":[";
-        // Trim trailing zero buckets; the bucket index is its position.
-        int last = prof::kNumHistBuckets - 1;
-        while (last > 0 && st.hist[static_cast<std::size_t>(last)] == 0) {
-          --last;
-        }
-        for (int b = 0; b <= last; ++b) {
-          if (b) out << ",";
-          out << st.hist[static_cast<std::size_t>(b)];
-        }
-        out << "]}";
-        first_phase = false;
-      }
-    }
-    out << "]}";
-  }
-  out << "\n]}\n";
-  DSOUTH_CHECK_MSG(out.good(), "write to prof record file '" << record_path_
-                                                             << "' failed");
-  std::cout << "Prof:        wrote " << runs_.size() << " run"
-            << (runs_.size() == 1 ? "" : "s") << " to " << record_path_
-            << "\n";
-}
-
 TraceCapture::TraceCapture(const util::ArgParser& args) {
   if (auto p = args.get("trace"); p && !p->empty()) {
     path_ = *p;
@@ -264,29 +168,6 @@ void TraceCapture::write() {
         trace::TraceExportOptions opt;
         opt.run_label = run.label;
         writer.add_run(*run.log, opt);
-        // Interleave host-profiler spans into the same Chrome process on
-        // their own "host:" threads. The modeled timeline and the host
-        // timeline are different clocks (both start near 0 µs), so keeping
-        // them on separate tracks is what makes the overlay readable.
-        const prof::Profiler* pf =
-            profs_ ? profs_->find(run.label) : nullptr;
-        if (!pf) continue;
-        const int pid = writer.last_pid();
-        const int base_tid = run.log->num_ranks + 1;
-        for (int lane = 0; lane < pf->num_lanes(); ++lane) {
-          const auto& spans = pf->spans(lane);
-          if (spans.empty()) continue;
-          writer.add_thread_name(
-              pid, base_tid + lane,
-              lane == pf->runtime_lane()
-                  ? std::string("host: runtime")
-                  : "host: rank " + std::to_string(lane));
-          for (const auto& s : spans) {
-            writer.add_span(pid, base_tid + lane, prof::phase_name(s.phase),
-                            static_cast<double>(s.start_ns) / 1e3,
-                            static_cast<double>(s.dur_ns) / 1e3);
-          }
-        }
       }
       writer.finish();
     }
@@ -319,31 +200,7 @@ void TraceCapture::write() {
         }
         out << "]}";
       }
-      out << "]";
-      // Advisory host-profiling summary for this run: allocation-window
-      // counters plus per-phase wall totals aggregated over lanes. The
-      // per-lane detail and histograms live in the prof record.
-      if (const prof::Profiler* pf =
-              profs_ ? profs_->find(run.label) : nullptr) {
-        out << ",\"prof\":{\"alloc_tracking\":"
-            << (pf->alloc_tracking() ? "true" : "false")
-            << ",\"allocs_total\":" << pf->allocs_total()
-            << ",\"allocs_bytes\":" << pf->allocs_bytes()
-            << ",\"frees_total\":" << pf->frees_total() << ",\"phases\":[";
-        bool first_phase = true;
-        for (int ph = 0; ph < prof::kNumPhases; ++ph) {
-          const auto phase = static_cast<prof::PhaseId>(ph);
-          const prof::PhaseStats st = pf->lane_sum(phase);
-          if (st.count == 0) continue;
-          if (!first_phase) out << ",";
-          out << "{\"phase\":" << util::json_quote(prof::phase_name(phase))
-              << ",\"count\":" << st.count << ",\"total_ns\":" << st.total_ns
-              << ",\"max_ns\":" << st.max_ns << "}";
-          first_phase = false;
-        }
-        out << "]}";
-      }
-      out << "}";
+      out << "]}";
     }
     out << "]}\n";
     DSOUTH_CHECK_MSG(out.good(),

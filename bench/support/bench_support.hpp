@@ -17,7 +17,6 @@
 #include "dist/batch.hpp"
 #include "dist/driver.hpp"
 #include "graph/partition.hpp"
-#include "prof/prof.hpp"
 #include "sparse/csr.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
@@ -93,55 +92,6 @@ dist::DistRunOptions default_run_options();
 /// the topology only re-prices the simulated wire (DESIGN.md §13).
 void apply_backend_args(const util::ArgParser& args, dist::DistRunOptions& opt);
 
-/// Shared `-prof` / `-prof-record [<path>]` flags: host-side wall-clock
-/// profiling (src/prof, docs/observability.md). `-prof` creates one
-/// `prof::Profiler` per captured run and attaches it via `apply()`;
-/// `-prof-record` additionally writes every run's phase aggregates,
-/// log2-ns histograms, and allocation-window counters as one JSON document
-/// (schema "dsouth.prof_record"; default path
-/// `bench_results/PROF_<bench>.json`) and implies `-prof`. Everything
-/// recorded is *advisory* host time: attaching a profiler never changes
-/// solver iterates, traces, or deterministic bench fields.
-///
-/// Per-run protocol: `apply(opt, P)` before the run (fresh profiler),
-/// optionally `analysis_scope()` around post-run trace analysis, then
-/// `add_run(label)` to file the profiler under the run's label. A
-/// TraceCapture can interleave the captured spans into its Chrome export
-/// and append a "prof" section to its metrics document via
-/// `set_prof_source` — declare the ProfCapture *before* the TraceCapture
-/// so it is still alive when the capture's destructor writes.
-class ProfCapture {
- public:
-  ProfCapture(std::string bench_name, const util::ArgParser& args);
-  ~ProfCapture();  ///< writes the record file (best effort; logs failures)
-
-  bool enabled() const { return enabled_; }
-  /// Create a fresh profiler for the run about to execute and attach it to
-  /// `opt` (no-op when disabled). `num_ranks` must match the run's layout.
-  void apply(dist::DistRunOptions& opt, int num_ranks);
-  /// kAnalysis span on the current profiler's runtime lane (inert when
-  /// disabled). Bind to a local: `const auto sc = profs.analysis_scope();`
-  prof::ScopedPhase analysis_scope() const;
-  /// File the current profiler under `label` (no-op when disabled).
-  void add_run(const std::string& label);
-  /// Profiler captured under `label`, or null.
-  const prof::Profiler* find(const std::string& label) const;
-  /// Write the prof record now (idempotent; the destructor calls it).
-  void write();
-
- private:
-  struct Captured {
-    std::string label;
-    std::unique_ptr<prof::Profiler> prof;
-  };
-  std::string bench_name_;
-  std::string record_path_;  ///< "" = no record file
-  bool enabled_ = false;
-  bool written_ = false;
-  std::unique_ptr<prof::Profiler> current_;
-  std::vector<Captured> runs_;
-};
-
 /// Shared `-trace <path>` / `-metrics <path>` flags: captures the trace log
 /// of every run a bench performs and writes the files on destruction
 /// (docs/observability.md).
@@ -171,12 +121,6 @@ class TraceCapture {
   /// Null logs (tracing off) are ignored.
   void add_log(const std::string& label,
                std::shared_ptr<const trace::TraceLog> log);
-  /// Interleave host-profiler spans from `profs` into the Chrome export
-  /// (extra "host:" threads per run) and append a "prof" section to the
-  /// metrics document. Runs are matched by label; `profs` must outlive
-  /// this capture. JSONL output is unaffected (the prof record carries
-  /// the same data there).
-  void set_prof_source(const ProfCapture* profs) { profs_ = profs; }
   /// Write the capture file(s) now (idempotent; the destructor calls it).
   void write();
 
@@ -189,7 +133,6 @@ class TraceCapture {
   std::string metrics_path_;  ///< -metrics target ("" = off)
   bool jsonl_ = false;
   bool written_ = false;
-  const ProfCapture* profs_ = nullptr;
   std::vector<Captured> runs_;
 };
 

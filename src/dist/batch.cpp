@@ -78,8 +78,8 @@ BatchRunResult run_distributed_batch(DistMethod method,
 
   // --- Runtime, attachments and one solver per tenant: the same assembly
   // run_distributed uses, so every feature (async delivery, node topology,
-  // tracing, profiling, faults) composes with batching the way it
-  // composes with a solo run.
+  // tracing, faults) composes with batching the way it composes with a
+  // solo run.
   RunHarness h(method, layouts, specs, opt);
   simmpi::Runtime& rt = h.runtime();
   const std::size_t batch = specs.size();
@@ -177,7 +177,6 @@ BatchRunResult run_distributed_batch(DistMethod method,
     }
   }
 
-  if (opt.profiler) opt.profiler->begin_alloc_window();
   for (index_t k = 0; k < opt.max_parallel_steps; ++k) {
     active_ids.clear();
     for (std::size_t t = 0; t < batch; ++t) {
@@ -193,40 +192,36 @@ BatchRunResult run_distributed_batch(DistMethod method,
     }
 
     util::Stopwatch wall;
-    {
-      const prof::ScopedPhase prof_step(opt.profiler, num_ranks,
-                                        prof::PhaseId::kStep);
-      for (int t : active_ids) {
-        h.solver(static_cast<std::size_t>(t)).begin_step();
-      }
-      if (rt.async_delivery()) {
-        // Event-driven: one fused shared epoch — demux whatever matured,
-        // every scheduled tenant's relax-on-arrival send, ship, fence.
+    for (int t : active_ids) {
+      h.solver(static_cast<std::size_t>(t)).begin_step();
+    }
+    if (rt.async_delivery()) {
+      // Event-driven: one fused shared epoch — demux whatever matured,
+      // every scheduled tenant's relax-on-arrival send, ship, fence.
+      run_rank_phase([&](simmpi::RankContext& ctx, int p) {
+        demux_absorb(ctx, p);
+        for (int t : active_ids) {
+          h.solver(static_cast<std::size_t>(t)).rank_async_send(ctx, p);
+        }
+        wire::ChannelSet::ship_batch(
+            ctx, rank_sets[static_cast<std::size_t>(p)], active_ids);
+      });
+      rt.fence();
+    } else {
+      const int epochs =
+          h.solver(static_cast<std::size_t>(active_ids.front()))
+              .step_epochs();
+      for (int e = 0; e < epochs; ++e) {
         run_rank_phase([&](simmpi::RankContext& ctx, int p) {
-          demux_absorb(ctx, p);
           for (int t : active_ids) {
-            h.solver(static_cast<std::size_t>(t)).rank_async_send(ctx, p);
+            h.solver(static_cast<std::size_t>(t)).rank_send(e, ctx, p);
           }
           wire::ChannelSet::ship_batch(
               ctx, rank_sets[static_cast<std::size_t>(p)], active_ids);
         });
         rt.fence();
-      } else {
-        const int epochs =
-            h.solver(static_cast<std::size_t>(active_ids.front()))
-                .step_epochs();
-        for (int e = 0; e < epochs; ++e) {
-          run_rank_phase([&](simmpi::RankContext& ctx, int p) {
-            for (int t : active_ids) {
-              h.solver(static_cast<std::size_t>(t)).rank_send(e, ctx, p);
-            }
-            wire::ChannelSet::ship_batch(
-                ctx, rank_sets[static_cast<std::size_t>(p)], active_ids);
-          });
-          rt.fence();
-          run_rank_phase(
-              [&](simmpi::RankContext& ctx, int p) { demux_absorb(ctx, p); });
-        }
+        run_rank_phase(
+            [&](simmpi::RankContext& ctx, int p) { demux_absorb(ctx, p); });
       }
     }
     result.wall_seconds += wall.seconds();
@@ -254,7 +249,6 @@ BatchRunResult run_distributed_batch(DistMethod method,
         [&](simmpi::RankContext& ctx, int p) { demux_absorb(ctx, p); });
     compute_norms();
   }
-  if (opt.profiler) opt.profiler->end_alloc_window();
 
   for (std::size_t t = 0; t < batch; ++t) {
     result.tenants[t].final_residual = rn[t];

@@ -13,7 +13,6 @@ void BlockJacobi::rank_relax(simmpi::RankContext& ctx, int p) {
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0) return;
   const auto dx = relax_subdomain(ctx, p);
-  const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   const auto& xp = x_[static_cast<std::size_t>(p)];
   auto& ch = channels_[static_cast<std::size_t>(p)];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {

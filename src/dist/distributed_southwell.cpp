@@ -154,7 +154,6 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   const auto& xp = x_[up];
   const auto& rp = r_[up];
   const value_t norm2_new = kernels::norm_sq(rp);
-  const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   auto& dz = dz_scratch_[up];
   auto& ch = channels_[up];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
@@ -222,7 +221,6 @@ void DistributedSouthwell::rank_correct(simmpi::RankContext& ctx, int p,
   const auto up = static_cast<std::size_t>(p);
   const value_t norm2 = kernels::norm_sq(r_[up]);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
-  const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   const auto& rp = r_[up];
   const auto& xp = x_[up];
   auto& ch = channels_[up];

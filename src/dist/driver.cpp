@@ -122,51 +122,20 @@ DistRunResult run_distributed(DistMethod method, const DistLayout& layout,
   h.record_state(result);
 
   index_t total_relax = 0;
-  const double r0 = result.residual_norm.front();
-  double best_rn = r0;
-  index_t steps_since_best = 0;
-  if (opt.profiler) opt.profiler->begin_alloc_window();
+  StopRules stop_rules(opt, result);
   for (index_t k = 0; k < opt.max_parallel_steps; ++k) {
     // Time the parallel steps only — the observer-side recording below is
     // backend-independent bookkeeping.
     util::Stopwatch wall;
-    const DistStepStats stats = [&] {
-      const prof::ScopedPhase prof_step(opt.profiler, layout.num_ranks(),
-                                        prof::PhaseId::kStep);
-      return solver->step();
-    }();
+    const DistStepStats stats = solver->step();
     result.wall_seconds += wall.seconds();
     total_relax += stats.relaxations;
     result.active_ranks.push_back(stats.active_ranks);
     h.record_state(result);
     result.relaxations.back() = static_cast<double>(total_relax);
-    const double rn = result.residual_norm.back();
-    if (opt.stop_at_residual > 0.0 && rn <= opt.stop_at_residual) break;
-    if (opt.divergence_abort > 0.0 && rn >= opt.divergence_abort) break;
-    if (opt.watchdog.enabled) {
-      // Observer-side divergence watchdog: a faulted run stops with a
-      // report instead of hanging or overflowing.
-      if (!std::isfinite(rn)) {
-        result.watchdog = {true, "non-finite residual", k + 1};
-        break;
-      }
-      if (rn > opt.watchdog.growth_factor * r0) {
-        result.watchdog = {true, "residual exceeded growth_factor x initial",
-                           k + 1};
-        break;
-      }
-      if (rn < best_rn) {
-        best_rn = rn;
-        steps_since_best = 0;
-      } else if (opt.watchdog.stall_steps > 0 &&
-                 ++steps_since_best >= opt.watchdog.stall_steps) {
-        result.watchdog = {true, "residual stalled", k + 1};
-        break;
-      }
-    }
+    if (stop_rules.stop(result)) break;
   }
   h.drain_if_async();
-  if (opt.profiler) opt.profiler->end_alloc_window();
   result.final_x = solver->gather_x();
   h.fill_totals(result);
   h.finish(result);

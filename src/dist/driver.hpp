@@ -16,7 +16,6 @@
 #include "dist/solver_base.hpp"
 #include "faults/fault_plan.hpp"
 #include "graph/partition.hpp"
-#include "prof/prof.hpp"
 #include "simmpi/execution.hpp"
 #include "simmpi/machine_model.hpp"
 #include "trace/trace.hpp"
@@ -168,7 +167,8 @@ struct DistRunOptions {
   /// metric totals come back in DistRunResult::trace_log. The trace stream
   /// is deterministic, every field of it: byte-identical across backends
   /// and thread counts (events carry modeled time only; host time is
-  /// dsouth::prof's). Disabled tracing has zero effect on results or stats.
+  /// DistRunResult::wall_seconds). Disabled tracing has zero effect on
+  /// results or stats.
   trace::TraceOptions trace{};
   /// Deterministic fault injection (src/faults). A schedule is compiled
   /// and attached to the runtime only when the plan is nonzero
@@ -182,17 +182,6 @@ struct DistRunOptions {
   /// Observer-side divergence watchdog; fires stop the run loop early and
   /// are reported in DistRunResult::watchdog.
   WatchdogOptions watchdog{};
-  /// Host-side wall-clock profiler (src/prof, docs/observability.md). Not
-  /// owned; null (the default) keeps every timing hook an inlined null
-  /// test. Must be constructed with one lane per rank
-  /// (`prof::Profiler(P)`). The driver attaches it to the runtime for the
-  /// whole run, wraps each solver->step() in a kStep span on the runtime
-  /// lane, and brackets the run with the profiler's allocation window.
-  /// Advisory only: host timings never feed back into the simulation, so
-  /// iterates, traces, and deterministic bench fields are bit-identical
-  /// with or without a profiler — except that when a tracer rides along
-  /// too, the advisory `prof.*` gauges are additionally registered.
-  prof::Profiler* profiler = nullptr;
 };
 
 /// Per-run series; index k = state after k parallel steps (index 0 = the

@@ -1,6 +1,8 @@
 #include "dist/harness.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 
 #include "util/error.hpp"
 #include "wire/comm_plan.hpp"
@@ -102,10 +104,6 @@ RunHarness::RunHarness(DistMethod method,
     tracer_ = std::make_unique<trace::Tracer>(num_ranks, opt.trace);
     rt_.set_tracer(tracer_.get());
   }
-  // Host profiling is attach-by-pointer like the tracer, but inverted:
-  // the tracer records what the simulation *modeled*, the profiler records
-  // what the host *spent*, and nothing it measures feeds back in.
-  if (opt.profiler) rt_.set_profiler(opt.profiler);
   // A fault schedule is attached only for a nonzero plan, so the default
   // path makes no fault draws.
   if (opt.faults.any()) {
@@ -145,7 +143,6 @@ RunHarness::RunHarness(DistMethod method,
 RunHarness::~RunHarness() {
   // finish() normally detaches; cover early exits so the runtime never
   // outlives an attachment it doesn't own.
-  if (opt_->profiler) rt_.set_profiler(nullptr);
   if (tracer_) rt_.set_tracer(nullptr);
 }
 
@@ -225,34 +222,55 @@ void RunHarness::fill_totals(DistRunResult& result) const {
 }
 
 std::shared_ptr<const trace::TraceLog> RunHarness::finish() {
-  if (opt_->profiler && tracer_) {
-    // Advisory prof.* gauges, rank-0 slot. Registered only when a profiler
-    // rides along: without one these values do not exist, and a zero would
-    // claim they did. The values are the profiler's own alloc-window
-    // deltas — the same numbers the prof record exports, which is exactly
-    // what `dsouth-analyze -check -prof-record` cross-checks.
-    auto& m = tracer_->metrics();
-    const auto id_track =
-        m.register_metric("prof.alloc_tracking", trace::MetricKind::kGauge);
-    const auto id_allocs =
-        m.register_metric("prof.allocs_total", trace::MetricKind::kGauge);
-    const auto id_bytes =
-        m.register_metric("prof.allocs_bytes", trace::MetricKind::kGauge);
-    const auto id_frees =
-        m.register_metric("prof.frees_total", trace::MetricKind::kGauge);
-    m.set(id_track, 0, opt_->profiler->alloc_tracking() ? 1.0 : 0.0);
-    m.set(id_allocs, 0,
-          static_cast<double>(opt_->profiler->allocs_total()));
-    m.set(id_bytes, 0, static_cast<double>(opt_->profiler->allocs_bytes()));
-    m.set(id_frees, 0, static_cast<double>(opt_->profiler->frees_total()));
-  }
-  if (opt_->profiler) rt_.set_profiler(nullptr);
   if (!tracer_) return nullptr;
   tracer_->flush();
   auto log = std::make_shared<const trace::TraceLog>(tracer_->take_log());
   rt_.set_tracer(nullptr);
   tracer_.reset();
   return log;
+}
+
+StopRules::StopRules(const DistRunOptions& opt, const DistRunResult& result)
+    : opt_(&opt),
+      r0_(result.residual_norm.front()),
+      best_rn_(result.residual_norm.front()) {}
+
+bool StopRules::stop(DistRunResult& result) {
+  const double rn = result.residual_norm.back();
+  const auto step = static_cast<index_t>(result.steps_taken());
+  if (opt_->stop_at_residual > 0.0 && rn <= opt_->stop_at_residual) {
+    return true;
+  }
+  if (opt_->divergence_abort > 0.0 && rn >= opt_->divergence_abort) {
+    return true;
+  }
+  if (!opt_->watchdog.enabled) return false;
+  // Observer-side divergence watchdog: a faulted run stops with a report
+  // instead of hanging or overflowing.
+  if (!std::isfinite(rn)) {
+    result.watchdog = {true, "non-finite residual", step};
+    return true;
+  }
+  if (rn > opt_->watchdog.growth_factor * r0_) {
+    result.watchdog = {true, "residual exceeded growth_factor x initial",
+                       step};
+    return true;
+  }
+  if (rn < best_rn_) {
+    best_rn_ = rn;
+    steps_since_best_ = 0;
+  } else if (opt_->watchdog.stall_steps > 0 &&
+             ++steps_since_best_ >= opt_->watchdog.stall_steps) {
+    result.watchdog = {true, "residual stalled", step};
+    return true;
+  }
+  return false;
+}
+
+void StopRules::rewind(const DistRunResult& result) {
+  best_rn_ = r0_;
+  for (double rn : result.residual_norm) best_rn_ = std::min(best_rn_, rn);
+  steps_since_best_ = 0;
 }
 
 }  // namespace dsouth::dist

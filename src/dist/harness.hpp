@@ -7,9 +7,8 @@
 /// elastic checkpoint/restart driver in src/elastic) constructs and
 /// attaches the exact same stack in the exact same order:
 ///
-///   runtime → delivery policy → node topology → tracer → profiler →
-///   fault schedule → tenants → backend → solver(s) →
-///   coalescing/batch staging → resilience
+///   runtime → delivery policy → node topology → tracer → fault schedule →
+///   tenants → backend → solver(s) → coalescing/batch staging → resilience
 ///
 /// The order is load-bearing: the delivery policy must precede the tracer
 /// (async metrics register at attach) and the solver (async_mode() must be
@@ -96,10 +95,8 @@ class RunHarness {
   /// node) into `result`.
   void fill_totals(DistRunResult& result) const;
 
-  /// End-of-run teardown: register the advisory prof.* gauges (profiler +
-  /// tracer runs only), flush the tracer, and detach profiler/tracer from
-  /// the runtime. Returns the merged trace (null when untraced). Call
-  /// once, last.
+  /// End-of-run teardown: flush the tracer and detach it from the runtime.
+  /// Returns the merged trace (null when untraced). Call once, last.
   std::shared_ptr<const trace::TraceLog> finish();
 
   /// finish(), storing the trace in result.trace_log.
@@ -114,6 +111,33 @@ class RunHarness {
   std::unique_ptr<faults::FaultSchedule> fault_schedule_;
   std::unique_ptr<simmpi::ExecutionBackend> backend_;
   std::vector<std::unique_ptr<DistStationarySolver>> solvers_;
+};
+
+/// The observer-side stop rules of the stepping drivers (run_distributed
+/// and the elastic driver), applied after each recorded step:
+/// DistRunOptions::stop_at_residual, divergence_abort, and the divergence
+/// watchdog's non-finite, growth and stall checks.
+class StopRules {
+ public:
+  /// `result` holds the initial state (residual_norm.front() is the growth
+  /// check's reference).
+  StopRules(const DistRunOptions& opt, const DistRunResult& result);
+
+  /// Apply the rules to the last recorded step of `result`. Returns true
+  /// when the run must stop; a watchdog fire is also written to
+  /// result.watchdog, stamped with result.steps_taken().
+  bool stop(DistRunResult& result);
+
+  /// Roll the stall bookkeeping back with a series rolled back to a
+  /// checkpoint: the best residual becomes the minimum of the kept series,
+  /// and the stall count restarts.
+  void rewind(const DistRunResult& result);
+
+ private:
+  const DistRunOptions* opt_;
+  double r0_;
+  double best_rn_;
+  index_t steps_since_best_ = 0;
 };
 
 }  // namespace dsouth::dist

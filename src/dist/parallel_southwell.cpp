@@ -65,7 +65,6 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   const auto& xp = x_[up];
   const value_t norm2_new = kernels::norm_sq(r_[up]);
   advertised2_[up] = norm2_new;
-  const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   auto& ch = channels_[up];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
     const auto& nb = rd.neighbors[k];
@@ -89,7 +88,6 @@ void ParallelSouthwell::rank_residual_update(simmpi::RankContext& ctx,
   const value_t norm2 = kernels::norm_sq(r_[up]);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
   const bool norm_changed = norm2 != advertised2_[up];
-  const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   auto& ch = channels_[up];
   if (!resilient()) {
     if (!norm_changed) return;

@@ -77,7 +77,6 @@ void DistStationarySolver::trace_relax(simmpi::RankContext& ctx,
 
 std::span<const value_t> DistStationarySolver::relax_subdomain(
     simmpi::RankContext& ctx, int p) {
-  const auto prof_relax = prof_phase(p, prof::PhaseId::kRelax);
   const auto up = static_cast<std::size_t>(p);
   const RankData& rd = layout_->rank(p);
   auto& xp = x_[up];
@@ -146,7 +145,6 @@ DistStepStats DistStationarySolver::step() {
 }
 
 void DistStationarySolver::rank_absorb(simmpi::RankContext& ctx, int p) {
-  const auto prof_absorb = prof_phase(p, prof::PhaseId::kAbsorb);
   const RankData& rd = layout_->rank(p);
   for (const auto& msg : ctx.window()) {
     const int nbi = rd.neighbor_index(msg.source);

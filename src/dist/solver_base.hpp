@@ -303,15 +303,6 @@ class DistStationarySolver {
   /// "solver.relaxed_rows"/"solver.rank_relaxations" counters.
   void trace_relax(simmpi::RankContext& ctx, index_t rows);
 
-  /// Host-profiling span for one of rank p's solver phases (prof/prof.hpp;
-  /// the trace_relax idiom: an inlined null test with no profiler
-  /// attached, and never a feedback path into the simulation). Returned by
-  /// value through guaranteed elision — bind it to a local:
-  ///   const auto span = prof_phase(p, prof::PhaseId::kRelax);
-  prof::ScopedPhase prof_phase(int p, prof::PhaseId phase) const {
-    return prof::ScopedPhase(rt_->profiler(), p, phase);
-  }
-
   /// Append the concrete solver's private mutable state to the checkpoint
   /// stream (capture_state). Default: stateless beyond the base fields
   /// (Block Jacobi). Implementations must write a layout-determined,
@@ -324,11 +315,11 @@ class DistStationarySolver {
   virtual void restore_extra(std::span<const double> in);
 
   /// Relax rank p's (nonempty) subdomain with one Gauss–Seidel sweep — the
-  /// relax step every solver shares, under a kRelax prof span: snapshot x
-  /// on the rank's boundary_rows, sweep, charge the sweep's flops, count
-  /// the relaxation, trace_relax. Returns scratch_[p] holding Δx at every
-  /// boundary row (indexed by local row; other entries are stale), which
-  /// is all a send loop or an a_qp product reads.
+  /// relax step every solver shares: snapshot x on the rank's
+  /// boundary_rows, sweep, charge the sweep's flops, count the relaxation,
+  /// trace_relax. Returns scratch_[p] holding Δx at every boundary row
+  /// (indexed by local row; other entries are stale), which is all a send
+  /// loop or an a_qp product reads.
   std::span<const value_t> relax_subdomain(simmpi::RankContext& ctx, int p);
 
   /// r_p -= a_pq · Δx_q and charge the flops; dx is ordered by the

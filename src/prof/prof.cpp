@@ -1,29 +1,9 @@
 #include "prof/prof.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
-
-#include "util/error.hpp"
 
 namespace dsouth::prof {
 
-const char* phase_name(PhaseId phase) {
-  switch (phase) {
-    case PhaseId::kStep: return "step";
-    case PhaseId::kAbsorb: return "absorb";
-    case PhaseId::kRelax: return "relax";
-    case PhaseId::kEncode: return "encode";
-    case PhaseId::kStage: return "stage";
-    case PhaseId::kFence: return "fence";
-    case PhaseId::kDeliveryPolicy: return "delivery_policy";
-    case PhaseId::kNodePrepass: return "node_prepass";
-    case PhaseId::kAnalysis: return "analysis";
-  }
-  return "?";
-}
-
-// ---------------------------------------------------------------------------
 // Allocation counters. The interposing operator new/delete pair lives in a
 // separate TU (alloc_hook.cpp) that targets opt into compiling in; these
 // counters exist unconditionally so readers never need to know whether the
@@ -54,81 +34,5 @@ void note_free() { g_frees.fetch_add(1, std::memory_order_relaxed); }
 void set_available() { g_available.store(true, std::memory_order_relaxed); }
 }  // namespace detail
 }  // namespace alloc_hook
-
-// ---------------------------------------------------------------------------
-
-Profiler::Profiler(int num_ranks, std::size_t span_capacity)
-    : num_ranks_(num_ranks),
-      span_capacity_(span_capacity),
-      origin_(std::chrono::steady_clock::now()) {
-  DSOUTH_CHECK_MSG(num_ranks >= 1, "Profiler needs at least one rank lane");
-  slots_.resize(static_cast<std::size_t>(num_lanes()) * kNumPhases);
-  spans_.resize(static_cast<std::size_t>(num_lanes()));
-}
-
-void Profiler::record(int lane, PhaseId phase, std::uint64_t start_ns,
-                      std::uint64_t dur_ns) {
-  const auto slot = static_cast<std::size_t>(lane) * kNumPhases +
-                    static_cast<std::size_t>(phase);
-  PhaseStats& st = slots_[slot];
-  ++st.count;
-  st.total_ns += dur_ns;
-  if (dur_ns > st.max_ns) st.max_ns = dur_ns;
-  // bit_width can reach 64; the last bucket is a catch-all for spans too
-  // long to have their own bucket (>= 2^40 ns).
-  ++st.hist[std::min<std::size_t>(std::bit_width(dur_ns), kNumHistBuckets - 1)];
-  if (span_capacity_ == 0) return;
-  auto& log = spans_[static_cast<std::size_t>(lane)];
-  if (log.size() < span_capacity_) {
-    log.push_back(Span{phase, start_ns, dur_ns});
-  } else {
-    // The drop tally is the one slot shared across lanes, so it must be
-    // atomic under the threaded backend; relaxed is enough (advisory,
-    // exporters only report it).
-    dropped_spans_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-std::uint64_t Profiler::since_origin_ns(
-    std::chrono::steady_clock::time_point tp) const {
-  const auto ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(tp - origin_)
-          .count();
-  return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
-}
-
-const PhaseStats& Profiler::stats(int lane, PhaseId phase) const {
-  return slots_[static_cast<std::size_t>(lane) * kNumPhases +
-                static_cast<std::size_t>(phase)];
-}
-
-PhaseStats Profiler::lane_sum(PhaseId phase) const {
-  PhaseStats sum;
-  for (int lane = 0; lane < num_lanes(); ++lane) {
-    const PhaseStats& st = stats(lane, phase);
-    sum.count += st.count;
-    sum.total_ns += st.total_ns;
-    if (st.max_ns > sum.max_ns) sum.max_ns = st.max_ns;
-    for (int b = 0; b < kNumHistBuckets; ++b) sum.hist[b] += st.hist[b];
-  }
-  return sum;
-}
-
-const std::vector<Profiler::Span>& Profiler::spans(int lane) const {
-  return spans_[static_cast<std::size_t>(lane)];
-}
-
-void Profiler::begin_alloc_window() {
-  alloc_base_allocs_ = alloc_hook::allocations();
-  alloc_base_bytes_ = alloc_hook::bytes();
-  alloc_base_frees_ = alloc_hook::frees();
-}
-
-void Profiler::end_alloc_window() {
-  alloc_tracking_ = alloc_hook::available();
-  allocs_total_ = alloc_hook::allocations() - alloc_base_allocs_;
-  allocs_bytes_ = alloc_hook::bytes() - alloc_base_bytes_;
-  frees_total_ = alloc_hook::frees() - alloc_base_frees_;
-}
 
 }  // namespace dsouth::prof

@@ -66,15 +66,6 @@ void Runtime::set_tracer(trace::Tracer* tracer) {
   m_node_forwarded_records_ = reg("simmpi.node_forwarded_records", kCounter);
 }
 
-void Runtime::set_profiler(prof::Profiler* profiler) {
-  if (profiler) {
-    DSOUTH_CHECK_MSG(profiler->num_ranks() == num_ranks_,
-                     "profiler needs one lane per rank plus the runtime "
-                     "lane: construct it with Profiler(num_ranks())");
-  }
-  prof_ = profiler;
-}
-
 void Runtime::set_fault_schedule(const faults::FaultSchedule* schedule) {
   if (schedule) {
     DSOUTH_CHECK(schedule->num_ranks() == num_ranks_);
@@ -208,10 +199,6 @@ std::span<double> Runtime::stage(int source, int dest, MsgTag tag,
   DSOUTH_CHECK(dest >= 0 && dest < num_ranks_);
   DSOUTH_CHECK_MSG(source != dest, "rank " << source << " put to itself");
   DSOUTH_CHECK(logical_records >= 1);
-  // Host profiling (prof/prof.hpp): the span goes into the SOURCE's lane,
-  // written only by the thread driving that rank — same contract as the
-  // staging state below.
-  const prof::ScopedPhase prof_stage(prof_, source, prof::PhaseId::kStage);
   // Everything below is indexed by `source`: concurrent stages from
   // distinct sources touch disjoint state (including the source's own
   // buffer pool). Stats and fault draws are deferred to the fence so
@@ -386,20 +373,10 @@ void Runtime::node_prepass() {
 }
 
 void Runtime::fence() {
-  // Host profiling: the fence runs single-threaded, so its spans (and the
-  // nested node-prepass / delivery-draw spans below) go to the runtime
-  // lane. Null-attached, this is one branch.
-  const prof::ScopedPhase prof_fence(prof_, num_ranks_,
-                                     prof::PhaseId::kFence);
-
   // Node-aware accounting first (no-op without a topology): it must see
   // the staging lanes intact, and it fills the tier accumulators the
   // charging loop below reads.
-  if (topo_) {
-    const prof::ScopedPhase prof_prepass(prof_, num_ranks_,
-                                         prof::PhaseId::kNodePrepass);
-    node_prepass();
-  }
+  if (topo_) node_prepass();
 
   // Charge the machine model for this epoch. A straggler rank's cost is
   // multiplied by its slowdown before the max: the bulk-synchronous fence
@@ -516,8 +493,6 @@ void Runtime::fence() {
         // staleness bound. Fault
         // reordering/stalls below compose on top and may exceed it — a
         // fault is allowed to be worse than the fabric model.
-        const prof::ScopedPhase prof_draw(prof_, num_ranks_,
-                                          prof::PhaseId::kDeliveryPolicy);
         deliver_epoch += policy_->extra_latency(closed_epoch, s, m.dest,
                                                 m.seq);
         deliver_epoch = std::min(deliver_epoch,

@@ -46,7 +46,6 @@
 #include <span>
 #include <vector>
 
-#include "prof/prof.hpp"
 #include "simmpi/delivery.hpp"
 #include "simmpi/machine_model.hpp"
 #include "simmpi/node_topology.hpp"
@@ -354,23 +353,6 @@ class Runtime {
   /// meaningful while node_topology() is attached).
   bool node_routing() const { return node_route_; }
 
-  /// Attach a host-side wall-clock profiler (prof/prof.hpp). Not owned;
-  /// must outlive the runtime (or be detached with nullptr). Call before
-  /// the first epoch, like set_tracer. The profiler must have a lane per
-  /// rank plus the runtime lane (Profiler(num_ranks())).
-  ///
-  /// Unlike every other attachment, the profiler observes *host* time —
-  /// nondeterministic by nature — so the contract is inverted: profiling
-  /// must never feed back into the simulation. The runtime only ever
-  /// writes ScopedPhase spans around its own work (stage, fence, the
-  /// delivery-draw and node-prepass sections); with no profiler attached
-  /// each hook is an inlined null test, and attaching one never changes
-  /// the simulation (tests/test_prof.cpp).
-  void set_profiler(prof::Profiler* profiler);
-
-  /// The attached profiler, or nullptr.
-  prof::Profiler* profiler() const { return prof_; }
-
   /// Record a solver-level event for `rank` (relax/absorb — see
   /// trace::EventKind). Inlined no-op when no tracer is attached. Safe to
   /// call from `rank`'s program mid-epoch: the epoch counter and modeled
@@ -464,7 +446,6 @@ class Runtime {
   int num_ranks_;
   MachineModel model_;
   trace::Tracer* tracer_ = nullptr;
-  prof::Profiler* prof_ = nullptr;
   // Runtime-owned metric ids, all registered by set_tracer whatever is
   // attached (kInvalidMetric while untraced).
   trace::MetricId m_msgs_sent_ = trace::kInvalidMetric;

@@ -288,36 +288,6 @@ void ChromeTraceWriter::add_run(const TraceLog& log,
   }
 }
 
-void ChromeTraceWriter::add_thread_name(int pid, int tid,
-                                        const std::string& name) {
-  DSOUTH_CHECK(!finished_);
-  std::string line = "{\"name\":\"thread_name\",\"ph\":\"M\",";
-  append_kv(line, "pid", pid);
-  line += ",";
-  append_kv(line, "tid", tid);
-  line += ",\"args\":{";
-  append_kv(line, "name", name);
-  line += "}}";
-  emit(line);
-}
-
-void ChromeTraceWriter::add_span(int pid, int tid, const std::string& name,
-                                 double ts_us, double dur_us) {
-  DSOUTH_CHECK(!finished_);
-  std::string line = "{";
-  append_kv(line, "name", name);
-  line += ",\"ph\":\"X\",";
-  append_kv(line, "pid", pid);
-  line += ",";
-  append_kv(line, "tid", tid);
-  line += ",";
-  append_kv(line, "ts", ts_us);
-  line += ",";
-  append_kv(line, "dur", dur_us);
-  line += "}";
-  emit(line);
-}
-
 void ChromeTraceWriter::finish() {
   DSOUTH_CHECK(!finished_);
   *out_ << "\n]}\n";

@@ -44,21 +44,6 @@ class ChromeTraceWriter {
 
   void add_run(const TraceLog& log, const TraceExportOptions& opt = {});
 
-  /// Pid of the most recent add_run (-1 before the first). Lets callers
-  /// interleave extra tracks into that run's process — the bench harness
-  /// uses this to lay host-profiler spans alongside the modeled timeline.
-  int last_pid() const { return next_pid_ - 1; }
-
-  /// Metadata event naming thread `tid` of process `pid` (Perfetto track
-  /// label). Names are JSON-escaped.
-  void add_thread_name(int pid, int tid, const std::string& name);
-
-  /// One complete ("ph":"X") span on (pid, tid): `ts_us`/`dur_us` are in
-  /// Chrome's microsecond unit, whatever clock the caller attributes them
-  /// to. Names are JSON-escaped.
-  void add_span(int pid, int tid, const std::string& name, double ts_us,
-                double dur_us);
-
   void finish();
 
  private:

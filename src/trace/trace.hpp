@@ -11,7 +11,7 @@
 /// the global event stream in (source rank, record order) order — exactly
 /// the order the Runtime merges staged puts — which makes the merged stream
 /// **bit-identical across execution backends and thread counts**. Every
-/// event field is deterministic; host time belongs to dsouth::prof.
+/// event field is deterministic; host time stays out of the trace.
 ///
 /// Overhead contract: tracing is attached by pointer
 /// (Runtime::set_tracer); with no tracer attached every hook is an inlined

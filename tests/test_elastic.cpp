@@ -335,6 +335,52 @@ TEST(ElasticDriver, FaultFreeRunIsByteIdenticalToRunDistributed) {
                                      p.a, p.part, p.b, p.x0, opt, off);
   EXPECT_EQ(er_off.checkpoints_taken, 0);
   EXPECT_EQ(er_off.run.final_x, plain.final_x);
+
+  // Both drivers apply the same observer-side stop rules (dist::StopRules),
+  // so a run that one rule stops early stops at the same step, with the
+  // same series and the same watchdog report.
+  auto expect_same_stop = [&](const dist::DistRunOptions& sopt) {
+    auto d = dist::run_distributed(dist::DistMethod::kDistributedSouthwell,
+                                   p.a, p.part, p.b, p.x0, sopt);
+    auto e = elastic::run_elastic(dist::DistMethod::kDistributedSouthwell,
+                                  p.a, p.part, p.b, p.x0, sopt, rec);
+    // The rule under test, not the step budget, ended the run.
+    EXPECT_LT(d.steps_taken(),
+              static_cast<std::size_t>(sopt.max_parallel_steps));
+    EXPECT_EQ(e.run.residual_norm, d.residual_norm);
+    EXPECT_EQ(e.run.model_time, d.model_time);
+    EXPECT_EQ(e.run.comm_cost, d.comm_cost);
+    EXPECT_EQ(e.run.active_ranks, d.active_ranks);
+    EXPECT_EQ(e.run.final_x, d.final_x);
+    EXPECT_EQ(e.run.watchdog.fired, d.watchdog.fired);
+    EXPECT_EQ(e.run.watchdog.reason, d.watchdog.reason);
+    EXPECT_EQ(e.run.watchdog.step, d.watchdog.step);
+    return d;
+  };
+  {
+    SCOPED_TRACE("stop_at_residual");
+    dist::DistRunOptions sopt = opt;
+    sopt.stop_at_residual = plain.residual_norm[7];
+    EXPECT_FALSE(expect_same_stop(sopt).watchdog.fired);
+  }
+  {
+    SCOPED_TRACE("divergence_abort");
+    dist::DistRunOptions sopt = opt;
+    sopt.divergence_abort = plain.residual_norm[1];
+    EXPECT_FALSE(expect_same_stop(sopt).watchdog.fired);
+  }
+  {
+    // Relax-on-arrival stepping leaves the residual flat for a step here,
+    // which the stall check catches.
+    SCOPED_TRACE("watchdog");
+    dist::DistRunOptions sopt = opt;
+    sopt.async = true;
+    sopt.watchdog.enabled = true;
+    sopt.watchdog.stall_steps = 1;
+    const auto d = expect_same_stop(sopt);
+    EXPECT_TRUE(d.watchdog.fired);
+    EXPECT_EQ(d.watchdog.reason, "residual stalled");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "analysis/run_trace.hpp"
@@ -73,6 +74,28 @@ TEST(MetricsRegistry, InvalidIdIsANoOp) {
   m.add(kInvalidMetric, 0, 1.0);  // must not crash or register anything
   m.set(kInvalidMetric, 1, 1.0);
   EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(MetricsRegistry, ConcurrentPerRankWritersAreExact) {
+  // The registry's thread contract (one writer per rank slot, no atomics)
+  // is what the threaded backend relies on; hammer it from real threads.
+  constexpr int kRanks = 8;
+  constexpr int kAdds = 20000;
+  MetricsRegistry m(kRanks);
+  const auto id = m.register_metric("test.hits", MetricKind::kCounter);
+  std::vector<std::thread> threads;
+  threads.reserve(kRanks);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    threads.emplace_back([&m, id, rank] {
+      for (int i = 0; i < kAdds; ++i) m.add(id, rank, 1.0);
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(m.find("test.hits"), id);
+  EXPECT_EQ(m.total(id), static_cast<double>(kRanks) * kAdds);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    EXPECT_EQ(m.value(id, rank), kAdds);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -564,6 +587,43 @@ TEST(TraceExport, JsonlAndChromeAreValidJson) {
                        r.trace_log->metrics.size());
 
   EXPECT_TRUE(trace::is_valid_json(chrome_of(*r.trace_log)));
+}
+
+// The run label is the one name the Chrome writer takes from its caller;
+// add_run writes it as the process name. A hostile label comes out
+// escaped, and a strict JSON parser reads it back exactly.
+TEST(ChromeTraceWriter, EscapesSpanAndThreadNames) {
+  auto p = make_problem(8, 4, 7);
+  DistRunOptions opt;
+  opt.max_parallel_steps = 6;
+  opt.trace.enabled = true;
+  auto r = run_distributed(DistMethod::kDistributedSouthwell, p.a, p.part,
+                           p.b, p.x0, opt);
+  ASSERT_TRUE(r.trace_log);
+  const std::string hostile = "ph\"ase\\ with\nnewline\tand\x01" "ctl";
+  trace::TraceExportOptions eopt;
+  eopt.run_label = hostile;
+  std::ostringstream os;
+  trace::ChromeTraceWriter writer(os);
+  writer.add_run(*r.trace_log, eopt);
+  writer.finish();
+
+  const std::string out = os.str();
+  EXPECT_NE(out.find("ph\\\"ase\\\\ with\\nnewline\\tand\\u0001ctl"),
+            std::string::npos);
+  const auto doc = util::parse_json(out);
+  int process_names = 0, label_hits = 0;
+  for (const auto& ev : doc.at("traceEvents").as_array()) {
+    const auto* name = ev.find("name");
+    const auto* args = ev.find("args");
+    const auto* arg_name = args ? args->find("name") : nullptr;
+    if (arg_name && arg_name->as_string() == hostile) {
+      ++label_hits;
+      if (name && name->as_string() == "process_name") ++process_names;
+    }
+  }
+  EXPECT_EQ(label_hits, 1);     // the label appears once, unmangled...
+  EXPECT_EQ(process_names, 1);  // ...as the run's process name
 }
 
 // The Table-3 cross-check: per-tag trace counters reproduce the CommStats

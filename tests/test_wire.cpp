@@ -9,13 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 #include <vector>
 
 #include "dist/driver.hpp"
 #include "dist/solver_base.hpp"
+#include "prof/prof.hpp"
 #include "simmpi/rank_context.hpp"
 #include "simmpi/runtime.hpp"
 #include "sparse/scaling.hpp"
@@ -23,66 +22,6 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "wire/comm_plan.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter for the zero-allocation hot-path test. Counting
-// happens unconditionally (it is two relaxed atomic ops); the test reads the
-// counter delta around a window of solver steps.
-//
-// The replacement pair routes through malloc/free, which is consistent, but
-// GCC cannot see that once it inlines the operators into the test bodies
-// and warns about new/free mismatches.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align =
-      std::max(static_cast<std::size_t>(al), sizeof(void*));
-  void* p = nullptr;
-  if (::posix_memalign(&p, align, n ? n : 1) == 0) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-// The nothrow forms (std::stable_sort's temporary buffer) must come from
-// the same pair: a sanitizer runtime otherwise supplies its own, and the
-// free() below would release memory it allocated.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
-  return ::operator new(n, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace dsouth::wire {
 namespace {
@@ -524,11 +463,30 @@ TEST(Coalescing, AllSolversBitIdenticalWithCoalescing) {
   }
 }
 
+// The shared counting operator new (src/prof/alloc_hook.cpp) is compiled
+// into this binary (tests/CMakeLists.txt) and sees ordinary heap traffic.
+TEST(AllocHook, CountsOperatorNewTraffic) {
+  namespace alloc_hook = prof::alloc_hook;
+  ASSERT_TRUE(alloc_hook::available());
+  const std::uint64_t allocs0 = alloc_hook::allocations();
+  const std::uint64_t bytes0 = alloc_hook::bytes();
+  {
+    std::vector<double> v(1000);
+    EXPECT_GT(v.size(), 0u);  // keep the allocation live
+  }
+  EXPECT_GE(alloc_hook::allocations(), allocs0 + 1);
+  EXPECT_GE(alloc_hook::bytes(), bytes0 + 1000 * sizeof(double));
+  EXPECT_GE(alloc_hook::frees(), 1u);
+}
+
 // The acceptance bar for the pooled encode-in-place hot path: once buffers
 // are warm, stepping a solver performs ZERO heap allocations — stage
 // buffers, window buffers, scratch vectors, and std::function thunks are
 // all recycled or in SBO.
 TEST(Allocation, SolverStepsAreAllocationFreeOnceWarm) {
+  // Without the hook every count reads 0, and the check below would pass
+  // vacuously.
+  ASSERT_TRUE(prof::alloc_hook::available());
   auto p = make_problem(8, 4, 7);
   for (const auto method : kAllMethods) {
     SCOPED_TRACE(method_name(method));
@@ -540,9 +498,9 @@ TEST(Allocation, SolverStepsAreAllocationFreeOnceWarm) {
     // the run exercises to have grown its pooled buffers to steady state
     // (DS correction sets vary from step to step).
     for (int s = 0; s < 60; ++s) solver->step();
-    const auto before = g_allocations.load(std::memory_order_relaxed);
+    const auto before = prof::alloc_hook::allocations();
     for (int s = 0; s < 10; ++s) solver->step();
-    const auto after = g_allocations.load(std::memory_order_relaxed);
+    const auto after = prof::alloc_hook::allocations();
     EXPECT_EQ(after - before, 0u);
   }
 }

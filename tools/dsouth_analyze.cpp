@@ -17,15 +17,9 @@
 /// reported and accumulated, never an early exit — so one pass lists
 /// everything wrong with a capture.
 ///
-/// `-prof-record FILE` adds the host-profiling cross-rules: the
-/// dsouth.prof_record document (a bench's `-prof-record` output) must
-/// satisfy the span-nesting and lane-discipline invariants of src/prof,
-/// and its allocation-window counters must equal the prof.* gauges the
-/// driver exported into the trace, exactly.
-///
 /// Usage:
 ///   dsouth-analyze -trace runs.jsonl [-run SUBSTR] [-format ascii|csv|json|all]
-///                  [-out PREFIX] [-top K] [-check] [-prof-record FILE] [-list]
+///                  [-out PREFIX] [-top K] [-check] [-list]
 ///                  [-alpha A] [-beta B] [-gamma G] [-sigma S] [-flop_time C]
 ///
 /// The machine-model flags must match the traced run's model (the benches
@@ -36,8 +30,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <iterator>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -49,7 +41,6 @@
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 
 namespace {
 
@@ -84,197 +75,6 @@ void write_file(const std::string& path, const std::string& body) {
   std::cerr << "wrote " << path << "\n";
 }
 
-/// One run of a `dsouth.prof_record` document (the `-prof-record` output
-/// of any bench), reduced to what the cross-rules need: per-(lane, phase)
-/// aggregates plus the allocation-window counters.
-struct ProfRecordRun {
-  struct PhaseSlot {
-    std::string phase;
-    int lane = -1;
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-    std::uint64_t max_ns = 0;
-    std::uint64_t hist_sum = 0;
-  };
-  std::string label;
-  int num_ranks = 0;
-  bool alloc_tracking = false;
-  std::uint64_t allocs_total = 0;
-  std::uint64_t allocs_bytes = 0;
-  std::uint64_t frees_total = 0;
-  std::vector<PhaseSlot> phases;
-
-  /// Summed total_ns of `phase` across rank lanes (lane < num_ranks) or on
-  /// the runtime lane only (`runtime_lane` true).
-  std::uint64_t phase_total(const std::string& phase,
-                            bool runtime_lane) const {
-    std::uint64_t sum = 0;
-    for (const auto& s : phases) {
-      if (s.phase == phase && (s.lane == num_ranks) == runtime_lane) {
-        sum += s.total_ns;
-      }
-    }
-    return sum;
-  }
-};
-
-std::vector<ProfRecordRun> read_prof_record(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  DSOUTH_CHECK_MSG(is.good(), "cannot open prof record '" << path << "'");
-  std::string text((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
-  const dsouth::util::JsonValue doc = dsouth::util::parse_json(text);
-  DSOUTH_CHECK_MSG(doc.at("schema").as_string() == "dsouth.prof_record",
-                   "'" << path << "' is not a dsouth.prof_record document");
-  std::vector<ProfRecordRun> runs;
-  for (const auto& jr : doc.at("runs").as_array()) {
-    ProfRecordRun run;
-    run.label = jr.at("label").as_string();
-    run.num_ranks = static_cast<int>(jr.at("num_ranks").as_int());
-    run.alloc_tracking = jr.at("alloc_tracking").as_bool();
-    run.allocs_total =
-        static_cast<std::uint64_t>(jr.at("allocs_total").as_int());
-    run.allocs_bytes =
-        static_cast<std::uint64_t>(jr.at("allocs_bytes").as_int());
-    run.frees_total =
-        static_cast<std::uint64_t>(jr.at("frees_total").as_int());
-    for (const auto& jp : jr.at("phases").as_array()) {
-      ProfRecordRun::PhaseSlot slot;
-      slot.phase = jp.at("phase").as_string();
-      slot.lane = static_cast<int>(jp.at("lane").as_int());
-      slot.count = static_cast<std::uint64_t>(jp.at("count").as_int());
-      slot.total_ns = static_cast<std::uint64_t>(jp.at("total_ns").as_int());
-      slot.max_ns = static_cast<std::uint64_t>(jp.at("max_ns").as_int());
-      for (const auto& b : jp.at("hist").as_array()) {
-        slot.hist_sum += static_cast<std::uint64_t>(b.as_int());
-      }
-      run.phases.push_back(std::move(slot));
-    }
-    runs.push_back(std::move(run));
-  }
-  return runs;
-}
-
-/// The prof cross-rules for one record run: structural invariants every
-/// profiler capture must satisfy regardless of backend or timing (lane
-/// discipline, span nesting, histogram bookkeeping, alloc-hook
-/// consistency). Prints one line per check; returns false if any fails.
-bool check_prof_record_run(const ProfRecordRun& pr) {
-  bool ok = true;
-  auto check = [&](bool cond, const std::string& what) {
-    std::cout << (cond ? "CHECK ok:   " : "CHECK FAIL: ") << what << "\n";
-    ok = ok && cond;
-  };
-
-  check(pr.num_ranks >= 1, "prof run has num_ranks >= 1");
-  bool slots_ok = true, lanes_ok = true, hists_ok = true;
-  for (const auto& s : pr.phases) {
-    // Rank lanes only carry the solver phases; the runtime lane only the
-    // driver/fence/analysis phases (prof.hpp's lane discipline).
-    const bool solver_phase = s.phase == "absorb" || s.phase == "relax" ||
-                              s.phase == "encode" || s.phase == "stage";
-    const bool runtime_phase = s.phase == "step" || s.phase == "fence" ||
-                               s.phase == "delivery_policy" ||
-                               s.phase == "node_prepass" ||
-                               s.phase == "analysis";
-    if (s.lane < 0 || s.lane > pr.num_ranks ||
-        (s.lane == pr.num_ranks ? !runtime_phase : !solver_phase)) {
-      lanes_ok = false;
-    }
-    // count * max_ns can exceed uint64; when it would overflow the
-    // product is > UINT64_MAX >= total_ns, so the bound trivially holds.
-    const bool prod_overflows =
-        s.max_ns != 0 &&
-        s.count > std::numeric_limits<std::uint64_t>::max() / s.max_ns;
-    if (s.count == 0 || s.max_ns > s.total_ns ||
-        (!prod_overflows && s.total_ns > s.count * s.max_ns)) {
-      slots_ok = false;
-    }
-    if (s.hist_sum != s.count) hists_ok = false;
-  }
-  check(lanes_ok, "every slot is on a valid lane for its phase");
-  check(slots_ok, "every slot has count >= 1 and max <= total <= count*max");
-  check(hists_ok, "every slot's histogram sums to its span count");
-
-  // Nesting: delivery-policy and node-prepass spans lie strictly inside
-  // fence spans; every rank-lane span lies inside a driver step span, and
-  // a lane's absorb/relax/stage spans are mutually disjoint, so per lane
-  // their wall total cannot exceed the step wall total. (Encode is checked
-  // separately: its spans can enclose stage spans.)
-  const std::uint64_t step_total = pr.phase_total("step", true);
-  const std::uint64_t fence_total = pr.phase_total("fence", true);
-  check(pr.phase_total("delivery_policy", true) +
-            pr.phase_total("node_prepass", true) <=
-        fence_total,
-        "delivery-policy + node-prepass wall <= fence wall (nesting)");
-  bool lanes_nested = true, encode_nested = true;
-  for (int lane = 0; lane < pr.num_ranks; ++lane) {
-    std::uint64_t disjoint = 0, encode = 0;
-    for (const auto& s : pr.phases) {
-      if (s.lane != lane) continue;
-      if (s.phase == "encode") {
-        encode = s.total_ns;
-      } else {
-        disjoint += s.total_ns;
-      }
-    }
-    if (disjoint > step_total) lanes_nested = false;
-    if (encode > step_total) encode_nested = false;
-  }
-  check(lanes_nested,
-        "per rank lane: absorb + relax + stage wall <= step wall (nesting)");
-  check(encode_nested, "per rank lane: encode wall <= step wall (nesting)");
-
-  // The alloc counters only move when the interposing hook is linked in.
-  check(pr.alloc_tracking ||
-            (pr.allocs_total == 0 && pr.allocs_bytes == 0 &&
-             pr.frees_total == 0),
-        "alloc counters are zero when alloc tracking is off");
-  return ok;
-}
-
-/// Cross-checks one trace run against its prof-record counterpart: the
-/// driver exports the profiler's own alloc-window counters as prof.*
-/// gauges, so trace and record must agree exactly. Returns false on any
-/// mismatch (including a missing record entry).
-bool check_prof_vs_trace(const RunTrace& run,
-                         const std::vector<ProfRecordRun>& record) {
-  bool ok = true;
-  auto check = [&](bool cond, const std::string& what) {
-    std::cout << (cond ? "CHECK ok:   " : "CHECK FAIL: ") << what << "\n";
-    ok = ok && cond;
-  };
-  const ProfRecordRun* pr = nullptr;
-  for (const auto& r : record) {
-    if (r.label == run.label) pr = &r;
-  }
-  check(pr != nullptr, "prof record has an entry for this run label");
-  if (pr == nullptr) return ok;
-  check(pr->num_ranks == run.num_ranks, "prof record num_ranks == trace P");
-  // Compared as doubles (exact below 2^53): a metric value read from a
-  // file may be negative or huge, and casting that to an integer type is
-  // undefined behaviour.
-  auto metric_total = [&](const char* name) {
-    const auto* m = run.find_metric(name);
-    return m ? m->total() : 0.0;
-  };
-  if (run.find_metric("prof.allocs_total") != nullptr) {
-    check(metric_total("prof.alloc_tracking") ==
-              (pr->alloc_tracking ? 1U : 0U),
-          "prof.alloc_tracking metric == prof record alloc_tracking");
-    check(metric_total("prof.allocs_total") == pr->allocs_total,
-          "prof.allocs_total metric == prof record allocs_total");
-    check(metric_total("prof.allocs_bytes") == pr->allocs_bytes,
-          "prof.allocs_bytes metric == prof record allocs_bytes");
-    check(metric_total("prof.frees_total") == pr->frees_total,
-          "prof.frees_total metric == prof record frees_total");
-  } else {
-    check(false,
-          "trace has prof.* gauges (required when -prof-record is given)");
-  }
-  return ok;
-}
-
 /// The `-check` consistency gate for one run. Prints one line per check;
 /// returns false if any fails.
 bool run_checks(const RunTrace& run, const RunAnalysis& a) {
@@ -297,7 +97,9 @@ bool run_checks(const RunTrace& run, const RunAnalysis& a) {
     if (m == nullptr) missing += std::string(" ") + name;
     return m;
   };
-  // Compared as doubles, like metric_total in check_prof_vs_trace.
+  // Compared as doubles (exact below 2^53): a metric value read from a
+  // file may be negative or huge, and casting that to an integer type is
+  // undefined behaviour.
   auto counter_total = [&](const char* name) {
     const auto* m = metric(name);
     return m ? m->total() : 0.0;
@@ -450,8 +252,6 @@ int run_main(int argc, char** argv) {
         << "  -check         verify model reconstruction + counter\n"
         << "                 consistency; nonzero exit on failure\n"
         << "                 (every rule runs; failures accumulate)\n"
-        << "  -prof-record FILE  dsouth.prof_record to cross-check against\n"
-        << "                 the trace's prof.* gauges (implies -check)\n"
         << "  -alpha/-beta/-gamma/-sigma/-flop_time  machine model\n"
         << "                 overrides (defaults match the benches)\n";
     return 0;
@@ -465,8 +265,7 @@ int run_main(int argc, char** argv) {
   const std::string run_filter = args.get_or("run", "");
   const std::string format =
       args.get_choice_or("format", {"ascii", "csv", "json", "all"}, "ascii");
-  const auto prof_record_path = args.get("prof-record");
-  const bool check = args.has("check") || prof_record_path.has_value();
+  const bool check = args.has("check");
   std::string out_prefix = args.get_or("out", "");
   if (out_prefix.empty()) {
     out_prefix = *trace_path;
@@ -493,13 +292,6 @@ int run_main(int argc, char** argv) {
   std::vector<RunTrace> runs =
       dsouth::analysis::read_jsonl_file(*trace_path);
   DSOUTH_CHECK_MSG(!runs.empty(), "no runs found in '" << *trace_path << "'");
-
-  std::vector<ProfRecordRun> prof_record;
-  if (prof_record_path.has_value()) {
-    prof_record = read_prof_record(*prof_record_path);
-    DSOUTH_CHECK_MSG(!prof_record.empty(),
-                     "no runs in prof record '" << *prof_record_path << "'");
-  }
 
   if (list_only) {
     for (const auto& r : runs) {
@@ -541,20 +333,8 @@ int run_main(int argc, char** argv) {
     if (check) {
       std::cout << "consistency checks for '" << run.label << "':\n";
       if (!run_checks(run, a)) all_ok = false;
-      if (prof_record_path.has_value() &&
-          !check_prof_vs_trace(run, prof_record)) {
-        all_ok = false;
-      }
       std::cout << "\n";
     }
-  }
-
-  // Structural prof-record rules run once per record entry, unfiltered —
-  // the record is one document, its invariants hold run by run.
-  for (const auto& pr : prof_record) {
-    std::cout << "prof record checks for '" << pr.label << "':\n";
-    if (!check_prof_record_run(pr)) all_ok = false;
-    std::cout << "\n";
   }
 
   DSOUTH_CHECK_MSG(analyzed > 0, "no run label contains '" << run_filter
