@@ -32,6 +32,9 @@ int run(int argc, char** argv) {
   if (args.has("matrices")) matrices = select_matrices(args);
   TraceCapture capture(args);
   BenchRecorder record("ablation", args);
+  auto base_opt = default_run_options();
+  apply_backend_args(args, base_opt);
+  reject_unread_args(args);
 
   print_header("Ablations — deadlock avoidance, local estimates, "
                "partitioner",
@@ -49,8 +52,7 @@ int run(int argc, char** argv) {
     auto part = partition_for(problem.a, procs);
     dist::DistLayout layout(problem.a, part);
 
-    auto run_options = default_run_options();
-    apply_backend_args(args, run_options);
+    auto run_options = base_opt;
     capture.apply(run_options);
 
     struct Variant {
@@ -151,8 +153,7 @@ int run(int argc, char** argv) {
                                                         procs)});
     for (auto& pp : parts) {
       auto q = graph::evaluate_partition(g, pp.part);
-      auto opt = default_run_options();
-      apply_backend_args(args, opt);
+      const auto& opt = base_opt;
       auto r = dist::run_distributed(dist::DistMethod::kDistributedSouthwell,
                                      problem.a, pp.part, problem.b,
                                      problem.x0, opt);
@@ -183,8 +184,7 @@ int run(int argc, char** argv) {
     dist::DistLayout layout(problem.a, part);
     std::vector<value_t> r(problem.b.size());
     for (double th : {0.0, 1.0, 2.0, 4.0}) {
-      auto opt = default_run_options();
-      apply_backend_args(args, opt);
+      auto opt = base_opt;
       opt.ds.send_threshold = th;
       auto run = dist::run_distributed(
           dist::DistMethod::kDistributedSouthwell, layout, problem.b,
@@ -230,8 +230,7 @@ int run(int argc, char** argv) {
         {"DS + heartbeat(10)", dist::DistMethod::kDistributedSouthwell, 10},
     };
     for (const auto& v : variants2) {
-      auto opt = default_run_options();
-      apply_backend_args(args, opt);
+      auto opt = base_opt;
       opt.faults.defaults.reorder_probability = 0.3;
       opt.faults.max_reorder_epochs = 3;
       opt.ds.heartbeat_period = v.heartbeat;

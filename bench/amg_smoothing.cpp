@@ -23,6 +23,7 @@ int run(int argc, char** argv) {
   std::vector<std::string> matrices{"af_5_k101p", "Serenap", "msdoorp",
                                     "Fault_639p"};
   if (args.has("matrices")) matrices = select_matrices(args);
+  reject_unread_args(args);
 
   print_header(
       "AMG smoothing — the Figure-6 question on unstructured matrices",

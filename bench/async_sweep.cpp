@@ -57,6 +57,10 @@ int run(int argc, char** argv) {
   }
   TraceCapture capture(args);
   BenchRecorder record("async_sweep", args);
+  auto base_opt = default_run_options();
+  apply_backend_args(args, base_opt);
+  capture.apply(base_opt);
+  reject_unread_args(args);
 
   print_header(
       "Async sweep — solvers under event-driven delivery",
@@ -84,9 +88,7 @@ int run(int argc, char** argv) {
     dist::DistLayout layout(problem.a, part);
     for (int lat : latencies) {
       for (int stale : staleness) {
-        auto opt = default_run_options();
-        apply_backend_args(args, opt);
-        capture.apply(opt);
+        auto opt = base_opt;
         opt.async = true;
         opt.async_seed = seed;
         opt.async_min_latency = 0;

@@ -79,6 +79,11 @@ int run(int argc, char** argv) {
   }
   TraceCapture capture(args);
   BenchRecorder record("elastic", args);
+  auto base_opt = default_run_options();
+  apply_backend_args(args, base_opt);
+  capture.apply(base_opt);
+  base_opt.faults.kills = kills;
+  reject_unread_args(args);
 
   std::string kill_desc;
   for (const auto& k : kills) {
@@ -113,14 +118,10 @@ int run(int argc, char** argv) {
     auto problem = make_dist_problem(name, size_factor);
     auto part = partition_for(problem.a, procs);
     for (auto m : methods) {
-      auto opt = default_run_options();
-      apply_backend_args(args, opt);
-      capture.apply(opt);
-      opt.faults.kills = kills;
       elastic::RecoveryOptions rec;
       rec.checkpoint_every = ckpt_every;
       auto er = elastic::run_elastic(m, problem.a, part, problem.b,
-                                     problem.x0, opt, rec);
+                                     problem.x0, base_opt, rec);
       const auto& r = er.run;
       const double rn =
           r.residual_norm.empty() ? 0.0 : r.residual_norm.back();

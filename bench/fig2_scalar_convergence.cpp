@@ -62,6 +62,7 @@ void dump_series(util::CsvWriter& csv, const std::string& method,
 int run(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   const auto sweeps = static_cast<index_t>(args.get_int_or("sweeps", 3));
+  reject_unread_args(args);
 
   auto fem = sparse::make_small_fem_problem();
   const index_t n = fem.a.rows();

@@ -21,6 +21,7 @@ int run(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   const auto cycles = static_cast<int>(args.get_int_or("cycles", 9));
   auto dims = args.get_int_list_or("dims", {15, 31, 63, 127, 255});
+  reject_unread_args(args);
 
   print_header(
       "Figure 6 — multigrid smoothing with Distributed Southwell",

@@ -38,6 +38,10 @@ int run(int argc, char** argv) {
   if (args.has("matrices")) matrices = select_matrices(args);
   TraceCapture capture(args);
   BenchRecorder record("fig7", args);
+  auto opt = default_run_options();
+  apply_backend_args(args, opt);
+  capture.apply(opt);
+  reject_unread_args(args);
 
   print_header("Figure 7 — residual traces vs time / comm / step",
                "paper Figure 7",
@@ -49,9 +53,6 @@ int run(int argc, char** argv) {
                        "residual_norm"});
   for (const auto& name : matrices) {
     auto problem = make_dist_problem(name, size_factor);
-    auto opt = default_run_options();
-    apply_backend_args(args, opt);
-    capture.apply(opt);
     auto runs = run_three_methods(problem, procs, opt);
     const dist::DistRunResult* results[3] = {&runs.bj, &runs.ps, &runs.ds};
     for (const auto* r : results) {

@@ -28,6 +28,7 @@ int run(int argc, char** argv) {
   TraceCapture capture(args);
   capture.apply(base_opt);
   BenchRecorder record("fig8", args);
+  reject_unread_args(args);
 
   print_header("Figure 8 — strong scaling: model time to ||r||=0.1 vs P",
                "paper Figure 8",

@@ -23,6 +23,10 @@ int run(int argc, char** argv) {
   if (args.has("matrices")) matrices = select_matrices(args);
   TraceCapture capture(args);
   BenchRecorder record("fig9", args);
+  auto opt = default_run_options();
+  apply_backend_args(args, opt);
+  capture.apply(opt);
+  reject_unread_args(args);
 
   print_header("Figure 9 — residual after 50 parallel steps vs P",
                "paper Figure 9",
@@ -40,9 +44,6 @@ int run(int argc, char** argv) {
     plot[2].name = "DS";
     for (auto p64 : procs) {
       const auto p = static_cast<index_t>(p64);
-      auto opt = default_run_options();
-      apply_backend_args(args, opt);
-      capture.apply(opt);
       auto runs = run_three_methods(problem, p, opt);
       const dist::DistRunResult* results[3] = {&runs.bj, &runs.ps, &runs.ds};
       for (const auto* r : results) {

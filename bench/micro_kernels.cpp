@@ -167,46 +167,14 @@ void BM_WireDecode(benchmark::State& state) {
   for (std::size_t i = 0; i < nb; ++i) enc.dx[i] = enc.rb[i] = 1.0;
   double sink = 0.0;
   for (auto _ : state) {
-    wire::for_each_record(wire::Family::kEstimate, buf, nb,
-                          [&](const wire::Record& rec) {
-                            sink += rec.norm2 + rec.dx[0] + rec.rb[nb - 1];
-                          });
+    const auto rec = wire::decode_record(wire::Family::kEstimate, buf, nb);
+    sink += rec.norm2 + rec.dx[0] + rec.rb[nb - 1];
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_WireDecode)->Arg(8)->Arg(64);
-
-void BM_WireFrameRoundTrip(benchmark::State& state) {
-  // Coalesced frame: `count` Correction records for one peer, encoded and
-  // then walked — the synthetic multi-record traffic the solvers' one
-  // record per (neighbor, epoch) never produces.
-  const auto count = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kNb = 16;
-  const std::size_t len =
-      wire::encoded_doubles(wire::RecordType::kCorrection, kNb);
-  std::vector<wire::RecordType> types(count, wire::RecordType::kCorrection);
-  std::vector<std::size_t> lengths(count, len);
-  std::vector<double> bodies(count * len);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto rec = wire::begin_record(
-        wire::RecordType::kCorrection, 1.0, 2.0,
-        std::span<double>(bodies).subspan(i * len, len), kNb);
-    for (std::size_t g = 0; g < kNb; ++g) rec.rb[g] = static_cast<double>(g);
-  }
-  std::vector<double> frame(wire::frame_doubles(lengths));
-  double sink = 0.0;
-  for (auto _ : state) {
-    wire::encode_frame(types, lengths, bodies, frame);
-    wire::for_each_record(wire::Family::kEstimate, frame, kNb,
-                          [&](const wire::Record& rec) { sink += rec.norm2; });
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_WireFrameRoundTrip)->Arg(2)->Arg(8);
 
 void BM_ChannelStaging(benchmark::State& state) {
   // put()-with-copy vs stage()-in-place for one epoch of boundary traffic

@@ -45,6 +45,7 @@ int run(int argc, char** argv) {
   if (base_opt.ranks_per_node == 0) {
     base_opt.ranks_per_node = static_cast<int>((procs + 3) / 4);
   }
+  reject_unread_args(args);
 
   print_header(
       "Node-aware routing — leader fan-in/fan-out vs direct delivery",

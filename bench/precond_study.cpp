@@ -29,12 +29,12 @@ int run(int argc, char** argv) {
     double size_factor;
   };
   std::vector<Regime> regimes{{64, 0.1}, {2048, 0.6}};
+  // -size_factor applies only to the single regime -procs selects.
   if (args.has("procs")) {
     regimes = {{static_cast<index_t>(args.get_int_or("procs", 64)),
                 args.get_double_or("size_factor", 0.1)}};
-  } else {
-    (void)args.get_double_or("size_factor", 0.0);  // consumed by regimes
   }
+  reject_unread_args(args);
 
   print_header(
       "Preconditioning study — flexible CG with BJ/PS/DS preconditioners",

@@ -25,6 +25,10 @@ namespace {
 int run(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   const auto sweeps = static_cast<index_t>(args.get_int_or("sweeps", 3));
+  const auto procs = static_cast<index_t>(args.get_int_or("procs", 64));
+  TraceCapture capture(args);
+  BenchRecorder record("related_work", args);
+  reject_unread_args(args);
 
   auto fem = sparse::make_small_fem_problem();
   const index_t n = fem.a.rows();
@@ -85,7 +89,6 @@ int run(int argc, char** argv) {
 
   // Block level: greedy multiplicative Schwarz vs Block Jacobi, on the
   // same problem partitioned into subdomains.
-  const auto procs = static_cast<index_t>(args.get_int_or("procs", 64));
   std::cout << "\nBlock level (P=" << procs
             << " subdomains, block relaxations to reach ||r||=0.1):\n";
   auto part = partition_for(fem.a, procs);
@@ -97,8 +100,6 @@ int run(int argc, char** argv) {
   dist::DistRunOptions bopt;
   bopt.max_parallel_steps = 1000;
   bopt.stop_at_residual = 0.1;
-  TraceCapture capture(args);
-  BenchRecorder record("related_work", args);
   capture.apply(bopt);
   auto bj = dist::run_distributed(dist::DistMethod::kBlockJacobi, layout, b,
                                   x0, bopt);

@@ -75,6 +75,10 @@ int run(int argc, char** argv) {
   }
   TraceCapture capture(args);
   BenchRecorder record("resilience", args);
+  auto base_opt = default_run_options();
+  apply_backend_args(args, base_opt);
+  capture.apply(base_opt);
+  reject_unread_args(args);
 
   print_header(
       "Resilience sweep — solvers under deterministic fault injection",
@@ -105,9 +109,7 @@ int run(int argc, char** argv) {
     auto part = partition_for(problem.a, procs);
     dist::DistLayout layout(problem.a, part);
     for (double rate : rates) {
-      auto opt = default_run_options();
-      apply_backend_args(args, opt);
-      capture.apply(opt);
+      auto opt = base_opt;
       opt.resilience.enabled = resilience;
       opt.resilience.refresh_period = refresh;
       opt.watchdog.enabled = true;

@@ -46,7 +46,7 @@ std::uint64_t measure_allocs_per_step(const DistProblem& problem,
   dist::DistLayout layout(problem.a, part);
   // Only the machine model and the solver switches carry over: every
   // attachment the harness could add (tracer, faults, async delivery,
-  // node topology, coalescing, resilience) stays off.
+  // node topology, resilience) stays off.
   dist::DistRunOptions opt;
   opt.machine = base.machine;
   opt.ds = base.ds;
@@ -82,6 +82,7 @@ int run(int argc, char** argv) {
   capture.apply(base_opt);
   base_opt.trace.enabled = true;  // the analysis sweep needs the event log
   BenchRecorder record("scaling", args);
+  reject_unread_args(args);
 
   print_header(
       "Host scaling — wall time and allocations vs P",

@@ -89,7 +89,6 @@ void apply_backend_args(const util::ArgParser& args,
   DSOUTH_CHECK(kind.has_value());  // the choice set above is exhaustive
   opt.backend = *kind;
   opt.num_threads = static_cast<int>(args.get_int_or("threads", 0));
-  opt.coalesce_messages = args.has("coalesce");
   // Event-driven (asynchronous) delivery knobs: -async switches every
   // solver to relax-on-arrival stepping with per-edge latency draws in
   // [-min-latency, -max-latency] epochs, clamped by the -staleness bound
@@ -115,6 +114,11 @@ void apply_backend_args(const util::ArgParser& args,
       static_cast<int>(args.get_int_or("ranks-per-node", 0));
   DSOUTH_CHECK_MSG(opt.ranks_per_node >= 0, "-ranks-per-node must be >= 0");
   opt.node_route = !args.has("no-node-route");
+}
+
+void reject_unread_args(const util::ArgParser& args) {
+  const auto unknown = args.unqueried();
+  DSOUTH_CHECK_MSG(unknown.empty(), "unknown argument -" << unknown.front());
 }
 
 TraceCapture::TraceCapture(const util::ArgParser& args) {

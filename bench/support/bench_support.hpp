@@ -70,11 +70,9 @@ void print_header(const std::string& title, const std::string& regenerates,
 /// steps, the calibrated machine model).
 dist::DistRunOptions default_run_options();
 
-/// Apply the shared `-backend sequential|threads` / `-threads N` /
-/// `-coalesce` flags to `opt`. Results are bit-identical across backends
-/// and coalescing modes; backends only change real wall-clock time, and
-/// `-coalesce` only lowers the physical message counts (wire/comm_plan.hpp)
-/// while the logical counts stay fixed.
+/// Apply the shared `-backend sequential|threads` / `-threads N` flags to
+/// `opt`. Results are bit-identical across backends; backends only change
+/// real wall-clock time.
 ///
 /// Also applies the event-driven delivery knobs `-async` (switch to the
 /// EventDriven policy and relax-on-arrival solver stepping), `-staleness S`
@@ -88,9 +86,15 @@ dist::DistRunOptions default_run_options();
 /// Node-aware topology knobs: `-ranks-per-node R` (consecutive blocks of R
 /// ranks per node) and `-no-node-route` (tier classification only — the
 /// "direct" baseline the node-aware bench compares leader routing
-/// against). Like `-coalesce`, these never change solver trajectories:
-/// the topology only re-prices the simulated wire (DESIGN.md §13).
+/// against). Like the backend flags, these never change solver
+/// trajectories: the topology only re-prices the simulated wire
+/// (DESIGN.md §13).
 void apply_backend_args(const util::ArgParser& args, dist::DistRunOptions& opt);
+
+/// Fail, naming the first one, on any flag the program has not read, so a
+/// mistyped or retired flag cannot run silently. Every bench reads all of
+/// its flags up front and calls this once, before its first solve.
+void reject_unread_args(const util::ArgParser& args);
 
 /// Shared `-trace <path>` / `-metrics <path>` flags: captures the trace log
 /// of every run a bench performs and writes the files on destruction

@@ -21,6 +21,10 @@ int run(int argc, char** argv) {
   const auto matrices = select_matrices(args);
   TraceCapture capture(args);
   BenchRecorder record("table2", args);
+  auto opt = default_run_options();
+  apply_backend_args(args, opt);
+  capture.apply(opt);
+  reject_unread_args(args);
 
   print_header(
       "Table 2 — reducing ||r||_2 to 0.1",
@@ -40,9 +44,6 @@ int run(int argc, char** argv) {
 
   for (const auto& name : matrices) {
     auto problem = make_dist_problem(name, size_factor);
-    auto opt = default_run_options();
-    apply_backend_args(args, opt);
-    capture.apply(opt);
     auto runs = run_three_methods(problem, procs, opt);
     table.row().cell(name);
     const dist::DistRunResult* results[3] = {&runs.bj, &runs.ps, &runs.ds};

@@ -22,6 +22,10 @@ int run(int argc, char** argv) {
   const auto matrices = select_matrices(args);
   TraceCapture capture(args);
   BenchRecorder record("table3", args);
+  auto opt = default_run_options();
+  apply_backend_args(args, opt);
+  capture.apply(opt);
+  reject_unread_args(args);
 
   print_header("Table 3 — communication breakdown (PS vs DS)",
                "paper Table 3",
@@ -60,9 +64,6 @@ int run(int argc, char** argv) {
     auto problem = make_dist_problem(name, size_factor);
     auto part = partition_for(problem.a, procs);
     dist::DistLayout layout(problem.a, part);
-    auto opt = default_run_options();
-    apply_backend_args(args, opt);
-    capture.apply(opt);
     auto ps = dist::run_distributed(dist::DistMethod::kParallelSouthwell,
                                     layout, problem.b, problem.x0, opt);
     auto ds = dist::run_distributed(dist::DistMethod::kDistributedSouthwell,
@@ -73,16 +74,6 @@ int run(int argc, char** argv) {
     record.add_run(name + " DS", name, ds);
     cross_check(ps, name + " PS");
     cross_check(ds, name + " DS");
-    if (opt.coalesce_messages) {
-      // The wire-layer split (-coalesce): physical puts vs the logical
-      // records they carry. Equal counts mean every (neighbor, epoch)
-      // pair already had at most one record — the protocols' per-pair
-      // minimality, which coalescing measures rather than improves.
-      std::cout << "  [" << name << "] coalesced msgs physical/logical: PS "
-                << ps.comm_totals.msgs << "/" << ps.comm_totals.msgs_logical
-                << ", DS " << ds.comm_totals.msgs << "/"
-                << ds.comm_totals.msgs_logical << "\n";
-    }
     auto ps_at = ps.at_target(target);
     auto ds_at = ds.at_target(target);
     table.row().cell(name);

@@ -19,6 +19,10 @@ int run(int argc, char** argv) {
   const auto matrices = select_matrices(args);
   TraceCapture capture(args);
   BenchRecorder record("table4", args);
+  auto opt = default_run_options();
+  apply_backend_args(args, opt);
+  capture.apply(opt);
+  reject_unread_args(args);
 
   print_header("Table 4 — per-parallel-step cost over 50 steps",
                "paper Table 4",
@@ -32,9 +36,6 @@ int run(int argc, char** argv) {
 
   for (const auto& name : matrices) {
     auto problem = make_dist_problem(name, size_factor);
-    auto opt = default_run_options();
-    apply_backend_args(args, opt);
-    capture.apply(opt);
     auto runs = run_three_methods(problem, procs, opt);
     const dist::DistRunResult* results[3] = {&runs.bj, &runs.ps, &runs.ds};
     for (const auto* r : results) {

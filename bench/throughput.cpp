@@ -95,6 +95,7 @@ int run(int argc, char** argv) {
   auto opt = default_run_options();
   apply_backend_args(args, opt);
   capture.apply(opt);
+  reject_unread_args(args);
 
   print_header(
       "Multi-tenant serving throughput — batched vs B independent runs",

@@ -50,9 +50,7 @@
 /// each tenant solver's global_residual_norm().
 ///
 /// Unsupported in batched runs (checked): watchdog and divergence_abort
-/// (observer policies defined on a single trajectory), and
-/// coalesce_messages for B >= 2 is subsumed — batch staging IS the
-/// per-peer merge, so the option is ignored rather than composed.
+/// (observer policies defined on a single trajectory).
 
 #include <memory>
 #include <optional>
@@ -102,9 +100,10 @@ struct BatchRunResult {
   double model_time = 0.0;  ///< modeled seconds for the whole batch
   index_t steps_taken = 0;  ///< parallel steps until all tenants finished
   std::uint64_t epochs = 0; ///< runtime epochs the batch closed
-  /// Tenant frames rejected whole by the demux (malformed under fault
-  /// injection; every entry of a rejected frame is lost to its tenant and
-  /// recovered by the resilient refresh path).
+  /// Tenant frames the demux rejected as malformed under fault injection
+  /// (a bad header, length or tenant id). Entries before the bad field
+  /// stay applied; the rest are lost to their tenants and recovered by
+  /// the resilient refresh path.
   std::uint64_t frames_rejected = 0;
   /// Merged trace when opt.trace.enabled, else null.
   std::shared_ptr<const trace::TraceLog> trace_log;

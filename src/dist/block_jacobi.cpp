@@ -25,25 +25,17 @@ void BlockJacobi::rank_relax(simmpi::RankContext& ctx, int p) {
       rec.dx[s] = resilient() ? xp[li] : dx[li];
     }
   }
-  ch.flush(ctx);
+  ch.flush();
 }
 
 void BlockJacobi::absorb_payload(simmpi::RankContext& ctx, int p,
                                  std::size_t nbi,
                                  std::span<const double> payload) {
-  const auto& nb = layout_->rank(p).neighbors[nbi];
-  if (resilient()) {
-    const auto body = resil_accept(ctx, p, nbi, payload);
-    if (body.empty()) return;
-    const auto rec =
-        wire::decode_record(wire::Family::kDelta, body, nb.ghost_rows.size());
-    resil_apply_boundary_x(ctx, p, nbi, rec.dx);
-    return;
-  }
-  wire::for_each_record(wire::Family::kDelta, payload, nb.ghost_rows.size(),
-                        [&](const wire::Record& rec) {
-                          apply_incoming_delta(ctx, nb, rec.dx);
-                        });
+  const auto body = accept_record(ctx, p, nbi, payload);
+  if (!body) return;
+  const std::size_t width = layout_->rank(p).neighbors[nbi].ghost_rows.size();
+  const auto rec = wire::decode_record(wire::Family::kDelta, *body, width);
+  absorb_boundary_x(ctx, p, nbi, rec.dx);
 }
 
 void BlockJacobi::rank_send(int /*e*/, simmpi::RankContext& ctx, int p) {

@@ -211,7 +211,7 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
     }
     if (resilient()) resil_note_send(p, k);
   }
-  ch.flush(ctx);
+  ch.flush();
 }
 
 void DistributedSouthwell::rank_correct(simmpi::RankContext& ctx, int p,
@@ -253,41 +253,27 @@ void DistributedSouthwell::rank_correct(simmpi::RankContext& ctx, int p,
     ++corrections_sent_[up];
     ctx.metric_add(m_corrections_sent_, 1.0);
   }
-  ch.flush(ctx);
+  ch.flush();
 }
 
 void DistributedSouthwell::absorb_payload(simmpi::RankContext& ctx, int p,
                                           std::size_t nbi,
                                           std::span<const double> payload) {
   const auto up = static_cast<std::size_t>(p);
-  const auto& nb = layout_->rank(p).neighbors[nbi];
-  if (resilient()) {
-    const auto body = resil_accept(ctx, p, nbi, payload);
-    if (body.empty()) return;
-    const auto rec = wire::decode_record(wire::Family::kEstimate, body,
-                                         nb.ghost_rows.size());
-    if (rec.type == wire::RecordType::kSolveUpdate) {
-      resil_apply_boundary_x(ctx, p, nbi, rec.dx);
-    }
-    std::copy(rec.rb.begin(), rec.rb.end(), ghost_[up][nbi].begin());
-    gamma2_[up][nbi] = rec.norm2;
-    gtilde2_[up][nbi] = rec.gamma2;
-    return;
+  const auto body = accept_record(ctx, p, nbi, payload);
+  if (!body) return;
+  // Decode against the channel's receive width (the codec validates every
+  // length).
+  const std::size_t width = layout_->rank(p).neighbors[nbi].ghost_rows.size();
+  const auto rec = wire::decode_record(wire::Family::kEstimate, *body, width);
+  if (rec.type == wire::RecordType::kSolveUpdate) {
+    // SOLVE: boundary x + exact boundary residuals.
+    absorb_boundary_x(ctx, p, nbi, rec.dx);
   }
-  // Decode against the channel's receive width (the codec validates
-  // every length); a frame yields each coalesced record in send order.
-  wire::for_each_record(
-      wire::Family::kEstimate, payload, nb.ghost_rows.size(),
-      [&](const wire::Record& rec) {
-        if (rec.type == wire::RecordType::kSolveUpdate) {
-          // SOLVE: Δx + exact boundary residuals.
-          apply_incoming_delta(ctx, nb, rec.dx);
-        }
-        // Both types carry the sender's exact boundary residuals.
-        std::copy(rec.rb.begin(), rec.rb.end(), ghost_[up][nbi].begin());
-        gamma2_[up][nbi] = rec.norm2;
-        gtilde2_[up][nbi] = rec.gamma2;
-      });
+  // Both types carry the sender's exact boundary residuals.
+  std::copy(rec.rb.begin(), rec.rb.end(), ghost_[up][nbi].begin());
+  gamma2_[up][nbi] = rec.norm2;
+  gtilde2_[up][nbi] = rec.gamma2;
 }
 
 void DistributedSouthwell::begin_step() {

@@ -112,7 +112,7 @@ struct DistRunOptions {
   /// backends. Resilience is auto-enabled (async arrival is out-of-order
   /// by construction, and the seq-gated absolute-x receive path is what
   /// keeps DS's Γ̃ bookkeeping correct); this inherits resilience's
-  /// incompatibilities (coalescing, DS send_threshold).
+  /// incompatibility with DS send_threshold.
   bool async = false;
   /// Seed for the per-edge latency draws (async only).
   std::uint64_t async_seed = 0xA51CULL;
@@ -154,14 +154,6 @@ struct DistRunOptions {
   /// the node-aware bench compares routing against. Ignored without a
   /// topology.
   bool node_route = true;
-  /// Per-neighbor message coalescing (wire/comm_plan.hpp): each put phase
-  /// ships all records a rank staged to one neighbor as a single physical
-  /// message. Solver trajectories and residuals are bit-identical either
-  /// way; with coalescing, CommTotals' physical counts can only drop while
-  /// logical counts stay fixed. Default off — direct mode keeps the
-  /// deterministic bench records byte-identical to the committed
-  /// baselines.
-  bool coalesce_messages = false;
   /// Structured tracing (src/trace). `trace.enabled = true` attaches a
   /// tracer to the runtime for the whole run; the merged event log and
   /// metric totals come back in DistRunResult::trace_log. The trace stream
@@ -177,7 +169,7 @@ struct DistRunOptions {
   /// execution backends.
   faults::FaultPlan faults{};
   /// Solver-side recovery (solver_base.hpp). Incompatible with
-  /// coalesce_messages, and with ds.send_threshold for DS.
+  /// ds.send_threshold for DS.
   ResilienceOptions resilience{};
   /// Observer-side divergence watchdog; fires stop the run loop early and
   /// are reported in DistRunResult::watchdog.
@@ -204,8 +196,8 @@ struct DistRunResult {
     std::uint64_t msgs_solve = 0;     ///< MsgTag::kSolve messages
     std::uint64_t msgs_residual = 0;  ///< MsgTag::kResidual messages
     std::uint64_t msgs_other = 0;     ///< MsgTag::kOther messages
-    /// Wire records carried (== msgs unless coalescing framed several
-    /// records into one put; see wire/comm_plan.hpp).
+    /// Wire records carried (== msgs except in batched runs, whose tenant
+    /// frames carry one record per tenant; see wire/comm_plan.hpp).
     std::uint64_t msgs_logical = 0;
     std::uint64_t msgs_logical_solve = 0;
     std::uint64_t msgs_logical_residual = 0;

@@ -89,12 +89,10 @@ RunHarness::RunHarness(DistMethod method,
     simmpi::NodeRoutingOptions nro;
     nro.route_via_leaders = opt.node_route;
     if (opt.node_route) {
-      // The runtime only needs the dense channel-count matrix (to size
-      // forward-frame bitmaps); the full NodeCommPlan stays a wire-layer
-      // object.
+      // The runtime sizes forward-frame bitmaps from the per-node-pair
+      // channel counts.
       nro.pair_channel_counts =
-          wire::NodeCommPlan(layout.comm_plan(), *run_topo_)
-              .pair_channel_counts();
+          wire::node_pair_channel_counts(layout.comm_plan(), *run_topo_);
     }
     rt_.set_node_topology(&*run_topo_, std::move(nro));
   }
@@ -121,8 +119,7 @@ RunHarness::RunHarness(DistMethod method,
     solvers_.push_back(
         make_dist_solver(method, lt, rt_, specs[t].b, specs[t].x0, opt));
     solvers_.back()->set_backend(*backend_);
-    // Batch staging IS the per-peer merge (one tenant frame per (peer,
-    // tag)), so it replaces coalescing rather than composing with it.
+    // Batched tenants share one tenant frame per (peer, tag).
     if (batched) solvers_.back()->set_batch_staging(true);
   }
   // Async delivery forces the resilient receive path: maturation is
@@ -130,11 +127,6 @@ RunHarness::RunHarness(DistMethod method,
   // what keeps ghost caches and DS's Γ̃ bookkeeping correct under it.
   ResilienceOptions resilience = opt.resilience;
   if (opt.async) resilience.enabled = true;
-  if (!batched) {
-    DSOUTH_CHECK_MSG(!(resilience.enabled && opt.coalesce_messages),
-                     "resilience and message coalescing are incompatible");
-    if (opt.coalesce_messages) solver().set_message_coalescing(true);
-  }
   if (resilience.enabled) {
     for (auto& s : solvers_) s->set_resilience(resilience);
   }

@@ -8,7 +8,7 @@
 /// attaches the exact same stack in the exact same order:
 ///
 ///   runtime → delivery policy → node topology → tracer → fault schedule →
-///   tenants → backend → solver(s) → coalescing/batch staging → resilience
+///   tenants → backend → solver(s) → batch staging → resilience
 ///
 /// The order is load-bearing: the delivery policy must precede the tracer
 /// (async metrics register at attach) and the solver (async_mode() must be
@@ -53,8 +53,8 @@ class RunHarness {
   /// communication structure (checked). With two or more solvers the
   /// runtime accounts per tenant and every solver stages in batch mode
   /// (wire::ChannelSet::ship_batch merges their records into shared tenant
-  /// frames), which subsumes opt.coalesce_messages. A single spec builds
-  /// exactly the five-argument stack. The layouts must outlive the harness.
+  /// frames). A single spec builds exactly the five-argument stack. The
+  /// layouts must outlive the harness.
   RunHarness(DistMethod method, std::span<const DistLayout* const> layouts,
              std::span<const TenantSpec> specs, const DistRunOptions& opt);
   ~RunHarness();

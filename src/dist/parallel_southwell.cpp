@@ -77,7 +77,7 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
     }
     if (resilient()) resil_note_send(p, k);
   }
-  ch.flush(ctx);
+  ch.flush();
 }
 
 void ParallelSouthwell::rank_residual_update(simmpi::RankContext& ctx,
@@ -95,7 +95,7 @@ void ParallelSouthwell::rank_residual_update(simmpi::RankContext& ctx,
     for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
       ch.open(ctx, k, wire::RecordType::kResidualNorm, norm2);
     }
-    ch.flush(ctx);
+    ch.flush();
     return;
   }
   // Resilient mode: a channel silent for >= refresh_period steps gets a
@@ -116,35 +116,22 @@ void ParallelSouthwell::rank_residual_update(simmpi::RankContext& ctx,
     }
   }
   if (norm_changed) advertised2_[up] = norm2;
-  ch.flush(ctx);
+  ch.flush();
 }
 
 void ParallelSouthwell::absorb_payload(simmpi::RankContext& ctx, int p,
                                        std::size_t nbi,
                                        std::span<const double> payload) {
-  const auto up = static_cast<std::size_t>(p);
-  const auto& nb = layout_->rank(p).neighbors[nbi];
-  if (resilient()) {
-    const auto body = resil_accept(ctx, p, nbi, payload);
-    if (body.empty()) return;
-    const auto rec =
-        wire::decode_record(wire::Family::kNorm, body, nb.ghost_rows.size());
-    gamma2_[up][nbi] = rec.norm2;
-    if (rec.type == wire::RecordType::kNormUpdate) {
-      resil_apply_boundary_x(ctx, p, nbi, rec.dx);
-    }
-    return;
+  const auto body = accept_record(ctx, p, nbi, payload);
+  if (!body) return;
+  const std::size_t width = layout_->rank(p).neighbors[nbi].ghost_rows.size();
+  const auto rec = wire::decode_record(wire::Family::kNorm, *body, width);
+  // Both types carry the sender's new norm; only NormUpdate piggy-backs
+  // boundary x.
+  gamma2_[static_cast<std::size_t>(p)][nbi] = rec.norm2;
+  if (rec.type == wire::RecordType::kNormUpdate) {
+    absorb_boundary_x(ctx, p, nbi, rec.dx);
   }
-  wire::for_each_record(
-      wire::Family::kNorm, payload, nb.ghost_rows.size(),
-      [&](const wire::Record& rec) {
-        // Both types carry the sender's new norm; only NormUpdate
-        // piggy-backs boundary Δx.
-        gamma2_[up][nbi] = rec.norm2;
-        if (rec.type == wire::RecordType::kNormUpdate) {
-          apply_incoming_delta(ctx, nb, rec.dx);
-        }
-      });
 }
 
 void ParallelSouthwell::rank_send(int e, simmpi::RankContext& ctx, int p) {

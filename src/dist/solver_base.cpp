@@ -161,23 +161,13 @@ void DistStationarySolver::absorb_all() {
   });
 }
 
-void DistStationarySolver::set_message_coalescing(bool on) {
-  for (auto& ch : channels_) ch.set_coalescing(on);
-}
-
 void DistStationarySolver::set_batch_staging(bool on) {
   for (auto& ch : channels_) ch.set_batch_staging(on);
-}
-
-bool DistStationarySolver::message_coalescing() const {
-  return !channels_.empty() && channels_.front().coalescing();
 }
 
 void DistStationarySolver::set_resilience(const ResilienceOptions& opt) {
   DSOUTH_CHECK_MSG(resil_step_count_ == 0,
                    "set_resilience must precede the first step");
-  DSOUTH_CHECK_MSG(!(opt.enabled && message_coalescing()),
-                   "resilience and message coalescing are incompatible");
   DSOUTH_CHECK_MSG(opt.refresh_period >= 0, "refresh_period must be >= 0");
   resil_ = opt;
   for (auto& ch : channels_) ch.set_sequencing(opt.enabled);
@@ -302,7 +292,7 @@ ResilienceStats DistStationarySolver::resilience_stats() const {
   return total;
 }
 
-std::span<const double> DistStationarySolver::resil_accept(
+std::optional<std::span<const double>> DistStationarySolver::resil_accept(
     simmpi::RankContext& ctx, int p, std::size_t nbi,
     std::span<const double> payload) {
   const auto up = static_cast<std::size_t>(p);
@@ -312,7 +302,7 @@ std::span<const double> DistStationarySolver::resil_accept(
     if (env.seq < next) {
       ++resil_stats_[up].rejected_stale;
       ctx.metric_add(m_resil_rejected_, 1.0);
-      return {};
+      return std::nullopt;
     }
     next = env.seq + 1;
     return env.body;
@@ -321,15 +311,13 @@ std::span<const double> DistStationarySolver::resil_accept(
     // sender's next (or refresh) message carries the full state anyway.
     ++resil_stats_[up].rejected_corrupt;
     ctx.metric_add(m_resil_rejected_, 1.0);
-    return {};
+    return std::nullopt;
   }
 }
 
-void DistStationarySolver::resil_apply_boundary_x(
-    simmpi::RankContext& ctx, int p, std::size_t nbi,
-    std::span<const double> x_abs) {
+std::span<const double> DistStationarySolver::resil_delta(
+    int p, std::size_t nbi, std::span<const double> x_abs) {
   const auto up = static_cast<std::size_t>(p);
-  const NeighborBlock& nb = layout_->rank(p).neighbors[nbi];
   auto& cache = ghost_x_[up][nbi];
   DSOUTH_CHECK(x_abs.size() == cache.size());
   const std::span<value_t> dx(resil_dx_[up].data(), cache.size());
@@ -337,7 +325,7 @@ void DistStationarySolver::resil_apply_boundary_x(
     dx[g] = x_abs[g] - cache[g];
     cache[g] = x_abs[g];
   }
-  apply_incoming_delta(ctx, nb, dx);
+  return dx;
 }
 
 void DistStationarySolver::resil_note_send(int p, std::size_t nbi) {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -172,10 +173,9 @@ class DistStationarySolver {
   void rank_absorb(simmpi::RankContext& ctx, int p);
 
   /// Apply one received payload on channel (p, neighbor nbi). The payload
-  /// is whatever the sender's ChannelSet shipped: a bare record, a
-  /// coalesced frame, or a sequenced envelope — the solver's decode path
-  /// handles all three. The batch coordinator calls this directly with
-  /// tenant-frame bodies.
+  /// is whatever the sender's ChannelSet shipped: a bare record, or a
+  /// sequenced envelope on resilient channels (accept_record unwraps it).
+  /// The batch coordinator calls this directly with tenant-frame bodies.
   virtual void absorb_payload(simmpi::RankContext& ctx, int p,
                               std::size_t nbi,
                               std::span<const double> payload) = 0;
@@ -207,19 +207,11 @@ class DistStationarySolver {
   void set_backend(simmpi::ExecutionBackend& backend) { backend_ = &backend; }
   const simmpi::ExecutionBackend& backend() const { return *backend_; }
 
-  /// Toggle per-neighbor message coalescing (wire/comm_plan.hpp) on every
-  /// rank's channel set. Call between steps only (the channels must hold
-  /// no buffered records). Default off: direct mode is byte-identical to
-  /// the legacy ad-hoc payload layouts.
-  void set_message_coalescing(bool on);
-  bool message_coalescing() const;
-
   /// Enable solver-side fault recovery (see ResilienceOptions). Must be
   /// called before the first step() — the receiver's boundary-x caches are
   /// initialized from the current iterate, which both ends only agree on
-  /// at setup. Mutually exclusive with message coalescing (sequenced
-  /// envelopes wrap exactly one record). Virtual so solvers with
-  /// incompatible extensions can reject the combination.
+  /// at setup. Virtual so solvers with incompatible extensions can reject
+  /// the combination.
   virtual void set_resilience(const ResilienceOptions& opt);
   bool resilient() const { return resil_.enabled; }
   const ResilienceOptions& resilience() const { return resil_; }
@@ -262,7 +254,7 @@ class DistStationarySolver {
   SolverState capture_state() const;
 
   /// Inverse of capture_state. The solver must have the same class,
-  /// layout, and feature configuration (resilience/coalescing) as the one
+  /// layout, and feature configuration (resilience) as the one
   /// that captured; mismatches are checked fatal, not recovered.
   void restore_state(const SolverState& state);
 
@@ -327,6 +319,27 @@ class DistStationarySolver {
   void apply_incoming_delta(simmpi::RankContext& ctx, const NeighborBlock& nb,
                             std::span<const double> dx);
 
+  /// The bare v1 record a payload received on channel (p, neighbor nbi)
+  /// carries, for the solver's absorb_payload to decode: the payload
+  /// itself on the plain path; on the resilient path the body of a valid,
+  /// in-sequence envelope, or nullopt when the envelope is rejected
+  /// (resil_accept).
+  std::optional<std::span<const double>> accept_record(
+      simmpi::RankContext& ctx, int p, std::size_t nbi,
+      std::span<const double> payload) {
+    if (!resilient()) return payload;
+    return resil_accept(ctx, p, nbi, payload);
+  }
+
+  /// Apply the boundary-x field of a record received from neighbor nbi of
+  /// rank p: a Δx on the plain path; absolute boundary x on the resilient
+  /// path, applied as its difference from the cached ghost x (resil_delta).
+  void absorb_boundary_x(simmpi::RankContext& ctx, int p, std::size_t nbi,
+                         std::span<const double> x) {
+    apply_incoming_delta(ctx, layout_->rank(p).neighbors[nbi],
+                         resilient() ? resil_delta(p, nbi, x) : x);
+  }
+
   // --- Resilient-mode helpers (no-ops / unused unless resilient()). Each
   // touches only rank-p slots, preserving the SPMD phase discipline.
 
@@ -336,18 +349,17 @@ class DistStationarySolver {
 
   /// Validate one received payload on channel (p, neighbor nbi): decode
   /// the wire-v2 envelope and gate on its sequence number. Returns the
-  /// record body, or an empty span when the payload was rejected
+  /// record body, or nullopt when the payload was rejected
   /// (corrupt/truncated/stale/duplicate — counted in resil_stats_[p]).
-  std::span<const double> resil_accept(simmpi::RankContext& ctx, int p,
-                                       std::size_t nbi,
-                                       std::span<const double> payload);
+  std::optional<std::span<const double>> resil_accept(
+      simmpi::RankContext& ctx, int p, std::size_t nbi,
+      std::span<const double> payload);
 
-  /// Absorb an absolute-boundary-x payload from neighbor nbi of rank p:
-  /// apply dx = x_abs - cached ghost x to r_p and refresh the cache.
-  /// Idempotent — reapplying the same x_abs is a zero delta.
-  void resil_apply_boundary_x(simmpi::RankContext& ctx, int p,
-                              std::size_t nbi,
-                              std::span<const double> x_abs);
+  /// Δx = x_abs - the cached boundary x of neighbor nbi of rank p, after
+  /// which the cache holds x_abs — idempotent, reapplying the same x_abs
+  /// gives a zero Δx. The span aliases rank p's resil_dx_ scratch.
+  std::span<const double> resil_delta(int p, std::size_t nbi,
+                                      std::span<const double> x_abs);
 
   /// Record that rank p sent a full-state (x-bearing) message to neighbor
   /// nbi this step — resets the channel's refresh clock.
@@ -389,7 +401,7 @@ class DistStationarySolver {
   std::vector<std::vector<std::uint64_t>> recv_min_seq_;
   /// Per rank, per neighbor: step index of the last x-bearing send.
   std::vector<std::vector<index_t>> last_send_step_;
-  /// Per-rank Δx scratch for resil_apply_boundary_x (sized to the rank's
+  /// Per-rank Δx scratch for resil_delta (sized to the rank's
   /// widest incoming channel so the absorb path never allocates).
   std::vector<std::vector<value_t>> resil_dx_;
   /// Per-rank counters (each rank phase bumps only its own slot).

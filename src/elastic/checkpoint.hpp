@@ -47,9 +47,10 @@ inline constexpr std::uint64_t kCheckpointVersion = 3;
 
 /// Configuration bits carried in the header's `flags` word. They pin the
 /// feature combination the state was captured under; restore into a
-/// differently-configured stack is refused by the driver.
+/// differently-configured stack is refused by the driver. Bit 1 is
+/// retired and never set; the other bits keep their values so stored
+/// checkpoints decode unchanged.
 inline constexpr std::uint64_t kFlagResilience = 1ULL << 0;
-inline constexpr std::uint64_t kFlagCoalescing = 1ULL << 1;
 inline constexpr std::uint64_t kFlagAsync = 1ULL << 2;
 inline constexpr std::uint64_t kFlagNodeTopology = 1ULL << 3;
 

@@ -18,7 +18,6 @@ std::uint64_t config_flags(const dist::DistRunOptions& opt) {
   std::uint64_t flags = 0;
   // Async delivery force-enables resilience (RunHarness does the same).
   if (opt.resilience.enabled || opt.async) flags |= kFlagResilience;
-  if (opt.coalesce_messages) flags |= kFlagCoalescing;
   if (opt.async) flags |= kFlagAsync;
   if (opt.ranks_per_node > 0) flags |= kFlagNodeTopology;
   return flags;

@@ -160,7 +160,7 @@ void Runtime::set_node_topology(const NodeTopology* topo,
       DSOUTH_CHECK_MSG(
           opts.pair_channel_counts.size() == nn * nn,
           "routing needs the dense num_nodes^2 channel-count matrix "
-          "(wire::NodeCommPlan::pair_channel_counts)");
+          "(wire::node_pair_channel_counts)");
       node_pair_channels_ = std::move(opts.pair_channel_counts);
     } else {
       node_pair_channels_.clear();
@@ -329,9 +329,10 @@ void Runtime::node_prepass() {
   // order the puts were staged in (in-place sort on a persistent vector:
   // no allocation). A group of one ships bare, byte-identical to a direct
   // charge; larger groups are charged at the forward-frame size — magic
-  // word plus a presence bitmap over the pair's static channel list
-  // (wire::forward_frame_doubles, mirrored here so simmpi stays below the
-  // wire layer in the dependency order).
+  // word plus a presence bitmap over the pair's static channel list, plus
+  // the bodies. This charge is the model's whole definition of a forward
+  // frame: windows still receive every put exactly as staged, so no code
+  // ever encodes or decodes one.
   std::sort(group_touched_.begin(), group_touched_.end());
   for (const std::size_t g : group_touched_) {
     const std::size_t pair = g / kNumTags;

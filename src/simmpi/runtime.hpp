@@ -76,10 +76,10 @@ struct NodeRoutingOptions {
   bool route_via_leaders = true;
   /// Dense num_nodes × num_nodes (row-major) count of static plan channels
   /// crossing each ordered node pair — exactly
-  /// wire::NodeCommPlan::pair_channel_counts(). The runtime needs only the
-  /// counts (to size forward-frame presence bitmaps), which is what keeps
-  /// simmpi below the wire layer in the dependency order. Required (and
-  /// checked) when route_via_leaders is true; ignored otherwise.
+  /// wire::node_pair_channel_counts(). The runtime needs only the counts
+  /// (to size forward-frame presence bitmaps), which is what keeps simmpi
+  /// below the wire layer in the dependency order. Required (and checked)
+  /// when route_via_leaders is true; ignored otherwise.
   std::vector<std::uint32_t> pair_channel_counts;
 };
 
@@ -157,10 +157,10 @@ class Runtime {
   /// fence(). The caller must write every element before the fence.
   ///
   /// `logical_records` is the number of wire records the message carries
-  /// (> 1 for coalesced frames, see wire/comm_plan.hpp): CommStats and the
-  /// "simmpi.msgs_logical" metric count records, while every physical
-  /// counter (per-put stats, bytes, the machine model) counts this one
-  /// message. Accounting is otherwise identical to put().
+  /// (> 1 for batched tenant frames, see wire/comm_plan.hpp): CommStats
+  /// and the "simmpi.msgs_logical" metric count records, while every
+  /// physical counter (per-put stats, bytes, the machine model) counts
+  /// this one message. Accounting is otherwise identical to put().
   std::span<double> stage(int source, int dest, MsgTag tag,
                           std::size_t doubles,
                           std::uint64_t logical_records = 1);
@@ -318,7 +318,7 @@ class Runtime {
   /// itself is untouched: windows receive exactly the same payloads in
   /// exactly the same order as without a topology, so solver iterates are
   /// bit-identical with the feature on or off, under either execution
-  /// backend, and composed with faults, async delivery, or coalescing.
+  /// backend, and composed with faults or async delivery.
   /// The topology changes what the simulated wire *costs*, never what it
   /// *delivers* — the invariant DESIGN.md §13 pins down.
   ///
@@ -333,7 +333,8 @@ class Runtime {
   ///     leader, relay-down (dst leader -> dst, intra, skipped when dst is
   ///     its leader). A group of one ships bare (byte-identical to the
   ///     direct charge); groups of two or more are charged at the
-  ///     forward-frame size (wire::forward_frame_doubles).
+  ///     forward-frame size: one magic word, a presence bitmap with one
+  ///     bit per plan channel of the node pair, and the bodies.
   ///   - a message the fault schedule drops died at its source: it is
   ///     charged as a single direct hop and no relay ever saw it.
   ///
@@ -452,7 +453,7 @@ class Runtime {
   trace::MetricId m_bytes_sent_ = trace::kInvalidMetric;
   trace::MetricId m_flops_ = trace::kInvalidMetric;
   // Wire records carried (docs/observability.md): exceeds msgs_sent only
-  // when coalesced frames are in flight.
+  // when batched tenant frames are in flight.
   trace::MetricId m_msgs_logical_ = trace::kInvalidMetric;
   std::array<trace::MetricId, kNumTags> m_msgs_by_tag_{
       trace::kInvalidMetric, trace::kInvalidMetric, trace::kInvalidMetric};

@@ -36,8 +36,8 @@ class CommStats {
   int num_ranks() const { return num_ranks_; }
 
   /// Account one sent (physical) message carrying `logical` wire records
-  /// (> 1 only for coalesced frames, see wire/comm_plan.hpp). Called by
-  /// the runtime only (at the fence, in deterministic merge order) —
+  /// (> 1 only for batched tenant frames, see wire/comm_plan.hpp). Called
+  /// by the runtime only (at the fence, in deterministic merge order) —
   /// drivers read, never write.
   void record_send(int source, MsgTag tag, std::uint64_t bytes,
                    std::uint64_t logical = 1);
@@ -116,7 +116,8 @@ class CommStats {
   std::uint64_t total_messages() const;
   std::uint64_t total_messages(MsgTag tag) const;
   /// Wire records carried by the messages counted above. Equal to the
-  /// message counts unless coalescing framed several records per put.
+  /// message counts except in batched runs, whose tenant frames carry
+  /// several records per put.
   std::uint64_t logical_messages() const;
   std::uint64_t logical_messages(MsgTag tag) const;
   std::uint64_t total_bytes() const;

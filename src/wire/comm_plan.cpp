@@ -1,7 +1,5 @@
 #include "wire/comm_plan.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace dsouth::wire {
@@ -11,60 +9,18 @@ std::span<const CommPlan::Peer> CommPlan::peers(int rank) const {
   return peers_[static_cast<std::size_t>(rank)];
 }
 
-std::size_t CommPlan::max_record_doubles() const {
-  std::size_t mx = 0;
-  for (const auto& rank_peers : peers_) {
-    for (const auto& peer : rank_peers) {
-      mx = std::max(mx, encoded_doubles(RecordType::kSolveUpdate,
-                                        peer.send_width));
-    }
-  }
-  return mx;
-}
-
-NodeCommPlan::NodeCommPlan(const CommPlan& plan,
-                           const simmpi::NodeTopology& topo) {
+std::vector<std::uint32_t> node_pair_channel_counts(
+    const CommPlan& plan, const simmpi::NodeTopology& topo) {
   DSOUTH_CHECK(plan.num_ranks() == topo.num_ranks());
-  num_nodes_ = topo.num_nodes();
-  const auto nn = static_cast<std::size_t>(num_nodes_);
-  pairs_.assign(nn * nn, {});
-  // Ranks ascend and each rank's peer list ascends by peer rank, so every
-  // pair's channel list comes out sorted by (src, dst) with no extra pass
-  // — the deterministic order both leaders index forward-frame bitmaps by.
+  const auto nn = static_cast<std::size_t>(topo.num_nodes());
+  std::vector<std::uint32_t> counts(nn * nn, 0);
   for (int s = 0; s < plan.num_ranks(); ++s) {
     for (const CommPlan::Peer& p : plan.peers(s)) {
       if (topo.same_node(s, p.rank)) continue;
       const auto x = static_cast<std::size_t>(topo.node_of(s));
       const auto y = static_cast<std::size_t>(topo.node_of(p.rank));
-      pairs_[x * nn + y].push_back(Channel{s, p.rank, p.send_width});
+      ++counts[x * nn + y];
     }
-  }
-}
-
-std::span<const NodeCommPlan::Channel> NodeCommPlan::channels(
-    int src_node, int dst_node) const {
-  DSOUTH_CHECK(src_node >= 0 && src_node < num_nodes_);
-  DSOUTH_CHECK(dst_node >= 0 && dst_node < num_nodes_);
-  return pairs_[static_cast<std::size_t>(src_node) *
-                    static_cast<std::size_t>(num_nodes_) +
-                static_cast<std::size_t>(dst_node)];
-}
-
-int NodeCommPlan::channel_index(int src_node, int dst_node, int src,
-                                int dst) const {
-  const auto list = channels(src_node, dst_node);
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (list[i].src == src && list[i].dst == dst) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-std::vector<std::uint32_t> NodeCommPlan::pair_channel_counts() const {
-  std::vector<std::uint32_t> counts(pairs_.size(), 0);
-  for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    counts[i] = static_cast<std::uint32_t>(pairs_[i].size());
   }
   return counts;
 }
@@ -76,19 +32,7 @@ ChannelSet::ChannelSet(const CommPlan& plan, int rank)
   send_seq_.assign(plan.peers(rank).size(), 0);
 }
 
-void ChannelSet::set_coalescing(bool on) {
-  for (const auto& buf : buffers_) {
-    DSOUTH_CHECK_MSG(buf.types.empty(),
-                     "cannot toggle coalescing with records buffered");
-  }
-  DSOUTH_CHECK_MSG(!(on && sequence_),
-                   "coalescing and sequencing are mutually exclusive");
-  coalesce_ = on;
-}
-
 void ChannelSet::set_sequencing(bool on) {
-  DSOUTH_CHECK_MSG(!(on && coalesce_),
-                   "coalescing and sequencing are mutually exclusive");
   DSOUTH_CHECK_MSG(pending_.empty(),
                    "cannot toggle sequencing with unsealed envelopes");
   sequence_ = on;
@@ -99,8 +43,6 @@ void ChannelSet::set_batch_staging(bool on) {
     DSOUTH_CHECK_MSG(buf.types.empty(),
                      "cannot toggle batch staging with records buffered");
   }
-  DSOUTH_CHECK_MSG(!(on && coalesce_),
-                   "batch staging subsumes coalescing; enable only one");
   batch_ = on;
 }
 
@@ -155,75 +97,37 @@ MutableRecord ChannelSet::open(simmpi::RankContext& ctx, std::size_t k,
     }
     return begin_record(t, norm2, gamma2, out, peer.send_width);
   }
-  if (!coalesce_) {
-    if (sequence_) {
-      // Sequenced: the record rides inside a wire-v2 envelope. The
-      // envelope header (with this channel's next seq) is written now;
-      // the checksum is sealed at flush(), once the caller has filled
-      // the record body (the staged span stays valid until the fence).
-      auto out = ctx.stage(peer.rank, tag_of(t), kEnvelopeDoubles + len);
-      auto body = begin_envelope(out, send_seq_[k]++);
-      pending_.push_back(out);
-      return begin_record(t, norm2, gamma2, body, peer.send_width);
-    }
-    // Direct: one physical put per record, encoded straight into the
-    // runtime's pooled staging buffer (no copy — see Runtime::stage).
-    auto out = ctx.stage(peer.rank, tag_of(t), len);
-    return begin_record(t, norm2, gamma2, out, peer.send_width);
+  if (sequence_) {
+    // Sequenced: the record rides inside a wire-v2 envelope. The envelope
+    // header (with this channel's next seq) is written now; the checksum
+    // is sealed at flush(), once the caller has filled the record body
+    // (the staged span stays valid until the fence).
+    auto out = ctx.stage(peer.rank, tag_of(t), kEnvelopeDoubles + len);
+    auto body = begin_envelope(out, send_seq_[k]++);
+    pending_.push_back(out);
+    return begin_record(t, norm2, gamma2, body, peer.send_width);
   }
-  auto& buf = buffers_[k];
-  const std::size_t off = buf.bodies.size();
-  buf.bodies.resize(off + len);
-  buf.types.push_back(t);
-  buf.lengths.push_back(len);
-  return begin_record(t, norm2, gamma2,
-                      std::span<double>(buf.bodies).subspan(off, len),
-                      peer.send_width);
+  // Direct: one physical put per record, encoded straight into the
+  // runtime's pooled staging buffer (no copy — see Runtime::stage).
+  auto out = ctx.stage(peer.rank, tag_of(t), len);
+  return begin_record(t, norm2, gamma2, out, peer.send_width);
 }
 
-void ChannelSet::flush(simmpi::RankContext& ctx) {
-  if (sequence_) {
-    for (auto span : pending_) seal_envelope(span);
-    pending_.clear();
-  }
-  if (batch_) {
-    // Batch sink: seal buffered envelopes now that the phase has filled
-    // their bodies — re-sealing ones from an earlier flush of the same
-    // epoch is harmless (the checksum recomputes over unchanged content)
-    // — and keep everything for ship_batch(). Nothing ships here.
-    if (sequence_) {
-      for (auto& buf : buffers_) {
-        std::size_t off = 0;
-        for (std::size_t len : buf.lengths) {
-          seal_envelope(std::span<double>(buf.bodies).subspan(off, len));
-          off += len;
-        }
-      }
+void ChannelSet::flush() {
+  if (!sequence_) return;
+  for (auto span : pending_) seal_envelope(span);
+  pending_.clear();
+  if (!batch_) return;
+  // Batch sink: seal buffered envelopes now that the phase has filled
+  // their bodies — re-sealing ones from an earlier flush of the same epoch
+  // is harmless (the checksum recomputes over unchanged content) — and
+  // keep everything for ship_batch().
+  for (auto& buf : buffers_) {
+    std::size_t off = 0;
+    for (std::size_t len : buf.lengths) {
+      seal_envelope(std::span<double>(buf.bodies).subspan(off, len));
+      off += len;
     }
-    return;
-  }
-  if (!coalesce_) return;
-  const auto peers = plan_->peers(rank_);
-  for (std::size_t k = 0; k < buffers_.size(); ++k) {
-    auto& buf = buffers_[k];
-    if (buf.types.empty()) continue;
-    const simmpi::MsgTag tag = tag_of(buf.types.front());
-    for (RecordType t : buf.types) {
-      DSOUTH_CHECK_MSG(tag_of(t) == tag,
-                       "mixed-tag records coalesced to one peer");
-    }
-    if (buf.types.size() == 1) {
-      // A group of one ships bare — byte-identical to direct mode.
-      auto out = ctx.stage(peers[k].rank, tag, buf.lengths.front());
-      std::copy(buf.bodies.begin(), buf.bodies.end(), out.begin());
-    } else {
-      const std::size_t total = frame_doubles(buf.lengths);
-      auto out = ctx.stage(peers[k].rank, tag, total, buf.types.size());
-      encode_frame(buf.types, buf.lengths, buf.bodies, out);
-    }
-    buf.bodies.clear();
-    buf.types.clear();
-    buf.lengths.clear();
   }
 }
 

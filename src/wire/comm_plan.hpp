@@ -9,23 +9,13 @@
 /// solver run on that layout.
 ///
 /// A ChannelSet is the dynamic half: one per (solver, rank), it stages
-/// typed wire records (wire.hpp) to the rank's peers. Records encode
-/// in place — directly into the runtime's pooled staging buffer in direct
-/// mode, or into the channel's persistent per-peer buffer in coalescing
-/// mode — so the solver hot paths perform no heap allocation per epoch
-/// once buffers are warm.
-///
-/// Coalescing (DistRunOptions::coalesce_messages): all records a rank
-/// stages to one peer within a put phase ship as a single physical
-/// message. A group of one record is sent in the bare v1 encoding —
-/// byte-identical to direct mode — and only groups of two or more are
-/// framed (wire.hpp). The paper's bulk-synchronous solvers stage at most
-/// one record per (neighbor, epoch) — each protocol phase already merges
-/// everything it knows into one compound record — so for them coalescing
-/// is provably behavior-preserving and the logical/physical split it
-/// reports (CommStats) *measures* that per-pair minimality; synthetic
-/// multi-record traffic (tests, micro-benches) shows the strict physical
-/// reduction.
+/// typed wire records (wire.hpp) to the rank's peers. Records encode in
+/// place — directly into the runtime's pooled staging buffer, or into the
+/// channel's persistent per-peer buffer in batch-staging mode — so the
+/// solver hot paths perform no heap allocation per epoch once buffers are
+/// warm. Each record is one physical message: a bare v1 record, or a
+/// sequenced envelope when sequencing is on. Only batch staging merges
+/// records, across tenants, into shared tenant frames (ship_batch).
 ///
 /// Thread-safety: a ChannelSet belongs to one rank and is only touched by
 /// the thread driving that rank's phase (the ExecutionBackend discipline,
@@ -60,72 +50,31 @@ class CommPlan {
   int num_ranks() const { return static_cast<int>(peers_.size()); }
   std::span<const Peer> peers(int rank) const;
 
-  /// Largest single-record encoding any rank sends (buffer sizing hint).
-  std::size_t max_record_doubles() const;
-
  private:
   std::vector<std::vector<Peer>> peers_;
 };
 
-/// The node-level view of a CommPlan under a two-level topology
-/// (simmpi/node_topology.hpp): for every ordered node pair (X, Y), the
-/// static list of directed rank channels crossing it, in ascending
-/// (src, dst) order. This list is the shared header of the forward-frame
-/// format (wire.hpp): both leaders derive the identical list from the
-/// identical plan + topology, so an aggregated frame only needs a presence
-/// bitmap over it to name each record's original channel. Same-node
-/// channels never appear (they are not forwarded). Computed once per run
-/// from the layout's CommPlan (dist::RunHarness, when a topology routes).
-class NodeCommPlan {
- public:
-  struct Channel {
-    int src = -1;            ///< original source rank
-    int dst = -1;            ///< original destination rank
-    std::size_t width = 0;   ///< src's send width on the channel (doubles)
-  };
-
-  NodeCommPlan(const CommPlan& plan, const simmpi::NodeTopology& topo);
-
-  int num_nodes() const { return num_nodes_; }
-
-  /// Channels crossing (src_node -> dst_node), ascending (src, dst).
-  std::span<const Channel> channels(int src_node, int dst_node) const;
-
-  /// Index of (src, dst) within channels(src_node, dst_node) — the bit a
-  /// forward frame sets for that channel — or -1 when the plan has no such
-  /// channel.
-  int channel_index(int src_node, int dst_node, int src, int dst) const;
-
-  /// Dense num_nodes × num_nodes channel counts (row-major), the shape
-  /// the runtime needs to charge forward-frame bitmap words without
-  /// depending on this layer (Runtime::set_node_topology).
-  std::vector<std::uint32_t> pair_channel_counts() const;
-
- private:
-  int num_nodes_ = 0;
-  std::vector<std::vector<Channel>> pairs_;  ///< dense, src_node-major
-};
+/// Dense num_nodes × num_nodes counts (row-major, source node first) of
+/// the directed rank channels of `plan` that cross each ordered node pair
+/// of `topo`; same-node channels are not counted. The runtime charges a
+/// node-routed forward frame one bitmap bit per channel of its node pair
+/// (Runtime::set_node_topology, docs/communication.md), so both leaders
+/// must derive the same counts — they do, from the same plan and topology.
+std::vector<std::uint32_t> node_pair_channel_counts(
+    const CommPlan& plan, const simmpi::NodeTopology& topo);
 
 /// Per-rank staging facade over the plan. open() hands out encode-in-place
-/// segments; flush() ships whatever coalescing buffered.
+/// segments; flush() seals the phase's envelopes.
 class ChannelSet {
  public:
   ChannelSet(const CommPlan& plan, int rank);
-
-  /// Toggle coalescing. Must be called between epochs (checked: no
-  /// buffered records). Mutually exclusive with sequencing.
-  void set_coalescing(bool on);
-  bool coalescing() const { return coalesce_; }
 
   /// Toggle sequenced envelopes (wire v2, resilient mode). When on, every
   /// record ships wrapped in an envelope carrying a per-peer monotonically
   /// increasing sequence number and a checksum (wire.hpp), which the
   /// receiving solver uses to reject duplicated/stale/corrupted payloads
   /// (docs/resilience.md). Envelope checksums are sealed at flush() —
-  /// call flush() at the end of every put phase that used open(), exactly
-  /// as in coalescing mode. Mutually exclusive with coalescing (an
-  /// enveloped frame would need per-frame and per-record sequencing; the
-  /// resilient path keeps one record per physical message instead).
+  /// call flush() at the end of every put phase that used open().
   void set_sequencing(bool on);
   bool sequencing() const { return sequence_; }
 
@@ -144,9 +93,7 @@ class ChannelSet {
   /// flush() ships nothing: the buffered records wait for ship_batch(),
   /// which merges the staging of all co-scheduled tenants into one tenant
   /// frame per (peer, tag). Must be toggled between epochs (checked: no
-  /// buffered records). Mutually exclusive with coalescing — the tenant
-  /// frame IS the batching layer's coalescing (it subsumes the per-peer
-  /// merge), so the coordinator never enables both.
+  /// buffered records).
   void set_batch_staging(bool on);
   bool batch_staging() const { return batch_; }
 
@@ -166,26 +113,23 @@ class ChannelSet {
 
   /// Begin a record of type `t` addressed to peer index `k` (plan order ==
   /// layout neighbor order). Direct mode: the record is staged into the
-  /// runtime immediately (one physical put, encoded in place). Coalescing
-  /// mode: the record is buffered until flush(). Returned spans are valid
-  /// until this ChannelSet's next open()/flush() in coalescing mode, and
+  /// runtime immediately (one physical put, encoded in place). Batch
+  /// staging: the record is buffered until ship_batch(). Returned spans
+  /// are valid until this ChannelSet's next open() in batch staging, and
   /// until the runtime's next fence() in direct mode; the caller must
   /// write every element.
   MutableRecord open(simmpi::RankContext& ctx, std::size_t k, RecordType t,
                      double norm2 = 0.0, double gamma2 = 0.0);
 
-  /// Ship buffered records, and seal any unsealed envelope checksums
-  /// (sequencing mode — the staged spans stay valid until the fence, so
-  /// sealing here covers everything the phase encoded after open()).
-  /// No-op in plain direct mode / for empty buffers.
-  /// One record goes out bare (byte-identical to direct mode); two or
-  /// more go out as one frame counted as N logical messages. All records
-  /// buffered for one peer must share a MsgTag (mixed-tag frames would
-  /// make the per-tag Table 3 accounting ambiguous). Call at the end of
-  /// every put phase that used open().
-  void flush(simmpi::RankContext& ctx);
+  /// Seal any unsealed envelope checksums (sequencing mode — the staged
+  /// spans stay valid until the fence, so sealing here covers everything
+  /// the phase encoded after open()). Ships nothing: direct mode staged
+  /// each record at open(), and batch staging waits for ship_batch(). A
+  /// no-op without sequencing. Call at the end of every put phase that
+  /// used open().
+  void flush();
 
-  /// Records currently buffered for peer `k` (coalescing mode only).
+  /// Records currently buffered for peer `k` (batch staging only).
   std::size_t buffered(std::size_t k) const;
 
   /// True when no put phase is in flight: nothing buffered for any peer
@@ -195,14 +139,13 @@ class ChannelSet {
 
  private:
   struct PeerBuffer {
-    std::vector<double> bodies;  ///< concatenated v1 encodings
+    std::vector<double> bodies;  ///< concatenated records or envelopes
     std::vector<RecordType> types;
     std::vector<std::size_t> lengths;
   };
 
   const CommPlan* plan_;
   int rank_;
-  bool coalesce_ = false;
   bool sequence_ = false;
   bool batch_ = false;
   std::vector<PeerBuffer> buffers_;  ///< indexed like peers(rank_)

@@ -1,5 +1,6 @@
 #include "wire/wire.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -175,6 +176,80 @@ MutableRecord begin_record(RecordType t, double norm2, double gamma2,
 
 namespace detail {
 
+void check_frame_end(std::span<const double> payload, std::size_t off) {
+  if (off != payload.size()) {
+    std::ostringstream os;
+    os << "frame has " << payload.size() - off << " trailing doubles";
+    throw_decode_error(DecodeErrorKind::kTrailing, off, os.str());
+  }
+}
+
+std::size_t check_tenant_header(std::span<const double> payload) {
+  if (payload.size() < kTenantHeaderDoubles) {
+    throw_decode_error(DecodeErrorKind::kTruncated, 0,
+                       "tenant frame header truncated");
+  }
+  if (std::bit_cast<std::uint64_t>(payload[0]) != kTenantMagicBits) {
+    throw_decode_error(DecodeErrorKind::kBadDiscriminator, 0,
+                       "payload does not lead with the tenant-frame magic");
+  }
+  std::uint64_t version = 0;
+  if (!integral_in_range(payload[1], kWireVersion, version) || version < 1) {
+    std::ostringstream os;
+    os << "tenant frame version " << payload[1] << " not in [1, "
+       << kWireVersion << "]";
+    throw_decode_error(DecodeErrorKind::kBadVersion, 1, os.str());
+  }
+  std::uint64_t count = 0;
+  if (!integral_in_range(payload[2], 0x1.0p53, count)) {
+    std::ostringstream os;
+    os << "tenant frame entry count " << payload[2] << " not integral";
+    throw_decode_error(DecodeErrorKind::kBadCount, 2, os.str());
+  }
+  return static_cast<std::size_t>(count);
+}
+
+TenantEntryHeader check_tenant_entry(std::span<const double> payload,
+                                     std::size_t off,
+                                     std::size_t num_tenants) {
+  if (off + kTenantEntryDoubles > payload.size()) {
+    std::ostringstream os;
+    os << "tenant entry header truncated at " << off;
+    throw_decode_error(DecodeErrorKind::kTruncated, off, os.str());
+  }
+  // Ids index the batch (and fit an int). A corrupted id that stays below
+  // the batch size still passes: the header carries no checksum, only the
+  // envelopes inside it do.
+  const double max_tenant =
+      std::min(static_cast<double>(num_tenants) - 1.0, 2147483647.0);
+  std::uint64_t tenant_val = 0;
+  if (!integral_in_range(payload[off], max_tenant, tenant_val)) {
+    std::ostringstream os;
+    os << "tenant entry has tenant id " << payload[off] << ", batch of "
+       << num_tenants;
+    throw_decode_error(DecodeErrorKind::kBadType, off, os.str());
+  }
+  std::uint64_t length_val = 0;
+  // A zero-length body is malformed too: every physical encoding a tenant
+  // can ship (bare record, envelope) is at least one double.
+  if (!integral_in_range(payload[off + 1], 0x1.0p53, length_val) ||
+      length_val == 0) {
+    std::ostringstream os;
+    os << "tenant entry declares body length " << payload[off + 1];
+    throw_decode_error(DecodeErrorKind::kBadLength, off + 1, os.str());
+  }
+  const auto length = static_cast<std::size_t>(length_val);
+  if (off + kTenantEntryDoubles + length > payload.size()) {
+    std::ostringstream os;
+    os << "tenant entry body truncated";
+    throw_decode_error(DecodeErrorKind::kTruncated,
+                       off + kTenantEntryDoubles, os.str());
+  }
+  return TenantEntryHeader{static_cast<int>(tenant_val), length};
+}
+
+}  // namespace detail
+
 namespace {
 void check_discriminator(std::span<const double> body, double expected) {
   if (body[0] != expected) {
@@ -183,8 +258,9 @@ void check_discriminator(std::span<const double> body, double expected) {
     throw_decode_error(DecodeErrorKind::kBadDiscriminator, 0, os.str());
   }
 }
-}  // namespace
 
+/// Decode one record whose type is already known. Checks
+/// body.size() == encoded_doubles(type, nb).
 Record decode_typed(RecordType t, std::span<const double> body,
                     std::size_t nb) {
   if (body.size() != encoded_doubles(t, nb)) {
@@ -228,128 +304,6 @@ Record decode_typed(RecordType t, std::span<const double> body,
   return rec;
 }
 
-std::size_t check_frame_header(std::span<const double> payload) {
-  if (payload.size() < kFrameHeaderDoubles) {
-    throw_decode_error(DecodeErrorKind::kTruncated, 0,
-                       "frame header truncated");
-  }
-  std::uint64_t version = 0;
-  if (!integral_in_range(payload[1], kWireVersion, version) || version < 1) {
-    std::ostringstream os;
-    os << "frame version " << payload[1] << " not in [1, " << kWireVersion
-       << "]";
-    throw_decode_error(DecodeErrorKind::kBadVersion, 1, os.str());
-  }
-  std::uint64_t count = 0;
-  if (!integral_in_range(payload[2], 0x1.0p53, count)) {
-    std::ostringstream os;
-    os << "frame record count " << payload[2] << " not integral";
-    throw_decode_error(DecodeErrorKind::kBadCount, 2, os.str());
-  }
-  return static_cast<std::size_t>(count);
-}
-
-FrameEntry check_frame_entry(std::span<const double> payload, std::size_t off,
-                             std::size_t nb) {
-  if (off + kFrameEntryDoubles > payload.size()) {
-    std::ostringstream os;
-    os << "frame entry header truncated at " << off;
-    throw_decode_error(DecodeErrorKind::kTruncated, off, os.str());
-  }
-  std::uint64_t type_val = 0;
-  if (!integral_in_range(payload[off], kNumRecordTypes - 1, type_val)) {
-    std::ostringstream os;
-    os << "frame entry has invalid record type " << payload[off];
-    throw_decode_error(DecodeErrorKind::kBadType, off, os.str());
-  }
-  const auto t = static_cast<RecordType>(type_val);
-  std::uint64_t length_val = 0;
-  const bool length_ok =
-      integral_in_range(payload[off + 1], 0x1.0p53, length_val);
-  const auto length = static_cast<std::size_t>(length_val);
-  if (!length_ok || length != encoded_doubles(t, nb)) {
-    std::ostringstream os;
-    os << record_type_name(t) << " frame entry declares length "
-       << payload[off + 1] << ", expected " << encoded_doubles(t, nb);
-    throw_decode_error(DecodeErrorKind::kBadLength, off + 1, os.str());
-  }
-  if (off + kFrameEntryDoubles + length > payload.size()) {
-    std::ostringstream os;
-    os << record_type_name(t) << " frame entry body truncated";
-    throw_decode_error(DecodeErrorKind::kTruncated, off + kFrameEntryDoubles,
-                       os.str());
-  }
-  return FrameEntry{t, length};
-}
-
-void check_frame_end(std::span<const double> payload, std::size_t off) {
-  if (off != payload.size()) {
-    std::ostringstream os;
-    os << "frame has " << payload.size() - off << " trailing doubles";
-    throw_decode_error(DecodeErrorKind::kTrailing, off, os.str());
-  }
-}
-
-std::size_t check_tenant_header(std::span<const double> payload) {
-  if (payload.size() < kTenantHeaderDoubles) {
-    throw_decode_error(DecodeErrorKind::kTruncated, 0,
-                       "tenant frame header truncated");
-  }
-  if (std::bit_cast<std::uint64_t>(payload[0]) != kTenantMagicBits) {
-    throw_decode_error(DecodeErrorKind::kBadDiscriminator, 0,
-                       "payload does not lead with the tenant-frame magic");
-  }
-  std::uint64_t version = 0;
-  if (!integral_in_range(payload[1], kWireVersion, version) || version < 1) {
-    std::ostringstream os;
-    os << "tenant frame version " << payload[1] << " not in [1, "
-       << kWireVersion << "]";
-    throw_decode_error(DecodeErrorKind::kBadVersion, 1, os.str());
-  }
-  std::uint64_t count = 0;
-  if (!integral_in_range(payload[2], 0x1.0p53, count)) {
-    std::ostringstream os;
-    os << "tenant frame entry count " << payload[2] << " not integral";
-    throw_decode_error(DecodeErrorKind::kBadCount, 2, os.str());
-  }
-  return static_cast<std::size_t>(count);
-}
-
-TenantEntryHeader check_tenant_entry(std::span<const double> payload,
-                                     std::size_t off) {
-  if (off + kTenantEntryDoubles > payload.size()) {
-    std::ostringstream os;
-    os << "tenant entry header truncated at " << off;
-    throw_decode_error(DecodeErrorKind::kTruncated, off, os.str());
-  }
-  std::uint64_t tenant_val = 0;
-  if (!integral_in_range(payload[off], 2147483647.0, tenant_val)) {
-    std::ostringstream os;
-    os << "tenant entry has invalid tenant id " << payload[off];
-    throw_decode_error(DecodeErrorKind::kBadType, off, os.str());
-  }
-  std::uint64_t length_val = 0;
-  // A zero-length body is malformed too: every physical encoding a tenant
-  // can ship (bare record, frame, envelope) is at least one double.
-  if (!integral_in_range(payload[off + 1], 0x1.0p53, length_val) ||
-      length_val == 0) {
-    std::ostringstream os;
-    os << "tenant entry declares body length " << payload[off + 1];
-    throw_decode_error(DecodeErrorKind::kBadLength, off + 1, os.str());
-  }
-  const auto length = static_cast<std::size_t>(length_val);
-  if (off + kTenantEntryDoubles + length > payload.size()) {
-    std::ostringstream os;
-    os << "tenant entry body truncated";
-    throw_decode_error(DecodeErrorKind::kTruncated,
-                       off + kTenantEntryDoubles, os.str());
-  }
-  return TenantEntryHeader{static_cast<int>(tenant_val), length};
-}
-
-}  // namespace detail
-
-namespace {
 bool leading_discriminator(std::span<const double> payload,
                            std::size_t min_doubles) {
   if (payload.size() < min_doubles) {
@@ -370,52 +324,22 @@ Record decode_record(Family family, std::span<const double> payload,
                      std::size_t nb) {
   switch (family) {
     case Family::kDelta:
-      return detail::decode_typed(RecordType::kGhostDelta, payload, nb);
+      return decode_typed(RecordType::kGhostDelta, payload, nb);
     case Family::kNorm: {
       const bool solve = leading_discriminator(payload, 2);
-      return detail::decode_typed(
+      return decode_typed(
           solve ? RecordType::kNormUpdate : RecordType::kResidualNorm,
           payload, nb);
     }
     case Family::kEstimate: {
       const bool solve = leading_discriminator(payload, 3);
-      return detail::decode_typed(
+      return decode_typed(
           solve ? RecordType::kSolveUpdate : RecordType::kCorrection, payload,
           nb);
     }
   }
   DSOUTH_CHECK(false);
   return {};
-}
-
-std::size_t frame_doubles(std::span<const std::size_t> record_lengths) {
-  std::size_t total = kFrameHeaderDoubles;
-  for (std::size_t len : record_lengths) total += kFrameEntryDoubles + len;
-  return total;
-}
-
-void encode_frame(std::span<const RecordType> types,
-                  std::span<const std::size_t> lengths,
-                  std::span<const double> bodies, std::span<double> out) {
-  DSOUTH_CHECK(types.size() == lengths.size());
-  DSOUTH_CHECK(out.size() == frame_doubles(lengths));
-  out[0] = frame_magic();
-  out[1] = static_cast<double>(kWireVersion);
-  out[2] = static_cast<double>(types.size());
-  std::size_t body_off = 0;
-  std::size_t off = kFrameHeaderDoubles;
-  for (std::size_t i = 0; i < types.size(); ++i) {
-    out[off] = static_cast<double>(static_cast<int>(types[i]));
-    out[off + 1] = static_cast<double>(lengths[i]);
-    off += kFrameEntryDoubles;
-    DSOUTH_CHECK(body_off + lengths[i] <= bodies.size());
-    for (std::size_t j = 0; j < lengths[i]; ++j) {
-      out[off + j] = bodies[body_off + j];
-    }
-    off += lengths[i];
-    body_off += lengths[i];
-  }
-  DSOUTH_CHECK(body_off == bodies.size());
 }
 
 std::span<double> begin_envelope(std::span<double> out, std::uint64_t seq) {
@@ -480,36 +404,6 @@ EnvelopeView decode_envelope(std::span<const double> payload) {
   return EnvelopeView{seq, payload.subspan(kEnvelopeDoubles)};
 }
 
-void encode_forward_frame(std::size_t plan_channels,
-                          std::span<const ForwardEntry> entries,
-                          std::span<double> out) {
-  const std::size_t words = forward_bitmap_words(plan_channels);
-  std::size_t total_body = 0;
-  for (const ForwardEntry& e : entries) total_body += e.body.size();
-  DSOUTH_CHECK(out.size() == forward_frame_doubles(plan_channels, total_body));
-  out[0] = forward_magic();
-  for (std::size_t w = 0; w < words; ++w) {
-    out[1 + w] = std::bit_cast<double>(std::uint64_t{0});
-  }
-  std::size_t off = 1 + words;
-  std::size_t prev = 0;
-  bool first = true;
-  for (const ForwardEntry& e : entries) {
-    DSOUTH_CHECK_MSG(e.channel < plan_channels,
-                     "forward entry channel " << e.channel
-                                              << " outside the node plan");
-    DSOUTH_CHECK_MSG(first || e.channel > prev,
-                     "forward entries must be strictly ascending by channel");
-    first = false;
-    prev = e.channel;
-    double& slot = out[1 + e.channel / 64];
-    slot = std::bit_cast<double>(std::bit_cast<std::uint64_t>(slot) |
-                                 (1ULL << (e.channel % 64)));
-    for (std::size_t j = 0; j < e.body.size(); ++j) out[off + j] = e.body[j];
-    off += e.body.size();
-  }
-}
-
 std::size_t tenant_frame_doubles(std::span<const std::size_t> body_lengths) {
   std::size_t total = kTenantHeaderDoubles;
   for (std::size_t len : body_lengths) total += kTenantEntryDoubles + len;
@@ -536,69 +430,6 @@ void encode_tenant_frame(std::span<const TenantEntry> entries,
     for (std::size_t j = 0; j < e.body.size(); ++j) out[off + j] = e.body[j];
     off += e.body.size();
   }
-}
-
-std::size_t forwarded_body_doubles(Family family, std::size_t nb,
-                                   std::span<const double> rest) {
-  if (rest.empty()) {
-    throw_decode_error(DecodeErrorKind::kTruncated, 0,
-                       "forwarded body is empty");
-  }
-  std::size_t len = 0;
-  if (is_envelope(rest)) {
-    // Envelopes pin their body length in the header (offset 3).
-    std::uint64_t inner = 0;
-    if (!integral_in_range(rest[3], 0x1.0p53, inner)) {
-      std::ostringstream os;
-      os << "enveloped forwarded body declares length " << rest[3];
-      throw_decode_error(DecodeErrorKind::kBadLength, 3, os.str());
-    }
-    len = kEnvelopeDoubles + static_cast<std::size_t>(inner);
-  } else if (is_frame(rest)) {
-    // Coalesced frames delimit themselves by walking their entry headers.
-    const std::size_t count = detail::check_frame_header(rest);
-    len = kFrameHeaderDoubles;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto entry = detail::check_frame_entry(rest, len, nb);
-      len += kFrameEntryDoubles + entry.length;
-    }
-  } else if (is_tenant_frame(rest)) {
-    // Tenant frames pin every entry's body length in its header, so they
-    // delimit themselves without decoding any tenant's body.
-    const std::size_t count = detail::check_tenant_header(rest);
-    len = kTenantHeaderDoubles;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto entry = detail::check_tenant_entry(rest, len);
-      len += kTenantEntryDoubles + entry.length;
-    }
-  } else {
-    // Bare v1 records are sized by (family, discriminator, width).
-    switch (family) {
-      case Family::kDelta:
-        len = nb;
-        break;
-      case Family::kNorm:
-        len = rest[0] == kSolveDiscriminator ? 2 + nb : 2;
-        break;
-      case Family::kEstimate:
-        len = rest[0] == kSolveDiscriminator ? 3 + 2 * nb : 3 + nb;
-        break;
-    }
-    if (family != Family::kDelta && rest[0] != kSolveDiscriminator &&
-        rest[0] != kResidualDiscriminator) {
-      std::ostringstream os;
-      os << "forwarded body discriminator " << rest[0]
-         << " is neither 0 nor 1";
-      throw_decode_error(DecodeErrorKind::kBadDiscriminator, 0, os.str());
-    }
-  }
-  if (len == 0 || len > rest.size()) {
-    std::ostringstream os;
-    os << "forwarded body of " << len << " doubles exceeds the "
-       << rest.size() << " remaining";
-    throw_decode_error(DecodeErrorKind::kTruncated, 0, os.str());
-  }
-  return len;
 }
 
 }  // namespace dsouth::wire

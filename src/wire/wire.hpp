@@ -27,15 +27,11 @@
 /// kSolveUpdate/kCorrection, BJ/MCBGS windows only kGhostDelta, which is
 /// headerless because its family has a single member).
 ///
-/// Frames: the opt-in coalescing mode (comm_plan.hpp) packs several
-/// records bound for one neighbor into a single physical message. A frame
-/// is marked by a magic quiet-NaN first double (bit-exact compare; no
-/// legitimate record starts with that bit pattern — discriminators are
-/// 0/1 and Δx values are finite in any non-diverged run), followed by the
-/// format version, the record count, and [type, length, body...] per
-/// record. Decoding validates every length against the channel width, so
-/// a stale or delayed frame can never be misparsed as a bare record or
-/// vice versa.
+/// Every physical message carries exactly one of three things: a bare v1
+/// record (the default path), a sequenced envelope wrapping one record
+/// (resilient channels, below), or a tenant frame multiplexing one record
+/// per co-scheduled tenant (batched runs, below). Envelopes and tenant
+/// frames lead with distinct magic quiet NaNs, compared bit-exactly.
 
 #include <bit>
 #include <cstddef>
@@ -48,8 +44,8 @@
 
 namespace dsouth::wire {
 
-/// Wire format version; bumped on any encoding change. Frames carry it
-/// explicitly; bare records are implicitly v1 (their layout is frozen —
+/// Wire format version; bumped on any encoding change. Tenant frames carry
+/// it explicitly; bare records are implicitly v1 (their layout is frozen —
 /// it is the byte-compatibility contract with the committed baselines).
 inline constexpr int kWireVersion = 1;
 
@@ -67,7 +63,7 @@ enum class DecodeErrorKind : int {
   kBadDiscriminator,     ///< leading 0/1 (or envelope magic) mismatch
   kBadLength,            ///< length field inconsistent with channel width
   kBadVersion,           ///< frame/envelope version out of range
-  kBadType,              ///< frame entry names an unknown record type
+  kBadType,              ///< tenant-frame entry names no tenant of the batch
   kBadCount,             ///< non-integral count/seq field
   kTrailing,             ///< frame walked clean but left extra doubles
   kBadChecksum,          ///< envelope checksum mismatch (bit corruption)
@@ -150,46 +146,11 @@ struct MutableRecord {
 MutableRecord begin_record(RecordType t, double norm2, double gamma2,
                            std::span<double> out, std::size_t nb);
 
-/// Decode a single bare (non-frame) record of `family` received on a
-/// channel of incoming width `nb`. Checks the discriminator and the exact
-/// payload length — malformed data throws DecodeError, never misparses.
+/// Decode a single bare record of `family` received on a channel of
+/// incoming width `nb`. Checks the discriminator and the exact payload
+/// length — malformed data throws DecodeError, never misparses.
 Record decode_record(Family family, std::span<const double> payload,
                      std::size_t nb);
-
-// ---------------------------------------------------------------------------
-// Frames (coalesced physical messages).
-
-/// Frame magic: a specific quiet NaN, compared bit-exactly.
-inline constexpr std::uint64_t kFrameMagicBits = 0x7ff8'd500'57e1'1ed1ULL;
-
-inline double frame_magic() { return std::bit_cast<double>(kFrameMagicBits); }
-
-/// True when `payload` is a coalesced frame (magic first double).
-inline bool is_frame(std::span<const double> payload) {
-  return payload.size() >= 3 &&
-         std::bit_cast<std::uint64_t>(payload[0]) == kFrameMagicBits;
-}
-
-inline constexpr std::size_t kFrameHeaderDoubles = 3;  ///< magic, ver, count
-inline constexpr std::size_t kFrameEntryDoubles = 2;   ///< type, length
-
-/// Total doubles of a frame holding records of the given encoded lengths.
-std::size_t frame_doubles(std::span<const std::size_t> record_lengths);
-
-/// Serialize `count` records (concatenated v1 encodings in `bodies`, with
-/// per-record types/lengths) into `out` as one frame. `out` must be
-/// exactly frame_doubles(lengths) long.
-void encode_frame(std::span<const RecordType> types,
-                  std::span<const std::size_t> lengths,
-                  std::span<const double> bodies, std::span<double> out);
-
-/// Decode every record of a physical payload — a bare record of `family`
-/// or a frame — invoking fn(const Record&) per record in send order.
-/// Frame entries are validated (version, type, per-record length against
-/// `nb`, total size) before fn sees them.
-template <typename Fn>
-void for_each_record(Family family, std::span<const double> payload,
-                     std::size_t nb, Fn&& fn);
 
 // ---------------------------------------------------------------------------
 // Sequenced envelopes (wire v2, resilient mode — docs/resilience.md).
@@ -200,17 +161,16 @@ void for_each_record(Family family, std::span<const double> payload,
 //
 //   [magic, version=2, seq, inner_len, checksum, body...]
 //
-// `magic` is a quiet NaN distinct from the frame magic (bit-exact
-// compare); `seq` is the per-channel send counter the receiver gates
-// duplicates/staleness on; `inner_len` pins the body length so
-// truncation is detected even when the truncated payload happens to be a
-// plausible record size; `checksum` is FNV-1a64 over the byte patterns
-// of seq, inner_len, and every body double — any single-bit flip in
-// those fields (or in the checksum itself) is detected. Envelopes are
-// opt-in per channel (ChannelSet::set_sequencing) and never appear on
-// the default path, so v1 byte layouts are untouched.
+// `magic` is a quiet NaN (bit-exact compare); `seq` is the per-channel
+// send counter the receiver gates duplicates/staleness on; `inner_len`
+// pins the body length so truncation is detected even when the truncated
+// payload happens to be a plausible record size; `checksum` is FNV-1a64
+// over the byte patterns of seq, inner_len, and every body double — any
+// single-bit flip in those fields (or in the checksum itself) is
+// detected. Envelopes are opt-in per channel (ChannelSet::set_sequencing)
+// and never appear on the default path, so v1 byte layouts are untouched.
 
-/// Envelope magic: a quiet NaN one ULP away from the frame magic.
+/// Envelope magic: a specific quiet NaN, compared bit-exactly.
 inline constexpr std::uint64_t kEnvelopeMagicBits = 0x7ff8'd500'57e1'1ed2ULL;
 
 inline double envelope_magic() {
@@ -218,12 +178,6 @@ inline double envelope_magic() {
 }
 
 inline constexpr std::size_t kEnvelopeDoubles = 5;
-
-/// True when `payload` leads with the envelope magic.
-inline bool is_envelope(std::span<const double> payload) {
-  return payload.size() >= kEnvelopeDoubles &&
-         std::bit_cast<std::uint64_t>(payload[0]) == kEnvelopeMagicBits;
-}
 
 /// A validated envelope: the channel sequence number and the body span
 /// (aliasing the payload — valid as long as the message it came from).
@@ -247,91 +201,6 @@ void seal_envelope(std::span<double> out);
 EnvelopeView decode_envelope(std::span<const double> payload);
 
 // ---------------------------------------------------------------------------
-// Forwarded-record frames (node-aware routing — DESIGN.md §13,
-// docs/communication.md).
-//
-// Node-aware routing aggregates every record crossing one ordered node
-// pair (and sharing a MsgTag) into a single leader → leader physical
-// message. The frame must carry each record's original (src, dst) channel
-// without paying per-record header bytes — otherwise aggregation saves
-// messages but not bytes. The trick is that the channel list of a node
-// pair is *static* (derivable from the CommPlan + NodeTopology, see
-// NodeCommPlan in comm_plan.hpp), identical on both leaders, and in a
-// deterministic order — so the frame only needs a presence bitmap over
-// that shared list:
-//
-//   [magic, bitmap_word_0 .. bitmap_word_{W-1}, body .. body]
-//
-// W = ceil(plan_channels / 64); bit i of the bitmap (word i/64, bit i%64,
-// stored as raw uint64 bit patterns) marks channel i of the node plan as
-// present, and bodies follow in ascending channel order, at most one per
-// channel per frame. Bodies are ordinary physical payloads (bare v1
-// records, sequenced envelopes, or coalesced frames) and are
-// self-delimiting given the channel's decode family and width, so no
-// length fields are needed either. Overhead is 8(1 + W) bytes per frame
-// against 16 bytes of message header saved per aggregated record: a
-// 3-record frame on a ≤64-channel pair already shrinks inter-node bytes,
-// and the runtime ships 1-record groups bare (byte-identical cost) so
-// aggregation never costs more than direct sends.
-
-/// Forward-frame magic: a quiet NaN one ULP past the envelope magic.
-inline constexpr std::uint64_t kForwardMagicBits = 0x7ff8'd500'57e1'1ed3ULL;
-
-inline double forward_magic() {
-  return std::bit_cast<double>(kForwardMagicBits);
-}
-
-/// True when `payload` leads with the forward-frame magic.
-inline bool is_forward_frame(std::span<const double> payload) {
-  return !payload.empty() &&
-         std::bit_cast<std::uint64_t>(payload[0]) == kForwardMagicBits;
-}
-
-/// Bitmap words needed for a node-pair channel list of `plan_channels`.
-inline std::size_t forward_bitmap_words(std::size_t plan_channels) {
-  return (plan_channels + 63) / 64;
-}
-
-/// Total doubles of a forward frame: magic + bitmap + concatenated bodies.
-inline std::size_t forward_frame_doubles(std::size_t plan_channels,
-                                         std::size_t total_body_doubles) {
-  return 1 + forward_bitmap_words(plan_channels) + total_body_doubles;
-}
-
-/// One record in a forward frame: its index into the node pair's static
-/// channel list (NodeCommPlan order) and its physical payload.
-struct ForwardEntry {
-  std::size_t channel = 0;
-  std::span<const double> body;
-};
-
-/// Serialize `entries` (strictly ascending channel indices, each
-/// < plan_channels) into `out`, which must be exactly
-/// forward_frame_doubles(plan_channels, sum of body sizes) long.
-void encode_forward_frame(std::size_t plan_channels,
-                          std::span<const ForwardEntry> entries,
-                          std::span<double> out);
-
-/// Length in doubles of the single physical body at the head of `rest`,
-/// for a channel decoding `family` records of incoming width `nb` — the
-/// self-delimiting rule forward frames rely on: envelopes declare their
-/// body length, coalesced frames walk their entry headers, bare records
-/// are sized by (family, discriminator, nb). Throws DecodeError when the
-/// head is malformed or `rest` is shorter than the computed length.
-std::size_t forwarded_body_doubles(Family family, std::size_t nb,
-                                   std::span<const double> rest);
-
-/// Walk a forward frame, invoking fn(const ForwardEntry&) per present
-/// channel in ascending channel order. `body_len(channel, rest)` returns
-/// the size of that channel's body at the head of `rest` (compose
-/// forwarded_body_doubles with the channel's family/width — tests and
-/// docs/communication.md's worked example do exactly that). Validates the
-/// magic, bitmap range, and that the bodies consume the payload exactly.
-template <typename LenFn, typename Fn>
-void for_each_forwarded(std::span<const double> frame,
-                        std::size_t plan_channels, LenFn&& body_len, Fn&& fn);
-
-// ---------------------------------------------------------------------------
 // Tenant frames (batched multi-tenant serving — DESIGN.md §14,
 // docs/serving.md).
 //
@@ -339,25 +208,24 @@ void for_each_forwarded(std::span<const double> frame,
 // sparsity, different right-hand sides/coefficients — through one runtime,
 // and co-scheduled tenants that stage to the same neighbor in the same
 // epoch share a single physical put per (peer, tag). Each body keeps its
-// tenant's own physical encoding untouched — a bare v1 record, a coalesced
-// frame, or a sequenced envelope — so per-tenant decoding is exactly the
-// unbatched path; the tenant frame adds only the demux key:
+// tenant's own physical encoding untouched — a bare v1 record or a
+// sequenced envelope — so per-tenant decoding is exactly the unbatched
+// path; the tenant frame adds only the demux key:
 //
 //   [magic, version=1, count, {tenant, body_len, body...} × count]
 //
-// Unlike coalesced frames (one channel, one decode family), a tenant frame
-// multiplexes *different logical channels* over one physical message, so
-// each entry carries an explicit length: the receiver cannot size body i
-// without decoding it as tenant i's family, and the demux must be able to
-// skip bodies while dispatching. Entries appear in tenant-schedule order,
-// preserving each tenant's own send order — the order the unbatched run
-// would have delivered in. A lone entry still ships framed (unlike
-// coalescing's bare-single rule): dropping the header would drop the
-// tenant id. B = 1 byte-identity is instead achieved one level up — the
-// batch coordinator with a single tenant delegates to the unbatched
-// driver outright (dist/batch.hpp).
+// A tenant frame multiplexes *different logical channels* over one
+// physical message, so each entry carries an explicit length: the
+// receiver cannot size body i without decoding it as tenant i's family,
+// and the demux must be able to skip bodies while dispatching. Entries
+// appear in tenant-schedule order, preserving each tenant's own send order
+// — the order the unbatched run would have delivered in. A lone entry
+// still ships framed: dropping the header would drop the tenant id. B = 1
+// byte-identity is instead achieved one level up — the batch coordinator
+// with a single tenant delegates to the unbatched driver outright
+// (dist/batch.hpp).
 
-/// Tenant-frame magic: a quiet NaN one ULP past the forward magic.
+/// Tenant-frame magic: a quiet NaN distinct from the envelope magic.
 inline constexpr std::uint64_t kTenantMagicBits = 0x7ff8'd500'57e1'1ed4ULL;
 
 inline double tenant_magic() {
@@ -374,8 +242,8 @@ inline bool is_tenant_frame(std::span<const double> payload) {
 }
 
 /// One record in a tenant frame: the owning tenant's index in the batch
-/// and its physical payload (bare record, coalesced frame, or envelope —
-/// the span aliases the frame, valid as long as the message it came from).
+/// and its physical payload (bare record or envelope — the span aliases
+/// the frame, valid as long as the message it came from).
 struct TenantEntry {
   int tenant = 0;
   std::span<const double> body;
@@ -389,115 +257,47 @@ std::size_t tenant_frame_doubles(std::span<const std::size_t> body_lengths);
 void encode_tenant_frame(std::span<const TenantEntry> entries,
                          std::span<double> out);
 
-/// Walk a tenant frame, invoking fn(const TenantEntry&) per entry in frame
-/// order. Validates the magic, version, count, tenant ids, entry lengths
-/// against the frame size, and that the entries consume the payload
-/// exactly; throws DecodeError with the rejection reason. Bodies are NOT
-/// decoded — dispatch each to its tenant's ordinary decode path.
+/// Walk a tenant frame of a batch of `num_tenants` tenants, invoking
+/// fn(const TenantEntry&) per entry in frame order. Validates the magic,
+/// version, count, tenant ids (each must lie in [0, num_tenants)), entry
+/// lengths against the frame size, and that the entries consume the
+/// payload exactly; throws DecodeError with the rejection reason. Bodies
+/// are NOT decoded — dispatch each to its tenant's ordinary decode path.
 template <typename Fn>
-void for_each_tenant(std::span<const double> frame, Fn&& fn);
+void for_each_tenant(std::span<const double> frame, std::size_t num_tenants,
+                     Fn&& fn);
 
 // ---------------------------------------------------------------------------
 // Implementation details.
 
 namespace detail {
-/// Decode one record whose type is already known (frame entries). Checks
-/// body.size() == encoded_doubles(type, nb).
-Record decode_typed(RecordType t, std::span<const double> body,
-                    std::size_t nb);
-/// Validate a frame header and return the record count.
-std::size_t check_frame_header(std::span<const double> payload);
-/// Validate one frame entry header at `off`; returns (type, length).
-struct FrameEntry {
-  RecordType type;
-  std::size_t length;
-};
-FrameEntry check_frame_entry(std::span<const double> payload,
-                             std::size_t off, std::size_t nb);
 /// Validate that a fully-walked frame consumed the whole payload.
 void check_frame_end(std::span<const double> payload, std::size_t off);
 /// Validate a tenant-frame header and return the entry count.
 std::size_t check_tenant_header(std::span<const double> payload);
 /// Validate one tenant entry header at `off`; returns (tenant, length)
-/// with the body checked to fit inside the payload.
+/// with the tenant checked to lie in [0, num_tenants) and the body checked
+/// to fit inside the payload.
 struct TenantEntryHeader {
   int tenant;
   std::size_t length;
 };
 TenantEntryHeader check_tenant_entry(std::span<const double> payload,
-                                     std::size_t off);
+                                     std::size_t off, std::size_t num_tenants);
 }  // namespace detail
 
 template <typename Fn>
-void for_each_record(Family family, std::span<const double> payload,
-                     std::size_t nb, Fn&& fn) {
-  if (!is_frame(payload)) {
-    fn(decode_record(family, payload, nb));
-    return;
-  }
-  const std::size_t count = detail::check_frame_header(payload);
-  std::size_t off = kFrameHeaderDoubles;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto entry = detail::check_frame_entry(payload, off, nb);
-    off += kFrameEntryDoubles;
-    fn(detail::decode_typed(entry.type, payload.subspan(off, entry.length),
-                            nb));
-    off += entry.length;
-  }
-  detail::check_frame_end(payload, off);
-}
-
-template <typename Fn>
-void for_each_tenant(std::span<const double> frame, Fn&& fn) {
+void for_each_tenant(std::span<const double> frame, std::size_t num_tenants,
+                     Fn&& fn) {
   const std::size_t count = detail::check_tenant_header(frame);
   std::size_t off = kTenantHeaderDoubles;
   for (std::size_t i = 0; i < count; ++i) {
-    const auto entry = detail::check_tenant_entry(frame, off);
+    const auto entry = detail::check_tenant_entry(frame, off, num_tenants);
     off += kTenantEntryDoubles;
     fn(TenantEntry{entry.tenant, frame.subspan(off, entry.length)});
     off += entry.length;
   }
   detail::check_frame_end(frame, off);
-}
-
-template <typename LenFn, typename Fn>
-void for_each_forwarded(std::span<const double> frame,
-                        std::size_t plan_channels, LenFn&& body_len,
-                        Fn&& fn) {
-  const std::size_t words = forward_bitmap_words(plan_channels);
-  if (frame.size() < 1 + words) {
-    throw_decode_error(DecodeErrorKind::kTruncated, 0,
-                       "forward frame shorter than its bitmap");
-  }
-  if (!is_forward_frame(frame)) {
-    throw_decode_error(DecodeErrorKind::kBadDiscriminator, 0,
-                       "forward frame magic mismatch");
-  }
-  std::size_t off = 1 + words;
-  for (std::size_t c = 0; c < plan_channels; ++c) {
-    const auto word = std::bit_cast<std::uint64_t>(frame[1 + c / 64]);
-    if (((word >> (c % 64)) & 1ULL) == 0) continue;
-    const std::size_t len = body_len(c, frame.subspan(off));
-    if (off + len > frame.size()) {
-      throw_decode_error(DecodeErrorKind::kTruncated, off,
-                         "forward frame body truncated");
-    }
-    fn(ForwardEntry{c, frame.subspan(off, len)});
-    off += len;
-  }
-  if (off != frame.size()) {
-    throw_decode_error(DecodeErrorKind::kTrailing, off,
-                       "forward frame has trailing doubles");
-  }
-  // Bits past plan_channels in the last word must be clear (a set stray
-  // bit means the sender and receiver disagree on the channel list).
-  if (plan_channels % 64 != 0 && words > 0) {
-    const auto last = std::bit_cast<std::uint64_t>(frame[words]);
-    if ((last >> (plan_channels % 64)) != 0) {
-      throw_decode_error(DecodeErrorKind::kBadCount, words,
-                         "forward frame bitmap has bits past the plan");
-    }
-  }
 }
 
 }  // namespace dsouth::wire

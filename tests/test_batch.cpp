@@ -3,14 +3,15 @@
 /// ship_batch's (peer, tag) grouping with per-tenant accounting, the
 /// runtime's tenant tallies across reset_stats(), the B = 1 degeneracy
 /// (byte-identical to run_distributed — iterates AND traces — for all four
-/// solvers, both backends, composed with coalescing / async / faults /
-/// node routing), and the B >= 2 serving invariants: per-tenant
-/// trajectories bit-identical to solo runs, cross-backend bit-identity,
-/// physical-message reduction with logical invariance, and dropout that
-/// never perturbs the surviving tenants.
+/// solvers, both backends, composed with async / faults / node routing),
+/// and the B >= 2 serving invariants: per-tenant trajectories
+/// bit-identical to solo runs, cross-backend bit-identity, physical-message
+/// reduction with logical invariance, dropout that never perturbs the
+/// surviving tenants, and corrupted frames rejected rather than fatal.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -49,12 +50,10 @@ TEST(TenantFrame, RoundTripsEntriesInOrder) {
   EXPECT_EQ(frame.size(), 3u + 3 * 2 + 6);
   wire::encode_tenant_frame(entries, frame);
   EXPECT_TRUE(wire::is_tenant_frame(frame));
-  EXPECT_FALSE(wire::is_frame(frame));
-  EXPECT_FALSE(wire::is_forward_frame(frame));
 
   std::vector<int> tenants;
   std::vector<std::vector<double>> bodies;
-  wire::for_each_tenant(frame, [&](const wire::TenantEntry& e) {
+  wire::for_each_tenant(frame, 4, [&](const wire::TenantEntry& e) {
     tenants.push_back(e.tenant);
     bodies.emplace_back(e.body.begin(), e.body.end());
   });
@@ -71,37 +70,55 @@ TEST(TenantFrame, MalformedFramesThrowStructuredErrors) {
   const std::size_t lens[] = {2};
   std::vector<double> frame(wire::tenant_frame_doubles(lens));
   wire::encode_tenant_frame(entries, frame);
+  constexpr std::size_t kBatch = 3;  // tenant 2 is the batch's last
   auto sink = [](const wire::TenantEntry&) {};
   auto mutate = [&](std::size_t i, double v) {
     std::vector<double> bad = frame;
     bad[i] = v;
     return bad;
   };
+  EXPECT_NO_THROW(wire::for_each_tenant(frame, kBatch, sink));
 
   // Wrong magic: not a tenant frame at all, and the walker refuses it.
   EXPECT_FALSE(wire::is_tenant_frame(mutate(0, 0.0)));
-  EXPECT_THROW(wire::for_each_tenant(mutate(0, 0.0), sink),
+  EXPECT_THROW(wire::for_each_tenant(mutate(0, 0.0), kBatch, sink),
                wire::DecodeError);
   // Bad version / non-integral count / negative tenant / zero or
   // non-integral body length.
-  EXPECT_THROW(wire::for_each_tenant(mutate(1, 99.0), sink),
+  EXPECT_THROW(wire::for_each_tenant(mutate(1, 99.0), kBatch, sink),
                wire::DecodeError);
-  EXPECT_THROW(wire::for_each_tenant(mutate(2, 1.5), sink),
+  EXPECT_THROW(wire::for_each_tenant(mutate(2, 1.5), kBatch, sink),
                wire::DecodeError);
-  EXPECT_THROW(wire::for_each_tenant(mutate(3, -1.0), sink),
+  EXPECT_THROW(wire::for_each_tenant(mutate(3, -1.0), kBatch, sink),
                wire::DecodeError);
-  EXPECT_THROW(wire::for_each_tenant(mutate(4, 0.0), sink),
+  EXPECT_THROW(wire::for_each_tenant(mutate(4, 0.0), kBatch, sink),
                wire::DecodeError);
-  EXPECT_THROW(wire::for_each_tenant(mutate(4, 2.5), sink),
+  EXPECT_THROW(wire::for_each_tenant(mutate(4, 2.5), kBatch, sink),
                wire::DecodeError);
+  // A tenant id outside the batch, as one bit flip can make it (bit 62
+  // turns tenant 0's 0.0 into 2.0): rejected as a bad type, not passed on.
+  const double flipped =
+      std::bit_cast<double>(std::bit_cast<std::uint64_t>(0.0) | (1ULL << 62));
+  ASSERT_EQ(flipped, 2.0);
+  for (const double id : {flipped, 3.0, 1e9}) {
+    try {
+      wire::for_each_tenant(mutate(3, id), 2, sink);
+      ADD_FAILURE() << "tenant id " << id << " accepted in a batch of 2";
+    } catch (const wire::DecodeError& e) {
+      EXPECT_EQ(e.kind(), wire::DecodeErrorKind::kBadType) << id;
+      EXPECT_EQ(e.offset(), 3u) << id;
+    }
+  }
   // Truncated body and trailing garbage.
   std::vector<double> cut(frame.begin(), frame.end() - 1);
-  EXPECT_THROW(wire::for_each_tenant(std::span<const double>(cut), sink),
-               wire::DecodeError);
+  EXPECT_THROW(
+      wire::for_each_tenant(std::span<const double>(cut), kBatch, sink),
+      wire::DecodeError);
   std::vector<double> extra = frame;
   extra.push_back(9.0);
-  EXPECT_THROW(wire::for_each_tenant(std::span<const double>(extra), sink),
-               wire::DecodeError);
+  EXPECT_THROW(
+      wire::for_each_tenant(std::span<const double>(extra), kBatch, sink),
+      wire::DecodeError);
 }
 
 // ---------------------------------------------------------------------------
@@ -127,7 +144,7 @@ TEST(ShipBatch, GroupsByPeerAndTagWithPerTenantAccounting) {
     auto rec = s0.open(ctx, 0, wire::RecordType::kGhostDelta);
     rec.dx[0] = 1.0;
     rec.dx[1] = 2.0;
-    s0.flush(ctx);
+    s0.flush();
   }
   {
     auto rec = s1.open(ctx, 0, wire::RecordType::kGhostDelta);
@@ -135,7 +152,7 @@ TEST(ShipBatch, GroupsByPeerAndTagWithPerTenantAccounting) {
     rec.dx[1] = 4.0;
     auto rn = s1.open(ctx, 0, wire::RecordType::kResidualNorm, 0.625);
     (void)rn;
-    s1.flush(ctx);
+    s1.flush();
   }
   wire::ChannelSet* sets[] = {&s0, &s1};
   const int tenants[] = {0, 1};
@@ -154,14 +171,14 @@ TEST(ShipBatch, GroupsByPeerAndTagWithPerTenantAccounting) {
   ASSERT_TRUE(wire::is_tenant_frame(win[0].payload));
   ASSERT_TRUE(wire::is_tenant_frame(win[1].payload));
   std::vector<int> solve_tenants;
-  wire::for_each_tenant(win[0].payload, [&](const wire::TenantEntry& e) {
+  wire::for_each_tenant(win[0].payload, 2, [&](const wire::TenantEntry& e) {
     solve_tenants.push_back(e.tenant);
     ASSERT_EQ(e.body.size(), 2u);  // kGhostDelta is headerless: nb doubles
     EXPECT_EQ(e.body[0], e.tenant == 0 ? 1.0 : 3.0);
   });
   EXPECT_EQ(solve_tenants, (std::vector<int>{0, 1}));
   std::vector<int> res_tenants;
-  wire::for_each_tenant(win[1].payload, [&](const wire::TenantEntry& e) {
+  wire::for_each_tenant(win[1].payload, 2, [&](const wire::TenantEntry& e) {
     res_tenants.push_back(e.tenant);
     const auto rec = wire::decode_record(wire::Family::kNorm, e.body, 2);
     EXPECT_EQ(rec.norm2, 0.625);
@@ -274,9 +291,6 @@ TEST(BatchDegeneracy, SingleTenantIsByteIdenticalToUnbatched) {
     base.max_parallel_steps = 12;
     base.trace.enabled = true;
     configs.push_back({"plain", base});
-    auto coal = base;
-    coal.coalesce_messages = true;
-    configs.push_back({"coalesce", coal});
     auto async = base;
     async.async = true;
     configs.push_back({"async", async});
@@ -469,6 +483,33 @@ TEST(BatchServing, UnsupportedObserverPoliciesAreRejected) {
   EXPECT_THROW(dist::run_distributed_batch(dist::DistMethod::kBlockJacobi,
                                            layouts, specs, opt2),
                util::CheckError);
+}
+
+// Under fault injection a corrupted tenant frame is dropped and counted,
+// never fatal — including one whose tenant id a bit flip pushed outside the
+// batch, which fault seed 61 does to this problem.
+TEST(BatchServing, OutOfRangeTenantIdIsRejectedNotFatal) {
+  auto p = make_problem(12, 6, 71);
+  dist::DistLayout layout(p.a, p.part);
+  std::vector<value_t> b1(p.b.size(), 0.0), x1(p.x0.size());
+  util::Rng rng(72);
+  rng.fill_uniform(x1, -1.0, 1.0);
+  sparse::normalize_initial_residual(p.a, b1, x1);
+  const dist::DistLayout* layouts[] = {&layout};
+  const dist::TenantSpec specs[] = {{p.b, p.x0, 0.0}, {b1, x1, 0.0}};
+  dist::DistRunOptions opt;
+  opt.max_parallel_steps = 30;
+  opt.resilience.enabled = true;
+  opt.faults.seed = 61;
+  opt.faults.defaults.corrupt_probability = 0.3;
+  const auto r = dist::run_distributed_batch(
+      dist::DistMethod::kDistributedSouthwell, layouts, specs, opt);
+  EXPECT_GT(r.frames_rejected, 0u);
+  ASSERT_EQ(r.tenants.size(), 2u);
+  for (const auto& t : r.tenants) {
+    EXPECT_EQ(t.steps, 30);
+    EXPECT_LT(t.final_residual, t.residual_norm.front());
+  }
 }
 
 TEST(BatchServing, TracedBatchedRunIsDeterministic) {

@@ -2,10 +2,10 @@
 /// "Permanent failure and recovery"): permanent-kill schedule semantics,
 /// dead-rank silencing at the runtime fence, the versioned checkpoint
 /// codec (round-trip determinism, corruption rejection), byte-identical
-/// restore-continuation across backends and composed with coalescing /
-/// async delivery / node topologies, fault-free byte-identity of
-/// run_elastic against run_distributed (series AND trace bytes), full
-/// kill-and-repartition recovery for all four solvers, and the
+/// restore-continuation across backends and composed with async delivery /
+/// node topologies, fault-free byte-identity of run_elastic against
+/// run_distributed (series AND trace bytes), full kill-and-repartition
+/// recovery for all four solvers, and the
 /// Runtime::reset_stats / CommStats save-load audit.
 
 #include <gtest/gtest.h>
@@ -139,7 +139,7 @@ elastic::Checkpoint capture_checkpoint(dist::RunHarness& h, int method,
   elastic::Checkpoint c;
   c.num_ranks = h.runtime().num_ranks();
   c.method = method;
-  c.flags = elastic::kFlagCoalescing;  // arbitrary nonzero flag stamp
+  c.flags = elastic::kFlagNodeTopology;  // arbitrary nonzero flag stamp
   c.epoch = h.runtime().epochs_completed();
   c.step = step;
   c.runtime = h.runtime().capture_state();
@@ -263,13 +263,6 @@ void expect_restore_continuation_identical(const dist::DistRunOptions& opt,
 
 TEST(RestoreContinuation, PlainBulkSynchronous) {
   dist::DistRunOptions opt;
-  expect_restore_continuation_identical(opt, simmpi::BackendKind::kSequential);
-  expect_restore_continuation_identical(opt, simmpi::BackendKind::kThreadPool);
-}
-
-TEST(RestoreContinuation, WithCoalescing) {
-  dist::DistRunOptions opt;
-  opt.coalesce_messages = true;
   expect_restore_continuation_identical(opt, simmpi::BackendKind::kSequential);
   expect_restore_continuation_identical(opt, simmpi::BackendKind::kThreadPool);
 }
@@ -493,8 +486,7 @@ TEST(CommStatsAudit, ResetZeroesEveryCounterSincePr5) {
   auto p = make_problem(12, 4, 81);
   dist::DistRunOptions opt;
   opt.max_parallel_steps = 8;
-  opt.async = true;        // async_* counters (force-enables resilience,
-                           // which is why coalescing is left off here)
+  opt.async = true;        // async_* counters (force-enables resilience)
   opt.ranks_per_node = 2;  // node_* counters
   opt.faults.defaults.drop_probability = 0.2;  // fault counters
   opt.faults.kills.push_back({1, 3});          // msgs_dead_dropped

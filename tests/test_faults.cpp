@@ -19,13 +19,11 @@
 #include "dist/harness.hpp"
 #include "faults/fault_plan.hpp"
 #include "graph/partition.hpp"
-#include "simmpi/rank_context.hpp"
 #include "simmpi/runtime.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/stencils.hpp"
 #include "sparse/vec.hpp"
 #include "util/rng.hpp"
-#include "wire/comm_plan.hpp"
 #include "wire/wire.hpp"
 
 namespace dsouth {
@@ -350,52 +348,6 @@ TEST(DelayedDelivery, SameSourceCanBeObservedOutOfOrder) {
     if (win.size() == 1 && win[0].payload[0] == 1.0) reordered = true;
   }
   EXPECT_TRUE(reordered);
-}
-
-TEST(DelayedDelivery, CoalescedFramesComposeWithDelays) {
-  // A reordered frame is still a frame: the magic-NaN marker and the
-  // validated entry walk mean late delivery can never make the decoder
-  // misparse — every logical record eventually arrives intact.
-  const faults::FaultSchedule schedule(reorder_plan(0.5, 2, 7), 2);
-  simmpi::Runtime rt(2);
-  rt.set_fault_schedule(&schedule);
-  wire::CommPlan plan({{{1, 2, 2}}, {{0, 2, 2}}});
-  wire::ChannelSet ch(plan, 0);
-  ch.set_coalescing(true);
-  simmpi::RankContext ctx(rt, 0);
-
-  std::size_t records_seen = 0;
-  double norm_sum = 0.0;
-  const auto absorb = [&] {
-    for (const auto& m : rt.window(1)) {
-      wire::for_each_record(wire::Family::kEstimate, m.payload, 2,
-                            [&](const wire::Record& rec) {
-                              ++records_seen;
-                              norm_sum += rec.norm2;
-                            });
-    }
-    rt.consume(1);
-  };
-
-  double sent_norm_sum = 0.0;
-  for (int e = 0; e < 6; ++e) {
-    for (int i = 0; i < 2; ++i) {
-      const double n2 = 1.0 + 2.0 * e + i;
-      sent_norm_sum += n2;
-      auto rec = ch.open(ctx, 0, wire::RecordType::kSolveUpdate, n2, 0.5);
-      rec.dx[0] = rec.dx[1] = rec.rb[0] = rec.rb[1] = 0.0;
-    }
-    ch.flush(ctx);
-    rt.fence();
-    absorb();
-  }
-  rt.drain_delayed();
-  absorb();
-  EXPECT_EQ(records_seen, 12u);
-  EXPECT_EQ(norm_sum, sent_norm_sum);
-  // Frames count once physically, per-record logically.
-  EXPECT_EQ(rt.stats().total_messages(), 6u);
-  EXPECT_EQ(rt.stats().logical_messages(), 12u);
 }
 
 // ---------------------------------------------------------------------------

@@ -137,8 +137,6 @@ const Pinned kPinned[] = {
      {0x7aa252bd69384244ULL, 0x8fc402990e76eaa8ULL, 0xbf9a7523a0f4f7bdULL}},
     {"BJ/bsp",
      {0x3182961ca665577fULL, 0x337d05b0f9aa9cbdULL, 0x0c38d0f1fd609ebcULL}},
-    {"BJ/coalesce",
-     {0x3182961ca665577fULL, 0x337d05b0f9aa9cbdULL, 0x0c38d0f1fd609ebcULL}},
     {"BJ/faults",
      {0x0c35985f1f47554eULL, 0x89bc557479716f12ULL, 0x78b9a7d6a3510672ULL}},
     {"BJ/node-route",
@@ -148,8 +146,6 @@ const Pinned kPinned[] = {
     {"DS/batch3",
      {0xf0512863457306b6ULL, 0x2bbab3cc278fa040ULL, 0xc6c37eb804e2ba0fULL}},
     {"DS/bsp",
-     {0x4963f943a92d8106ULL, 0x1b68600299e5d661ULL, 0x32eb70815b2903ebULL}},
-    {"DS/coalesce",
      {0x4963f943a92d8106ULL, 0x1b68600299e5d661ULL, 0x32eb70815b2903ebULL}},
     {"DS/elastic-kill",
      {0x973fb861aba8d487ULL, 0x90e6d80261d8372aULL, 0x2955c25563ca9107ULL}},
@@ -163,8 +159,6 @@ const Pinned kPinned[] = {
      {0x00e4fb885ba238c3ULL, 0xcfc5140f77809a0bULL, 0x75f58929bb353868ULL}},
     {"MCBGS/bsp",
      {0x1f072f73784bc41aULL, 0x192b67cc173cdb97ULL, 0xf3c3b91ae81afb3fULL}},
-    {"MCBGS/coalesce",
-     {0x1f072f73784bc41aULL, 0x192b67cc173cdb97ULL, 0xf3c3b91ae81afb3fULL}},
     {"MCBGS/faults",
      {0x6bcb79c1b824431fULL, 0x0ef11d0cd791a357ULL, 0x4b6685559b8dad6fULL}},
     {"MCBGS/node-route",
@@ -174,8 +168,6 @@ const Pinned kPinned[] = {
     {"PS/batch3",
      {0x80098b1721d8e3a1ULL, 0x5ceba3d3026acaa6ULL, 0xffde612a7119c20dULL}},
     {"PS/bsp",
-     {0xa595e6d81390b798ULL, 0x5f680170a700786cULL, 0x8b14ff2ae23945f1ULL}},
-    {"PS/coalesce",
      {0xa595e6d81390b798ULL, 0x5f680170a700786cULL, 0x8b14ff2ae23945f1ULL}},
     {"PS/faults",
      {0xe7e7ed2725aef15dULL, 0x41e9ac654cdc2a1cULL, 0x0a099d3a4c38f5e4ULL}},
@@ -305,9 +297,6 @@ std::vector<Config> configs() {
   faulty.faults.defaults.corrupt_probability = 0.02;
   faulty.ds.heartbeat_period = 4;
   out.push_back({"faults", faulty});
-  auto coal = base;
-  coal.coalesce_messages = true;
-  out.push_back({"coalesce", coal});
   auto routed = base;
   routed.ranks_per_node = 2;  // 6 ranks on 3 nodes, leader-routed
   out.push_back({"node-route", routed});
@@ -320,7 +309,10 @@ TEST(IterateDigests, EveryMethodUnderEveryConfiguration) {
   for (const auto& cfg : configs()) {
     for (const auto& m : kMethods) {
       const auto r = dist::run_distributed(m.m, layout, p.b, p.x0, cfg.opt);
-      expect_pinned(std::string(m.tag) + "/" + cfg.tag, digest_run(r));
+      const std::string name = std::string(m.tag) + "/" + cfg.tag;
+      expect_pinned(name, digest_run(r));
+      // Every record of a solo run is its own physical message.
+      EXPECT_EQ(r.comm_totals.msgs, r.comm_totals.msgs_logical) << name;
     }
   }
 }
@@ -364,6 +356,7 @@ TEST(IterateDigests, ElasticSingleKill) {
                                        p.a, p.part, p.b, p.x0, opt, rec);
   ASSERT_EQ(er.recoveries.size(), 1u);
   expect_pinned("DS/elastic-kill", digest_run(er.run));
+  EXPECT_EQ(er.run.comm_totals.msgs, er.run.comm_totals.msgs_logical);
 }
 
 // The exported bytes of six traced DS runs: plain bulk-synchronous,
@@ -374,7 +367,6 @@ TEST(TraceExportDigests, SixTracedRuns) {
   const dist::DistLayout layout(p.a, p.part);
   const auto ds = dist::DistMethod::kDistributedSouthwell;
   for (auto cfg : configs()) {
-    if (std::string_view(cfg.tag) == "coalesce") continue;
     cfg.opt.trace.enabled = true;
     const auto r = dist::run_distributed(ds, layout, p.b, p.x0, cfg.opt);
     ASSERT_TRUE(r.trace_log);

@@ -1,13 +1,13 @@
 /// Tests for node-aware hierarchical communication (DESIGN.md §13,
 /// docs/communication.md): NodeTopology construction and deterministic
-/// leader election, the NodeCommPlan static channel lists, the
-/// forward-frame codec round trip, the runtime's tiered hop accounting
-/// (hand-computed byte math), the core invariant that routing never
-/// changes what the wire *delivers* (solver results bit-identical with
-/// the topology off, on as a classifier, and on with leader routing;
-/// flat topologies byte-identical to no topology), cross-backend
-/// bit-identity, composition with coalescing / faults / async delivery,
-/// and the analyzer's tiered model reconstruction + metric cross-checks.
+/// leader election, the per-node-pair channel counts that size forward
+/// frames, the runtime's tiered hop accounting (hand-computed byte math),
+/// the core invariant that routing never changes what the wire *delivers*
+/// (solver results bit-identical with the topology off, on as a
+/// classifier, and on with leader routing; flat topologies byte-identical
+/// to no topology), cross-backend bit-identity, composition with faults /
+/// async delivery, and the analyzer's tiered model reconstruction + metric
+/// cross-checks.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,6 @@
 #include "trace/export.hpp"
 #include "util/rng.hpp"
 #include "wire/comm_plan.hpp"
-#include "wire/wire.hpp"
 
 namespace dsouth {
 namespace {
@@ -106,140 +105,39 @@ Problem make_problem(index_t nx, index_t ranks, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// NodeCommPlan: static per-node-pair channel lists.
+// Per-node-pair channel counts (what the runtime sizes forward frames by).
 
-TEST(NodeCommPlan, ChannelListsAreDeterministicAndExcludeIntraNode) {
+TEST(NodePairChannelCounts, MatchBruteForceCountAndExcludeIntraNode) {
   auto p = make_problem(12, 8, 7);
   dist::DistLayout layout(p.a, p.part);
-  const auto topo = simmpi::NodeTopology::ranks_per_node(8, 4);
-  const wire::NodeCommPlan nplan(layout.comm_plan(), topo);
-  EXPECT_EQ(nplan.num_nodes(), 2);
-
-  std::size_t total = 0;
-  for (int sn = 0; sn < 2; ++sn) {
-    for (int dn = 0; dn < 2; ++dn) {
-      const auto chans = nplan.channels(sn, dn);
-      if (sn == dn) {
-        EXPECT_TRUE(chans.empty());
-        continue;
-      }
-      total += chans.size();
-      for (std::size_t i = 0; i < chans.size(); ++i) {
-        EXPECT_EQ(topo.node_of(chans[i].src), sn);
-        EXPECT_EQ(topo.node_of(chans[i].dst), dn);
-        EXPECT_GT(chans[i].width, 0u);
-        if (i > 0) {  // strictly ascending (src, dst) order
-          const bool asc = chans[i - 1].src < chans[i].src ||
-                           (chans[i - 1].src == chans[i].src &&
-                            chans[i - 1].dst < chans[i].dst);
-          EXPECT_TRUE(asc) << "channel list out of order at " << i;
-        }
-        EXPECT_EQ(nplan.channel_index(sn, dn, chans[i].src, chans[i].dst),
-                  static_cast<int>(i));
+  const wire::CommPlan& plan = layout.comm_plan();
+  for (const int per_node : {4, 3}) {
+    SCOPED_TRACE(per_node);
+    const auto topo = simmpi::NodeTopology::ranks_per_node(8, per_node);
+    const auto nn = static_cast<std::size_t>(topo.num_nodes());
+    const auto counts = wire::node_pair_channel_counts(plan, topo);
+    ASSERT_EQ(counts.size(), nn * nn);
+    // Brute force: every ordered rank pair (s, d) with d in s's peer list
+    // is one directed channel of node pair (node_of(s), node_of(d)).
+    std::vector<std::uint32_t> want(nn * nn, 0);
+    std::uint32_t crossing = 0;
+    for (int s = 0; s < plan.num_ranks(); ++s) {
+      for (int d = 0; d < plan.num_ranks(); ++d) {
+        bool peer = false;
+        for (const auto& q : plan.peers(s)) peer = peer || q.rank == d;
+        const int x = topo.node_of(s);
+        const int y = topo.node_of(d);
+        if (!peer || x == y) continue;
+        ++want[static_cast<std::size_t>(x) * nn + static_cast<std::size_t>(y)];
+        ++crossing;
       }
     }
+    EXPECT_EQ(counts, want);
+    for (std::size_t x = 0; x < nn; ++x) {
+      EXPECT_EQ(counts[x * nn + x], 0u);  // same-node channels never count
+    }
+    EXPECT_GT(crossing, 0u);  // a bisected Poisson grid always crosses nodes
   }
-  EXPECT_GT(total, 0u);  // bisected Poisson grid always crosses nodes
-  EXPECT_EQ(nplan.channel_index(0, 1, 0, 0), -1);  // intra pair: absent
-
-  const auto counts = nplan.pair_channel_counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0 * 2 + 1], nplan.channels(0, 1).size());
-  EXPECT_EQ(counts[1 * 2 + 0], nplan.channels(1, 0).size());
-}
-
-// ---------------------------------------------------------------------------
-// Forward-frame codec.
-
-TEST(ForwardFrame, RoundTripsBareBodiesInChannelOrder) {
-  // Channel list of 3; records present on channels 0 and 2 with distinct
-  // widths. Bodies are bare kGhostDelta records (headerless: nb doubles).
-  const std::vector<double> body0 = {1.5, -2.5};
-  const std::vector<double> body2 = {7.0};
-  const wire::ForwardEntry entries[] = {{0, body0}, {2, body2}};
-  std::vector<double> frame(wire::forward_frame_doubles(3, 3));
-  wire::encode_forward_frame(3, entries, frame);
-  EXPECT_TRUE(wire::is_forward_frame(frame));
-
-  const std::size_t widths[] = {2, 5, 1};  // per-channel incoming widths
-  std::vector<std::size_t> seen;
-  wire::for_each_forwarded(
-      frame, 3,
-      [&](std::size_t c, std::span<const double> rest) {
-        return wire::forwarded_body_doubles(wire::Family::kDelta, widths[c],
-                                            rest);
-      },
-      [&](const wire::ForwardEntry& e) {
-        seen.push_back(e.channel);
-        if (e.channel == 0) {
-          ASSERT_EQ(e.body.size(), 2u);
-          EXPECT_EQ(e.body[0], 1.5);
-          EXPECT_EQ(e.body[1], -2.5);
-        } else {
-          ASSERT_EQ(e.body.size(), 1u);
-          EXPECT_EQ(e.body[0], 7.0);
-        }
-      });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 2}));
-}
-
-TEST(ForwardFrame, BitmapSpansMultipleWordsPast64Channels) {
-  // 70 channels -> 2 bitmap words; a record on channel 65 exercises the
-  // second word on both sides.
-  const std::vector<double> body = {3.0, 4.0, 5.0};
-  const wire::ForwardEntry entries[] = {{65, body}};
-  std::vector<double> frame(wire::forward_frame_doubles(70, 3));
-  wire::encode_forward_frame(70, entries, frame);
-  EXPECT_EQ(wire::forward_bitmap_words(70), 2u);
-
-  std::size_t hits = 0;
-  wire::for_each_forwarded(
-      frame, 70,
-      [&](std::size_t, std::span<const double> rest) {
-        return wire::forwarded_body_doubles(wire::Family::kDelta, 3, rest);
-      },
-      [&](const wire::ForwardEntry& e) {
-        ++hits;
-        EXPECT_EQ(e.channel, 65u);
-        EXPECT_EQ(e.body.size(), 3u);
-      });
-  EXPECT_EQ(hits, 1u);
-}
-
-TEST(ForwardFrame, MalformedFramesThrowStructuredErrors) {
-  const std::vector<double> body = {1.0};
-  const wire::ForwardEntry entries[] = {{1, body}};
-  std::vector<double> frame(wire::forward_frame_doubles(2, 1));
-  wire::encode_forward_frame(2, entries, frame);
-  auto len = [&](std::size_t, std::span<const double> rest) {
-    return wire::forwarded_body_doubles(wire::Family::kDelta, 1, rest);
-  };
-  auto sink = [](const wire::ForwardEntry&) {};
-
-  // Truncated: drop the body.
-  std::vector<double> cut(frame.begin(), frame.end() - 1);
-  EXPECT_THROW(wire::for_each_forwarded(std::span<const double>(cut), 2, len,
-                                        sink),
-               wire::DecodeError);
-  // Wrong magic.
-  std::vector<double> bad = frame;
-  bad[0] = 0.0;
-  EXPECT_THROW(wire::for_each_forwarded(std::span<const double>(bad), 2, len,
-                                        sink),
-               wire::DecodeError);
-  // Trailing doubles after the declared bodies.
-  std::vector<double> extra = frame;
-  extra.push_back(9.0);
-  EXPECT_THROW(wire::for_each_forwarded(std::span<const double>(extra), 2,
-                                        len, sink),
-               wire::DecodeError);
-  // A stray bit past the plan's channel count.
-  std::vector<double> stray = frame;
-  stray[1] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(stray[1]) |
-                                   (1ULL << 5));
-  EXPECT_THROW(wire::for_each_forwarded(std::span<const double>(stray), 2,
-                                        len, sink),
-               wire::DecodeError);
 }
 
 // ---------------------------------------------------------------------------
@@ -426,25 +324,6 @@ TEST(NodeDriver, RoutedRunsAreBitIdenticalAcrossBackends) {
 
 // ---------------------------------------------------------------------------
 // Composition with the other comm-stack features.
-
-TEST(NodeComposition, RoutingComposesWithCoalescing) {
-  auto p = make_problem(12, 8, 17);
-  auto plain = node_options(2, true);
-  auto coal = plain;
-  coal.coalesce_messages = true;
-  auto a = dist::run_distributed(dist::DistMethod::kDistributedSouthwell,
-                                 p.a, p.part, p.b, p.x0, plain);
-  auto b = dist::run_distributed(dist::DistMethod::kDistributedSouthwell,
-                                 p.a, p.part, p.b, p.x0, coal);
-  EXPECT_EQ(a.residual_norm, b.residual_norm);
-  EXPECT_EQ(a.final_x, b.final_x);
-  ASSERT_TRUE(b.node_totals.has_value());
-  // Coalescing shrinks the physical put count, so the routed inter-node
-  // tier can only get cheaper; forwarded records still count logical
-  // records per physical put, so they drop with coalescing.
-  EXPECT_LE(b.node_totals->msgs_inter, a.node_totals->msgs_inter);
-  EXPECT_GT(b.node_totals->forward_frames, 0u);
-}
 
 TEST(NodeComposition, RoutingComposesWithFaultInjection) {
   auto p = make_problem(14, 12, 31);

@@ -162,7 +162,7 @@ TEST(CommStats, ResetClearsEverything) {
 TEST(CommStats, LogicalRecordsDefaultToOnePerMessage) {
   CommStats s(2);
   s.record_send(0, MsgTag::kSolve, 100);
-  s.record_send(1, MsgTag::kResidual, 100, 3);  // a coalesced frame
+  s.record_send(1, MsgTag::kResidual, 100, 3);  // a 3-tenant frame
   EXPECT_EQ(s.total_messages(), 2u);
   EXPECT_EQ(s.logical_messages(), 4u);
   EXPECT_EQ(s.logical_messages(MsgTag::kSolve), 1u);

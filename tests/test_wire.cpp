@@ -1,9 +1,8 @@
 /// Tests for the wire-format codec (wire/wire.hpp) and the CommPlan /
 /// ChannelSet staging layer (wire/comm_plan.hpp): v1 layouts are
-/// byte-identical to the legacy ad-hoc encodings, frames round-trip and
-/// reject every malformed variant, coalescing preserves solver behavior
-/// bit-for-bit, and the pooled encode-in-place hot path performs no heap
-/// allocation once warm.
+/// byte-identical to the legacy ad-hoc encodings, every record ships as
+/// one physical message, and the pooled encode-in-place hot path performs
+/// no heap allocation once warm.
 
 #include "wire/wire.hpp"
 
@@ -147,113 +146,6 @@ TEST(Codec, EmptyGhostLayerRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Frames.
-
-std::vector<double> make_frame(const std::vector<RecordType>& types,
-                               std::size_t nb) {
-  std::vector<std::size_t> lengths;
-  std::vector<double> bodies;
-  for (std::size_t i = 0; i < types.size(); ++i) {
-    const auto body = encode(types[i], 0.5 + static_cast<double>(i), 0.25, nb,
-                             10.0 * static_cast<double>(i + 1));
-    lengths.push_back(body.size());
-    bodies.insert(bodies.end(), body.begin(), body.end());
-  }
-  std::vector<double> frame(frame_doubles(lengths));
-  encode_frame(types, lengths, bodies, frame);
-  return frame;
-}
-
-TEST(Frame, SizesAndMagic) {
-  const std::vector<std::size_t> lengths{7, 7};
-  EXPECT_EQ(frame_doubles(lengths),
-            kFrameHeaderDoubles + 2 * kFrameEntryDoubles + 14);
-  EXPECT_NE(frame_magic(), frame_magic());  // a NaN, as documented
-  const auto frame =
-      make_frame({RecordType::kSolveUpdate, RecordType::kSolveUpdate}, 2);
-  EXPECT_TRUE(is_frame(frame));
-  EXPECT_EQ(frame[1], static_cast<double>(kWireVersion));
-  EXPECT_EQ(frame[2], 2.0);
-}
-
-TEST(Frame, RoundTripMixedRecords) {
-  const std::size_t nb = 2;
-  const auto frame = make_frame(
-      {RecordType::kSolveUpdate, RecordType::kCorrection,
-       RecordType::kSolveUpdate},
-      nb);
-  std::vector<Record> seen;
-  std::vector<std::vector<double>> dx_copies, rb_copies;
-  for_each_record(Family::kEstimate, frame, nb, [&](const Record& rec) {
-    seen.push_back(rec);
-    dx_copies.emplace_back(rec.dx.begin(), rec.dx.end());
-    rb_copies.emplace_back(rec.rb.begin(), rec.rb.end());
-  });
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0].type, RecordType::kSolveUpdate);
-  EXPECT_EQ(seen[1].type, RecordType::kCorrection);
-  EXPECT_EQ(seen[2].type, RecordType::kSolveUpdate);
-  EXPECT_EQ(seen[0].norm2, 0.5);
-  EXPECT_EQ(seen[1].norm2, 1.5);
-  EXPECT_EQ(seen[2].norm2, 2.5);
-  EXPECT_EQ(dx_copies[0], (std::vector<double>{10, 11}));
-  EXPECT_TRUE(dx_copies[1].empty());  // corrections carry no dx
-  EXPECT_EQ(rb_copies[1], (std::vector<double>{-20, -21}));
-  EXPECT_EQ(dx_copies[2], (std::vector<double>{30, 31}));
-}
-
-TEST(Frame, BareRecordsAreNeverMistakenForFrames) {
-  const RecordType kAll[] = {RecordType::kGhostDelta, RecordType::kNormUpdate,
-                             RecordType::kResidualNorm,
-                             RecordType::kSolveUpdate, RecordType::kCorrection};
-  for (const RecordType t : kAll) {
-    EXPECT_FALSE(is_frame(encode(t, 0.5, 0.25, 4)));
-  }
-}
-
-TEST(Frame, RejectsMalformedFrames) {
-  const std::size_t nb = 2;
-  const auto good =
-      make_frame({RecordType::kSolveUpdate, RecordType::kSolveUpdate}, nb);
-  const auto walk = [nb](std::span<const double> payload) {
-    std::size_t n = 0;
-    for_each_record(Family::kEstimate, payload, nb,
-                    [&](const Record&) { ++n; });
-    return n;
-  };
-  ASSERT_EQ(walk(good), 2u);
-
-  auto tampered = good;
-  tampered[1] = static_cast<double>(kWireVersion + 1);  // future version
-  EXPECT_THROW(walk(tampered), CheckError);
-
-  tampered = good;
-  tampered[2] = 3.0;  // count claims more records than present
-  EXPECT_THROW(walk(tampered), CheckError);
-
-  tampered = good;
-  tampered[2] = 1.5;  // non-integral count
-  EXPECT_THROW(walk(tampered), CheckError);
-
-  tampered = good;
-  tampered[3] = 9.0;  // unknown record type in the first entry
-  EXPECT_THROW(walk(tampered), CheckError);
-
-  tampered = good;
-  tampered[4] = tampered[4] - 1.0;  // length inconsistent with the type/width
-  EXPECT_THROW(walk(tampered), CheckError);
-
-  // Truncated payload.
-  EXPECT_THROW(walk(std::span<const double>(good).first(good.size() - 1)),
-               CheckError);
-
-  // Trailing garbage after the last record.
-  tampered = good;
-  tampered.push_back(0.0);
-  EXPECT_THROW(walk(tampered), CheckError);
-}
-
-// ---------------------------------------------------------------------------
 // CommPlan / ChannelSet.
 
 TEST(CommPlan, ReportsPeersAndBufferSizingHint) {
@@ -263,8 +155,11 @@ TEST(CommPlan, ReportsPeersAndBufferSizingHint) {
   EXPECT_EQ(plan.peers(0)[1].rank, 2);
   EXPECT_EQ(plan.peers(0)[1].send_width, 4u);
   EXPECT_EQ(plan.peers(0)[1].recv_width, 1u);
-  // Largest record: a SolveUpdate on the width-4 channel = 3 + 2*4.
-  EXPECT_EQ(plan.max_record_doubles(), 11u);
+  // The send width sizes the records a channel stages: a SolveUpdate on
+  // the width-4 channel is 3 + 2*4 doubles.
+  EXPECT_EQ(encoded_doubles(RecordType::kSolveUpdate,
+                            plan.peers(0)[1].send_width),
+            11u);
 }
 
 TEST(ChannelSet, DirectModeStagesBareRecords) {
@@ -276,7 +171,7 @@ TEST(ChannelSet, DirectModeStagesBareRecords) {
   ASSERT_EQ(rec.dx.size(), 2u);
   rec.dx[0] = 1.5;
   rec.dx[1] = 2.5;
-  ch.flush(ctx);  // no-op in direct mode
+  ch.flush();  // no-op without sequencing
   rt.fence();
   const auto win = rt.window(1);
   ASSERT_EQ(win.size(), 1u);
@@ -287,92 +182,16 @@ TEST(ChannelSet, DirectModeStagesBareRecords) {
   EXPECT_EQ(rt.stats().logical_messages(), 1u);
 }
 
-TEST(ChannelSet, CoalescingPacksOnePhysicalMessage) {
-  CommPlan plan({{{1, 2, 3}}, {{0, 3, 2}}});
-  simmpi::Runtime rt(2);
-  ChannelSet ch(plan, 0);
-  ch.set_coalescing(true);
-  simmpi::RankContext ctx(rt, 0);
-  for (int i = 0; i < 2; ++i) {
-    auto rec = ch.open(ctx, 0, RecordType::kSolveUpdate,
-                       0.5 + static_cast<double>(i), 0.25);
-    for (std::size_t g = 0; g < 2; ++g) {
-      rec.dx[g] = static_cast<double>(10 * (i + 1) + static_cast<int>(g));
-      rec.rb[g] = -rec.dx[g];
-    }
-  }
-  EXPECT_EQ(ch.buffered(0), 2u);
-  ch.flush(ctx);
-  EXPECT_EQ(ch.buffered(0), 0u);
-  rt.fence();
-
-  // One physical message carrying two logical records.
-  EXPECT_EQ(rt.stats().total_messages(), 1u);
-  EXPECT_EQ(rt.stats().logical_messages(), 2u);
-  EXPECT_EQ(rt.stats().logical_messages(simmpi::MsgTag::kSolve), 2u);
-  const auto win = rt.window(1);
-  ASSERT_EQ(win.size(), 1u);
-  ASSERT_TRUE(is_frame(win[0].payload));
-  std::vector<double> norms;
-  for_each_record(Family::kEstimate, win[0].payload, 2,
-                  [&](const Record& rec) {
-                    EXPECT_EQ(rec.type, RecordType::kSolveUpdate);
-                    norms.push_back(rec.norm2);
-                    EXPECT_EQ(rec.dx[0], -rec.rb[0]);
-                  });
-  EXPECT_EQ(norms, (std::vector<double>{0.5, 1.5}));
-}
-
-// A coalesced group of ONE record must ship in the bare encoding —
-// byte-identical to direct mode. This is what makes -coalesce provably
-// behavior-preserving for the paper's one-record-per-(neighbor, epoch)
-// solvers.
-TEST(ChannelSet, SingleRecordGroupShipsBare) {
-  CommPlan plan({{{1, 2, 3}}, {{0, 3, 2}}});
-  std::vector<double> payloads[2];
-  for (const bool coalesce : {false, true}) {
-    simmpi::Runtime rt(2);
-    ChannelSet ch(plan, 0);
-    ch.set_coalescing(coalesce);
-    simmpi::RankContext ctx(rt, 0);
-    auto rec = ch.open(ctx, 0, RecordType::kCorrection, 0.5, 0.25);
-    rec.rb[0] = 3.0;
-    rec.rb[1] = 4.0;
-    ch.flush(ctx);
-    rt.fence();
-    const auto win = rt.window(1);
-    ASSERT_EQ(win.size(), 1u);
-    EXPECT_EQ(rt.stats().logical_messages(), 1u);
-    payloads[coalesce ? 1 : 0] = win[0].payload;
-  }
-  EXPECT_FALSE(is_frame(payloads[1]));
-  EXPECT_EQ(payloads[0], payloads[1]);
-}
-
-TEST(ChannelSet, MixedTagFlushIsRejected) {
-  CommPlan plan({{{1, 2, 3}}, {{0, 3, 2}}});
-  simmpi::Runtime rt(2);
-  ChannelSet ch(plan, 0);
-  ch.set_coalescing(true);
-  simmpi::RankContext ctx(rt, 0);
-  auto a = ch.open(ctx, 0, RecordType::kSolveUpdate, 0.5, 0.25);
-  a.dx[0] = a.dx[1] = a.rb[0] = a.rb[1] = 0.0;
-  auto b = ch.open(ctx, 0, RecordType::kCorrection, 0.5, 0.25);
-  b.rb[0] = b.rb[1] = 0.0;
-  // kSolveUpdate travels as kSolve, kCorrection as kResidual: a frame
-  // mixing them would make the Table 3 per-tag accounting ambiguous.
-  EXPECT_THROW(ch.flush(ctx), CheckError);
-}
-
 TEST(ChannelSet, TogglingWithBufferedRecordsIsRejected) {
   CommPlan plan({{{1, 2, 3}}, {{0, 3, 2}}});
   simmpi::Runtime rt(2);
   ChannelSet ch(plan, 0);
-  ch.set_coalescing(true);
+  ch.set_batch_staging(true);
   simmpi::RankContext ctx(rt, 0);
   auto rec = ch.open(ctx, 0, RecordType::kResidualNorm, 0.5);
   (void)rec;
-  EXPECT_THROW(ch.set_coalescing(false), CheckError);
+  EXPECT_EQ(ch.buffered(0), 1u);
+  EXPECT_THROW(ch.set_batch_staging(false), CheckError);
 }
 
 TEST(ChannelSet, ZeroWidthChannelsAndZeroNeighborRanks) {
@@ -385,18 +204,13 @@ TEST(ChannelSet, ZeroWidthChannelsAndZeroNeighborRanks) {
   simmpi::RankContext c0(rt, 0), c1(rt, 1);
   auto rec = ch0.open(c0, 0, RecordType::kGhostDelta);
   EXPECT_TRUE(rec.dx.empty());
-  ch0.flush(c0);
-  ch1.flush(c1);  // nothing to do, must not throw
+  ch0.flush();
+  ch1.flush();  // nothing to do, must not throw
   rt.fence();
   const auto win = rt.window(1);
   ASSERT_EQ(win.size(), 1u);
   EXPECT_TRUE(win[0].payload.empty());
-  std::size_t n = 0;
-  for_each_record(Family::kDelta, win[0].payload, 0, [&](const Record& r) {
-    EXPECT_TRUE(r.dx.empty());
-    ++n;
-  });
-  EXPECT_EQ(n, 1u);
+  EXPECT_TRUE(decode_record(Family::kDelta, win[0].payload, 0).dx.empty());
 }
 
 }  // namespace
@@ -430,38 +244,6 @@ Problem make_problem(index_t nx, index_t k, std::uint64_t seed) {
 const DistMethod kAllMethods[] = {
     DistMethod::kBlockJacobi, DistMethod::kParallelSouthwell,
     DistMethod::kDistributedSouthwell, DistMethod::kMulticolorBlockGs};
-
-// Coalescing is behavior-preserving: every trajectory and every logical
-// count is identical, and — because the paper's protocols stage at most one
-// record per (neighbor, epoch), so every group ships bare — the physical
-// counts and bytes are identical too.
-TEST(Coalescing, AllSolversBitIdenticalWithCoalescing) {
-  auto p = make_problem(8, 4, 3);
-  for (const auto method : kAllMethods) {
-    SCOPED_TRACE(method_name(method));
-    DistRunOptions opt;
-    opt.max_parallel_steps = 12;
-    const auto direct = run_distributed(method, p.a, p.part, p.b, p.x0, opt);
-    opt.coalesce_messages = true;
-    const auto coal = run_distributed(method, p.a, p.part, p.b, p.x0, opt);
-
-    EXPECT_EQ(direct.residual_norm, coal.residual_norm);
-    EXPECT_EQ(direct.model_time, coal.model_time);
-    EXPECT_EQ(direct.final_x, coal.final_x);
-    EXPECT_EQ(direct.comm_totals.msgs_logical, coal.comm_totals.msgs_logical);
-    EXPECT_EQ(direct.comm_totals.msgs_logical_solve,
-              coal.comm_totals.msgs_logical_solve);
-    EXPECT_EQ(direct.comm_totals.msgs_logical_residual,
-              coal.comm_totals.msgs_logical_residual);
-    // Never more physical messages than logical records...
-    EXPECT_LE(coal.comm_totals.msgs, coal.comm_totals.msgs_logical);
-    // ...and for these protocols the counts coincide exactly (per-pair
-    // minimality: there is never a second record to merge).
-    EXPECT_EQ(direct.comm_totals.msgs, coal.comm_totals.msgs);
-    EXPECT_EQ(direct.comm_totals.bytes, coal.comm_totals.bytes);
-    EXPECT_EQ(direct.comm_totals.msgs, direct.comm_totals.msgs_logical);
-  }
-}
 
 // The shared counting operator new (src/prof/alloc_hook.cpp) is compiled
 // into this binary (tests/CMakeLists.txt) and sees ordinary heap traffic.

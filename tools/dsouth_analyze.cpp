@@ -121,8 +121,8 @@ bool run_checks(const RunTrace& run, const RunAnalysis& a) {
             counter_total("simmpi.msgs_other"),
         "other-tag msgs == simmpi.msgs_other");
   // Wire-layer split: kPut events, the comm matrix and msgs_sent count
-  // physical puts; logical records can only exceed them (coalesced frames
-  // carry several records per put).
+  // physical puts; logical records can only exceed them (batched tenant
+  // frames carry several records per put).
   check(counter_total("simmpi.msgs_logical") >=
             counter_total("simmpi.msgs_sent"),
         "simmpi.msgs_logical >= simmpi.msgs_sent");
