@@ -15,7 +15,7 @@
 ///    untraced solver window, so it is bit-identical whatever `-backend`
 ///    the instrumented run used.
 ///
-/// Supports the shared `-trace/-metrics/-json` capture flags; tracing is
+/// Supports the shared `-trace/-json` capture flags; tracing is
 /// force-enabled internally because the analysis sweep needs the event
 /// log (this never changes deterministic results).
 

@@ -96,8 +96,9 @@ void apply_backend_args(const util::ArgParser& args,
   // backends (stateless hash draws), but DO change the trajectory — these
   // are study knobs, not bit-identity knobs.
   opt.async = args.has("async");
-  opt.max_staleness =
-      static_cast<std::uint64_t>(args.get_int_or("staleness", 4));
+  const auto staleness = args.get_int_or("staleness", 4);
+  DSOUTH_CHECK_MSG(staleness >= 0, "-staleness must be >= 0");
+  opt.max_staleness = static_cast<std::uint64_t>(staleness);
   opt.async_min_latency = static_cast<int>(args.get_int_or("min-latency", 0));
   opt.async_max_latency = static_cast<int>(args.get_int_or("max-latency", 3));
   opt.async_seed = static_cast<std::uint64_t>(
@@ -127,7 +128,6 @@ TraceCapture::TraceCapture(const util::ArgParser& args) {
     jsonl_ = path_.size() >= 6 &&
              path_.compare(path_.size() - 6, 6, ".jsonl") == 0;
   }
-  if (auto p = args.get("metrics"); p && !p->empty()) metrics_path_ = *p;
 }
 
 TraceCapture::~TraceCapture() {
@@ -157,63 +157,26 @@ void TraceCapture::add_log(const std::string& label,
 void TraceCapture::write() {
   if (!enabled() || written_) return;
   written_ = true;
-  if (!path_.empty()) {
-    std::ofstream out(path_);
-    DSOUTH_CHECK_MSG(out.good(), "cannot open trace file '" << path_ << "'");
-    if (jsonl_) {
-      for (const auto& run : runs_) {
-        trace::TraceExportOptions opt;
-        opt.run_label = run.label;
-        trace::write_jsonl(out, *run.log, opt);
-      }
-    } else {
-      trace::ChromeTraceWriter writer(out);
-      for (const auto& run : runs_) {
-        trace::TraceExportOptions opt;
-        opt.run_label = run.label;
-        writer.add_run(*run.log, opt);
-      }
-      writer.finish();
+  std::ofstream out(path_);
+  DSOUTH_CHECK_MSG(out.good(), "cannot open trace file '" << path_ << "'");
+  if (jsonl_) {
+    for (const auto& run : runs_) {
+      trace::TraceExportOptions opt;
+      opt.run_label = run.label;
+      trace::write_jsonl(out, *run.log, opt);
     }
-    std::cout << "Trace:       wrote " << runs_.size() << " run"
-              << (runs_.size() == 1 ? "" : "s") << " to " << path_ << " ("
-              << (jsonl_ ? "JSON Lines" : "Chrome trace_event") << ")\n";
-  }
-  if (!metrics_path_.empty()) {
-    std::ofstream out(metrics_path_);
-    DSOUTH_CHECK_MSG(out.good(),
-                     "cannot open metrics file '" << metrics_path_ << "'");
-    out << "{\"schema\":\"dsouth.metrics\",\"schema_version\":1,\"runs\":[";
-    for (std::size_t r = 0; r < runs_.size(); ++r) {
-      const auto& run = runs_[r];
-      const auto& m = run.log->metrics;
-      if (r > 0) out << ",";
-      out << "\n{\"run\":" << util::json_quote(run.label)
-          << ",\"num_ranks\":" << run.log->num_ranks << ",\"metrics\":[";
-      for (std::size_t id = 0; id < m.size(); ++id) {
-        const auto mid = static_cast<trace::MetricId>(id);
-        if (id > 0) out << ",";
-        out << "\n  {\"name\":" << util::json_quote(m.name(mid))
-            << ",\"kind\":" << util::json_quote(metric_kind_name(m.kind(mid)))
-            << ",\"total\":" << util::json_number(m.total(mid))
-            << ",\"per_rank\":[";
-        const auto& slots = m.per_rank(mid);
-        for (std::size_t p = 0; p < slots.size(); ++p) {
-          if (p > 0) out << ",";
-          out << util::json_number(slots[p]);
-        }
-        out << "]}";
-      }
-      out << "]}";
+  } else {
+    trace::ChromeTraceWriter writer(out);
+    for (const auto& run : runs_) {
+      trace::TraceExportOptions opt;
+      opt.run_label = run.label;
+      writer.add_run(*run.log, opt);
     }
-    out << "]}\n";
-    DSOUTH_CHECK_MSG(out.good(),
-                     "write to metrics file '" << metrics_path_
-                                               << "' failed");
-    std::cout << "Metrics:     wrote " << runs_.size() << " run"
-              << (runs_.size() == 1 ? "" : "s") << " to " << metrics_path_
-              << "\n";
+    writer.finish();
   }
+  std::cout << "Trace:       wrote " << runs_.size() << " run"
+            << (runs_.size() == 1 ? "" : "s") << " to " << path_ << " ("
+            << (jsonl_ ? "JSON Lines" : "Chrome trace_event") << ")\n";
 }
 
 namespace {
@@ -301,8 +264,8 @@ void BenchRecorder::add_run(
        << ",\"rejected_stale\":" << fs.rejected_stale
        << ",\"refreshes_sent\":" << fs.refreshes_sent;
   }
-  // Async-delivery totals, present only when the run used the EventDriven
-  // policy (bulk-synchronous records stay byte-identical to the previous
+  // Async-delivery totals, present only when the run used async delivery
+  // (bulk-synchronous records stay byte-identical to the previous
   // schema). Deterministic: latency draws are stateless hashes.
   if (result.async_totals) {
     const auto& at = *result.async_totals;

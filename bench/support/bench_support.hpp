@@ -74,10 +74,10 @@ dist::DistRunOptions default_run_options();
 /// `opt`. Results are bit-identical across backends; backends only change
 /// real wall-clock time.
 ///
-/// Also applies the event-driven delivery knobs `-async` (switch to the
-/// EventDriven policy and relax-on-arrival solver stepping), `-staleness S`
-/// (runtime-enforced staleness bound, default 4; 0 reduces to
-/// bulk-synchronous timing), `-min-latency`/`-max-latency` (per-message
+/// Also applies the event-driven delivery knobs `-async` (switch to async
+/// delivery and relax-on-arrival solver stepping), `-staleness S`
+/// (runtime-enforced staleness bound, default 4, must be >= 0; 0 reduces
+/// to bulk-synchronous timing), `-min-latency`/`-max-latency` (per-message
 /// latency window in epochs, defaults 0/3) and `-async-seed`. These DO
 /// change the trajectory — they are for robustness/asynchrony studies, not
 /// for the bit-identity comparisons above (though each async configuration
@@ -96,26 +96,21 @@ void apply_backend_args(const util::ArgParser& args, dist::DistRunOptions& opt);
 /// its flags up front and calls this once, before its first solve.
 void reject_unread_args(const util::ArgParser& args);
 
-/// Shared `-trace <path>` / `-metrics <path>` flags: captures the trace log
-/// of every run a bench performs and writes the files on destruction
-/// (docs/observability.md).
+/// Shared `-trace <path>` flag: captures the trace log of every run a bench
+/// performs and writes the file on destruction (docs/observability.md).
 ///
 /// `-trace`: path ending in `.jsonl` selects JSON Lines (one
 /// header/event/metric object per line, one header per captured run); any
 /// other extension selects Chrome trace_event JSON, loadable in Perfetto or
-/// chrome://tracing, with one "process" per captured run.
-///
-/// `-metrics`: writes just the end-of-run MetricsRegistry values (no event
-/// stream) as one JSON document — schema "dsouth.metrics", one entry per
-/// run with every counter/gauge's total and per-rank values. Either flag
-/// alone enables tracing via `apply()`; with neither, the capture is inert.
+/// chrome://tracing, with one "process" per captured run. The flag enables
+/// tracing via `apply()`; without it, the capture is inert.
 class TraceCapture {
  public:
   explicit TraceCapture(const util::ArgParser& args);
   ~TraceCapture();  ///< writes the files (best effort; logs failures)
 
-  bool enabled() const { return !path_.empty() || !metrics_path_.empty(); }
-  /// Enable tracing in `opt` when either flag was given (no-op otherwise).
+  bool enabled() const { return !path_.empty(); }
+  /// Enable tracing in `opt` when the flag was given (no-op otherwise).
   void apply(dist::DistRunOptions& opt) const;
   /// Capture one finished run under `label` (e.g. "fig8 ldoorp P=64 DS").
   /// Runs without a trace log (tracing off) are ignored.
@@ -125,7 +120,7 @@ class TraceCapture {
   /// Null logs (tracing off) are ignored.
   void add_log(const std::string& label,
                std::shared_ptr<const trace::TraceLog> log);
-  /// Write the capture file(s) now (idempotent; the destructor calls it).
+  /// Write the capture file now (idempotent; the destructor calls it).
   void write();
 
  private:
@@ -133,8 +128,7 @@ class TraceCapture {
     std::string label;
     std::shared_ptr<const trace::TraceLog> log;
   };
-  std::string path_;          ///< -trace target ("" = off)
-  std::string metrics_path_;  ///< -metrics target ("" = off)
+  std::string path_;  ///< -trace target ("" = off)
   bool jsonl_ = false;
   bool written_ = false;
   std::vector<Captured> runs_;

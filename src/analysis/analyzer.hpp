@@ -267,13 +267,13 @@ struct FaultReport {
 FaultReport analyze_faults(const RunTrace& run);
 
 // ---------------------------------------------------------------------------
-// (f) Asynchronous delivery (simmpi EventDriven policy)
+// (f) Asynchronous delivery (simmpi::AsyncDelivery)
 // ---------------------------------------------------------------------------
 
-/// Tally of the "deliver" events the runtime records when the EventDriven
-/// delivery policy is attached (trace.hpp: rank = destination, peer =
-/// source, tag = MsgTag code, a0 = staleness in epochs, a1 = payload
-/// doubles). All-zero for bulk-synchronous traces; `dsouth-analyze -check`
+/// Tally of the "deliver" events the runtime records under async delivery
+/// (trace.hpp: rank = destination, peer = source, tag = MsgTag code, a0 =
+/// staleness in epochs, a1 = payload doubles). All-zero for
+/// bulk-synchronous traces; `dsouth-analyze -check`
 /// matches the tallies against the simmpi.async_* metrics.
 struct AsyncReport {
   std::uint64_t delivered = 0;      ///< total matured deliveries

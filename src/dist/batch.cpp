@@ -105,18 +105,6 @@ BatchRunResult run_distributed_batch(DistMethod method,
   std::vector<std::uint64_t> rejected_per_rank(
       static_cast<std::size_t>(num_ranks), 0);
 
-  const auto run_rank_phase =
-      [&](const std::function<void(simmpi::RankContext&, int)>& fn) {
-        struct Call {
-          simmpi::Runtime* rt;
-          const std::function<void(simmpi::RankContext&, int)>* fn;
-        } call{&rt, &fn};
-        h.backend().run_epoch(num_ranks, [&call](int p) {
-          simmpi::RankContext ctx(*call.rt, p);
-          (*call.fn)(ctx, p);
-        });
-      };
-
   // Demultiplexing absorb: every window payload is a tenant frame; walk
   // it and hand each entry to its tenant's ordinary absorb path — the
   // per-tenant record streams (and so the per-tenant floating-point
@@ -189,31 +177,37 @@ BatchRunResult run_distributed_batch(DistMethod method,
     }
     if (rt.async_delivery()) {
       // Event-driven: one fused shared epoch — demux whatever matured,
-      // every scheduled tenant's relax-on-arrival send, ship, fence.
-      run_rank_phase([&](simmpi::RankContext& ctx, int p) {
-        demux_absorb(ctx, p);
-        for (int t : active_ids) {
-          h.solver(static_cast<std::size_t>(t)).rank_async_send(ctx, p);
-        }
-        wire::ChannelSet::ship_batch(
-            ctx, rank_sets[static_cast<std::size_t>(p)], active_ids);
-      });
+      // every scheduled tenant's relax-on-arrival send, ship, fence. Every
+      // phase runs through for_each_live_rank, so dead ranks go silent
+      // exactly as in a solo run.
+      for_each_live_rank(
+          h.backend(), rt, [&](simmpi::RankContext& ctx, int p) {
+            demux_absorb(ctx, p);
+            for (int t : active_ids) {
+              h.solver(static_cast<std::size_t>(t)).rank_async_send(ctx, p);
+            }
+            wire::ChannelSet::ship_batch(
+                ctx, rank_sets[static_cast<std::size_t>(p)], active_ids);
+          });
       rt.fence();
     } else {
       const int epochs =
           h.solver(static_cast<std::size_t>(active_ids.front()))
               .step_epochs();
       for (int e = 0; e < epochs; ++e) {
-        run_rank_phase([&](simmpi::RankContext& ctx, int p) {
-          for (int t : active_ids) {
-            h.solver(static_cast<std::size_t>(t)).rank_send(e, ctx, p);
-          }
-          wire::ChannelSet::ship_batch(
-              ctx, rank_sets[static_cast<std::size_t>(p)], active_ids);
-        });
+        for_each_live_rank(
+            h.backend(), rt, [&](simmpi::RankContext& ctx, int p) {
+              for (int t : active_ids) {
+                h.solver(static_cast<std::size_t>(t)).rank_send(e, ctx, p);
+              }
+              wire::ChannelSet::ship_batch(
+                  ctx, rank_sets[static_cast<std::size_t>(p)], active_ids);
+            });
         rt.fence();
-        run_rank_phase(
-            [&](simmpi::RankContext& ctx, int p) { demux_absorb(ctx, p); });
+        for_each_live_rank(h.backend(), rt,
+                           [&](simmpi::RankContext& ctx, int p) {
+                             demux_absorb(ctx, p);
+                           });
       }
     }
     result.wall_seconds += wall.seconds();
@@ -237,7 +231,8 @@ BatchRunResult run_distributed_batch(DistMethod method,
   }
   if (rt.async_delivery()) {
     rt.drain_delayed();
-    run_rank_phase(
+    for_each_live_rank(
+        h.backend(), rt,
         [&](simmpi::RankContext& ctx, int p) { demux_absorb(ctx, p); });
     compute_norms();
   }

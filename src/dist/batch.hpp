@@ -49,8 +49,13 @@
 /// staleness-0 async follow. Residual-norm accounting for B >= 2 reads
 /// each tenant solver's global_residual_norm().
 ///
-/// Unsupported in batched runs (checked): watchdog and divergence_abort
-/// (observer policies defined on a single trajectory).
+/// Composes with batching (tests/test_batch.cpp): async delivery, node
+/// topology, tracing, fault injection with resilience, and kill plans — a
+/// killed rank goes silent for every tenant at once, exactly as in each
+/// tenant's solo run (both schedules run ranks through
+/// for_each_live_rank). Unsupported in batched runs (checked): watchdog
+/// and divergence_abort (observer policies defined on a single
+/// trajectory).
 
 #include <memory>
 #include <optional>

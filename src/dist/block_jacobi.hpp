@@ -12,23 +12,17 @@
 
 namespace dsouth::dist {
 
-class BlockJacobi final : public DistStationarySolver {
+class BlockJacobi : public DistStationarySolver {
  public:
   BlockJacobi(const DistLayout& layout, simmpi::Runtime& rt,
               std::span<const value_t> b, std::span<const value_t> x0);
 
   const char* name() const override { return "BlockJacobi"; }
 
-  // Stepping hooks (solver_base.hpp): one epoch, every rank relaxes.
+  // Stepping hook (solver_base.hpp): one epoch, every rank relaxes and
+  // sends each neighbor a kGhostDelta record — Δx at p's boundary rows
+  // w.r.t. q, ordered by the shared channel convention (see layout.hpp).
   void rank_send(int e, simmpi::RankContext& ctx, int p) override;
-  void rank_async_send(simmpi::RankContext& ctx, int p) override;
-  void absorb_payload(simmpi::RankContext& ctx, int p, std::size_t nbi,
-                      std::span<const double> payload) override;
-
- private:
-  // Message p -> q: payload = Δx at p's boundary rows w.r.t. q, ordered by
-  // the shared channel convention (see layout.hpp).
-  void rank_relax(simmpi::RankContext& ctx, int p);
 };
 
 }  // namespace dsouth::dist

@@ -12,7 +12,8 @@ namespace dsouth::dist {
 DistributedSouthwell::DistributedSouthwell(
     const DistLayout& layout, simmpi::Runtime& rt, std::span<const value_t> b,
     std::span<const value_t> x0, const DistributedSouthwellOptions& opt)
-    : DistStationarySolver(layout, rt, b, x0), opt_(opt) {
+    : DistStationarySolver(layout, rt, b, x0, wire::Family::kEstimate),
+      opt_(opt) {
   const int nranks = layout.num_ranks();
   gamma2_.resize(static_cast<std::size_t>(nranks));
   gtilde2_.resize(static_cast<std::size_t>(nranks));
@@ -151,7 +152,7 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   // Δx at the boundary rows only: a_qp's columns and every payload read
   // nothing else.
   const auto dx_full = relax_subdomain(ctx, p);
-  const auto& xp = x_[up];
+  const auto xs = boundary_x_source(p, dx_full);
   const auto& rp = r_[up];
   const value_t norm2_new = kernels::norm_sq(rp);
   auto& dz = dz_scratch_[up];
@@ -202,11 +203,11 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
     gtilde2_[up][k] = norm2_new;  // the message tells q our exact norm
     auto rec = ch.open(ctx, k, wire::RecordType::kSolveUpdate, norm2_new,
                        gamma2_[up][k]);
+    // One fused gather: boundary x (write_boundary_x's source) and the
+    // exact boundary residuals.
     for (std::size_t s = 0; s < nb.send_rows_local.size(); ++s) {
       const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
-      // Resilient mode ships absolute boundary x (self-healing across
-      // message loss — solver_base.hpp); default mode ships the delta.
-      rec.dx[s] = resilient() ? xp[li] : dx_full[li];
+      rec.dx[s] = xs[li];
       rec.rb[s] = rp[li];
     }
     if (resilient()) resil_note_send(p, k);
@@ -222,7 +223,6 @@ void DistributedSouthwell::rank_correct(simmpi::RankContext& ctx, int p,
   const value_t norm2 = kernels::norm_sq(r_[up]);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
   const auto& rp = r_[up];
-  const auto& xp = x_[up];
   auto& ch = channels_[up];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
     const auto& nb = rd.neighbors[k];
@@ -230,47 +230,31 @@ void DistributedSouthwell::rank_correct(simmpi::RankContext& ctx, int p,
     // full SolveUpdate (absolute boundary x, exact boundary residuals,
     // norms) regardless of the Γ̃ condition — bounding the staleness a
     // dropped message can cause in the neighbor's estimates and cache.
-    if (resilient() && resil_refresh_due(p, k)) {
-      auto rec = ch.open(ctx, k, wire::RecordType::kSolveUpdate, norm2,
-                         gamma2_[up][k]);
-      for (std::size_t s = 0; s < nb.send_rows_local.size(); ++s) {
-        const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
-        rec.dx[s] = xp[li];
-        rec.rb[s] = rp[li];
-      }
-      gtilde2_[up][k] = norm2;  // it also corrects any overestimate
-      resil_note_refresh(ctx, p, k);
-      continue;
-    }
+    const bool refresh = resilient() && resil_refresh_due(p, k);
     const bool must_heartbeat = heartbeat && norm2 > 0.0;
-    if (!(norm2 < gtilde2_[up][k]) && !must_heartbeat) continue;
-    auto rec = ch.open(ctx, k, wire::RecordType::kCorrection, norm2,
-                       gamma2_[up][k]);
+    if (!refresh && !(norm2 < gtilde2_[up][k]) && !must_heartbeat) continue;
+    auto rec = ch.open(ctx, k,
+                       refresh ? wire::RecordType::kSolveUpdate
+                               : wire::RecordType::kCorrection,
+                       norm2, gamma2_[up][k]);
     for (std::size_t s = 0; s < nb.send_rows_local.size(); ++s) {
       rec.rb[s] = rp[static_cast<std::size_t>(nb.send_rows_local[s])];
     }
-    gtilde2_[up][k] = norm2;
-    ++corrections_sent_[up];
-    ctx.metric_add(m_corrections_sent_, 1.0);
+    gtilde2_[up][k] = norm2;  // a refresh also corrects any overestimate
+    if (refresh) {
+      write_boundary_x(p, k, rec.dx);
+      resil_note_refresh(ctx, p, k);
+    } else {
+      ++corrections_sent_[up];
+      ctx.metric_add(m_corrections_sent_, 1.0);
+    }
   }
   ch.flush();
 }
 
-void DistributedSouthwell::absorb_payload(simmpi::RankContext& ctx, int p,
-                                          std::size_t nbi,
-                                          std::span<const double> payload) {
+void DistributedSouthwell::absorb_record(int p, std::size_t nbi,
+                                         const wire::Record& rec) {
   const auto up = static_cast<std::size_t>(p);
-  const auto body = accept_record(ctx, p, nbi, payload);
-  if (!body) return;
-  // Decode against the channel's receive width (the codec validates every
-  // length).
-  const std::size_t width = layout_->rank(p).neighbors[nbi].ghost_rows.size();
-  const auto rec = wire::decode_record(wire::Family::kEstimate, *body, width);
-  if (rec.type == wire::RecordType::kSolveUpdate) {
-    // SOLVE: boundary x + exact boundary residuals.
-    absorb_boundary_x(ctx, p, nbi, rec.dx);
-  }
-  // Both types carry the sender's exact boundary residuals.
   std::copy(rec.rb.begin(), rec.rb.end(), ghost_[up][nbi].begin());
   gamma2_[up][nbi] = rec.norm2;
   gtilde2_[up][nbi] = rec.gamma2;
@@ -279,8 +263,8 @@ void DistributedSouthwell::absorb_payload(simmpi::RankContext& ctx, int p,
 void DistributedSouthwell::begin_step() {
   DistStationarySolver::begin_step();
   // Epoch A never reads the step counter, so advancing it here (instead of
-  // between the epochs, as the pre-hook stepping did) changes nothing; the
-  // heartbeat flag epoch B reads is computed from the same value as ever.
+  // between the epochs) changes nothing; the heartbeat flag epoch B reads
+  // is computed from the same value either way.
   ++step_count_;
   heartbeat_ =
       opt_.heartbeat_period > 0 && step_count_ % opt_.heartbeat_period == 0;
@@ -293,18 +277,6 @@ void DistributedSouthwell::rank_send(int e, simmpi::RankContext& ctx, int p) {
     return;
   }
   // ---- Epoch B: deadlock avoidance — correct only overestimates of us.
-  if (opt_.enable_corrections) rank_correct(ctx, p, heartbeat_);
-}
-
-void DistributedSouthwell::rank_async_send(simmpi::RankContext& ctx, int p) {
-  // Relax where ‖r_p‖² is maximal among the (staleness-bounded) Γ
-  // estimates, and fold the deadlock-avoidance corrections into the SAME
-  // epoch. Ordering keeps Γ̃ correct: rank_relax sets Γ̃[q] = norm2_new
-  // for every neighbor it messaged, so rank_correct right after only
-  // fires for genuinely uncorrected overestimates. Out-of-order arrival
-  // is handled by the resilient absorb path (sequence gating +
-  // absolute-x encoding) the driver enables for asynchronous runs.
-  rank_relax(ctx, p);
   if (opt_.enable_corrections) rank_correct(ctx, p, heartbeat_);
 }
 

@@ -80,25 +80,23 @@ class DistributedSouthwell final : public DistStationarySolver {
   std::uint64_t corrections_sent() const;
 
   // Stepping hooks (solver_base.hpp): begin_step advances the heartbeat
-  // clock (epoch A never reads it, so the pre-epoch advance matches the
-  // old between-epochs one); epoch 0 relaxes, epoch 1 corrects.
+  // clock (epoch A never reads it, so the pre-epoch advance matches a
+  // between-epochs one); epoch 0 relaxes, epoch 1 corrects. Under async
+  // delivery both run in one epoch, relax first, which keeps Γ̃ right:
+  // rank_relax sets Γ̃[q] = the new norm for every neighbor it messaged,
+  // so rank_correct right after fires only for genuinely uncorrected
+  // overestimates. Out-of-order arrival is handled by the resilient
+  // absorb path (sequence gating + absolute-x encoding) the driver
+  // enables for asynchronous runs.
   int step_epochs() const override { return 2; }
   void begin_step() override;
   void rank_send(int e, simmpi::RankContext& ctx, int p) override;
-  void rank_async_send(simmpi::RankContext& ctx, int p) override;
-  void absorb_payload(simmpi::RankContext& ctx, int p, std::size_t nbi,
-                      std::span<const double> payload) override;
-
-  /// Repartition recovery re-seeds Γ/Γ̃/z exactly (setup exchange) and
-  /// restarts the correction/deferral counters.
-  RecoveryContract recovery_contract() const override {
-    RecoveryContract c;
-    c.reseeds_estimates = true;
-    c.restarts_counters = true;
-    return c;
-  }
 
  protected:
+  // Both record types carry the sender's exact boundary residuals (z),
+  // its norm (Γ) and its estimate of ours (Γ̃).
+  void absorb_record(int p, std::size_t nbi,
+                     const wire::Record& rec) override;
   // Checkpoint stream: step_count, heartbeat, then per rank — the two
   // protocol counters, Γ², Γ̃², the z ghost layers, and (send_threshold
   // runs only) the pending Δx accumulators.

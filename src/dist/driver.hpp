@@ -87,7 +87,7 @@ struct NodeTotals {
 };
 
 /// End-of-run asynchronous-delivery accounting, present iff the run used
-/// the EventDriven policy (`DistRunOptions::async`). Counts come from the
+/// async delivery (`DistRunOptions::async`). Counts come from the
 /// runtime's CommStats; all integers, deterministic across backends.
 struct AsyncTotals {
   std::uint64_t delivered = 0;      ///< messages matured after a latency draw
@@ -105,7 +105,7 @@ struct DistRunOptions {
   /// strong-scaling sweeps; 0 disables). Histories keep what was recorded.
   value_t divergence_abort = 0.0;
   simmpi::MachineModel machine{};
-  /// Event-driven (asynchronous) delivery: attach an EventDrivenPolicy to
+  /// Event-driven (asynchronous) delivery: set simmpi::AsyncDelivery on
   /// the runtime and switch every solver to its relax-on-arrival step
   /// (one fused epoch per parallel step). Latency draws are stateless
   /// SplitMix64 hashes, so async runs are bit-identical across execution
@@ -122,8 +122,8 @@ struct DistRunOptions {
   int async_max_latency = 3;
   /// Hard bound enforced by the runtime on message staleness: a message
   /// staged at epoch e is delivered no later than the fence closing epoch
-  /// e + max_staleness, whatever the latency draw said. 0 degenerates the
-  /// policy to BulkSynchronous outright (BSP solver stepping, no deliver
+  /// e + max_staleness, whatever the latency draw said. 0 degenerates to
+  /// bulk-synchronous delivery outright (BSP solver stepping, no deliver
   /// events, no async totals) — the run is then byte-identical to a
   /// non-async run with resilience enabled. Async only.
   std::uint64_t max_staleness = 4;
@@ -217,7 +217,7 @@ struct DistRunResult {
   std::shared_ptr<const trace::TraceLog> trace_log;
   /// Fault/recovery totals iff a nonzero FaultPlan was attached.
   std::optional<FaultSummary> fault_summary;
-  /// Async-delivery totals iff the run used the EventDriven policy.
+  /// Async-delivery totals iff the run used async delivery.
   std::optional<AsyncTotals> async_totals;
   /// Two-tier hop totals iff a non-flat node topology was attached.
   std::optional<NodeTotals> node_totals;

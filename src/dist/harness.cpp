@@ -68,16 +68,13 @@ RunHarness::RunHarness(DistMethod method,
   const int num_ranks = layout.num_ranks();
   const bool batched = specs.size() > 1;
 
-  // The delivery policy must be attached before the solver (so
+  // Async delivery must be set before the solver is constructed (so
   // async_mode() is stable from construction on).
   if (opt.async) {
-    simmpi::EventDrivenOptions eo;
-    eo.seed = opt.async_seed;
-    eo.min_latency_epochs = opt.async_min_latency;
-    eo.max_latency_epochs = opt.async_max_latency;
-    eo.max_staleness = opt.max_staleness;
-    async_policy_ = std::make_unique<simmpi::EventDrivenPolicy>(eo);
-    rt_.set_delivery_policy(async_policy_.get());
+    rt_.set_async_delivery({.seed = opt.async_seed,
+                            .min_latency_epochs = opt.async_min_latency,
+                            .max_latency_epochs = opt.async_max_latency,
+                            .max_staleness = opt.max_staleness});
   }
   // Node-aware topology: the one place a run's rank -> node map is
   // resolved. Flat topologies (ranks_per_node == 1) degenerate to
@@ -158,8 +155,9 @@ void RunHarness::record_state(DistRunResult& result) const {
 
 void RunHarness::drain_if_async() {
   if (!rt_.async_delivery()) return;
-  // Gated on the runtime, not opt.async: a staleness-0 policy degenerates
-  // to bulk-synchronous delivery and must add nothing to the trace.
+  // Gated on the runtime, not opt.async: staleness-0 async delivery
+  // degenerates to bulk-synchronous delivery and must add nothing to the
+  // trace.
   rt_.drain_delayed();
   solvers_.front()->absorb_all();
 }

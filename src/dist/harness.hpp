@@ -7,10 +7,10 @@
 /// elastic checkpoint/restart driver in src/elastic) constructs and
 /// attaches the exact same stack in the exact same order:
 ///
-///   runtime → delivery policy → node topology → tracer → fault schedule →
+///   runtime → async delivery → node topology → tracer → fault schedule →
 ///   tenants → backend → solver(s) → batch staging → resilience
 ///
-/// The order is load-bearing: the delivery policy must precede the tracer
+/// The order is load-bearing: async delivery must precede the tracer
 /// (async metrics register at attach) and the solver (async_mode() must be
 /// stable from construction); the tracer must precede the solver (ctors
 /// register metrics). Sharing the assembly makes the elastic driver's
@@ -23,7 +23,6 @@
 #include <optional>
 
 #include "dist/driver.hpp"
-#include "simmpi/delivery.hpp"
 
 namespace dsouth::dist {
 
@@ -105,7 +104,6 @@ class RunHarness {
  private:
   const DistRunOptions* opt_;
   simmpi::Runtime rt_;
-  std::unique_ptr<simmpi::EventDrivenPolicy> async_policy_;
   std::optional<simmpi::NodeTopology> run_topo_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<faults::FaultSchedule> fault_schedule_;

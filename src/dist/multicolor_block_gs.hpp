@@ -13,13 +13,16 @@
 /// what gives the method Gauss–Seidel-grade convergence (and guaranteed
 /// SPD convergence, unlike Block Jacobi) at the price of `num_colors`×
 /// the synchronization.
+///
+/// It is Block Jacobi with a color gate: an on-color rank relaxes and
+/// sends exactly as Block Jacobi does, an off-color rank does nothing.
 
-#include "dist/solver_base.hpp"
+#include "dist/block_jacobi.hpp"
 #include "graph/coloring.hpp"
 
 namespace dsouth::dist {
 
-class MulticolorBlockGs final : public DistStationarySolver {
+class MulticolorBlockGs final : public BlockJacobi {
  public:
   MulticolorBlockGs(const DistLayout& layout, simmpi::Runtime& rt,
                     std::span<const value_t> b, std::span<const value_t> x0);
@@ -33,20 +36,9 @@ class MulticolorBlockGs final : public DistStationarySolver {
 
   // Stepping hooks (solver_base.hpp): begin_step rotates the color; the
   // send phase is a no-op for off-color ranks, so running it for every
-  // rank is byte-identical to the old restricted-rank dispatch.
+  // rank is byte-identical to a color-restricted dispatch.
   void begin_step() override;
   void rank_send(int e, simmpi::RankContext& ctx, int p) override;
-  void rank_async_send(simmpi::RankContext& ctx, int p) override;
-  void absorb_payload(simmpi::RankContext& ctx, int p, std::size_t nbi,
-                      std::span<const double> payload) override;
-
-  /// Repartition recovery recolors the new subdomain graph and restarts
-  /// the rotation at color 0.
-  RecoveryContract recovery_contract() const override {
-    RecoveryContract c;
-    c.restarts_schedule = true;
-    return c;
-  }
 
  protected:
   // Checkpoint stream: the color-rotation cursors.
@@ -54,10 +46,7 @@ class MulticolorBlockGs final : public DistStationarySolver {
   void restore_extra(std::span<const double> in) override;
 
  private:
-  void rank_relax(simmpi::RankContext& ctx, int p);
-
-  graph::Coloring coloring_;                    // colors over ranks
-  std::vector<std::vector<int>> color_ranks_;   // color -> rank list
+  graph::Coloring coloring_;  // colors over ranks
   int next_color_ = 0;
   int step_color_ = 0;  // the color this step relaxes (set by begin_step)
 };

@@ -10,7 +10,7 @@ ParallelSouthwell::ParallelSouthwell(const DistLayout& layout,
                                      std::span<const value_t> b,
                                      std::span<const value_t> x0,
                                      bool explicit_residual_updates)
-    : DistStationarySolver(layout, rt, b, x0),
+    : DistStationarySolver(layout, rt, b, x0, wire::Family::kNorm),
       explicit_residual_updates_(explicit_residual_updates) {
   const int nranks = layout.num_ranks();
   gamma2_.resize(static_cast<std::size_t>(nranks));
@@ -62,19 +62,13 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   }
 
   const auto dx = relax_subdomain(ctx, p);
-  const auto& xp = x_[up];
   const value_t norm2_new = kernels::norm_sq(r_[up]);
   advertised2_[up] = norm2_new;
   auto& ch = channels_[up];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
-    const auto& nb = rd.neighbors[k];
-    auto rec = ch.open(ctx, k, wire::RecordType::kNormUpdate, norm2_new);
-    for (std::size_t s = 0; s < nb.send_rows_local.size(); ++s) {
-      const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
-      // Resilient mode ships absolute boundary x (self-healing across
-      // message loss — solver_base.hpp); default mode ships the delta.
-      rec.dx[s] = resilient() ? xp[li] : dx[li];
-    }
+    write_boundary_x(
+        p, k, dx,
+        ch.open(ctx, k, wire::RecordType::kNormUpdate, norm2_new).dx);
     if (resilient()) resil_note_send(p, k);
   }
   ch.flush();
@@ -102,14 +96,10 @@ void ParallelSouthwell::rank_residual_update(simmpi::RankContext& ctx,
   // full-state NormUpdate (absolute boundary x + current norm) even when
   // the norm is unchanged — this bounds the staleness a dropped message
   // can cause in both the neighbor's Γ entry and its boundary-x cache.
-  const auto& xp = x_[up];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
     if (resil_refresh_due(p, k)) {
-      const auto& nb = rd.neighbors[k];
-      auto rec = ch.open(ctx, k, wire::RecordType::kNormUpdate, norm2);
-      for (std::size_t s = 0; s < nb.send_rows_local.size(); ++s) {
-        rec.dx[s] = xp[static_cast<std::size_t>(nb.send_rows_local[s])];
-      }
+      write_boundary_x(
+          p, k, ch.open(ctx, k, wire::RecordType::kNormUpdate, norm2).dx);
       resil_note_refresh(ctx, p, k);
     } else if (norm_changed) {
       ch.open(ctx, k, wire::RecordType::kResidualNorm, norm2);
@@ -119,19 +109,9 @@ void ParallelSouthwell::rank_residual_update(simmpi::RankContext& ctx,
   ch.flush();
 }
 
-void ParallelSouthwell::absorb_payload(simmpi::RankContext& ctx, int p,
-                                       std::size_t nbi,
-                                       std::span<const double> payload) {
-  const auto body = accept_record(ctx, p, nbi, payload);
-  if (!body) return;
-  const std::size_t width = layout_->rank(p).neighbors[nbi].ghost_rows.size();
-  const auto rec = wire::decode_record(wire::Family::kNorm, *body, width);
-  // Both types carry the sender's new norm; only NormUpdate piggy-backs
-  // boundary x.
+void ParallelSouthwell::absorb_record(int p, std::size_t nbi,
+                                      const wire::Record& rec) {
   gamma2_[static_cast<std::size_t>(p)][nbi] = rec.norm2;
-  if (rec.type == wire::RecordType::kNormUpdate) {
-    absorb_boundary_x(ctx, p, nbi, rec.dx);
-  }
 }
 
 void ParallelSouthwell::rank_send(int e, simmpi::RankContext& ctx, int p) {
@@ -142,16 +122,6 @@ void ParallelSouthwell::rank_send(int e, simmpi::RankContext& ctx, int p) {
   }
   // ---- Epoch B: explicit residual updates wherever the norm changed
   // (Alg. 2 lines 19-21). This is the traffic Distributed Southwell cuts.
-  if (explicit_residual_updates_) rank_residual_update(ctx, p);
-}
-
-void ParallelSouthwell::rank_async_send(simmpi::RankContext& ctx, int p) {
-  // Relax where the criterion holds on the (staleness-bounded) Γ view and
-  // fold the explicit residual updates into the SAME epoch — after
-  // relaxing, the advertised norm is already current, so the update only
-  // fires when absorption alone changed the norm (or a resilient refresh
-  // is due).
-  rank_relax(ctx, p);
   if (explicit_residual_updates_) rank_residual_update(ctx, p);
 }
 

@@ -36,21 +36,16 @@ class ParallelSouthwell final : public DistStationarySolver {
   // Stepping hooks (solver_base.hpp): epoch 0 relaxes where the criterion
   // holds, epoch 1 broadcasts explicit residual updates (the Epoch B
   // fence/absorb runs even with the ablation switch off, as always).
+  // Under async delivery both run in one epoch: after relaxing, the
+  // advertised norm is already current, so the update only fires when
+  // absorption alone changed the norm (or a resilient refresh is due).
   int step_epochs() const override { return 2; }
   void rank_send(int e, simmpi::RankContext& ctx, int p) override;
-  void rank_async_send(simmpi::RankContext& ctx, int p) override;
-  void absorb_payload(simmpi::RankContext& ctx, int p, std::size_t nbi,
-                      std::span<const double> payload) override;
-
-  /// Repartition recovery re-seeds Γ and the advertised norms exactly
-  /// (setup exchange, Alg. 2 line 5).
-  RecoveryContract recovery_contract() const override {
-    RecoveryContract c;
-    c.reseeds_estimates = true;
-    return c;
-  }
 
  protected:
+  // Both record types carry the sender's new norm (Γ).
+  void absorb_record(int p, std::size_t nbi,
+                     const wire::Record& rec) override;
   // Checkpoint stream: per rank — advertised ‖r‖², then Γ².
   void capture_extra(std::vector<double>& out) const override;
   void restore_extra(std::span<const double> in) override;

@@ -32,9 +32,11 @@ void subtract_a_times_x_local(const DistLayout& layout,
 DistStationarySolver::DistStationarySolver(const DistLayout& layout,
                                            simmpi::Runtime& rt,
                                            std::span<const value_t> b,
-                                           std::span<const value_t> x0)
+                                           std::span<const value_t> x0,
+                                           wire::Family family)
     : layout_(&layout),
       rt_(&rt),
+      family_(family),
       owned_backend_(std::make_unique<simmpi::SequentialBackend>()),
       backend_(owned_backend_.get()) {
   DSOUTH_CHECK(rt.num_ranks() == layout.num_ranks());
@@ -122,8 +124,8 @@ DistStepStats DistStationarySolver::step() {
   if (async_mode()) {
     // Relax-on-arrival: absorb whatever matured at earlier fences, run the
     // solver's fused send phase on that (staleness-bounded) state, fence
-    // once. Messages sent here land whenever the delivery policy's
-    // virtual clock says they do.
+    // once. Messages sent here land whenever async delivery's virtual
+    // clock says they do.
     for_each_rank([this](simmpi::RankContext& ctx, int p) {
       rank_absorb(ctx, p);
       rank_async_send(ctx, p);
@@ -153,6 +155,21 @@ void DistStationarySolver::rank_absorb(simmpi::RankContext& ctx, int p) {
   }
   trace_absorb(ctx);
   ctx.consume();
+}
+
+void DistStationarySolver::absorb_payload(simmpi::RankContext& ctx, int p,
+                                          std::size_t nbi,
+                                          std::span<const double> payload) {
+  const auto body = accept_record(ctx, p, nbi, payload);
+  if (!body) return;
+  // Decode against the channel's receive width (the codec validates every
+  // length). Exactly the solve-tagged record types carry boundary x.
+  const std::size_t width = layout_->rank(p).neighbors[nbi].ghost_rows.size();
+  const auto rec = wire::decode_record(family_, *body, width);
+  if (wire::tag_of(rec.type) == simmpi::MsgTag::kSolve) {
+    absorb_boundary_x(ctx, p, nbi, rec.dx);
+  }
+  absorb_record(p, nbi, rec);
 }
 
 void DistStationarySolver::absorb_all() {
@@ -346,40 +363,20 @@ bool DistStationarySolver::resil_refresh_due(int p, std::size_t nbi) const {
          resil_.refresh_period;
 }
 
-// The dispatch lambdas below capture exactly one reference (8 bytes) to a
+// The dispatch lambda below captures exactly one reference (8 bytes) to a
 // stack-local Call struct so the std::function run_epoch receives fits in
-// libstdc++'s small-buffer (16 bytes) — capturing the span + this + fn
-// directly would heap-allocate on every epoch and break the hot path's
-// zero-allocation guarantee (tested in test_wire).
-void DistStationarySolver::for_each_rank(
+// libstdc++'s small-buffer (16 bytes) — capturing rt + fn directly would
+// heap-allocate on every epoch and break the hot path's zero-allocation
+// guarantee (tested in test_wire).
+void for_each_live_rank(
+    simmpi::ExecutionBackend& backend, simmpi::Runtime& rt,
     const std::function<void(simmpi::RankContext&, int)>& fn) {
   struct Call {
     simmpi::Runtime* rt;
     const std::function<void(simmpi::RankContext&, int)>* fn;
-  } call{rt_, &fn};
-  backend_->run_epoch(layout_->num_ranks(), [&call](int p) {
-    // A permanently failed rank (faults::RankKill) stops relaxing the
-    // moment it dies: no phases run, its window is never absorbed, peers
-    // observe silence (the runtime swallows its traffic at the fence).
-    // rank_dead is constant-false without a kill plan, so fault-free runs
-    // take the exact pre-elastic path.
+  } call{&rt, &fn};
+  backend.run_epoch(rt.num_ranks(), [&call](int p) {
     if (call.rt->rank_dead(p)) return;
-    simmpi::RankContext ctx(*call.rt, p);
-    (*call.fn)(ctx, p);
-  });
-}
-
-void DistStationarySolver::for_ranks(
-    std::span<const int> ranks,
-    const std::function<void(simmpi::RankContext&, int)>& fn) {
-  struct Call {
-    const int* ranks;
-    simmpi::Runtime* rt;
-    const std::function<void(simmpi::RankContext&, int)>* fn;
-  } call{ranks.data(), rt_, &fn};
-  backend_->run_epoch(static_cast<int>(ranks.size()), [&call](int i) {
-    const int p = call.ranks[static_cast<std::size_t>(i)];
-    if (call.rt->rank_dead(p)) return;  // permanently failed — silent
     simmpi::RankContext ctx(*call.rt, p);
     (*call.fn)(ctx, p);
   });

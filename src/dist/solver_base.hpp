@@ -28,6 +28,7 @@
 #include "simmpi/rank_context.hpp"
 #include "simmpi/runtime.hpp"
 #include "wire/comm_plan.hpp"
+#include "wire/wire.hpp"
 
 namespace dsouth::dist {
 
@@ -69,32 +70,6 @@ struct ResilienceStats {
   std::uint64_t refreshes_sent = 0;    ///< proactive full-state resends
 };
 
-/// What a concrete solver needs from an elastic *repartition* recovery
-/// (src/elastic, docs/resilience.md). Checkpoint/restore on an UNCHANGED
-/// layout needs none of this — capture_state/restore_state round-trip
-/// every field exactly. A repartition changes the layout, so per-neighbor
-/// state cannot be carried over; the recovering driver constructs a fresh
-/// solver from the restored global iterate, and this contract tells it
-/// what that fresh construction re-derives and what is genuinely reset.
-struct RecoveryContract {
-  /// Residuals are rebuilt exactly from A, b and the restored iterate by
-  /// the constructor's setup phase (true for every stationary solver
-  /// here — local residuals are exact by construction).
-  bool rebuilds_residual = true;
-  /// Per-neighbor estimates (Γ, Γ̃, residual ghost layers) are re-seeded
-  /// exactly by the constructor's setup exchange, so no estimate
-  /// staleness survives a recovery (the Southwell methods).
-  bool reseeds_estimates = false;
-  /// The relaxation schedule restarts from its initial phase (MCBGS: the
-  /// color rotation restarts at color 0). Convergence is unaffected; the
-  /// sweep order is perturbed once.
-  bool restarts_schedule = false;
-  /// Monotonic protocol counters (DS corrections_sent / deferred_sends)
-  /// restart at 0 in the fresh solver; the elastic driver accumulates
-  /// them across generations for its report.
-  bool restarts_counters = false;
-};
-
 /// Setup-phase helper shared with greedy_schwarz: r_p -= A_pp x_p +
 /// Σ_q A_pq x_q for rank p. Reads neighbor x directly (the paper's
 /// artifact likewise distributes the assembled system before the solve
@@ -103,12 +78,25 @@ void subtract_a_times_x_local(const DistLayout& layout,
                               const std::vector<std::vector<value_t>>& x,
                               std::vector<value_t>& r_p, int p);
 
+/// Run fn(ctx, p) for every rank p on `backend` (one epoch phase) — the
+/// one rank runner of the solo step and the batch coordinator. A
+/// permanently failed rank (faults::RankKill) stops the moment it dies: no
+/// phases run, its window is never absorbed, and peers observe silence
+/// (the runtime swallows its traffic at the fence). rank_dead is
+/// constant-false without a kill plan, so kill-free runs take the exact
+/// same path either way.
+void for_each_live_rank(
+    simmpi::ExecutionBackend& backend, simmpi::Runtime& rt,
+    const std::function<void(simmpi::RankContext&, int)>& fn);
+
 class DistStationarySolver {
  public:
   /// b and x0 are global vectors; they are scattered across ranks here.
+  /// `family` names the record types the solver's channels carry
+  /// (absorb_payload decodes against it).
   DistStationarySolver(const DistLayout& layout, simmpi::Runtime& rt,
                        std::span<const value_t> b,
-                       std::span<const value_t> x0);
+                       std::span<const value_t> x0, wire::Family family);
   virtual ~DistStationarySolver() = default;
 
   DistStationarySolver(const DistStationarySolver&) = delete;
@@ -116,12 +104,12 @@ class DistStationarySolver {
 
   /// Advance one parallel step (including its fences).
   ///
-  /// Under a BulkSynchronous delivery policy this is the paper's stepping:
-  /// one or two epochs with every message delivered at its closing fence.
-  /// Under an EventDriven policy (async_mode()) every solver switches to
-  /// single-epoch relax-on-arrival stepping: absorb whatever matured into
-  /// the window, relax on the (possibly stale, staleness-bounded) state,
-  /// fold any phase-B traffic into the same epoch, fence once.
+  /// Under bulk-synchronous delivery this is the paper's stepping: one or
+  /// two epochs with every message delivered at its closing fence. Under
+  /// async delivery (async_mode()) every solver switches to single-epoch
+  /// relax-on-arrival stepping: absorb whatever matured into the window,
+  /// relax on the (possibly stale, staleness-bounded) state, fold any
+  /// phase-B traffic into the same epoch, fence once.
   ///
   /// Non-virtual: the step schedule is a fixed phase table the base class
   /// drives through the stepping hooks below, so an external coordinator
@@ -163,22 +151,25 @@ class DistStationarySolver {
   /// met, feature disabled) returns without observable effect.
   virtual void rank_send(int e, simmpi::RankContext& ctx, int p) = 0;
 
-  /// Rank p's fused send phase of an event-driven step (the absorb half is
-  /// the shared rank_absorb, run first by the schedule).
-  virtual void rank_async_send(simmpi::RankContext& ctx, int p) = 0;
+  /// Rank p's fused send phase of an event-driven step: every epoch's send
+  /// phase, in order, inside one epoch (the absorb half is the shared
+  /// rank_absorb, run first by the schedule).
+  void rank_async_send(simmpi::RankContext& ctx, int p) {
+    for (int e = 0; e < step_epochs(); ++e) rank_send(e, ctx, p);
+  }
 
   /// Rank p's absorb phase: dispatch every window message to
-  /// absorb_payload by sender channel, trace, consume. Shared verbatim by
-  /// all four solvers — only the per-record semantics differ.
+  /// absorb_payload by sender channel, trace, consume.
   void rank_absorb(simmpi::RankContext& ctx, int p);
 
-  /// Apply one received payload on channel (p, neighbor nbi). The payload
-  /// is whatever the sender's ChannelSet shipped: a bare record, or a
-  /// sequenced envelope on resilient channels (accept_record unwraps it).
-  /// The batch coordinator calls this directly with tenant-frame bodies.
-  virtual void absorb_payload(simmpi::RankContext& ctx, int p,
-                              std::size_t nbi,
-                              std::span<const double> payload) = 0;
+  /// Apply one received payload on channel (p, neighbor nbi): unwrap it
+  /// (accept_record — a bare record, or a sequenced envelope on resilient
+  /// channels), decode it against the solver's record family, apply the
+  /// boundary x of a solve-tagged record, then hand the norm fields to
+  /// absorb_record. The batch coordinator calls this directly with
+  /// tenant-frame bodies.
+  void absorb_payload(simmpi::RankContext& ctx, int p, std::size_t nbi,
+                      std::span<const double> payload);
 
   /// Sum the per-rank step-stat slots into one record and reset them
   /// (step() calls this last; the coordinator calls it per tenant).
@@ -257,10 +248,6 @@ class DistStationarySolver {
   /// layout, and feature configuration (resilience) as the one
   /// that captured; mismatches are checked fatal, not recovered.
   void restore_state(const SolverState& state);
-
-  /// What this solver needs from a repartition recovery (see
-  /// RecoveryContract). The base default describes Block Jacobi.
-  virtual RecoveryContract recovery_contract() const { return {}; }
   // ------------------------------------------------------------------------
 
   /// Observer-side exact global residual norm (gathers local residuals;
@@ -273,17 +260,22 @@ class DistStationarySolver {
   std::span<const value_t> local_x(int p) const { return x_[p]; }
 
  protected:
-  /// True when the runtime's delivery policy is EventDriven — the cue for
-  /// step() implementations to take their single-epoch async path.
+  /// True when the runtime delivers asynchronously — the cue for step()
+  /// to take its single-epoch relax-on-arrival path.
   bool async_mode() const { return rt_->async_delivery(); }
 
-  /// Run fn(ctx, p) for every rank p via the backend (one epoch phase).
+  /// Run fn(ctx, p) for every live rank p via the backend (one epoch
+  /// phase; for_each_live_rank).
   void for_each_rank(
-      const std::function<void(simmpi::RankContext&, int)>& fn);
+      const std::function<void(simmpi::RankContext&, int)>& fn) {
+    for_each_live_rank(*backend_, *rt_, fn);
+  }
 
-  /// Same, restricted to a rank subset (multicolor phases).
-  void for_ranks(std::span<const int> ranks,
-                 const std::function<void(simmpi::RankContext&, int)>& fn);
+  /// Apply the norm fields of a record received on channel (p, neighbor
+  /// nbi); absorb_payload has already applied its boundary x. Default:
+  /// the record carries none (Block Jacobi).
+  virtual void absorb_record(int /*p*/, std::size_t /*nbi*/,
+                             const wire::Record& /*rec*/) {}
 
   /// Observability hook (docs/observability.md; trace_absorb above is its
   /// public sibling). An inlined no-op on untraced runs and never touches
@@ -320,10 +312,9 @@ class DistStationarySolver {
                             std::span<const double> dx);
 
   /// The bare v1 record a payload received on channel (p, neighbor nbi)
-  /// carries, for the solver's absorb_payload to decode: the payload
-  /// itself on the plain path; on the resilient path the body of a valid,
-  /// in-sequence envelope, or nullopt when the envelope is rejected
-  /// (resil_accept).
+  /// carries, for absorb_payload to decode: the payload itself on the
+  /// plain path; on the resilient path the body of a valid, in-sequence
+  /// envelope, or nullopt when the envelope is rejected (resil_accept).
   std::optional<std::span<const double>> accept_record(
       simmpi::RankContext& ctx, int p, std::size_t nbi,
       std::span<const double> payload) {
@@ -338,6 +329,31 @@ class DistStationarySolver {
                          std::span<const double> x) {
     apply_incoming_delta(ctx, layout_->rank(p).neighbors[nbi],
                          resilient() ? resil_delta(p, nbi, x) : x);
+  }
+
+  /// What an outgoing boundary-x field of rank p reads: `dx` (Δx from
+  /// relax_subdomain) on the plain path, or the absolute iterate on
+  /// resilient channels (self-healing across message loss).
+  std::span<const value_t> boundary_x_source(
+      int p, std::span<const value_t> dx) const {
+    if (!resilient()) return dx;
+    return x_[static_cast<std::size_t>(p)];
+  }
+
+  /// Gather rank p's boundary x toward neighbor k into `out`, in the
+  /// channel's send_rows_local order, from boundary_x_source(p, dx).
+  void write_boundary_x(int p, std::size_t k, std::span<const value_t> dx,
+                        std::span<double> out) const {
+    const auto src = boundary_x_source(p, dx);
+    const auto& rows = layout_->rank(p).neighbors[k].send_rows_local;
+    for (std::size_t s = 0; s < rows.size(); ++s) {
+      out[s] = src[static_cast<std::size_t>(rows[s])];
+    }
+  }
+
+  /// Same, always absolute x (full-state refreshes).
+  void write_boundary_x(int p, std::size_t k, std::span<double> out) const {
+    write_boundary_x(p, k, x_[static_cast<std::size_t>(p)], out);
   }
 
   // --- Resilient-mode helpers (no-ops / unused unless resilient()). Each
@@ -389,6 +405,8 @@ class DistStationarySolver {
   trace::MetricId m_relaxed_rows_ = trace::kInvalidMetric;
   trace::MetricId m_rank_relaxations_ = trace::kInvalidMetric;
   trace::MetricId m_absorbed_msgs_ = trace::kInvalidMetric;
+  /// The record types this solver's channels carry (absorb_payload).
+  wire::Family family_;
 
   // --- Resilient-mode state (sized by set_resilience; empty otherwise).
   ResilienceOptions resil_{};

@@ -177,7 +177,7 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
       // Fresh generation: destroy the harness BEFORE its layout, then
       // rebuild both over the new partition, seeding the solver with the
       // checkpointed iterate (residuals are re-derived exactly, estimates
-      // re-seeded — see RecoveryContract).
+      // re-seeded by the solver's setup exchange).
       h.reset();
       layout = std::make_unique<dist::DistLayout>(a, part);
       h = std::make_unique<dist::RunHarness>(method, *layout, b, x_restored,

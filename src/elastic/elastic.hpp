@@ -28,9 +28,10 @@
 ///      partition, restores the runtime cursors (epoch, model time,
 ///      CommStats, send counters) from the checkpoint — in-flight traffic is
 ///      dropped, exactly what a real failover loses — and resumes from the
-///      checkpointed global iterate. What each solver re-derives on the new
-///      layout vs. genuinely resets is its RecoveryContract
-///      (dist/solver_base.hpp).
+///      checkpointed global iterate. The fresh solver's setup re-derives
+///      the residuals and re-seeds every per-neighbor estimate (Γ, Γ̃,
+///      ghost layers) exactly; MCBGS restarts its color rotation at color
+///      0, and DS's correction/deferral counters restart at 0.
 ///
 /// Determinism: every ingredient (kill draws, checkpoint bytes,
 /// repartition, rebuilt layout, resumed stepping) is deterministic and

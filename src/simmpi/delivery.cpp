@@ -1,13 +1,11 @@
 #include "simmpi/delivery.hpp"
 
-#include "util/error.hpp"
-
 namespace dsouth::simmpi {
 
 namespace {
 
 /// SplitMix64 output function — the same avalanche src/faults uses for its
-/// stateless draws, duplicated here because the policy layer must not
+/// stateless draws, duplicated here because the delivery layer must not
 /// depend on the fault subsystem (it is the other way around: both hang
 /// off the runtime).
 inline std::uint64_t mix(std::uint64_t z) {
@@ -37,26 +35,12 @@ constexpr std::uint64_t kSaltLatency = 0x1A7EULL;
 
 }  // namespace
 
-const DeliveryPolicy& bulk_synchronous_policy() {
-  static const BulkSynchronousPolicy policy;
-  return policy;
-}
-
-EventDrivenPolicy::EventDrivenPolicy(EventDrivenOptions opt) : opt_(opt) {
-  DSOUTH_CHECK(opt.min_latency_epochs >= 0);
-  DSOUTH_CHECK_MSG(opt.min_latency_epochs <= opt.max_latency_epochs,
-                   "EventDrivenPolicy: min latency " << opt.min_latency_epochs
-                                                     << " exceeds max "
-                                                     << opt.max_latency_epochs);
-}
-
-std::uint64_t EventDrivenPolicy::extra_latency(std::uint64_t epoch, int src,
-                                               int dst,
-                                               std::uint64_t seq) const {
-  const auto lo = static_cast<std::uint64_t>(opt_.min_latency_epochs);
-  const auto hi = static_cast<std::uint64_t>(opt_.max_latency_epochs);
+std::uint64_t AsyncDelivery::extra_latency(std::uint64_t epoch, int src,
+                                           int dst, std::uint64_t seq) const {
+  const auto lo = static_cast<std::uint64_t>(min_latency_epochs);
+  const auto hi = static_cast<std::uint64_t>(max_latency_epochs);
   if (lo == hi) return lo;  // degenerate range: no draw needed
-  const std::uint64_t h = draw(opt_.seed, kSaltLatency, epoch, src, dst, seq);
+  const std::uint64_t h = draw(seed, kSaltLatency, epoch, src, dst, seq);
   return lo + h % (hi - lo + 1);
 }
 

@@ -1,20 +1,17 @@
 #pragma once
 
 /// \file delivery.hpp
-/// Pluggable delivery policies for the simulated runtime (DESIGN.md §12).
+/// Asynchronous delivery for the simulated runtime (DESIGN.md §12).
 ///
-/// Historically the fence *was* the delivery semantics: every put staged in
-/// epoch e landed in its destination window at the fence closing e — the
-/// bulk-synchronous superstep of the paper's MPI formulation. That logic is
-/// now one DeliveryPolicy among several. BulkSynchronousPolicy reproduces
-/// it byte-for-byte (it is the Runtime default, and runs with it selected
-/// are regression-gated to be byte-identical to the pre-policy code). The
-/// EventDrivenPolicy instead matures each message on a deterministic
-/// virtual clock: a per-message latency draw of `min..max` extra epochs,
-/// clamped so no message is delivered more than `max_staleness` epochs
-/// after it was staged — the bounded-staleness asynchronous regime of
-/// Hong's D-iteration and the Zou & Magoulès synchronization-reduction
-/// survey (PAPERS.md).
+/// By default the fence *is* the delivery semantics: every put staged in
+/// epoch e lands in its destination window at the fence closing e — the
+/// bulk-synchronous superstep of the paper's MPI formulation. An
+/// AsyncDelivery value attached with Runtime::set_async_delivery instead
+/// matures each message on a deterministic virtual clock: a per-message
+/// latency draw of `min..max` extra epochs, clamped so no message is
+/// delivered more than `max_staleness` epochs after it was staged — the
+/// bounded-staleness asynchronous regime of Hong's D-iteration and the
+/// Zou & Magoulès synchronization-reduction survey (PAPERS.md).
 ///
 /// Determinism contract (same as src/faults): every latency draw is a
 /// *stateless* SplitMix64-style hash of (seed, salt, epoch, src, dst, seq).
@@ -27,94 +24,30 @@
 
 namespace dsouth::simmpi {
 
-/// Discriminator the Runtime and solvers branch on. Solvers switch to
-/// single-epoch relax-on-arrival stepping exactly when the runtime reports
-/// async_delivery() — an EventDriven policy with a nonzero staleness bound
-/// (DistStationarySolver::async_mode()).
-enum class DeliveryPolicyKind : std::uint8_t {
-  kBulkSynchronous = 0,
-  kEventDriven = 1,
-};
-
-/// How staged puts mature into destination windows. Implementations must
-/// be immutable after construction (shared by const pointer with a Runtime
-/// whose rank programs run concurrently) and pure (stateless draws only).
-class DeliveryPolicy {
- public:
-  virtual ~DeliveryPolicy() = default;
-
-  virtual DeliveryPolicyKind kind() const = 0;
-  virtual const char* name() const = 0;
-
-  /// Extra epochs of fabric latency for the message (src -> dst) with
-  /// per-source send counter `seq`, staged in `epoch`. Pure function of
-  /// the policy's configuration and the arguments.
-  virtual std::uint64_t extra_latency(std::uint64_t epoch, int src, int dst,
-                                      std::uint64_t seq) const = 0;
-
-  /// Bound enforced by the runtime on non-fault delay: a message staged in
-  /// epoch e is delivered no later than the fence closing epoch
-  /// e + max_staleness(). (Fault-injection reordering and stalls compose
-  /// on top and may exceed the bound — a fault is allowed to be worse than
-  /// the fabric model, see docs/resilience.md.)
-  virtual std::uint64_t max_staleness() const = 0;
-};
-
-/// The classic fence: every message matures at the fence that closes the
-/// epoch it was staged in. Zero latency, zero staleness. Runs with this
-/// policy are byte-identical to the pre-policy runtime.
-class BulkSynchronousPolicy final : public DeliveryPolicy {
- public:
-  DeliveryPolicyKind kind() const override {
-    return DeliveryPolicyKind::kBulkSynchronous;
-  }
-  const char* name() const override { return "bulk_synchronous"; }
-  std::uint64_t extra_latency(std::uint64_t, int, int,
-                              std::uint64_t) const override {
-    return 0;
-  }
-  std::uint64_t max_staleness() const override { return 0; }
-};
-
-/// The shared immutable BulkSynchronousPolicy instance the Runtime
-/// defaults to (so an unconfigured Runtime never branches on policy
-/// presence — there is always one attached).
-const DeliveryPolicy& bulk_synchronous_policy();
-
-/// EventDrivenPolicy knobs. Defaults give a mildly asynchronous fabric:
-/// uniform 0..3 extra epochs of latency, staleness capped at 4.
-struct EventDrivenOptions {
+/// Event-driven delivery settings. Defaults give a mildly asynchronous
+/// fabric: uniform 0..3 extra epochs of latency, staleness capped at 4.
+struct AsyncDelivery {
   std::uint64_t seed = 0xA51CULL;
   /// Latency draw bounds (epochs), inclusive: 0 <= min <= max.
   int min_latency_epochs = 0;
   int max_latency_epochs = 3;
-  /// Delivery-time bound (see DeliveryPolicy::max_staleness). 0 collapses
-  /// the policy to BulkSynchronous outright: the Runtime then treats the
-  /// run as BSP (no deliver events, no async metrics, solvers keep their
-  /// fenced stepping), byte-identical to BulkSynchronousPolicy — the
+  /// Bound the runtime enforces on non-fault delay: a message staged in
+  /// epoch e is delivered no later than the fence closing epoch
+  /// e + max_staleness. (Fault-injection reordering and stalls compose on
+  /// top and may exceed it — a fault is allowed to be worse than the
+  /// fabric model, see docs/resilience.md.) 0 collapses the setting to
+  /// bulk-synchronous delivery outright: the Runtime then treats the run
+  /// as BSP (no deliver events, no async metrics, solvers keep their
+  /// fenced stepping), byte-identical to never attaching it — the
   /// reduction tests rely on this.
   std::uint64_t max_staleness = 4;
-};
 
-/// Messages mature on a deterministic virtual clock: each gets a stateless
-/// uniform latency draw in [min_latency_epochs, max_latency_epochs],
-/// clamped to max_staleness by the runtime.
-class EventDrivenPolicy final : public DeliveryPolicy {
- public:
-  explicit EventDrivenPolicy(EventDrivenOptions opt = {});
-
-  const EventDrivenOptions& options() const { return opt_; }
-
-  DeliveryPolicyKind kind() const override {
-    return DeliveryPolicyKind::kEventDriven;
-  }
-  const char* name() const override { return "event_driven"; }
+  /// Extra epochs of fabric latency for the message (src -> dst) with
+  /// per-source send counter `seq`, staged in `epoch`: a stateless uniform
+  /// draw in [min_latency_epochs, max_latency_epochs], before the
+  /// runtime's staleness clamp.
   std::uint64_t extra_latency(std::uint64_t epoch, int src, int dst,
-                              std::uint64_t seq) const override;
-  std::uint64_t max_staleness() const override { return opt_.max_staleness; }
-
- private:
-  EventDrivenOptions opt_;
+                              std::uint64_t seq) const;
 };
 
 }  // namespace dsouth::simmpi

@@ -19,7 +19,7 @@
 /// carries no information (every message is inter-node, no aggregation is
 /// possible), and the runtime treats it exactly like no topology at all,
 /// which is what keeps flat-topology runs byte-identical to topology-free
-/// ones (the same degeneracy contract as staleness-0 EventDriven delivery,
+/// ones (the same degeneracy contract as staleness-0 async delivery,
 /// simmpi/delivery.hpp).
 
 #include <cstdint>

@@ -134,15 +134,19 @@ void Runtime::restore_state(const RuntimeState& st) {
   }
 }
 
-void Runtime::set_delivery_policy(const DeliveryPolicy* policy) {
-  policy_ = policy ? policy : &bulk_synchronous_policy();
+void Runtime::set_async_delivery(const AsyncDelivery& delivery) {
+  DSOUTH_CHECK_MSG(delivery.min_latency_epochs >= 0 &&
+                       delivery.min_latency_epochs <=
+                           delivery.max_latency_epochs,
+                   "async delivery: need 0 <= min latency ("
+                       << delivery.min_latency_epochs << ") <= max latency ("
+                       << delivery.max_latency_epochs << ")");
+  delivery_ = delivery;
   // max_staleness == 0 means no message may outlive its staging epoch —
-  // which is exactly the bulk-synchronous contract. The policy degenerates
-  // and the runtime treats it as BSP outright (no deliver events), so a
-  // staleness-0 EventDriven run is byte-identical to one under
-  // BulkSynchronousPolicy.
-  async_ = policy_->kind() == DeliveryPolicyKind::kEventDriven &&
-           policy_->max_staleness() > 0;
+  // which is exactly the bulk-synchronous contract, so the runtime treats
+  // the run as BSP outright (no deliver events) and it stays byte-identical
+  // to one that never attached the setting.
+  async_ = delivery.max_staleness > 0;
 }
 
 void Runtime::set_node_topology(const NodeTopology* topo,
@@ -489,15 +493,15 @@ void Runtime::fence() {
       }
       std::uint64_t deliver_epoch = closed_epoch;  // matures at this fence
       if (async_) {
-        // EventDriven fabric latency: a stateless per-message draw, clamped
-        // so the *non-fault* delivery time never exceeds the policy's
-        // staleness bound. Fault
-        // reordering/stalls below compose on top and may exceed it — a
-        // fault is allowed to be worse than the fabric model.
-        deliver_epoch += policy_->extra_latency(closed_epoch, s, m.dest,
-                                                m.seq);
-        deliver_epoch = std::min(deliver_epoch,
-                                 closed_epoch + policy_->max_staleness());
+        // Event-driven fabric latency: a stateless per-message draw,
+        // clamped so the *non-fault* delivery time never exceeds the
+        // staleness bound. The draw is clamped, not the sum, so a bound
+        // near 2^64 cannot wrap into early delivery. Fault reordering and
+        // stalls below compose on top and may exceed it — a fault is
+        // allowed to be worse than the fabric model.
+        deliver_epoch += std::min(
+            delivery_.extra_latency(closed_epoch, s, m.dest, m.seq),
+            delivery_.max_staleness);
       }
       if (fd.reorder_extra > 0) {
         deliver_epoch += static_cast<std::uint64_t>(fd.reorder_extra);

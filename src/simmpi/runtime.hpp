@@ -20,12 +20,11 @@
 /// rank opens and closes the same access epochs), so this superstep
 /// semantics is exact, and it makes every experiment bit-reproducible.
 ///
-/// *When* a staged put becomes visible is decided by a pluggable
-/// DeliveryPolicy (delivery.hpp): the default BulkSynchronousPolicy
-/// delivers at the closing fence exactly as above, while EventDrivenPolicy
-/// matures messages on a deterministic virtual clock with bounded
-/// staleness — the asynchronous regime the paper's deadlock discussion is
-/// about. Either way delivery stays bit-reproducible across backends.
+/// By default a staged put becomes visible at the closing fence exactly as
+/// above. An AsyncDelivery setting (delivery.hpp) instead matures messages
+/// on a deterministic virtual clock with bounded staleness — the
+/// asynchronous regime the paper's deadlock discussion is about. Either
+/// way delivery stays bit-reproducible across backends.
 ///
 /// Concurrency contract (the ExecutionBackend discipline, execution.hpp):
 /// within an epoch, at most one thread drives a given rank, and every call
@@ -181,7 +180,7 @@ class Runtime {
 
   std::uint64_t epochs_completed() const { return epochs_; }
 
-  /// Messages currently held back — by the delivery policy's latency draws
+  /// Messages currently held back — by async delivery's latency draws
   /// or by fault-injection reordering/stalls — awaiting a later fence.
   std::uint64_t delayed_in_flight() const {
     std::uint64_t n = 0;
@@ -192,7 +191,7 @@ class Runtime {
   /// Run extra empty fences until every staged or deferred message has
   /// landed in its destination window. Semantics:
   ///   - puts staged since the last fence are fenced first (an implicit
-  ///     epoch close), then fences repeat while the delivery policy or the
+  ///     epoch close), then fences repeat while async delivery or the
   ///     fault schedule still holds messages in flight;
   ///   - windows are NOT consumed — drained messages stay visible until
   ///     the ranks call consume(), exactly as after a normal fence;
@@ -285,26 +284,23 @@ class Runtime {
   /// byte-identical to never having snapshotted (tests/test_elastic.cpp).
   void restore_state(const RuntimeState& state);
 
-  /// Attach a delivery policy (simmpi/delivery.hpp). Not owned; must
-  /// outlive the runtime. Defaults to the shared BulkSynchronousPolicy,
-  /// under which every message is delivered at the fence that closes its
-  /// staging epoch.
-  /// Call before the first epoch, like set_tracer: switching policies
-  /// mid-run would mix delivery semantics within one trace.
+  /// Switch to event-driven delivery (simmpi/delivery.hpp). Without this
+  /// call every message is delivered at the fence that closes its staging
+  /// epoch. Checks 0 <= min_latency_epochs <= max_latency_epochs. Call
+  /// before the first epoch, like set_tracer: switching mid-run would mix
+  /// delivery semantics within one trace.
   ///
-  /// Under an EventDriven policy each message's delivery fence is pushed
-  /// back by the policy's stateless latency draw, clamped so no message
-  /// lands more than max_staleness() epochs after it was staged; the
-  /// runtime then counts deliveries and staleness in CommStats, and — when
-  /// a tracer is also attached — bumps the "simmpi.async_*" metrics and
-  /// emits kDeliver trace events into destination lanes.
-  void set_delivery_policy(const DeliveryPolicy* policy);
+  /// Each message's delivery fence is pushed back by the stateless latency
+  /// draw, clamped so no message lands more than max_staleness epochs
+  /// after it was staged; the runtime then counts deliveries and
+  /// staleness in CommStats, and — when a tracer is also attached — bumps
+  /// the "simmpi.async_*" metrics and emits kDeliver trace events into
+  /// destination lanes. A staleness bound of 0 keeps bulk-synchronous
+  /// delivery.
+  void set_async_delivery(const AsyncDelivery& delivery);
 
-  /// The attached policy (never null — BulkSynchronous by default).
-  const DeliveryPolicy& delivery_policy() const { return *policy_; }
-
-  /// True when the attached policy is EventDriven — the solvers' cue to
-  /// switch to single-epoch relax-on-arrival stepping.
+  /// True when event-driven delivery is on (a nonzero staleness bound) —
+  /// the solvers' cue to switch to single-epoch relax-on-arrival stepping.
   bool async_delivery() const { return async_; }
 
   /// Attach a two-level node topology (node_topology.hpp,
@@ -341,8 +337,8 @@ class Runtime {
   /// Attaching a *flat* topology (every node holds exactly one rank) is
   /// equivalent to detaching: there is no intra-node tier to model, the
   /// runtime charges per staged put, and results stay byte-identical to a
-  /// topology-free run — the same degeneracy contract the staleness-0
-  /// EventDriven policy follows.
+  /// topology-free run — the same degeneracy contract staleness-0 async
+  /// delivery follows.
   void set_node_topology(const NodeTopology* topo,
                          NodeRoutingOptions opts = {});
 
@@ -475,10 +471,8 @@ class Runtime {
   // Cached faults_->any_kills() so kill-free fences never touch the
   // schedule's kill table (set_fault_schedule refreshes it).
   bool kills_ = false;
-  // Delivery policy (never null; BulkSynchronous by default). `async_`
-  // caches kind() == kEventDriven so the fence's hot loop branches on a
-  // bool, not a virtual call.
-  const DeliveryPolicy* policy_ = &bulk_synchronous_policy();
+  // Event-driven delivery setting; read only while `async_` is set.
+  AsyncDelivery delivery_{};
   bool async_ = false;
   CommStats stats_;
   // Per-source pending tenant attributions (batched serving): slot

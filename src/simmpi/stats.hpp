@@ -65,9 +65,9 @@ class CommStats {
   std::uint64_t dead_dropped_messages() const { return msgs_dead_dropped_; }
 
   /// Asynchronous-delivery accounting (simmpi/delivery.hpp), written by
-  /// the runtime at the delivering fence when an EventDriven policy is
-  /// attached. `staleness` is the number of epochs between staging and
-  /// delivery; under BulkSynchronous these counters are never touched and
+  /// the runtime at the delivering fence when async delivery is on.
+  /// `staleness` is the number of epochs between staging and delivery;
+  /// under bulk-synchronous delivery these counters are never touched and
   /// stay 0, like the fault counters above.
   void record_async_delivery(int dest, std::uint64_t staleness) {
     bump_fault(dest, msgs_async_delivered_);

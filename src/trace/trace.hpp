@@ -54,8 +54,8 @@ enum class EventKind : std::uint8_t {
   /// epochs for reorder/stall, flipped-bit index for corrupt, delivered
   /// length for truncate, 0 otherwise).
   kFault = 5,
-  /// A message matured into a destination window under an asynchronous
-  /// delivery policy (simmpi/delivery.hpp), recorded by the Runtime into
+  /// A message matured into a destination window under asynchronous
+  /// delivery (simmpi/delivery.hpp), recorded by the Runtime into
   /// the *destination* rank's lane at the delivering fence. `peer` =
   /// source rank, `tag` = the message's simmpi::MsgTag as int, a0 =
   /// staleness (epochs between staging and delivery), a1 = payload

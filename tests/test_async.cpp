@@ -1,8 +1,8 @@
-/// Tests for the pluggable delivery policies (src/simmpi/delivery.hpp) and
-/// epochless asynchronous execution: EventDriven latency draws are
-/// stateless and seed-dependent, the runtime matures messages on the
-/// virtual clock and enforces the staleness bound, a staleness-0 policy
-/// reduces byte-identically to BulkSynchronous, async runs are
+/// Tests for asynchronous delivery (src/simmpi/delivery.hpp) and epochless
+/// asynchronous execution: latency draws are stateless and
+/// seed-dependent, the runtime matures messages on the virtual clock and
+/// enforces the staleness bound without wrapping, a staleness-0 setting
+/// reduces byte-identically to bulk-synchronous delivery, async runs are
 /// bit-identical across execution backends (traces included), deliver
 /// events agree with the simmpi.async_* metrics, every solver converges
 /// relax-on-arrival, and asynchrony composes with fault injection.
@@ -10,17 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "dist/driver.hpp"
 #include "faults/fault_plan.hpp"
 #include "graph/partition.hpp"
-#include "simmpi/delivery.hpp"
 #include "simmpi/runtime.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/stencils.hpp"
 #include "trace/export.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dsouth {
@@ -31,51 +32,64 @@ using sparse::index_t;
 using sparse::value_t;
 
 // ---------------------------------------------------------------------------
-// EventDrivenPolicy draw semantics.
+// AsyncDelivery draw semantics.
 
-TEST(DeliveryPolicy, LatencyDrawsAreStatelessBoundedAndSeedDependent) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 1;
-  opt.max_latency_epochs = 4;
-  simmpi::EventDrivenPolicy p1(opt);
-  simmpi::EventDrivenPolicy p2(opt);
-  opt.seed ^= 1;
-  simmpi::EventDrivenPolicy p3(opt);
+TEST(AsyncDelivery, LatencyDrawsAreStatelessBoundedAndSeedDependent) {
+  simmpi::AsyncDelivery d1;
+  d1.min_latency_epochs = 1;
+  d1.max_latency_epochs = 4;
+  const simmpi::AsyncDelivery d2 = d1;
+  simmpi::AsyncDelivery d3 = d1;
+  d3.seed ^= 1;
 
   bool seed_changed_something = false;
   for (std::uint64_t seq = 0; seq < 200; ++seq) {
-    const auto a = p1.extra_latency(7, 1, 2, seq);
+    const auto a = d1.extra_latency(7, 1, 2, seq);
     EXPECT_GE(a, 1u);
     EXPECT_LE(a, 4u);
     // Stateless: call order and instance independent.
-    EXPECT_EQ(a, p1.extra_latency(7, 1, 2, seq));
-    EXPECT_EQ(a, p2.extra_latency(7, 1, 2, seq));
-    if (a != p3.extra_latency(7, 1, 2, seq)) seed_changed_something = true;
+    EXPECT_EQ(a, d1.extra_latency(7, 1, 2, seq));
+    EXPECT_EQ(a, d2.extra_latency(7, 1, 2, seq));
+    if (a != d3.extra_latency(7, 1, 2, seq)) seed_changed_something = true;
   }
   EXPECT_TRUE(seed_changed_something);
 }
 
-TEST(DeliveryPolicy, DegenerateWindowIsConstant) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 2;
-  opt.max_latency_epochs = 2;
-  simmpi::EventDrivenPolicy p(opt);
+TEST(AsyncDelivery, DegenerateWindowIsConstant) {
+  simmpi::AsyncDelivery d;
+  d.min_latency_epochs = 2;
+  d.max_latency_epochs = 2;
   for (std::uint64_t seq = 0; seq < 50; ++seq) {
-    EXPECT_EQ(p.extra_latency(0, 0, 1, seq), 2u);
+    EXPECT_EQ(d.extra_latency(0, 0, 1, seq), 2u);
   }
+}
+
+TEST(AsyncDelivery, RuntimeRejectsAnInvertedLatencyWindow) {
+  simmpi::Runtime rt(2);
+  simmpi::AsyncDelivery d;
+  d.min_latency_epochs = 3;
+  d.max_latency_epochs = 2;
+  EXPECT_THROW(rt.set_async_delivery(d), util::CheckError);
+  d.min_latency_epochs = -1;
+  EXPECT_THROW(rt.set_async_delivery(d), util::CheckError);
+  EXPECT_FALSE(rt.async_delivery());
 }
 
 // ---------------------------------------------------------------------------
 // Runtime maturation on the virtual clock.
 
+/// Async delivery with a fixed latency of `latency` extra epochs.
+simmpi::AsyncDelivery fixed_latency(int latency, std::uint64_t staleness) {
+  simmpi::AsyncDelivery d;
+  d.min_latency_epochs = latency;
+  d.max_latency_epochs = latency;
+  d.max_staleness = staleness;
+  return d;
+}
+
 TEST(AsyncRuntime, MessagesMatureAfterTheirLatencyDraw) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 2;
-  opt.max_latency_epochs = 2;  // deterministic: always +2 epochs
-  opt.max_staleness = 8;
-  simmpi::EventDrivenPolicy policy(opt);
   simmpi::Runtime rt(2);
-  rt.set_delivery_policy(&policy);
+  rt.set_async_delivery(fixed_latency(2, 8));  // always +2 epochs
   EXPECT_TRUE(rt.async_delivery());
 
   rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{1.0, 2.0});
@@ -94,13 +108,8 @@ TEST(AsyncRuntime, MessagesMatureAfterTheirLatencyDraw) {
 }
 
 TEST(AsyncRuntime, StalenessBoundClampsTheDraw) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 10;
-  opt.max_latency_epochs = 10;
-  opt.max_staleness = 3;
-  simmpi::EventDrivenPolicy policy(opt);
   simmpi::Runtime rt(2);
-  rt.set_delivery_policy(&policy);
+  rt.set_async_delivery(fixed_latency(10, 3));
   rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{1.0});
   for (int e = 0; e < 3; ++e) {
     rt.fence();
@@ -111,14 +120,37 @@ TEST(AsyncRuntime, StalenessBoundClampsTheDraw) {
   EXPECT_EQ(rt.stats().async_staleness_max(), 3u);
 }
 
-TEST(AsyncRuntime, StalenessZeroDegeneratesToBulkSynchronous) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 0;
-  opt.max_latency_epochs = 5;  // draws are irrelevant: the bound is 0
-  opt.max_staleness = 0;
-  simmpi::EventDrivenPolicy policy(opt);
+TEST(AsyncRuntime, HugeStalenessBoundNeverDeliversEarly) {
+  // A bound near 2^64 must not wrap the clamp: every message still lands
+  // exactly its 2-epoch draw after it was staged.
   simmpi::Runtime rt(2);
-  rt.set_delivery_policy(&policy);
+  rt.set_async_delivery(
+      fixed_latency(2, std::numeric_limits<std::uint64_t>::max()));
+  for (int e = 0; e < 6; ++e) {
+    if (e < 4) {
+      rt.put(0, 1, simmpi::MsgTag::kSolve,
+             std::vector<double>{static_cast<double>(e)});
+    }
+    rt.fence();  // closes epoch e
+    if (e < 2) {
+      EXPECT_TRUE(rt.window(1).empty()) << "epoch " << e;
+      continue;
+    }
+    ASSERT_EQ(rt.window(1).size(), 1u) << "epoch " << e;
+    EXPECT_EQ(rt.window(1)[0].payload[0], static_cast<double>(e - 2));
+    rt.consume(1);
+  }
+  EXPECT_EQ(rt.stats().async_delivered(), 4u);
+  EXPECT_EQ(rt.stats().async_staleness_max(), 2u);
+}
+
+TEST(AsyncRuntime, StalenessZeroDegeneratesToBulkSynchronous) {
+  simmpi::AsyncDelivery d;
+  d.min_latency_epochs = 0;
+  d.max_latency_epochs = 5;  // draws are irrelevant: the bound is 0
+  d.max_staleness = 0;
+  simmpi::Runtime rt(2);
+  rt.set_async_delivery(d);
   EXPECT_FALSE(rt.async_delivery());
   rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{1.0});
   rt.fence();
@@ -127,13 +159,8 @@ TEST(AsyncRuntime, StalenessZeroDegeneratesToBulkSynchronous) {
 }
 
 TEST(AsyncRuntime, DrainDelayedFlushesMaturingTraffic) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 3;
-  opt.max_latency_epochs = 3;
-  opt.max_staleness = 5;
-  simmpi::EventDrivenPolicy policy(opt);
   simmpi::Runtime rt(2);
-  rt.set_delivery_policy(&policy);
+  rt.set_async_delivery(fixed_latency(3, 5));
   rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{4.0});
   rt.fence();
   EXPECT_EQ(rt.delayed_in_flight(), 1u);

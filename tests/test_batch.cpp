@@ -468,6 +468,37 @@ TEST(BatchServing, DropoutNeverPerturbsSurvivors) {
   EXPECT_LT(batched.tenants[1].wire_records, batched.tenants[2].wire_records);
 }
 
+// A kill plan silences the killed rank for every tenant at once: it stops
+// relaxing and sending, so each tenant's trajectory is its solo run's.
+TEST(BatchServing, KilledRanksGoSilentAsInSoloRuns) {
+  auto p = make_problem(10, 6, 31);
+  dist::DistLayout layout(p.a, p.part);
+  std::vector<value_t> b1(p.b.size(), 0.0), x1(p.x0.size());
+  util::Rng rng(97);
+  rng.fill_uniform(x1, -1.0, 1.0);
+  sparse::normalize_initial_residual(p.a, b1, x1);
+  const dist::DistLayout* layouts[] = {&layout};
+  const dist::TenantSpec specs[] = {{p.b, p.x0, 0.0}, {b1, x1, 0.0}};
+  dist::DistRunOptions opt;
+  opt.max_parallel_steps = 15;
+  opt.faults.kills.push_back({2, 6});
+  for (const auto m : all_methods()) {
+    const auto batched = dist::run_distributed_batch(m, layouts, specs, opt);
+    ASSERT_EQ(batched.tenants.size(), 2u);
+    for (std::size_t t = 0; t < 2; ++t) {
+      const auto solo =
+          dist::run_distributed(m, layout, specs[t].b, specs[t].x0, opt);
+      const std::string what =
+          std::string(dist::method_name(m)) + " tenant " + std::to_string(t);
+      EXPECT_EQ(batched.tenants[t].residual_norm, solo.residual_norm) << what;
+      EXPECT_EQ(batched.tenants[t].final_x, solo.final_x) << what;
+      EXPECT_EQ(batched.tenants[t].relaxations,
+                static_cast<std::uint64_t>(solo.relaxations.back()))
+          << what;
+    }
+  }
+}
+
 TEST(BatchServing, UnsupportedObserverPoliciesAreRejected) {
   auto p = make_problem(8, 4, 3);
   dist::DistLayout layout(p.a, p.part);

@@ -151,7 +151,7 @@ bool run_checks(const RunTrace& run, const RunAnalysis& a) {
             counter_total("simmpi.faults_killed"),
         "dead-endpoint drop events == simmpi.faults_killed");
 
-  // Async-delivery cross-checks: under the EventDriven policy the runtime
+  // Async-delivery cross-checks: under async delivery the runtime
   // records one deliver event per matured message and bumps the
   // simmpi.async_* metrics in the same place, so event tallies and metric
   // totals must agree exactly.
