@@ -35,14 +35,17 @@ void NeighborBlock::subtract_coupling(std::span<const value_t> x_q,
 namespace {
 
 /// a_pqᵀ with its columns mapped from boundary-row index to local row
-/// (the map is ascending, so rows stay sorted).
+/// (the map is ascending, so rows stay sorted). Local rows lie below
+/// local_rows, which the local block's own row count bounds, so each
+/// mapped column fits csr_index_t.
 CsrMatrix transpose_to_local_cols(const CsrMatrix& a_pq,
                                   std::span<const index_t> send_rows_local,
                                   index_t local_rows) {
   const CsrMatrix t = a_pq.transpose();
-  std::vector<index_t> cols(t.col_idx().size());
+  std::vector<sparse::csr_index_t> cols(t.col_idx().size());
   for (std::size_t k = 0; k < cols.size(); ++k) {
-    cols[k] = send_rows_local[static_cast<std::size_t>(t.col_idx()[k])];
+    cols[k] = static_cast<sparse::csr_index_t>(
+        send_rows_local[static_cast<std::size_t>(t.col_idx()[k])]);
   }
   return CsrMatrix(t.rows(), local_rows,
                    {t.row_ptr().begin(), t.row_ptr().end()}, std::move(cols),

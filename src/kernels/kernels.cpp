@@ -9,7 +9,7 @@ namespace {
 /// a_ii from the matrix's recorded diagonal position (0 where absent, as
 /// CsrMatrix::at would return).
 value_t diagonal_at(std::span<const value_t> vals,
-                    std::span<const index_t> diag, index_t i) {
+                    std::span<const sparse::csr_index_t> diag, index_t i) {
   const index_t pos = diag[static_cast<std::size_t>(i)];
   return pos >= 0 ? vals[static_cast<std::size_t>(pos)] : 0.0;
 }

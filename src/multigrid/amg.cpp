@@ -1,6 +1,7 @@
 #include "multigrid/amg.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "sparse/scaling.hpp"
 #include "sparse/spgemm.hpp"
@@ -11,6 +12,8 @@
 namespace dsouth::multigrid {
 
 using sparse::CsrMatrix;
+using sparse::csr_index_t;
+using sparse::kMaxCsrIndex;
 using sparse::value_t;
 
 std::vector<index_t> aggregate(const CsrMatrix& a, double strength_threshold,
@@ -84,15 +87,19 @@ std::vector<index_t> aggregate(const CsrMatrix& a, double strength_threshold,
 
 CsrMatrix aggregation_prolongator(std::span<const index_t> agg,
                                   index_t num_aggregates) {
-  const auto n = static_cast<index_t>(agg.size());
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(n) + 1);
-  std::vector<index_t> col_idx(static_cast<std::size_t>(n));
+  // One entry per row: n bounds both the offsets and the entry count.
+  DSOUTH_CHECK_MSG(std::in_range<csr_index_t>(agg.size()) &&
+                       num_aggregates <= kMaxCsrIndex,
+                   "prolongator exceeds the 32-bit CSR index limit");
+  const auto n = static_cast<csr_index_t>(agg.size());
+  std::vector<csr_index_t> row_ptr(static_cast<std::size_t>(n) + 1);
+  std::vector<csr_index_t> col_idx(static_cast<std::size_t>(n));
   std::vector<value_t> values(static_cast<std::size_t>(n), 1.0);
-  for (index_t i = 0; i < n; ++i) {
-    DSOUTH_CHECK(agg[static_cast<std::size_t>(i)] >= 0 &&
-                 agg[static_cast<std::size_t>(i)] < num_aggregates);
+  for (csr_index_t i = 0; i < n; ++i) {
+    const index_t a = agg[static_cast<std::size_t>(i)];
+    DSOUTH_CHECK(a >= 0 && a < num_aggregates);
     row_ptr[static_cast<std::size_t>(i)] = i;
-    col_idx[static_cast<std::size_t>(i)] = agg[static_cast<std::size_t>(i)];
+    col_idx[static_cast<std::size_t>(i)] = static_cast<csr_index_t>(a);
   }
   row_ptr[static_cast<std::size_t>(n)] = n;
   return CsrMatrix(n, num_aggregates, std::move(row_ptr), std::move(col_idx),

@@ -5,7 +5,8 @@
 /// inputs as `.mtx.bin` files because Matrix Market text parsing dominates
 /// setup time at these sizes; this is the equivalent facility (own format:
 /// magic + version + dims + raw little-endian arrays, with validation on
-/// load).
+/// load). Dimensions and indices are int64 on disk and 32-bit in memory
+/// (csr.hpp); the reader range-checks each one before narrowing it.
 
 #include <istream>
 #include <ostream>
@@ -20,7 +21,11 @@ void write_binary_csr(std::ostream& out, const CsrMatrix& a);
 void write_binary_csr_file(const std::string& path, const CsrMatrix& a);
 
 /// Read a matrix written by write_binary_csr. Throws CheckError on bad
-/// magic, version mismatch, truncation, or structural corruption.
+/// magic, version mismatch, truncation, structural corruption, or a
+/// dimension, nonzero count or index outside the 32-bit CSR range. The
+/// header is checked before anything is allocated, and the arrays are
+/// read a chunk at a time, so a header that promises more than the stream
+/// holds costs memory in proportion to the bytes actually present.
 CsrMatrix read_binary_csr(std::istream& in);
 CsrMatrix read_binary_csr_file(const std::string& path);
 

@@ -16,7 +16,8 @@ class CsrMatrix;  // csr.hpp
 
 /// Triplet accumulator. Duplicate (i, j) entries are summed on conversion
 /// (the natural semantics for finite-element assembly), in insertion
-/// order.
+/// order. Dimensions are limited to kMaxCsrIndex (checked by the
+/// constructor), so entries are kept as 32-bit indices.
 class CooBuilder {
  public:
   CooBuilder(index_t rows, index_t cols);
@@ -38,12 +39,13 @@ class CooBuilder {
   /// zero is kept. Cost: O(entries + rows) for a stable counting sort by
   /// row, plus a sort of each row whose columns do not arrive ascending;
   /// working memory is one index per entry and the outputs are reserved
-  /// once.
+  /// once. Throws CheckError if there are more than kMaxCsrIndex
+  /// entries.
   CsrMatrix to_csr() const;
 
  private:
   index_t rows_, cols_;
-  std::vector<index_t> is_, js_;
+  std::vector<csr_index_t> is_, js_;
   std::vector<value_t> vs_;
 };
 

@@ -2,29 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace dsouth::sparse {
 
-CsrMatrix::CsrMatrix(index_t rows, index_t cols, std::vector<index_t> row_ptr,
-                     std::vector<index_t> col_idx, std::vector<value_t> values)
+CsrMatrix::CsrMatrix(index_t rows, index_t cols,
+                     std::vector<csr_index_t> row_ptr,
+                     std::vector<csr_index_t> col_idx,
+                     std::vector<value_t> values)
     : rows_(rows),
       cols_(cols),
       row_ptr_(std::move(row_ptr)),
       col_idx_(std::move(col_idx)),
       values_(std::move(values)) {
   DSOUTH_CHECK(rows_ >= 0 && cols_ >= 0);
+  DSOUTH_CHECK_MSG(rows_ <= kMaxCsrIndex && cols_ <= kMaxCsrIndex,
+                   rows_ << "x" << cols_
+                         << " exceeds the 32-bit CSR index limit");
   DSOUTH_CHECK(row_ptr_.size() == static_cast<std::size_t>(rows_) + 1);
   DSOUTH_CHECK(col_idx_.size() == values_.size());
-  DSOUTH_CHECK(row_ptr_.back() == static_cast<index_t>(col_idx_.size()));
+  // row_ptr is 32-bit, so this also bounds nnz by kMaxCsrIndex.
+  DSOUTH_CHECK(static_cast<std::size_t>(row_ptr_.back()) == col_idx_.size());
   if (rows_ != cols_) return;
   diag_pos_.assign(static_cast<std::size_t>(rows_), -1);
+  const auto nz = static_cast<csr_index_t>(col_idx_.size());
   for (index_t i = 0; i < rows_; ++i) {
     // Clamped: a corrupt row_ptr can get here ahead of validate().
-    const index_t b = std::max<index_t>(row_ptr_[i], 0);
-    const index_t e = std::min<index_t>(row_ptr_[i + 1], nnz());
-    for (index_t k = b; k < e; ++k) {
+    const csr_index_t b = std::max<csr_index_t>(row_ptr_[i], 0);
+    const csr_index_t e = std::min<csr_index_t>(row_ptr_[i + 1], nz);
+    for (csr_index_t k = b; k < e; ++k) {
       if (col_idx_[k] == i) {
         diag_pos_[static_cast<std::size_t>(i)] = k;
         break;
@@ -33,7 +41,7 @@ CsrMatrix::CsrMatrix(index_t rows, index_t cols, std::vector<index_t> row_ptr,
   }
 }
 
-std::span<const index_t> CsrMatrix::row_cols(index_t i) const {
+std::span<const csr_index_t> CsrMatrix::row_cols(index_t i) const {
   DSOUTH_ASSERT(i >= 0 && i < rows_);
   auto b = static_cast<std::size_t>(row_ptr_[i]);
   auto e = static_cast<std::size_t>(row_ptr_[i + 1]);
@@ -104,20 +112,20 @@ void CsrMatrix::residual(std::span<const value_t> b, std::span<const value_t> x,
 }
 
 CsrMatrix CsrMatrix::transpose() const {
-  std::vector<index_t> t_ptr(static_cast<std::size_t>(cols_) + 1, 0);
-  for (index_t j : col_idx_) ++t_ptr[static_cast<std::size_t>(j) + 1];
+  // The transpose has this matrix's nonzeros, so every offset fits.
+  std::vector<csr_index_t> t_ptr(static_cast<std::size_t>(cols_) + 1, 0);
+  for (csr_index_t j : col_idx_) ++t_ptr[static_cast<std::size_t>(j) + 1];
   for (index_t j = 0; j < cols_; ++j) {
     t_ptr[static_cast<std::size_t>(j) + 1] += t_ptr[static_cast<std::size_t>(j)];
   }
-  std::vector<index_t> t_col(col_idx_.size());
+  std::vector<csr_index_t> t_col(col_idx_.size());
   std::vector<value_t> t_val(values_.size());
-  std::vector<index_t> cursor(t_ptr.begin(), t_ptr.end() - 1);
-  for (index_t i = 0; i < rows_; ++i) {
-    for (index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      index_t j = col_idx_[k];
-      index_t slot = cursor[static_cast<std::size_t>(j)]++;
-      t_col[slot] = i;   // rows visited ascending -> sorted columns
-      t_val[slot] = values_[k];
+  std::vector<csr_index_t> cursor(t_ptr.begin(), t_ptr.end() - 1);
+  for (csr_index_t i = 0; i < rows_; ++i) {
+    for (csr_index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+      const csr_index_t slot = cursor[static_cast<std::size_t>(col_idx_[k])]++;
+      t_col[static_cast<std::size_t>(slot)] = i;  // rows ascend -> sorted
+      t_val[static_cast<std::size_t>(slot)] = values_[k];
     }
   }
   return CsrMatrix(cols_, rows_, std::move(t_ptr), std::move(t_col),
@@ -148,20 +156,27 @@ CsrMatrix CsrMatrix::extract(std::span<const index_t> rows_sel,
                              std::span<const index_t> col_map,
                              index_t new_cols) const {
   DSOUTH_CHECK(col_map.size() == static_cast<std::size_t>(cols_));
-  std::vector<index_t> new_ptr(rows_sel.size() + 1, 0);
-  std::vector<index_t> new_col;
+  DSOUTH_CHECK_MSG(new_cols >= 0 && new_cols <= kMaxCsrIndex,
+                   "extract: " << new_cols
+                               << " columns exceed the 32-bit CSR limit");
+  std::vector<csr_index_t> new_ptr(rows_sel.size() + 1, 0);
+  std::vector<csr_index_t> new_col;
   std::vector<value_t> new_val;
   for (std::size_t out_i = 0; out_i < rows_sel.size(); ++out_i) {
     index_t i = rows_sel[out_i];
     DSOUTH_CHECK(i >= 0 && i < rows_);
-    for (index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+    for (csr_index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
       index_t nj = col_map[static_cast<std::size_t>(col_idx_[k])];
       if (nj < 0) continue;
       DSOUTH_ASSERT(nj < new_cols);
-      new_col.push_back(nj);
+      new_col.push_back(static_cast<csr_index_t>(nj));
       new_val.push_back(values_[k]);
     }
-    new_ptr[out_i + 1] = static_cast<index_t>(new_col.size());
+    // A row selected twice repeats its entries, so the count can grow
+    // past nnz().
+    DSOUTH_CHECK_MSG(std::in_range<csr_index_t>(new_col.size()),
+                     "extract: entry count exceeds the 32-bit CSR limit");
+    new_ptr[out_i + 1] = static_cast<csr_index_t>(new_col.size());
   }
   // Column maps are monotone within a row only if col_map is monotone on
   // stored columns; sort each row to restore the CSR invariant.
@@ -170,7 +185,7 @@ CsrMatrix CsrMatrix::extract(std::span<const index_t> rows_sel,
     auto e = static_cast<std::size_t>(new_ptr[out_i + 1]);
     // insertion sort: rows are short and usually already sorted
     for (std::size_t k = b + 1; k < e; ++k) {
-      index_t c = new_col[k];
+      csr_index_t c = new_col[k];
       value_t v = new_val[k];
       std::size_t q = k;
       while (q > b && new_col[q - 1] > c) {
@@ -189,14 +204,17 @@ CsrMatrix CsrMatrix::extract(std::span<const index_t> rows_sel,
 bool CsrMatrix::validate() const {
   if (row_ptr_.size() != static_cast<std::size_t>(rows_) + 1) return false;
   if (row_ptr_[0] != 0) return false;
+  const index_t nz = nnz();
   for (index_t i = 0; i < rows_; ++i) {
-    if (row_ptr_[i + 1] < row_ptr_[i]) return false;
-    for (index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+    // Bound the row before walking it: a row_ptr past nnz() would read
+    // beyond col_idx_.
+    if (row_ptr_[i + 1] < row_ptr_[i] || row_ptr_[i + 1] > nz) return false;
+    for (csr_index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
       if (col_idx_[k] < 0 || col_idx_[k] >= cols_) return false;
       if (k > row_ptr_[i] && col_idx_[k] <= col_idx_[k - 1]) return false;
     }
   }
-  return row_ptr_.back() == static_cast<index_t>(col_idx_.size());
+  return row_ptr_.back() == nz;
 }
 
 }  // namespace dsouth::sparse

@@ -14,24 +14,31 @@ namespace dsouth::sparse {
 
 /// CSR sparse matrix. Column indices within each row are sorted ascending
 /// (guaranteed by CooBuilder::to_csr and validated by `validate()`).
+///
+/// Row offsets, column indices and diagonal positions are stored as
+/// 32-bit csr_index_t, so rows, columns and nonzeros are each at most
+/// kMaxCsrIndex (2^31 - 1). The constructor rejects larger dimensions,
+/// builders that can grow a matrix check their entry count before they
+/// narrow, and the readers range-check every index they parse.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
 
   /// Takes ownership of raw CSR arrays. row_ptr.size() == rows + 1.
-  CsrMatrix(index_t rows, index_t cols, std::vector<index_t> row_ptr,
-            std::vector<index_t> col_idx, std::vector<value_t> values);
+  /// Throws CheckError if rows or cols exceeds kMaxCsrIndex.
+  CsrMatrix(index_t rows, index_t cols, std::vector<csr_index_t> row_ptr,
+            std::vector<csr_index_t> col_idx, std::vector<value_t> values);
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
   index_t nnz() const { return static_cast<index_t>(col_idx_.size()); }
 
-  std::span<const index_t> row_ptr() const { return row_ptr_; }
-  std::span<const index_t> col_idx() const { return col_idx_; }
+  std::span<const csr_index_t> row_ptr() const { return row_ptr_; }
+  std::span<const csr_index_t> col_idx() const { return col_idx_; }
   std::span<const value_t> values() const { return values_; }
 
   /// Column indices / values of row i.
-  std::span<const index_t> row_cols(index_t i) const;
+  std::span<const csr_index_t> row_cols(index_t i) const;
   std::span<const value_t> row_vals(index_t i) const;
   index_t row_nnz(index_t i) const;
 
@@ -45,7 +52,7 @@ class CsrMatrix {
   /// -1 where the row stores none. Recorded once at construction for
   /// square matrices (empty for rectangular ones), so a sweep reads a_ii
   /// without searching the row.
-  std::span<const index_t> diag_pos() const { return diag_pos_; }
+  std::span<const csr_index_t> diag_pos() const { return diag_pos_; }
 
   /// y = A x.
   void spmv(std::span<const value_t> x, std::span<value_t> y) const;
@@ -84,10 +91,10 @@ class CsrMatrix {
 
  private:
   index_t rows_ = 0, cols_ = 0;
-  std::vector<index_t> row_ptr_;
-  std::vector<index_t> col_idx_;
+  std::vector<csr_index_t> row_ptr_;
+  std::vector<csr_index_t> col_idx_;
   std::vector<value_t> values_;
-  std::vector<index_t> diag_pos_;
+  std::vector<csr_index_t> diag_pos_;
 };
 
 }  // namespace dsouth::sparse

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -64,7 +65,7 @@ class P1Csr {
 
  private:
   index_t n_;
-  std::vector<index_t> row_ptr_, col_idx_;
+  std::vector<csr_index_t> row_ptr_, col_idx_;
   std::vector<value_t> values_;
 };
 
@@ -116,15 +117,22 @@ P1Csr::P1Csr(const std::vector<std::array<index_t, K>>& elements,
   // columns of every listed vertex.
   std::size_t pairs = 0;
   for (std::size_t u = 0; u < nv; ++u) pairs += vend[u] - vptr[u];
+  const std::size_t entries = pairs * static_cast<std::size_t>(dpv * dpv);
+  // Columns lie below n_, and offsets reach the entry count.
+  DSOUTH_CHECK_MSG(n_ <= kMaxCsrIndex && std::in_range<csr_index_t>(entries),
+                   n_ << " dofs with " << entries
+                      << " entries exceed the 32-bit CSR index limit");
   row_ptr_.reserve(static_cast<std::size_t>(n_) + 1);
-  col_idx_.reserve(pairs * static_cast<std::size_t>(dpv * dpv));
+  col_idx_.reserve(entries);
   row_ptr_.push_back(0);
   for (std::size_t u = 0; u < nv; ++u) {
     for (index_t r = 0; r < dpv; ++r) {
       for (std::size_t j = vptr[u]; j < vend[u]; ++j) {
-        for (index_t c = 0; c < dpv; ++c) col_idx_.push_back(vadj[j] * dpv + c);
+        for (index_t c = 0; c < dpv; ++c) {
+          col_idx_.push_back(static_cast<csr_index_t>(vadj[j] * dpv + c));
+        }
       }
-      row_ptr_.push_back(static_cast<index_t>(col_idx_.size()));
+      row_ptr_.push_back(static_cast<csr_index_t>(col_idx_.size()));
     }
   }
   values_.assign(col_idx_.size(), 0.0);
@@ -132,9 +140,9 @@ P1Csr::P1Csr(const std::vector<std::array<index_t, K>>& elements,
 
 P1Csr::Block P1Csr::block(index_t di, index_t dj) {
   const auto i = static_cast<std::size_t>(di);
-  const index_t* row = col_idx_.data() + row_ptr_[i];
-  const index_t* end = col_idx_.data() + row_ptr_[i + 1];
-  const index_t* at = std::lower_bound(row, end, dj);
+  const csr_index_t* row = col_idx_.data() + row_ptr_[i];
+  const csr_index_t* end = col_idx_.data() + row_ptr_[i + 1];
+  const csr_index_t* at = std::lower_bound(row, end, dj);
   DSOUTH_ASSERT(at != end && *at == dj);
   return {values_.data() + (at - col_idx_.data()), end - row};
 }

@@ -47,6 +47,10 @@ CsrMatrix read_matrix_market(std::istream& in) {
   size_line >> rows >> cols >> entries;
   DSOUTH_CHECK_MSG(rows > 0 && cols > 0 && entries >= 0,
                    "bad size line '" << line << "'");
+  DSOUTH_CHECK_MSG(rows <= kMaxCsrIndex && cols <= kMaxCsrIndex &&
+                       entries <= kMaxCsrIndex,
+                   "size line '" << line
+                                 << "' exceeds the 32-bit CSR index limit");
 
   CooBuilder coo(rows, cols);
   const bool sym = (symmetry == "symmetric");
@@ -63,6 +67,11 @@ CsrMatrix read_matrix_market(std::istream& in) {
     entry >> i >> j;
     if (field != "pattern") entry >> v;
     DSOUTH_CHECK_MSG(!entry.fail(), "bad entry line '" << line << "'");
+    // Range-checked before the 1-based shift, which would overflow on a
+    // hostile index such as INT64_MIN.
+    DSOUTH_CHECK_MSG(i >= 1 && i <= rows && j >= 1 && j <= cols,
+                     "entry (" << i << "," << j << ") out of " << rows << "x"
+                               << cols << " in line '" << line << "'");
     // Matrix Market is 1-based.
     if (sym) {
       coo.add_sym(i - 1, j - 1, v);

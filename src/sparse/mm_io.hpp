@@ -17,8 +17,10 @@ namespace dsouth::sparse {
 /// Read a Matrix Market coordinate file. Supports:
 ///  - field: real, integer, pattern (pattern entries become 1.0)
 ///  - symmetry: general, symmetric (symmetric entries are mirrored)
-/// Throws CheckError on malformed input or unsupported variants
-/// (complex, skew-symmetric, hermitian, array format).
+/// Throws CheckError on malformed input, unsupported variants (complex,
+/// skew-symmetric, hermitian, array format), a size line above the 32-bit
+/// CSR limit (checked before anything is allocated) or an entry outside
+/// the declared size.
 CsrMatrix read_matrix_market(std::istream& in);
 CsrMatrix read_matrix_market_file(const std::string& path);
 

@@ -156,8 +156,10 @@ CsrMatrix make_tenant_variant(const CsrMatrix& base, std::uint64_t seed,
   // whatever symmetry the base has, exactly.
   DSOUTH_CHECK_MSG(base.is_symmetric(1e-12),
                    "tenant variants need a symmetric base");
-  std::vector<index_t> row_ptr(base.row_ptr().begin(), base.row_ptr().end());
-  std::vector<index_t> col_idx(base.col_idx().begin(), base.col_idx().end());
+  std::vector<csr_index_t> row_ptr(base.row_ptr().begin(),
+                                   base.row_ptr().end());
+  std::vector<csr_index_t> col_idx(base.col_idx().begin(),
+                                   base.col_idx().end());
   std::vector<value_t> values(base.values().begin(), base.values().end());
   const index_t rows = base.rows();
   for (index_t i = 0; i < rows; ++i) {

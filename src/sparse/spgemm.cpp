@@ -1,6 +1,7 @@
 #include "sparse/spgemm.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -12,14 +13,14 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b) {
                                              << " * " << b.rows() << "x"
                                              << b.cols());
   const index_t m = a.rows(), n = b.cols();
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);
-  std::vector<index_t> col_idx;
+  std::vector<csr_index_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);
+  std::vector<csr_index_t> col_idx;
   std::vector<value_t> values;
   // Gustavson: per output row, accumulate into a dense workspace with a
   // touched-column list (cleared per row, so total work is O(flops)).
   std::vector<value_t> acc(static_cast<std::size_t>(n), 0.0);
   std::vector<char> touched(static_cast<std::size_t>(n), 0);
-  std::vector<index_t> cols_in_row;
+  std::vector<csr_index_t> cols_in_row;
   for (index_t i = 0; i < m; ++i) {
     cols_in_row.clear();
     auto a_cols = a.row_cols(i);
@@ -39,14 +40,18 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b) {
       }
     }
     std::sort(cols_in_row.begin(), cols_in_row.end());
-    for (index_t j : cols_in_row) {
+    for (csr_index_t j : cols_in_row) {
       col_idx.push_back(j);
       values.push_back(acc[static_cast<std::size_t>(j)]);
       acc[static_cast<std::size_t>(j)] = 0.0;
       touched[static_cast<std::size_t>(j)] = 0;
     }
+    // Fill-in can push the product past the 32-bit limit that bounds
+    // both factors.
+    DSOUTH_CHECK_MSG(std::in_range<csr_index_t>(col_idx.size()),
+                     "spgemm: product exceeds the 32-bit CSR index limit");
     row_ptr[static_cast<std::size_t>(i) + 1] =
-        static_cast<index_t>(col_idx.size());
+        static_cast<csr_index_t>(col_idx.size());
   }
   return CsrMatrix(m, n, std::move(row_ptr), std::move(col_idx),
                    std::move(values));

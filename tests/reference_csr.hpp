@@ -49,8 +49,8 @@ inline CsrMatrix reference_to_csr(const Triplets& t) {
                      if (t.is[a] != t.is[b]) return t.is[a] < t.is[b];
                      return t.js[a] < t.js[b];
                    });
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(t.rows) + 1, 0);
-  std::vector<index_t> col_idx;
+  std::vector<csr_index_t> row_ptr(static_cast<std::size_t>(t.rows) + 1, 0);
+  std::vector<csr_index_t> col_idx;
   std::vector<value_t> values;
   std::size_t k = 0;
   while (k < m) {
@@ -61,7 +61,7 @@ inline CsrMatrix reference_to_csr(const Triplets& t) {
       sum += t.vs[perm[k]];
       ++k;
     }
-    col_idx.push_back(j);
+    col_idx.push_back(static_cast<csr_index_t>(j));
     values.push_back(sum);
     ++row_ptr[static_cast<std::size_t>(i) + 1];
   }

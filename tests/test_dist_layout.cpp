@@ -187,8 +187,8 @@ TEST(DistLayout, ValidateRejectsBrokenBlocks) {
   }
   const CsrMatrix perturbed(
       a.rows(), a.cols(),
-      std::vector<index_t>(a.row_ptr().begin(), a.row_ptr().end()),
-      std::vector<index_t>(a.col_idx().begin(), a.col_idx().end()),
+      std::vector<sparse::csr_index_t>(a.row_ptr().begin(), a.row_ptr().end()),
+      std::vector<sparse::csr_index_t>(a.col_idx().begin(), a.col_idx().end()),
       std::move(vals));
   EXPECT_FALSE(layout.validate(perturbed));
   // A matrix with an extra entry breaks the nnz partition.

@@ -71,10 +71,21 @@ std::uint64_t digest(const dist::DistRunResult::CommTotals& c) {
   return h;
 }
 
-std::uint64_t digest(std::span<const index_t> indices) {
+/// Hashes each index widened to 64 bits, so the 32-bit CSR arrays digest
+/// exactly as the same indices stored 64-bit do.
+template <typename Index>
+std::uint64_t digest_indices(std::span<const Index> indices) {
   std::uint64_t h = fnv1a(kFnvOffsetBasis, indices.size());
-  for (index_t i : indices) h = fnv1a(h, static_cast<std::uint64_t>(i));
+  for (const index_t i : indices) h = fnv1a(h, static_cast<std::uint64_t>(i));
   return h;
+}
+
+std::uint64_t digest(std::span<const index_t> indices) {
+  return digest_indices(indices);
+}
+
+std::uint64_t digest(std::span<const sparse::csr_index_t> indices) {
+  return digest_indices(indices);
 }
 
 std::uint64_t digest_bytes(std::string_view bytes) {

@@ -84,11 +84,11 @@ TEST_P(RoundTrip, IdentityProlongatorGalerkinIsIdentityMap) {
   auto n = index_t{12};
   auto a = symmetric_unit_diagonal_scale(poisson2d_5pt(4, 3)).a;
   // Identity P.
-  std::vector<index_t> rp(static_cast<std::size_t>(n) + 1);
-  std::vector<index_t> ci(static_cast<std::size_t>(n));
+  std::vector<csr_index_t> rp(static_cast<std::size_t>(n) + 1);
+  std::vector<csr_index_t> ci(static_cast<std::size_t>(n));
   std::vector<value_t> v(static_cast<std::size_t>(n), 1.0);
-  for (index_t i = 0; i <= n; ++i) rp[static_cast<std::size_t>(i)] = i;
-  for (index_t i = 0; i < n; ++i) ci[static_cast<std::size_t>(i)] = i;
+  for (csr_index_t i = 0; i <= n; ++i) rp[static_cast<std::size_t>(i)] = i;
+  for (csr_index_t i = 0; i < n; ++i) ci[static_cast<std::size_t>(i)] = i;
   CsrMatrix p(n, n, std::move(rp), std::move(ci), std::move(v));
   auto ac = galerkin_product(a, p);
   expect_equal(a, ac, 1e-14);

@@ -245,6 +245,20 @@ TEST(CsrMatrix, ConstructorValidatesShape) {
   EXPECT_THROW(CsrMatrix(1, 1, {0, 2}, {0}, {1.0}), util::CheckError);
 }
 
+TEST(CsrMatrix, DimensionsAbove32BitLimitAreRejected) {
+  // Column counts up to the limit are fine (no per-column storage).
+  EXPECT_EQ(CsrMatrix(1, kMaxCsrIndex, {0, 0}, {}, {}).cols(), kMaxCsrIndex);
+  EXPECT_THROW(CsrMatrix(1, kMaxCsrIndex + 1, {0, 0}, {}, {}),
+               util::CheckError);
+  EXPECT_THROW(CsrMatrix(kMaxCsrIndex + 1, 1, {0}, {}, {}), util::CheckError);
+  EXPECT_THROW(CooBuilder(kMaxCsrIndex + 1, 1), util::CheckError);
+  EXPECT_THROW(CooBuilder(1, kMaxCsrIndex + 1), util::CheckError);
+  const auto a = poisson2d_5pt(2, 2);
+  const std::vector<index_t> rows{0, 1};
+  const std::vector<index_t> col_map{0, 1, 2, 3};
+  EXPECT_THROW(a.extract(rows, col_map, kMaxCsrIndex + 1), util::CheckError);
+}
+
 
 // Diagonal positions are recorded once at construction (square only); the
 // sweep kernels read a_ii through them.

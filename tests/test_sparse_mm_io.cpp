@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sparse/stencils.hpp"
 #include "util/error.hpp"
@@ -68,6 +69,31 @@ TEST(MatrixMarket, TruncatedEntriesThrow) {
       "2 2 3\n"
       "1 1 1.0\n");
   EXPECT_THROW(read_matrix_market(in), util::CheckError);
+}
+
+TEST(MatrixMarket, OutOfRangeEntriesAreRejected) {
+  // INT64_MIN - 1 would overflow if the 1-based shift came before the
+  // range check.
+  for (const char* row : {"-9223372036854775808", "0", "3"}) {
+    std::istringstream in(std::string(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 1\n") + row + " 1 1.0\n");
+    EXPECT_THROW(read_matrix_market(in), util::CheckError) << "row " << row;
+    std::istringstream col(std::string(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "2 2 1\n1 ") + row + " 1.0\n");
+    EXPECT_THROW(read_matrix_market(col), util::CheckError) << "col " << row;
+  }
+}
+
+TEST(MatrixMarket, SizeLineAbove32BitLimitIsRejected) {
+  for (const char* size : {"2147483648 1 0", "1 2147483648 0",
+                           "1 1 2147483648"}) {
+    std::istringstream in(
+        std::string("%%MatrixMarket matrix coordinate real general\n") +
+        size + "\n");
+    EXPECT_THROW(read_matrix_market(in), util::CheckError) << size;
+  }
 }
 
 TEST(MatrixMarket, RoundTripGeneral) {
