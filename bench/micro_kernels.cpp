@@ -1,7 +1,8 @@
 /// Google-benchmark microbenchmarks for the library's hot kernels: SpMV,
 /// the local Gauss–Seidel sweep, Sequential Southwell's heap-driven
 /// relaxation, graph coloring, partitioning, and one full parallel step of
-/// each distributed method. These guard the constant factors the
+/// each distributed method, the wire codec and checksum, and the elastic
+/// checkpoint codec. These guard the constant factors the
 /// simulation's throughput depends on (all experiment "timings" come from
 /// the machine model, not from these).
 
@@ -9,11 +10,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/scalar_engine.hpp"
 #include "core/southwell.hpp"
 #include "dist/harness.hpp"
+#include "elastic/checkpoint.hpp"
 #include "kernels/kernels.hpp"
 #include "graph/coloring.hpp"
 #include "graph/partition.hpp"
@@ -175,6 +178,74 @@ void BM_WireDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_WireDecode)->Arg(8)->Arg(64);
+
+void BM_Checksum64(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint64_t> words(n);
+  util::Rng rng(4);
+  for (auto& w : words) w = rng.next_u64();
+  const auto bytes = std::as_bytes(std::span<const std::uint64_t>(words));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::checksum64({}, bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+// 62 words: the mean envelope of the elastic-ldoor-p64 suite workload;
+// 140 600: about one of its checkpoints.
+BENCHMARK(BM_Checksum64)->Arg(62)->Arg(140600);
+
+/// A DS checkpoint of a 256x256 Poisson problem on 64 ranks after four
+/// steps: about 140k words, the size of an elastic-ldoor-p64 checkpoint.
+elastic::Checkpoint bench_checkpoint() {
+  auto a = bench_matrix(256);
+  util::Rng rng(5);
+  std::vector<double> b(static_cast<std::size_t>(a.rows()), 0.0);
+  std::vector<double> x0(b.size());
+  rng.fill_uniform(x0, -1.0, 1.0);
+  sparse::normalize_initial_residual(a, b, x0);
+  const auto part = graph::partition_recursive_bisection(
+      graph::Graph::from_matrix_structure(a), 64);
+  dist::DistLayout layout(a, part);
+  const dist::DistRunOptions opt;
+  const auto method = dist::DistMethod::kDistributedSouthwell;
+  dist::RunHarness h(method, layout, b, x0, opt);
+  const int steps = 4;
+  for (int k = 0; k < steps; ++k) h.solver().step();
+  elastic::Checkpoint c;
+  c.num_ranks = h.runtime().num_ranks();
+  c.method = static_cast<int>(method);
+  c.epoch = h.runtime().epochs_completed();
+  c.step = steps;
+  c.runtime = h.runtime().capture_state();
+  c.solver = h.solver().capture_state();
+  return c;
+}
+
+void BM_CheckpointEncode(benchmark::State& state) {
+  const elastic::Checkpoint c = bench_checkpoint();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto buf = elastic::encode(c);
+    bytes = buf.size();
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointEncode);
+
+void BM_CheckpointDecode(benchmark::State& state) {
+  const auto buf = elastic::encode(bench_checkpoint());
+  for (auto _ : state) {
+    const elastic::Checkpoint c = elastic::decode(buf);
+    benchmark::DoNotOptimize(c.solver.x.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_CheckpointDecode);
 
 void BM_ChannelStaging(benchmark::State& state) {
   // put()-with-copy vs stage()-in-place for one epoch of boundary traffic

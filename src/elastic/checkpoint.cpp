@@ -2,88 +2,114 @@
 
 #include <bit>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 
+#include "dist/driver.hpp"
 #include "util/error.hpp"
+#include "wire/wire.hpp"
 
 namespace dsouth::elastic {
 
 namespace {
 
+// Words are copied between the buffer and the captured state in host
+// order, which must be the little-endian order the format stores.
+static_assert(std::endian::native == std::endian::little,
+              "the checkpoint codec copies words in host byte order");
+
 constexpr std::uint64_t kMagic = 0x44534f5554484c45ULL;  // "DSOUTHLE"
 constexpr std::size_t kHeaderWords = 9;
+/// The checksum covers every word from here on: num_ranks, method, flags,
+/// epoch, step and the whole payload.
+constexpr std::size_t kChecksumFrom = 4;
+constexpr std::size_t kChecksumWord = 3;
+constexpr auto kMaxMethod =
+    static_cast<std::uint64_t>(dist::DistMethod::kMulticolorBlockGs);
 
-std::uint64_t fnv1a(std::span<const std::uint64_t> words) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint64_t w : words) {
-    // Hash byte-wise so the digest matches the serialized little-endian
-    // bytes, not the host's word layout.
-    for (int i = 0; i < 8; ++i) {
-      h ^= (w >> (8 * i)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
+std::uint64_t checksum_of(std::span<const std::uint8_t> bytes) {
+  return wire::checksum64({}, std::as_bytes(bytes).subspan(8 * kChecksumFrom));
 }
 
-/// Word-stream writer: everything travels as u64 (doubles bit-cast).
+/// Word-stream writer into a buffer of exactly the right size. Without a
+/// buffer it only counts the words it would write, which sizes the buffer.
 class Writer {
  public:
-  void u64(std::uint64_t v) { words_.push_back(v); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void doubles(std::span<const double> v) {
-    u64(v.size());
-    for (double d : v) f64(d);
-  }
-  void u64s(std::span<const std::uint64_t> v) {
-    u64(v.size());
-    for (std::uint64_t x : v) u64(x);
-  }
+  Writer() = default;
+  explicit Writer(std::span<std::uint8_t> out) : out_(out) {}
 
-  std::vector<std::uint64_t>& words() { return words_; }
+  void u64(std::uint64_t v) { put(&v, 1); }
+  void i64(std::int64_t v) { put(&v, 1); }
+  void f64(double v) { put(&v, 1); }
+  /// A length-prefixed array of 8-byte words, copied in bulk.
+  template <typename T>
+  void array(const std::vector<T>& v) {
+    static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
+    u64(v.size());
+    put(v.data(), v.size());
+  }
+  std::size_t words() const { return words_; }
 
  private:
-  std::vector<std::uint64_t> words_;
+  void put(const void* src, std::size_t n) {
+    if (!out_.empty() && n > 0) {
+      DSOUTH_CHECK(8 * (words_ + n) <= out_.size());
+      std::memcpy(out_.data() + 8 * words_, src, 8 * n);
+    }
+    words_ += n;
+  }
+
+  std::span<std::uint8_t> out_;
+  std::size_t words_ = 0;
 };
 
 /// Bounds-checked word-stream reader (mirror of Writer).
 class Reader {
  public:
-  explicit Reader(std::span<const std::uint64_t> words) : words_(words) {}
+  explicit Reader(std::span<const std::uint8_t> bytes)
+      : bytes_(bytes), words_(bytes.size() / 8) {}
 
   std::uint64_t u64() {
-    DSOUTH_CHECK_MSG(pos_ < words_.size(), "checkpoint: truncated payload");
-    return words_[pos_++];
+    DSOUTH_CHECK_MSG(pos_ < words_, "checkpoint: truncated payload");
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes_.data() + 8 * pos_++, 8);
+    return v;
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
-  std::vector<double> doubles() {
-    const std::uint64_t n = len();
-    std::vector<double> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
-    return v;
+  /// An array length or element count. Every element takes at least one
+  /// word, so a count above the words left is corrupt; it is refused
+  /// before anything is allocated for it.
+  std::size_t count() {
+    const std::uint64_t n = u64();
+    DSOUTH_CHECK_MSG(n <= remaining(), "checkpoint: count "
+                                           << n << " exceeds remaining "
+                                           << remaining() << " words");
+    return static_cast<std::size_t>(n);
   }
-  std::vector<std::uint64_t> u64s() {
-    const std::uint64_t n = len();
-    std::vector<std::uint64_t> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(u64());
-    return v;
+  /// A rank index in [0, num_ranks).
+  int rank(int num_ranks) {
+    const std::uint64_t v = u64();
+    DSOUTH_CHECK_MSG(v < static_cast<std::uint64_t>(num_ranks),
+                     "checkpoint: rank " << v << " outside " << num_ranks
+                                         << " ranks");
+    return static_cast<int>(v);
   }
-  bool done() const { return pos_ == words_.size(); }
+  /// A length-prefixed array of 8-byte words, copied in bulk.
+  template <typename T>
+  void array(std::vector<T>& out) {
+    static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
+    out.resize(count());
+    if (!out.empty()) {
+      std::memcpy(out.data(), bytes_.data() + 8 * pos_, 8 * out.size());
+    }
+    pos_ += out.size();
+  }
+  std::size_t remaining() const { return words_ - pos_; }
 
  private:
-  std::uint64_t len() {
-    const std::uint64_t n = u64();
-    DSOUTH_CHECK_MSG(n <= words_.size() - pos_,
-                     "checkpoint: length prefix " << n
-                                                  << " exceeds remaining "
-                                                  << words_.size() - pos_);
-    return n;
-  }
-
-  std::span<const std::uint64_t> words_;
+  std::span<const std::uint8_t> bytes_;
+  std::size_t words_;
   std::size_t pos_ = 0;
 };
 
@@ -92,16 +118,16 @@ void write_runtime(Writer& w, const simmpi::RuntimeState& rs) {
   w.f64(rs.model_time);
   w.f64(rs.last_epoch_seconds);
   w.u64(rs.arrival_counter);
-  w.u64s(rs.lane_seq);
+  w.array(rs.lane_seq);
   std::vector<std::uint64_t> stats;
   rs.stats.save(stats);
-  w.u64s(stats);
+  w.array(stats);
   w.u64(rs.window_msgs.size());
   for (const auto& m : rs.window_msgs) {
     w.i64(m.dest);
     w.i64(m.source);
     w.i64(static_cast<int>(m.tag));
-    w.doubles(m.payload);
+    w.array(m.payload);
   }
   w.u64(rs.deferred.size());
   for (const auto& m : rs.deferred) {
@@ -112,14 +138,13 @@ void write_runtime(Writer& w, const simmpi::RuntimeState& rs) {
     w.u64(m.staged_epoch);
     w.u64(m.deliver_epoch);
     w.u64(m.arrival);
-    w.doubles(m.payload);
+    w.array(m.payload);
   }
 }
 
 simmpi::MsgTag read_tag(Reader& r) {
-  const std::int64_t t = r.i64();
-  DSOUTH_CHECK_MSG(t >= 0 && t < simmpi::kNumTags,
-                   "checkpoint: bad message tag " << t);
+  const std::uint64_t t = r.u64();
+  DSOUTH_CHECK_MSG(t < simmpi::kNumTags, "checkpoint: bad message tag " << t);
   return static_cast<simmpi::MsgTag>(t);
 }
 
@@ -129,36 +154,31 @@ simmpi::RuntimeState read_runtime(Reader& r, int num_ranks) {
   rs.model_time = r.f64();
   rs.last_epoch_seconds = r.f64();
   rs.arrival_counter = r.u64();
-  rs.lane_seq = r.u64s();
+  r.array(rs.lane_seq);
   DSOUTH_CHECK_MSG(
       rs.lane_seq.size() == static_cast<std::size_t>(num_ranks),
       "checkpoint: lane_seq count " << rs.lane_seq.size() << " != ranks "
                                     << num_ranks);
-  const std::vector<std::uint64_t> stats = r.u64s();
+  std::vector<std::uint64_t> stats;
+  r.array(stats);
   rs.stats.load(stats);
-  const std::uint64_t n_win = r.u64();
-  rs.window_msgs.reserve(n_win);
-  for (std::uint64_t i = 0; i < n_win; ++i) {
-    simmpi::RuntimeState::WindowMsg m;
-    m.dest = static_cast<int>(r.i64());
-    m.source = static_cast<int>(r.i64());
+  rs.window_msgs.resize(r.count());
+  for (auto& m : rs.window_msgs) {
+    m.dest = r.rank(num_ranks);
+    m.source = r.rank(num_ranks);
     m.tag = read_tag(r);
-    m.payload = r.doubles();
-    rs.window_msgs.push_back(std::move(m));
+    r.array(m.payload);
   }
-  const std::uint64_t n_def = r.u64();
-  rs.deferred.reserve(n_def);
-  for (std::uint64_t i = 0; i < n_def; ++i) {
-    simmpi::RuntimeState::InFlight m;
-    m.dest = static_cast<int>(r.i64());
-    m.source = static_cast<int>(r.i64());
+  rs.deferred.resize(r.count());
+  for (auto& m : rs.deferred) {
+    m.dest = r.rank(num_ranks);
+    m.source = r.rank(num_ranks);
     m.tag = read_tag(r);
     m.seq = r.u64();
     m.staged_epoch = r.u64();
     m.deliver_epoch = r.u64();
     m.arrival = r.u64();
-    m.payload = r.doubles();
-    rs.deferred.push_back(std::move(m));
+    r.array(m.payload);
   }
   return rs;
 }
@@ -168,92 +188,80 @@ void write_solver(Writer& w,
   w.i64(ss.resil_step_count);
   auto nested = [&w](const auto& outer) {
     w.u64(outer.size());
-    for (const auto& inner : outer) w.doubles(inner);
+    for (const auto& inner : outer) w.array(inner);
   };
   nested(ss.x);
   nested(ss.r);
-  w.u64(ss.send_seq.size());
-  for (const auto& per_peer : ss.send_seq) w.u64s(per_peer);
+  nested(ss.send_seq);
   w.u64(ss.ghost_x.size());
   for (const auto& per_peer : ss.ghost_x) nested(per_peer);
-  w.u64(ss.recv_min_seq.size());
-  for (const auto& per_peer : ss.recv_min_seq) w.u64s(per_peer);
-  w.u64(ss.last_send_step.size());
-  for (const auto& per_peer : ss.last_send_step) {
-    w.u64(per_peer.size());
-    for (index_t s : per_peer) w.i64(s);
-  }
+  nested(ss.recv_min_seq);
+  nested(ss.last_send_step);
   w.u64(ss.resil_stats.size());
   for (const auto& rs : ss.resil_stats) {
     w.u64(rs.rejected_corrupt);
     w.u64(rs.rejected_stale);
     w.u64(rs.refreshes_sent);
   }
-  w.doubles(ss.extra);
+  w.array(ss.extra);
 }
 
 dist::DistStationarySolver::SolverState read_solver(Reader& r) {
   dist::DistStationarySolver::SolverState ss;
-  ss.resil_step_count = static_cast<index_t>(r.i64());
+  ss.resil_step_count = r.i64();
   auto nested = [&r](auto& outer) {
-    const std::uint64_t n = r.u64();
-    outer.resize(n);
-    for (auto& inner : outer) inner = r.doubles();
+    outer.resize(r.count());
+    for (auto& inner : outer) r.array(inner);
   };
   nested(ss.x);
   nested(ss.r);
-  ss.send_seq.resize(r.u64());
-  for (auto& per_peer : ss.send_seq) per_peer = r.u64s();
-  ss.ghost_x.resize(r.u64());
+  nested(ss.send_seq);
+  ss.ghost_x.resize(r.count());
   for (auto& per_peer : ss.ghost_x) nested(per_peer);
-  ss.recv_min_seq.resize(r.u64());
-  for (auto& per_peer : ss.recv_min_seq) per_peer = r.u64s();
-  ss.last_send_step.resize(r.u64());
-  for (auto& per_peer : ss.last_send_step) {
-    per_peer.resize(r.u64());
-    for (auto& s : per_peer) s = static_cast<index_t>(r.i64());
-  }
-  ss.resil_stats.resize(r.u64());
+  nested(ss.recv_min_seq);
+  nested(ss.last_send_step);
+  ss.resil_stats.resize(r.count());
   for (auto& rs : ss.resil_stats) {
     rs.rejected_corrupt = r.u64();
     rs.rejected_stale = r.u64();
     rs.refreshes_sent = r.u64();
   }
-  ss.extra = r.doubles();
+  r.array(ss.extra);
   return ss;
+}
+
+void write_payload(Writer& w, const Checkpoint& c) {
+  write_runtime(w, c.runtime);
+  write_solver(w, c.solver);
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encode(const Checkpoint& c) {
+  // What decode() refuses, encode() refuses to write.
   DSOUTH_CHECK(c.num_ranks > 0);
-  Writer w;
-  write_runtime(w, c.runtime);
-  write_solver(w, c.solver);
-  const std::vector<std::uint64_t>& payload = w.words();
+  DSOUTH_CHECK(c.method >= 0 &&
+               static_cast<std::uint64_t>(c.method) <= kMaxMethod);
+  DSOUTH_CHECK(c.step >= 0);
+  Writer sizer;
+  write_payload(sizer, c);
+  const std::size_t payload_words = sizer.words();
 
-  std::vector<std::uint64_t> all;
-  all.reserve(kHeaderWords + payload.size());
-  all.push_back(kMagic);
-  all.push_back(kCheckpointVersion);
-  all.push_back(payload.size());
-  all.push_back(fnv1a(payload));
-  all.push_back(static_cast<std::uint64_t>(c.num_ranks));
-  all.push_back(static_cast<std::uint64_t>(c.method));
-  all.push_back(c.flags);
-  all.push_back(c.epoch);
-  all.push_back(static_cast<std::uint64_t>(c.step));
-  all.insert(all.end(), payload.begin(), payload.end());
-
-  // Explicit little-endian serialization: buffers are comparable (and in
-  // principle portable) across hosts, not just within one process.
-  std::vector<std::uint8_t> bytes(8 * all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    for (int b = 0; b < 8; ++b) {
-      bytes[8 * i + static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>((all[i] >> (8 * b)) & 0xffULL);
-    }
-  }
+  std::vector<std::uint8_t> bytes(8 * (kHeaderWords + payload_words));
+  Writer w(bytes);
+  w.u64(kMagic);
+  w.u64(kCheckpointVersion);
+  w.u64(payload_words);
+  w.u64(0);  // checksum slot, sealed below
+  w.u64(static_cast<std::uint64_t>(c.num_ranks));
+  w.u64(static_cast<std::uint64_t>(c.method));
+  w.u64(c.flags);
+  w.u64(c.epoch);
+  w.i64(c.step);
+  write_payload(w, c);
+  DSOUTH_CHECK(w.words() == kHeaderWords + payload_words);
+  const std::uint64_t sum = checksum_of(bytes);
+  std::memcpy(bytes.data() + 8 * kChecksumWord, &sum, 8);
   return bytes;
 }
 
@@ -261,37 +269,37 @@ Checkpoint decode(std::span<const std::uint8_t> bytes) {
   DSOUTH_CHECK_MSG(bytes.size() % 8 == 0 &&
                        bytes.size() >= 8 * kHeaderWords,
                    "checkpoint: bad buffer size " << bytes.size());
-  std::vector<std::uint64_t> all(bytes.size() / 8);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    std::uint64_t w = 0;
-    for (int b = 0; b < 8; ++b) {
-      w |= static_cast<std::uint64_t>(bytes[8 * i + static_cast<std::size_t>(b)])
-           << (8 * b);
-    }
-    all[i] = w;
-  }
-  DSOUTH_CHECK_MSG(all[0] == kMagic, "checkpoint: bad magic");
-  DSOUTH_CHECK_MSG(all[1] == kCheckpointVersion,
-                   "checkpoint: unsupported version " << all[1]);
-  const std::uint64_t payload_words = all[2];
-  DSOUTH_CHECK_MSG(all.size() == kHeaderWords + payload_words,
+  Reader r(bytes);
+  DSOUTH_CHECK_MSG(r.u64() == kMagic, "checkpoint: bad magic");
+  const std::uint64_t version = r.u64();
+  DSOUTH_CHECK_MSG(version == kCheckpointVersion,
+                   "checkpoint: unsupported version " << version);
+  const std::uint64_t payload_words = r.u64();
+  DSOUTH_CHECK_MSG(payload_words == bytes.size() / 8 - kHeaderWords,
                    "checkpoint: payload length mismatch");
-  const std::span<const std::uint64_t> payload(all.data() + kHeaderWords,
-                                               payload_words);
-  DSOUTH_CHECK_MSG(fnv1a(payload) == all[3], "checkpoint: checksum mismatch");
+  DSOUTH_CHECK_MSG(r.u64() == checksum_of(bytes),
+                   "checkpoint: checksum mismatch");
 
+  // Range-check before narrowing. Each rank owns a lane_seq word of the
+  // payload, which bounds the per-rank state allocated below.
   Checkpoint c;
-  c.num_ranks = static_cast<int>(all[4]);
-  DSOUTH_CHECK_MSG(c.num_ranks > 0, "checkpoint: bad rank count");
-  c.method = static_cast<int>(all[5]);
-  c.flags = all[6];
-  c.epoch = all[7];
-  c.step = static_cast<index_t>(all[8]);
+  const std::uint64_t num_ranks = r.u64();
+  DSOUTH_CHECK_MSG(num_ranks > 0 && num_ranks <= payload_words &&
+                       num_ranks <= std::numeric_limits<int>::max(),
+                   "checkpoint: bad rank count " << num_ranks);
+  c.num_ranks = static_cast<int>(num_ranks);
+  const std::uint64_t method = r.u64();
+  DSOUTH_CHECK_MSG(method <= kMaxMethod,
+                   "checkpoint: bad method id " << method);
+  c.method = static_cast<int>(method);
+  c.flags = r.u64();
+  c.epoch = r.u64();
+  c.step = r.i64();
+  DSOUTH_CHECK_MSG(c.step >= 0, "checkpoint: negative step " << c.step);
 
-  Reader r(payload);
   c.runtime = read_runtime(r, c.num_ranks);
   c.solver = read_solver(r);
-  DSOUTH_CHECK_MSG(r.done(), "checkpoint: trailing payload words");
+  DSOUTH_CHECK_MSG(r.remaining() == 0, "checkpoint: trailing payload words");
   return c;
 }
 

@@ -24,12 +24,17 @@
 ///   payload: RuntimeState fields, then SolverState fields, each
 ///            length-prefixed where variable-sized.
 ///
-/// The checksum is FNV-1a 64 over the payload words; decode() verifies it
-/// and every length prefix, so a truncated or bit-flipped buffer fails
-/// loudly instead of resuming from garbage. `method`/`flags` identify the
-/// configuration that captured the state — restoring into a different
-/// solver class or feature combination is a caller error the elastic
-/// driver checks before touching any solver.
+/// The checksum is wire::checksum64 over every word after it: the header
+/// fields num_ranks, method, flags, epoch and step (covered since v4) and
+/// the payload. Any change confined to one of those words is detected, so
+/// every single-bit flip anywhere in the buffer is refused. decode() also
+/// checks every length prefix and element count against the words left
+/// and range-checks each field it narrows, so a truncated, bit-flipped or
+/// inconsistent buffer fails loudly instead of resuming from garbage.
+/// Encoder and decoder each make one pass over the buffer, copying arrays
+/// in bulk. `method`/`flags` identify the configuration that captured the
+/// state — restoring into a different solver class or feature combination
+/// is a caller error the elastic driver checks before touching any solver.
 
 #include <cstdint>
 #include <span>
@@ -42,14 +47,15 @@ namespace dsouth::elastic {
 
 using sparse::index_t;
 
-/// Current encoder version (decode() rejects anything else).
-inline constexpr std::uint64_t kCheckpointVersion = 3;
+/// Current encoder version (decode() rejects anything else, v3 included:
+/// its checksum left the header fields unprotected).
+inline constexpr std::uint64_t kCheckpointVersion = 4;
 
 /// Configuration bits carried in the header's `flags` word. They pin the
 /// feature combination the state was captured under; restore into a
 /// differently-configured stack is refused by the driver. Bit 1 is
-/// retired and never set; the other bits keep their values so stored
-/// checkpoints decode unchanged.
+/// retired and never set; the other bits keep the values they had in
+/// earlier versions.
 inline constexpr std::uint64_t kFlagResilience = 1ULL << 0;
 inline constexpr std::uint64_t kFlagAsync = 1ULL << 2;
 inline constexpr std::uint64_t kFlagNodeTopology = 1ULL << 3;
@@ -69,10 +75,10 @@ struct Checkpoint {
 /// Serialize to the versioned byte buffer described above.
 std::vector<std::uint8_t> encode(const Checkpoint& c);
 
-/// Parse and verify (magic, version, checksum, every length prefix) a
-/// buffer produced by encode(). Malformed input is checked fatal — a
-/// checkpoint is trusted state, not a network input, so corruption means
-/// the experiment itself is broken.
+/// Parse and verify (magic, version, checksum, every length prefix and
+/// element count) a buffer produced by encode(). Malformed input is
+/// checked fatal — a checkpoint is trusted state, not a network input, so
+/// corruption means the experiment itself is broken.
 Checkpoint decode(std::span<const std::uint8_t> bytes);
 
 }  // namespace dsouth::elastic

@@ -120,9 +120,11 @@ void CommStats::load(std::span<const std::uint64_t> in) {
       in[0] == static_cast<std::uint64_t>(num_ranks_),
       "CommStats stream: rank count mismatch (stream " << in[0] << ", this "
                                                        << num_ranks_ << ")");
+  // Each tenant takes two words, so bounding the count by the stream
+  // first keeps saved_words from wrapping on a corrupt count.
   const auto tenants = static_cast<std::size_t>(in[1]);
   DSOUTH_CHECK_MSG(
-      in.size() == saved_words(num_ranks_, tenants),
+      in[1] <= in.size() && in.size() == saved_words(num_ranks_, tenants),
       "CommStats stream: bad length " << in.size() << " for " << num_ranks_
                                       << " ranks, " << tenants << " tenants");
   std::size_t k = 2;

@@ -45,6 +45,9 @@ CsrMatrix read_matrix_market(std::istream& in) {
   index_t rows = 0, cols = 0;
   long long entries = 0;
   size_line >> rows >> cols >> entries;
+  DSOUTH_CHECK_MSG(!size_line.fail(),
+                   "size line '" << line
+                                 << "' needs rows, columns and an entry count");
   DSOUTH_CHECK_MSG(rows > 0 && cols > 0 && entries >= 0,
                    "bad size line '" << line << "'");
   DSOUTH_CHECK_MSG(rows <= kMaxCsrIndex && cols <= kMaxCsrIndex &&

@@ -1,6 +1,8 @@
 #include "wire/wire.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -11,22 +13,29 @@ namespace {
 constexpr double kSolveDiscriminator = 0.0;
 constexpr double kResidualDiscriminator = 1.0;
 
-/// FNV-1a64 over the byte patterns of a run of doubles. Per-byte FNV
-/// steps are injective in the running hash, so flipping any single bit of
-/// the hashed fields changes the digest.
-std::uint64_t fnv1a64(std::uint64_t h, std::span<const double> values) {
-  for (double v : values) {
-    std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i) {
-      h ^= bits & 0xffULL;
-      h *= 0x100000001b3ULL;
-      bits >>= 8;
-    }
-  }
-  return h;
+// XXH64's primes. Multiplying by an odd constant is a bijection mod 2^64.
+constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ULL;
+
+/// One lane round: for a fixed `w` a bijection in `acc` and for a fixed
+/// `acc` a bijection in `w` (add, odd multiply and rotate all are).
+constexpr std::uint64_t lane_round(std::uint64_t acc, std::uint64_t w) {
+  return std::rotl(acc + w * kP2, 31) * kP1;
 }
 
-constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+/// The fold step; bijective in `h` and in `w` like lane_round.
+constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t w) {
+  return std::rotl(h ^ lane_round(0, w), 27) * kP1 + kP4;
+}
+
+std::uint64_t load_word(const std::byte* p) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
 
 /// Safely read a double that should hold a non-negative integer <= `max`.
 /// Returns false for NaN, negative, fractional, or out-of-range values —
@@ -40,14 +49,44 @@ bool integral_in_range(double v, double max, std::uint64_t& out) {
   return true;
 }
 
-/// Envelope checksum: FNV-1a64 over seq, inner_len, and the body — every
-/// field a receiver acts on, skipping the checksum slot itself
-/// (magic/version mismatches are caught by their own checks).
+/// Envelope checksum over seq, inner_len, and the body — every field a
+/// receiver acts on, skipping the checksum slot itself (magic/version
+/// mismatches are caught by their own checks).
 std::uint64_t envelope_checksum(std::span<const double> payload) {
-  const std::uint64_t h = fnv1a64(kFnvOffsetBasis, payload.subspan(2, 2));
-  return fnv1a64(h, payload.subspan(kEnvelopeDoubles));
+  return checksum64(std::as_bytes(payload.subspan(2, 2)),
+                    std::as_bytes(payload.subspan(kEnvelopeDoubles)));
 }
 }  // namespace
+
+std::uint64_t checksum64(std::span<const std::byte> prefix,
+                         std::span<const std::byte> words) {
+  static_assert(std::endian::native == std::endian::little,
+                "words are loaded in host order, which must be the "
+                "little-endian order the checksum is defined over");
+  DSOUTH_CHECK(prefix.size() % 8 == 0 && words.size() % 8 == 0);
+  const std::size_t n = words.size() / 8;
+  const std::byte* p = words.data();
+  std::uint64_t lane[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      lane[k] = lane_round(lane[k], load_word(p + 8 * (i + k)));
+    }
+  }
+  std::uint64_t h = kP5;
+  for (std::size_t j = 0; j < prefix.size(); j += 8) {
+    h = fold(h, load_word(prefix.data() + j));
+  }
+  for (const std::uint64_t acc : lane) h = fold(h, acc);
+  for (; i < n; ++i) h = fold(h, load_word(p + 8 * i));
+  h = fold(h, prefix.size() / 8 + n);
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
 
 const char* decode_error_kind_name(DecodeErrorKind k) {
   switch (k) {

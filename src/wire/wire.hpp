@@ -153,6 +153,31 @@ Record decode_record(Family family, std::span<const double> payload,
                      std::size_t nb);
 
 // ---------------------------------------------------------------------------
+// Word-lane checksum: seals envelopes (below) and elastic checkpoints
+// (elastic/checkpoint.hpp; from checkpoint v4 on it covers the header
+// fields num_ranks, method, flags, epoch and step as well as the payload).
+//
+// Four independent lanes run the XXH64 round acc = rotl(acc + w·P2, 31)·P1
+// over the stripes of `words` (four words a stripe), so the multiplies of
+// neighbouring words overlap instead of forming one serial chain. One fold
+// step, h = rotl(h ^ round(0, w), 27)·P1 + P4, then takes in the `prefix`
+// words, the four lanes, the words left over after the last stripe, and
+// the number of words covered, in that order; XXH64's avalanche finishes.
+// Every round and fold step is a bijection in its state for a fixed input
+// word and in its input word for a fixed state, and each word enters
+// exactly one lane round or one fold step, so two inputs of equal length
+// that differ only inside one 64-bit word always checksum differently —
+// the word-sized form of the one-byte guarantee of byte-wise FNV-1a.
+// (Canonical XXH64 also adds every lane into the fold's starting state, so
+// a changed lane enters twice and that proof fails.) Not a MAC: it detects
+// corruption, not tampering.
+
+/// Checksum of the little-endian 64-bit words of `prefix` followed by
+/// those of `words`; both sizes must be whole words (multiples of 8).
+std::uint64_t checksum64(std::span<const std::byte> prefix,
+                         std::span<const std::byte> words);
+
+// ---------------------------------------------------------------------------
 // Sequenced envelopes (wire v2, resilient mode — docs/resilience.md).
 //
 // Under fault injection a receiver must detect duplicated, stale,
@@ -164,11 +189,12 @@ Record decode_record(Family family, std::span<const double> payload,
 // `magic` is a quiet NaN (bit-exact compare); `seq` is the per-channel
 // send counter the receiver gates duplicates/staleness on; `inner_len`
 // pins the body length so truncation is detected even when the truncated
-// payload happens to be a plausible record size; `checksum` is FNV-1a64
-// over the byte patterns of seq, inner_len, and every body double — any
-// single-bit flip in those fields (or in the checksum itself) is
-// detected. Envelopes are opt-in per channel (ChannelSet::set_sequencing)
-// and never appear on the default path, so v1 byte layouts are untouched.
+// payload happens to be a plausible record size; `checksum` is
+// checksum64 over the bit patterns of seq, inner_len (the prefix) and
+// every body double — any change confined to one of those words (or to
+// the checksum itself), every single-bit flip included, is detected.
+// Envelopes are opt-in per channel (ChannelSet::set_sequencing) and never
+// appear on the default path, so v1 byte layouts are untouched.
 
 /// Envelope magic: a specific quiet NaN, compared bit-exactly.
 inline constexpr std::uint64_t kEnvelopeMagicBits = 0x7ff8'd500'57e1'1ed2ULL;

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -28,6 +31,7 @@
 #include "trace/export.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "wire/wire.hpp"
 
 namespace dsouth {
 namespace {
@@ -147,14 +151,20 @@ elastic::Checkpoint capture_checkpoint(dist::RunHarness& h, int method,
   return c;
 }
 
-TEST(CheckpointCodec, EncodeDecodeRoundTripIsByteStable) {
+/// A DS checkpoint of a 10x10 Poisson problem on 4 ranks after 3 steps
+/// (2824 bytes).
+elastic::Checkpoint small_ds_checkpoint() {
   auto p = make_problem(10, 4, 21);
   dist::DistRunOptions opt;
   dist::DistLayout layout(p.a, p.part);
   dist::RunHarness h(dist::DistMethod::kDistributedSouthwell, layout, p.b,
                      p.x0, opt);
   for (int k = 0; k < 3; ++k) h.solver().step();
-  const auto c = capture_checkpoint(h, 3, 3);
+  return capture_checkpoint(h, 3, 3);
+}
+
+TEST(CheckpointCodec, EncodeDecodeRoundTripIsByteStable) {
+  const auto c = small_ds_checkpoint();
   const auto bytes = elastic::encode(c);
   EXPECT_FALSE(bytes.empty());
   EXPECT_EQ(bytes.size() % 8, 0u);
@@ -203,6 +213,10 @@ TEST(CheckpointCodec, RejectsCorruptionTruncationAndBadHeaders) {
   auto v2 = bytes;
   v2[8] = 2;
   EXPECT_THROW(elastic::decode(v2), util::CheckError);
+  // Nor is a version-3 buffer, whose checksum left the header fields out.
+  auto v3 = bytes;
+  v3[8] = 3;
+  EXPECT_THROW(elastic::decode(v3), util::CheckError);
 
   // Truncation: drop the tail (word-aligned and not).
   auto truncated = bytes;
@@ -216,6 +230,94 @@ TEST(CheckpointCodec, RejectsCorruptionTruncationAndBadHeaders) {
   auto trailing = bytes;
   trailing.insert(trailing.end(), 8, std::uint8_t{0});
   EXPECT_THROW(elastic::decode(trailing), util::CheckError);
+}
+
+TEST(CheckpointCodec, EveryBitFlipIsRejected) {
+  // The checksum covers every word after its own slot, header fields
+  // included, and the words before it are checked exactly, so no
+  // single-bit flip anywhere in the buffer decodes.
+  const auto bytes = elastic::encode(small_ds_checkpoint());
+  ASSERT_NO_THROW(elastic::decode(bytes));
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto bad = bytes;
+      bad[i] ^= static_cast<std::uint8_t>(1U << bit);
+      EXPECT_THROW(elastic::decode(bad), util::CheckError)
+          << "word " << i / 8 << " bit " << 8 * (i % 8) + bit;
+    }
+  }
+}
+
+/// Stamp a mutant's payload word count (header word 2) and checksum (word
+/// 3, over words 4 on), so that the parser, not the checksum, has to judge
+/// it. Buffers too short or ragged for a header stay as they are.
+void reseal(std::vector<std::uint8_t>& m) {
+  constexpr std::size_t kHeaderBytes = 8 * 9;
+  if (m.size() % 8 != 0 || m.size() < kHeaderBytes) return;
+  const std::uint64_t payload_words = (m.size() - kHeaderBytes) / 8;
+  std::memcpy(m.data() + 16, &payload_words, 8);
+  const std::uint64_t sum =
+      wire::checksum64({}, std::as_bytes(std::span(m)).subspan(32));
+  std::memcpy(m.data() + 24, &sum, 8);
+}
+
+TEST(CheckpointCodec, SeededMutationsNeverMisparse) {
+  // Every mutant either raises CheckError or decodes to a checkpoint that
+  // encodes back to exactly the mutant: nothing crashes, nothing is
+  // allocated from a corrupt count, nothing is silently narrowed.
+  auto p = make_problem(6, 3, 23);
+  dist::DistRunOptions opt;
+  opt.async = true;  // deferred messages ride the checkpoint
+  opt.resilience.enabled = true;  // so do envelopes and resilient caches
+  dist::DistLayout layout(p.a, p.part);
+  dist::RunHarness h(dist::DistMethod::kDistributedSouthwell, layout, p.b,
+                     p.x0, opt);
+  for (int k = 0; k < 4; ++k) h.solver().step();
+  const auto c = capture_checkpoint(h, 2, 4);
+  ASSERT_FALSE(c.runtime.window_msgs.empty());
+  ASSERT_FALSE(c.runtime.deferred.empty());
+  ASSERT_FALSE(c.solver.ghost_x.empty());
+  const std::vector<std::uint8_t> clean = elastic::encode(c);
+
+  util::Rng rng(0x5eed'c4e7ULL);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  int rejected = 0, decoded = 0;
+  for (int t = 0; t < 2000; ++t) {
+    std::vector<std::uint8_t> m = clean;
+    const bool resealed = t % 2 == 1;
+    switch (t / 2 % 3) {
+      case 0:  // one to four bit flips
+        for (std::size_t f = 0, flips = 1 + below(4); f < flips; ++f) {
+          m[below(m.size())] ^= static_cast<std::uint8_t>(1U << below(8));
+        }
+        break;
+      case 1:  // truncation, at a word boundary when resealed
+        m.resize(resealed ? 8 * below(m.size() / 8) : below(m.size()));
+        break;
+      case 2: {  // splice: a run of the buffer copied over another place
+        const std::size_t from = below(m.size());
+        const std::size_t to = below(m.size());
+        const std::size_t len =
+            std::min({1 + below(64), m.size() - from, m.size() - to});
+        std::copy_n(clean.begin() + static_cast<std::ptrdiff_t>(from), len,
+                    m.begin() + static_cast<std::ptrdiff_t>(to));
+        break;
+      }
+    }
+    if (resealed) reseal(m);
+    try {
+      const elastic::Checkpoint d = elastic::decode(m);
+      ASSERT_EQ(elastic::encode(d), m) << "mutant " << t;
+      ++decoded;
+    } catch (const util::CheckError&) {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur, so the invariant was exercised both ways.
+  EXPECT_GT(rejected, 500);
+  EXPECT_GT(decoded, 100);
 }
 
 // ---------------------------------------------------------------------------

@@ -96,6 +96,17 @@ TEST(MatrixMarket, SizeLineAbove32BitLimitIsRejected) {
   }
 }
 
+TEST(MatrixMarket, SizeLineWithoutEntryCountIsRejected) {
+  // Without the check the missing count read as zero entries: an empty
+  // 2x2 matrix, with the entry line below silently dropped.
+  for (const char* size : {"2 2", "2", "2 2 x"}) {
+    std::istringstream in(
+        std::string("%%MatrixMarket matrix coordinate real general\n") +
+        size + "\n1 1 1.0\n");
+    EXPECT_THROW(read_matrix_market(in), util::CheckError) << size;
+  }
+}
+
 TEST(MatrixMarket, RoundTripGeneral) {
   auto a = poisson2d_5pt(4, 3);
   std::ostringstream out;

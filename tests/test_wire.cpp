@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dist/driver.hpp"
@@ -143,6 +145,81 @@ TEST(Codec, EmptyGhostLayerRoundTrips) {
   const Record rec = decode_record(Family::kDelta, buf, 0);
   EXPECT_EQ(rec.type, RecordType::kGhostDelta);
   EXPECT_TRUE(rec.dx.empty());
+}
+
+// ---------------------------------------------------------------------------
+// checksum64.
+
+std::uint64_t checksum_of_words(std::span<const std::uint64_t> words) {
+  return checksum64({}, std::as_bytes(words));
+}
+
+TEST(Checksum64, EveryBitFlipOfEveryWordMovesIt) {
+  // All word counts around the four-lane stripe and its tail, every bit.
+  util::Rng rng(0xc5e0'0001ULL);
+  for (std::size_t n = 0; n <= 9; ++n) {
+    std::vector<std::uint64_t> words(n);
+    for (auto& w : words) w = rng.next_u64();
+    const std::uint64_t clean = checksum_of_words(words);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int bit = 0; bit < 64; ++bit) {
+        words[i] ^= 1ULL << bit;
+        EXPECT_NE(checksum_of_words(words), clean)
+            << n << " words, word " << i << " bit " << bit;
+        words[i] ^= 1ULL << bit;
+      }
+    }
+  }
+  // A long buffer: a seeded sample of flips and whole-word changes.
+  std::vector<std::uint64_t> words(1000);
+  for (auto& w : words) w = rng.next_u64();
+  const std::uint64_t clean = checksum_of_words(words);
+  for (int t = 0; t < 2000; ++t) {
+    const auto i = static_cast<std::size_t>(rng.next_below(words.size()));
+    const std::uint64_t was = words[i];
+    words[i] ^= t % 2 == 0 ? 1ULL << rng.next_below(64) : rng.next_u64() | 1;
+    EXPECT_NE(checksum_of_words(words), clean) << "word " << i;
+    words[i] = was;
+  }
+  EXPECT_EQ(checksum_of_words(words), clean);
+}
+
+TEST(Checksum64, WordCountMovesItAndPartialWordsAreRefused) {
+  // Zero words differ only in how many there are: the folded count.
+  const std::vector<std::uint64_t> words(8, 0);
+  const std::span<const std::uint64_t> all(words);
+  EXPECT_NE(checksum_of_words(all.first(7)), checksum_of_words(all));
+  EXPECT_NE(checksum_of_words({}), checksum_of_words(all.first(1)));
+  EXPECT_THROW(checksum64({}, std::as_bytes(all).first(12)), CheckError);
+}
+
+TEST(Checksum64, PinnedValues) {
+  // A change to the algorithm must be deliberate: envelopes stored inside
+  // checkpoints and every checkpoint depend on it.
+  std::vector<std::uint64_t> words(13);
+  for (std::size_t i = 0; i < words.size(); ++i) words[i] = i + 1;
+  EXPECT_EQ(checksum_of_words(words), 0xe6a23c9d02aa1a63ULL);
+  const std::uint64_t prefix[2] = {41, 5};
+  const double body[5] = {0.0, 0.25, 0.5, 1.0, -2.0};
+  EXPECT_EQ(checksum64(std::as_bytes(std::span(prefix)),
+                       std::as_bytes(std::span(body))),
+            0x9b42bacf5b8536c5ULL);
+}
+
+TEST(Checksum64, SeqAndInnerLengthMoveTheEnvelopeChecksum) {
+  std::vector<double> env(kEnvelopeDoubles + 4);
+  auto body = begin_envelope(env, /*seq=*/9);
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = 0.5 * double(i);
+  seal_envelope(env);
+  const double sealed = env[4];
+  for (const std::size_t field : {std::size_t{2}, std::size_t{3}}) {
+    auto moved = env;
+    moved[field] += 1.0;
+    seal_envelope(moved);
+    EXPECT_NE(std::bit_cast<std::uint64_t>(moved[4]),
+              std::bit_cast<std::uint64_t>(sealed))
+        << "field " << field;
+  }
 }
 
 // ---------------------------------------------------------------------------
