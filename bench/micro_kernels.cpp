@@ -192,11 +192,14 @@ void BM_Checksum64(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 // 62 words: the mean envelope of the elastic-ldoor-p64 suite workload;
-// 140 600: about one of its checkpoints.
+// 140 600: about one of its checkpoints up to format v4, which carried the
+// whole run state (a v5 checkpoint, x and the runtime cursors, is about
+// 57 350 words).
 BENCHMARK(BM_Checksum64)->Arg(62)->Arg(140600);
 
 /// A DS checkpoint of a 256x256 Poisson problem on 64 ranks after four
-/// steps: about 140k words, the size of an elastic-ldoor-p64 checkpoint.
+/// steps: the 65 536-word iterate plus the runtime cursors, about 65.8k
+/// words, a little above an elastic-ldoor-p64 checkpoint (57.4k words).
 elastic::Checkpoint bench_checkpoint() {
   auto a = bench_matrix(256);
   util::Rng rng(5);

@@ -1,7 +1,6 @@
 #include "dist/distributed_southwell.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 
 #include "kernels/kernels.hpp"
@@ -72,60 +71,6 @@ void DistributedSouthwell::set_resilience(const ResilienceOptions& opt) {
                    "resilience is incompatible with send_threshold "
                    "(deferred sends would ship partial boundary state)");
   DistStationarySolver::set_resilience(opt);
-}
-
-void DistributedSouthwell::capture_extra(std::vector<double>& out) const {
-  out.push_back(
-      std::bit_cast<double>(static_cast<std::uint64_t>(step_count_)));
-  out.push_back(heartbeat_ ? 1.0 : 0.0);
-  for (int p = 0; p < layout_->num_ranks(); ++p) {
-    const auto up = static_cast<std::size_t>(p);
-    out.push_back(std::bit_cast<double>(corrections_sent_[up]));
-    out.push_back(std::bit_cast<double>(deferred_sends_[up]));
-    out.insert(out.end(), gamma2_[up].begin(), gamma2_[up].end());
-    out.insert(out.end(), gtilde2_[up].begin(), gtilde2_[up].end());
-    for (const auto& z : ghost_[up]) {
-      out.insert(out.end(), z.begin(), z.end());
-    }
-    if (opt_.send_threshold > 0.0) {
-      for (const auto& pend : pending_dx_[up]) {
-        out.insert(out.end(), pend.begin(), pend.end());
-      }
-    }
-  }
-}
-
-void DistributedSouthwell::restore_extra(std::span<const double> in) {
-  std::size_t i = 0;
-  const auto take = [&in, &i](std::size_t n) {
-    DSOUTH_CHECK_MSG(i + n <= in.size(), "truncated DS checkpoint stream");
-    auto s = in.subspan(i, n);
-    i += n;
-    return s;
-  };
-  step_count_ =
-      static_cast<index_t>(std::bit_cast<std::uint64_t>(take(1)[0]));
-  heartbeat_ = take(1)[0] != 0.0;
-  for (int p = 0; p < layout_->num_ranks(); ++p) {
-    const auto up = static_cast<std::size_t>(p);
-    corrections_sent_[up] = std::bit_cast<std::uint64_t>(take(1)[0]);
-    deferred_sends_[up] = std::bit_cast<std::uint64_t>(take(1)[0]);
-    const auto g = take(gamma2_[up].size());
-    std::copy(g.begin(), g.end(), gamma2_[up].begin());
-    const auto gt = take(gtilde2_[up].size());
-    std::copy(gt.begin(), gt.end(), gtilde2_[up].begin());
-    for (auto& z : ghost_[up]) {
-      const auto zs = take(z.size());
-      std::copy(zs.begin(), zs.end(), z.begin());
-    }
-    if (opt_.send_threshold > 0.0) {
-      for (auto& pend : pending_dx_[up]) {
-        const auto ps = take(pend.size());
-        std::copy(ps.begin(), ps.end(), pend.begin());
-      }
-    }
-  }
-  DSOUTH_CHECK_MSG(i == in.size(), "oversized DS checkpoint stream");
 }
 
 std::uint64_t DistributedSouthwell::corrections_sent() const {

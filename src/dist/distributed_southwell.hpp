@@ -97,11 +97,6 @@ class DistributedSouthwell final : public DistStationarySolver {
   // its norm (Γ) and its estimate of ours (Γ̃).
   void absorb_record(int p, std::size_t nbi,
                      const wire::Record& rec) override;
-  // Checkpoint stream: step_count, heartbeat, then per rank — the two
-  // protocol counters, Γ², Γ̃², the z ghost layers, and (send_threshold
-  // runs only) the pending Δx accumulators.
-  void capture_extra(std::vector<double>& out) const override;
-  void restore_extra(std::span<const double> in) override;
 
  private:
   // Wire records (encodings in wire/wire.hpp; nb = directed channel width):

@@ -21,19 +21,6 @@ MulticolorBlockGs::MulticolorBlockGs(const DistLayout& layout,
   coloring_ = graph::greedy_coloring(rank_graph, graph::ColoringOrder::kBfs);
 }
 
-void MulticolorBlockGs::capture_extra(std::vector<double>& out) const {
-  out.push_back(static_cast<double>(next_color_));
-  out.push_back(static_cast<double>(step_color_));
-}
-
-void MulticolorBlockGs::restore_extra(std::span<const double> in) {
-  DSOUTH_CHECK_MSG(in.size() == 2, "malformed MCBGS checkpoint stream");
-  next_color_ = static_cast<int>(in[0]);
-  step_color_ = static_cast<int>(in[1]);
-  DSOUTH_CHECK(next_color_ >= 0 && next_color_ < num_colors());
-  DSOUTH_CHECK(step_color_ >= 0 && step_color_ < num_colors());
-}
-
 void MulticolorBlockGs::begin_step() {
   BlockJacobi::begin_step();
   step_color_ = next_color_;

@@ -40,11 +40,6 @@ class MulticolorBlockGs final : public BlockJacobi {
   void begin_step() override;
   void rank_send(int e, simmpi::RankContext& ctx, int p) override;
 
- protected:
-  // Checkpoint stream: the color-rotation cursors.
-  void capture_extra(std::vector<double>& out) const override;
-  void restore_extra(std::span<const double> in) override;
-
  private:
   graph::Coloring coloring_;  // colors over ranks
   int next_color_ = 0;

@@ -30,26 +30,6 @@ ParallelSouthwell::ParallelSouthwell(const DistLayout& layout,
   }
 }
 
-void ParallelSouthwell::capture_extra(std::vector<double>& out) const {
-  for (int p = 0; p < layout_->num_ranks(); ++p) {
-    const auto up = static_cast<std::size_t>(p);
-    out.push_back(advertised2_[up]);
-    out.insert(out.end(), gamma2_[up].begin(), gamma2_[up].end());
-  }
-}
-
-void ParallelSouthwell::restore_extra(std::span<const double> in) {
-  std::size_t i = 0;
-  for (int p = 0; p < layout_->num_ranks(); ++p) {
-    const auto up = static_cast<std::size_t>(p);
-    DSOUTH_CHECK_MSG(i + 1 + gamma2_[up].size() <= in.size(),
-                     "truncated PS checkpoint stream");
-    advertised2_[up] = in[i++];
-    for (auto& g : gamma2_[up]) g = in[i++];
-  }
-  DSOUTH_CHECK_MSG(i == in.size(), "oversized PS checkpoint stream");
-}
-
 void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0) return;

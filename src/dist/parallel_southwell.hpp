@@ -46,9 +46,6 @@ class ParallelSouthwell final : public DistStationarySolver {
   // Both record types carry the sender's new norm (Γ).
   void absorb_record(int p, std::size_t nbi,
                      const wire::Record& rec) override;
-  // Checkpoint stream: per rank — advertised ‖r‖², then Γ².
-  void capture_extra(std::vector<double>& out) const override;
-  void restore_extra(std::span<const double> in) override;
 
  private:
   // Wire records (encodings in wire/wire.hpp):

@@ -234,69 +234,7 @@ void DistStationarySolver::set_resilience(const ResilienceOptions& opt) {
 
 DistStationarySolver::SolverState DistStationarySolver::capture_state()
     const {
-  SolverState s;
-  s.resil_step_count = resil_step_count_;
-  s.x = x_;
-  s.r = r_;
-  s.send_seq.resize(channels_.size());
-  for (std::size_t p = 0; p < channels_.size(); ++p) {
-    const auto peers =
-        layout_->comm_plan().peers(static_cast<int>(p)).size();
-    DSOUTH_CHECK_MSG(channels_[p].idle(),
-                     "capture_state with a put phase in flight on rank "
-                         << p);
-    s.send_seq[p].resize(peers);
-    for (std::size_t k = 0; k < peers; ++k) {
-      s.send_seq[p][k] = channels_[p].sent_seq(k);
-    }
-  }
-  s.ghost_x = ghost_x_;
-  s.recv_min_seq = recv_min_seq_;
-  s.last_send_step = last_send_step_;
-  s.resil_stats = resil_stats_;
-  capture_extra(s.extra);
-  return s;
-}
-
-void DistStationarySolver::restore_state(const SolverState& s) {
-  DSOUTH_CHECK_MSG(s.x.size() == x_.size() && s.r.size() == r_.size(),
-                   "solver state from a different layout");
-  for (std::size_t p = 0; p < x_.size(); ++p) {
-    DSOUTH_CHECK(s.x[p].size() == x_[p].size());
-    DSOUTH_CHECK(s.r[p].size() == r_[p].size());
-  }
-  DSOUTH_CHECK_MSG(s.send_seq.size() == channels_.size(),
-                   "solver state from a different layout");
-  // Resilient caches must match the solver's configuration: a checkpoint
-  // taken with resilience on only restores into a solver with it on (the
-  // caches are sized by set_resilience, which must precede the restore).
-  DSOUTH_CHECK_MSG(s.ghost_x.size() == ghost_x_.size(),
-                   "solver state from a different resilience configuration");
-  resil_step_count_ = s.resil_step_count;
-  x_ = s.x;
-  r_ = s.r;
-  for (std::size_t p = 0; p < channels_.size(); ++p) {
-    DSOUTH_CHECK(s.send_seq[p].size() ==
-                 layout_->comm_plan().peers(static_cast<int>(p)).size());
-    for (std::size_t k = 0; k < s.send_seq[p].size(); ++k) {
-      channels_[p].set_sent_seq(k, s.send_seq[p][k]);
-    }
-  }
-  if (resil_.enabled) {
-    DSOUTH_CHECK(s.recv_min_seq.size() == recv_min_seq_.size());
-    DSOUTH_CHECK(s.last_send_step.size() == last_send_step_.size());
-    DSOUTH_CHECK(s.resil_stats.size() == resil_stats_.size());
-    ghost_x_ = s.ghost_x;
-    recv_min_seq_ = s.recv_min_seq;
-    last_send_step_ = s.last_send_step;
-    resil_stats_ = s.resil_stats;
-  }
-  restore_extra(s.extra);
-}
-
-void DistStationarySolver::restore_extra(std::span<const double> in) {
-  DSOUTH_CHECK_MSG(in.empty(),
-                   "checkpoint carries extra state this solver never wrote");
+  return SolverState{x_};
 }
 
 ResilienceStats DistStationarySolver::resilience_stats() const {

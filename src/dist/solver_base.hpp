@@ -211,43 +211,18 @@ class DistStationarySolver {
   /// resilience is off).
   ResilienceStats resilience_stats() const;
 
-  // --- Checkpoint/restore (src/elastic) -----------------------------------
+  // --- Checkpoint (src/elastic) -------------------------------------------
 
-  /// Deterministic snapshot of every mutable solver field that survives a
-  /// step boundary. Scratch buffers (scratch_, dz, per-sweep snapshots)
-  /// and the per-step rank_stats_ slots are transient between steps and
-  /// deliberately excluded. `extra` is the concrete solver's private
-  /// state, serialized as a flat double stream whose layout only
-  /// capture_extra/restore_extra of the same solver class on the same
-  /// DistLayout understand (integers travel bit-cast, never rounded).
+  /// What an elastic checkpoint keeps of the solver: the per-rank iterate.
+  /// Recovery needs nothing else — the fresh solver it builds re-derives
+  /// the residuals from x and re-seeds every per-neighbor estimate (Γ, Γ̃,
+  /// ghost layers, resilient caches) in its setup exchange.
   struct SolverState {
-    index_t resil_step_count = 0;
     std::vector<std::vector<value_t>> x;  ///< per-rank iterate
-    std::vector<std::vector<value_t>> r;  ///< per-rank residual
-    /// Per rank, per peer: the channel's next envelope sequence number
-    /// (captured even when sequencing is off — zeros round-trip).
-    std::vector<std::vector<std::uint64_t>> send_seq;
-    // Resilient-mode caches (all empty when resilience is off).
-    std::vector<std::vector<std::vector<value_t>>> ghost_x;
-    std::vector<std::vector<std::uint64_t>> recv_min_seq;
-    std::vector<std::vector<index_t>> last_send_step;
-    std::vector<ResilienceStats> resil_stats;
-    /// Concrete-solver extension (capture_extra/restore_extra).
-    std::vector<double> extra;
   };
 
-  /// Capture the solver's state between steps (no put phase in flight: the
-  /// channels must hold no buffered records or unsealed envelopes).
-  /// Restoring the result into a solver of the same class on the same
-  /// layout — along with the matching simmpi::RuntimeState — resumes the
-  /// run byte-identically (tests/test_elastic.cpp pins this across
-  /// backends and feature combinations).
+  /// Capture the solver's iterate between steps.
   SolverState capture_state() const;
-
-  /// Inverse of capture_state. The solver must have the same class,
-  /// layout, and feature configuration (resilience) as the one
-  /// that captured; mismatches are checked fatal, not recovered.
-  void restore_state(const SolverState& state);
   // ------------------------------------------------------------------------
 
   /// Observer-side exact global residual norm (gathers local residuals;
@@ -286,17 +261,6 @@ class DistStationarySolver {
   /// here, observer-side, only when tracing) and bumps the
   /// "solver.relaxed_rows"/"solver.rank_relaxations" counters.
   void trace_relax(simmpi::RankContext& ctx, index_t rows);
-
-  /// Append the concrete solver's private mutable state to the checkpoint
-  /// stream (capture_state). Default: stateless beyond the base fields
-  /// (Block Jacobi). Implementations must write a layout-determined,
-  /// fixed-order stream and bit-cast any integer fields.
-  virtual void capture_extra(std::vector<double>& out) const {
-    (void)out;
-  }
-
-  /// Inverse of capture_extra; `in` is exactly what capture_extra wrote.
-  virtual void restore_extra(std::span<const double> in);
 
   /// Relax rank p's (nonempty) subdomain with one Gauss–Seidel sweep — the
   /// relax step every solver shares: snapshot x on the rank's

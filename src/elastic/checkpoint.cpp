@@ -19,9 +19,9 @@ static_assert(std::endian::native == std::endian::little,
               "the checkpoint codec copies words in host byte order");
 
 constexpr std::uint64_t kMagic = 0x44534f5554484c45ULL;  // "DSOUTHLE"
-constexpr std::size_t kHeaderWords = 9;
-/// The checksum covers every word from here on: num_ranks, method, flags,
-/// epoch, step and the whole payload.
+constexpr std::size_t kHeaderWords = 8;
+/// The checksum covers every word from here on: num_ranks, method, epoch,
+/// step and the whole payload.
 constexpr std::size_t kChecksumFrom = 4;
 constexpr std::size_t kChecksumWord = 3;
 constexpr auto kMaxMethod =
@@ -87,14 +87,6 @@ class Reader {
                                            << remaining() << " words");
     return static_cast<std::size_t>(n);
   }
-  /// A rank index in [0, num_ranks).
-  int rank(int num_ranks) {
-    const std::uint64_t v = u64();
-    DSOUTH_CHECK_MSG(v < static_cast<std::uint64_t>(num_ranks),
-                     "checkpoint: rank " << v << " outside " << num_ranks
-                                         << " ranks");
-    return static_cast<int>(v);
-  }
   /// A length-prefixed array of 8-byte words, copied in bulk.
   template <typename T>
   void array(std::vector<T>& out) {
@@ -113,7 +105,8 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-void write_runtime(Writer& w, const simmpi::RuntimeState& rs) {
+void write_payload(Writer& w, const Checkpoint& c) {
+  const simmpi::RuntimeState& rs = c.runtime;
   w.u64(rs.epochs);
   w.f64(rs.model_time);
   w.f64(rs.last_epoch_seconds);
@@ -122,117 +115,32 @@ void write_runtime(Writer& w, const simmpi::RuntimeState& rs) {
   std::vector<std::uint64_t> stats;
   rs.stats.save(stats);
   w.array(stats);
-  w.u64(rs.window_msgs.size());
-  for (const auto& m : rs.window_msgs) {
-    w.i64(m.dest);
-    w.i64(m.source);
-    w.i64(static_cast<int>(m.tag));
-    w.array(m.payload);
-  }
-  w.u64(rs.deferred.size());
-  for (const auto& m : rs.deferred) {
-    w.i64(m.dest);
-    w.i64(m.source);
-    w.i64(static_cast<int>(m.tag));
-    w.u64(m.seq);
-    w.u64(m.staged_epoch);
-    w.u64(m.deliver_epoch);
-    w.u64(m.arrival);
-    w.array(m.payload);
-  }
+  w.u64(c.solver.x.size());
+  for (const auto& x_p : c.solver.x) w.array(x_p);
 }
 
-simmpi::MsgTag read_tag(Reader& r) {
-  const std::uint64_t t = r.u64();
-  DSOUTH_CHECK_MSG(t < simmpi::kNumTags, "checkpoint: bad message tag " << t);
-  return static_cast<simmpi::MsgTag>(t);
-}
-
-simmpi::RuntimeState read_runtime(Reader& r, int num_ranks) {
-  simmpi::RuntimeState rs(num_ranks);
+void read_payload(Reader& r, Checkpoint& c) {
+  simmpi::RuntimeState& rs = c.runtime;
+  rs = simmpi::RuntimeState(c.num_ranks);
   rs.epochs = r.u64();
   rs.model_time = r.f64();
   rs.last_epoch_seconds = r.f64();
   rs.arrival_counter = r.u64();
   r.array(rs.lane_seq);
   DSOUTH_CHECK_MSG(
-      rs.lane_seq.size() == static_cast<std::size_t>(num_ranks),
+      rs.lane_seq.size() == static_cast<std::size_t>(c.num_ranks),
       "checkpoint: lane_seq count " << rs.lane_seq.size() << " != ranks "
-                                    << num_ranks);
+                                    << c.num_ranks);
   std::vector<std::uint64_t> stats;
   r.array(stats);
   rs.stats.load(stats);
-  rs.window_msgs.resize(r.count());
-  for (auto& m : rs.window_msgs) {
-    m.dest = r.rank(num_ranks);
-    m.source = r.rank(num_ranks);
-    m.tag = read_tag(r);
-    r.array(m.payload);
-  }
-  rs.deferred.resize(r.count());
-  for (auto& m : rs.deferred) {
-    m.dest = r.rank(num_ranks);
-    m.source = r.rank(num_ranks);
-    m.tag = read_tag(r);
-    m.seq = r.u64();
-    m.staged_epoch = r.u64();
-    m.deliver_epoch = r.u64();
-    m.arrival = r.u64();
-    r.array(m.payload);
-  }
-  return rs;
-}
-
-void write_solver(Writer& w,
-                  const dist::DistStationarySolver::SolverState& ss) {
-  w.i64(ss.resil_step_count);
-  auto nested = [&w](const auto& outer) {
-    w.u64(outer.size());
-    for (const auto& inner : outer) w.array(inner);
-  };
-  nested(ss.x);
-  nested(ss.r);
-  nested(ss.send_seq);
-  w.u64(ss.ghost_x.size());
-  for (const auto& per_peer : ss.ghost_x) nested(per_peer);
-  nested(ss.recv_min_seq);
-  nested(ss.last_send_step);
-  w.u64(ss.resil_stats.size());
-  for (const auto& rs : ss.resil_stats) {
-    w.u64(rs.rejected_corrupt);
-    w.u64(rs.rejected_stale);
-    w.u64(rs.refreshes_sent);
-  }
-  w.array(ss.extra);
-}
-
-dist::DistStationarySolver::SolverState read_solver(Reader& r) {
-  dist::DistStationarySolver::SolverState ss;
-  ss.resil_step_count = r.i64();
-  auto nested = [&r](auto& outer) {
-    outer.resize(r.count());
-    for (auto& inner : outer) r.array(inner);
-  };
-  nested(ss.x);
-  nested(ss.r);
-  nested(ss.send_seq);
-  ss.ghost_x.resize(r.count());
-  for (auto& per_peer : ss.ghost_x) nested(per_peer);
-  nested(ss.recv_min_seq);
-  nested(ss.last_send_step);
-  ss.resil_stats.resize(r.count());
-  for (auto& rs : ss.resil_stats) {
-    rs.rejected_corrupt = r.u64();
-    rs.rejected_stale = r.u64();
-    rs.refreshes_sent = r.u64();
-  }
-  r.array(ss.extra);
-  return ss;
-}
-
-void write_payload(Writer& w, const Checkpoint& c) {
-  write_runtime(w, c.runtime);
-  write_solver(w, c.solver);
+  c.solver.x.resize(r.count());
+  DSOUTH_CHECK_MSG(
+      c.solver.x.size() == static_cast<std::size_t>(c.num_ranks),
+      "checkpoint: iterate holds " << c.solver.x.size()
+                                   << " rank blocks, expected "
+                                   << c.num_ranks);
+  for (auto& x_p : c.solver.x) r.array(x_p);
 }
 
 }  // namespace
@@ -243,6 +151,9 @@ std::vector<std::uint8_t> encode(const Checkpoint& c) {
   DSOUTH_CHECK(c.method >= 0 &&
                static_cast<std::uint64_t>(c.method) <= kMaxMethod);
   DSOUTH_CHECK(c.step >= 0);
+  DSOUTH_CHECK(c.runtime.lane_seq.size() ==
+                   static_cast<std::size_t>(c.num_ranks) &&
+               c.solver.x.size() == static_cast<std::size_t>(c.num_ranks));
   Writer sizer;
   write_payload(sizer, c);
   const std::size_t payload_words = sizer.words();
@@ -255,7 +166,6 @@ std::vector<std::uint8_t> encode(const Checkpoint& c) {
   w.u64(0);  // checksum slot, sealed below
   w.u64(static_cast<std::uint64_t>(c.num_ranks));
   w.u64(static_cast<std::uint64_t>(c.method));
-  w.u64(c.flags);
   w.u64(c.epoch);
   w.i64(c.step);
   write_payload(w, c);
@@ -292,13 +202,11 @@ Checkpoint decode(std::span<const std::uint8_t> bytes) {
   DSOUTH_CHECK_MSG(method <= kMaxMethod,
                    "checkpoint: bad method id " << method);
   c.method = static_cast<int>(method);
-  c.flags = r.u64();
   c.epoch = r.u64();
   c.step = r.i64();
   DSOUTH_CHECK_MSG(c.step >= 0, "checkpoint: negative step " << c.step);
 
-  c.runtime = read_runtime(r, c.num_ranks);
-  c.solver = read_solver(r);
+  read_payload(r, c);
   DSOUTH_CHECK_MSG(r.remaining() == 0, "checkpoint: trailing payload words");
   return c;
 }

@@ -11,20 +11,6 @@
 
 namespace dsouth::elastic {
 
-namespace {
-
-/// The configuration bits stamped into every checkpoint header.
-std::uint64_t config_flags(const dist::DistRunOptions& opt) {
-  std::uint64_t flags = 0;
-  // Async delivery force-enables resilience (RunHarness does the same).
-  if (opt.resilience.enabled || opt.async) flags |= kFlagResilience;
-  if (opt.async) flags |= kFlagAsync;
-  if (opt.ranks_per_node > 0) flags |= kFlagNodeTopology;
-  return flags;
-}
-
-}  // namespace
-
 ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
                              const graph::Partition& partition,
                              std::span<const value_t> b,
@@ -33,10 +19,6 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
                              const RecoveryOptions& rec) {
   ElasticRunResult out;
   out.final_partition = partition;
-  if (!rec.enabled) {
-    out.run = dist::run_distributed(method, a, partition, b, x0, opt);
-    return out;
-  }
 
   // The adjacency graph is the repartitioner's substrate; built once — a
   // failure changes the partition, never the matrix.
@@ -45,7 +27,6 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
   auto layout = std::make_unique<dist::DistLayout>(a, part);
   auto h = std::make_unique<dist::RunHarness>(method, *layout, b, x0, opt);
   const int num_ranks = h->runtime().num_ranks();
-  const std::uint64_t flags = config_flags(opt);
 
   dist::DistRunResult result;
   h->init_result(result);
@@ -86,7 +67,6 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
     Checkpoint c;
     c.num_ranks = num_ranks;
     c.method = static_cast<int>(method);
-    c.flags = flags;
     c.epoch = h->runtime().epochs_completed();
     c.step = step;
     c.runtime = h->runtime().capture_state();
@@ -183,13 +163,10 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
       h = std::make_unique<dist::RunHarness>(method, *layout, b, x_restored,
                                              opt);
       // Restore the runtime's deterministic cursors (epoch, model time,
-      // stats and send counters). In-flight traffic is NOT restored:
-      // a permanent failure loses it, and the fresh solver's setup re-seeds
-      // every ghost cache, so nothing depends on it.
-      simmpi::RuntimeState rs = c.runtime;
-      rs.window_msgs.clear();
-      rs.deferred.clear();
-      h->runtime().restore_state(rs);
+      // stats and send counters). In-flight traffic is not part of a
+      // checkpoint: a permanent failure loses it, and the fresh solver's
+      // setup re-seeds every ghost cache, so nothing depends on it.
+      h->runtime().restore_state(c.runtime);
 
       // Replay the surviving elastic history into the fresh tracer before
       // recording this recovery's own events.

@@ -9,10 +9,9 @@
 /// three responsibilities:
 ///
 ///   1. **Checkpoint.** Every `checkpoint_every` parallel steps it captures
-///      the complete deterministic run state — simmpi::Runtime cursors,
-///      counters, windows and in-flight messages plus the solver's iterate,
-///      residuals, channel sequence numbers and private state — into a
-///      versioned byte buffer (elastic/checkpoint.hpp). Capture is
+///      what recovery restores — the simmpi::Runtime cursors (epoch, model
+///      time, send counters, CommStats) and the solver's per-rank iterate —
+///      into a versioned byte buffer (elastic/checkpoint.hpp). Capture is
 ///      observer-side: a fault-free elastic run is byte-identical to
 ///      run_distributed, series for series and trace for trace.
 ///
@@ -53,9 +52,6 @@ using sparse::value_t;
 
 /// Elastic-driver knobs, mirroring the shape of ResilienceOptions.
 struct RecoveryOptions {
-  /// Master switch: disabled, run_elastic degenerates to run_distributed
-  /// (no checkpoints, no detection — byte-identical by construction).
-  bool enabled = true;
   /// Parallel steps between checkpoints. A checkpoint is always taken
   /// before step 1 and immediately after every recovery (the stored buffer
   /// must match the *current* partition generation); this period paces the

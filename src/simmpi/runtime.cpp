@@ -92,26 +92,17 @@ RuntimeState Runtime::capture_state() const {
   st.arrival_counter = arrival_counter_;
   st.lane_seq = lane_seq_;
   st.stats = stats_;
-  for (int d = 0; d < num_ranks_; ++d) {
-    for (const Message& msg : windows_[static_cast<std::size_t>(d)]) {
-      st.window_msgs.push_back(
-          RuntimeState::WindowMsg{d, msg.source, msg.tag, msg.payload});
-    }
-    for (const Deferred& held : deferred_[static_cast<std::size_t>(d)]) {
-      st.deferred.push_back(RuntimeState::InFlight{
-          d, held.source, held.tag, held.seq, held.staged_epoch,
-          held.deliver_epoch, held.arrival, held.payload});
-    }
-  }
   return st;
 }
 
 void Runtime::restore_state(const RuntimeState& st) {
   DSOUTH_CHECK(st.stats.num_ranks() == num_ranks_);
   DSOUTH_CHECK(st.lane_seq.size() == static_cast<std::size_t>(num_ranks_));
-  for (const auto& lane : lanes_) {
-    DSOUTH_CHECK_MSG(lane.empty(),
-                     "restore_state requires empty staging lanes");
+  for (int r = 0; r < num_ranks_; ++r) {
+    const auto ur = static_cast<std::size_t>(r);
+    DSOUTH_CHECK_MSG(lanes_[ur].empty() && windows_[ur].empty() &&
+                         deferred_[ur].empty(),
+                     "restore_state requires a runtime with no traffic");
   }
   epochs_ = st.epochs;
   model_time_ = st.model_time;
@@ -119,19 +110,6 @@ void Runtime::restore_state(const RuntimeState& st) {
   arrival_counter_ = st.arrival_counter;
   lane_seq_ = st.lane_seq;
   stats_ = st.stats;
-  for (auto& win : windows_) win.clear();
-  for (auto& held : deferred_) held.clear();
-  for (const auto& wm : st.window_msgs) {
-    DSOUTH_CHECK(wm.dest >= 0 && wm.dest < num_ranks_);
-    windows_[static_cast<std::size_t>(wm.dest)].push_back(
-        Message{wm.source, wm.tag, wm.payload});
-  }
-  for (const auto& inf : st.deferred) {
-    DSOUTH_CHECK(inf.dest >= 0 && inf.dest < num_ranks_);
-    deferred_[static_cast<std::size_t>(inf.dest)].push_back(
-        Deferred{inf.source, inf.tag, inf.seq, inf.staged_epoch,
-                 inf.deliver_epoch, inf.arrival, inf.payload});
-  }
 }
 
 void Runtime::set_async_delivery(const AsyncDelivery& delivery) {

@@ -82,11 +82,14 @@ struct NodeRoutingOptions {
   std::vector<std::uint32_t> pair_channel_counts;
 };
 
-/// Complete deterministic mid-run runtime state, captured between epochs
-/// (elastic checkpoint/restart — src/elastic, DESIGN.md §15). Everything
-/// here is bit-identical across execution backends, so a serialized
-/// snapshot is too. Staging lanes must be empty at capture (checked): a
-/// checkpoint is taken at a step boundary, after the fence.
+/// The runtime cursors an elastic recovery carries across a generation
+/// rebuild (src/elastic, DESIGN.md §15): epoch, model time, send counters
+/// and CommStats. Everything here is bit-identical across execution
+/// backends, so a serialized snapshot is too. Unconsumed windows and
+/// in-flight messages are not part of it: a permanent failure loses them,
+/// and the fresh solver's setup re-derives every estimate they would have
+/// updated. Staging lanes must be empty at capture (checked): a checkpoint
+/// is taken at a step boundary, after the fence.
 struct RuntimeState {
   explicit RuntimeState(int num_ranks) : stats(num_ranks) {}
 
@@ -96,28 +99,6 @@ struct RuntimeState {
   std::uint64_t arrival_counter = 0;  ///< Deferred::arrival source
   std::vector<std::uint64_t> lane_seq;  ///< per-source send counters
   CommStats stats;                      ///< full counter snapshot
-
-  /// A message sitting delivered-but-unconsumed in a window.
-  struct WindowMsg {
-    int dest = -1;
-    int source = -1;
-    MsgTag tag = MsgTag::kOther;
-    std::vector<double> payload;
-  };
-  std::vector<WindowMsg> window_msgs;  ///< in (dest, window order)
-
-  /// A message still in flight (delayed delivery / reorder / stall).
-  struct InFlight {
-    int dest = -1;
-    int source = -1;
-    MsgTag tag = MsgTag::kOther;
-    std::uint64_t seq = 0;
-    std::uint64_t staged_epoch = 0;
-    std::uint64_t deliver_epoch = 0;
-    std::uint64_t arrival = 0;
-    std::vector<double> payload;
-  };
-  std::vector<InFlight> deferred;  ///< in (dest, held order)
 };
 
 class Runtime {
@@ -272,16 +253,15 @@ class Runtime {
   /// elastic subsystem (src/elastic) rebuilds the layout around them.
   bool rank_dead(int rank) const;
 
-  /// Capture the complete deterministic runtime state (epoch/model-time
-  /// cursors, send counters, CommStats, unconsumed windows,
-  /// in-flight deferred messages) for an elastic checkpoint. Must be
-  /// called between epochs (checked: staging lanes empty).
+  /// Capture the runtime cursors (epoch/model-time cursors, send
+  /// counters, CommStats) for an elastic checkpoint. Must be called
+  /// between epochs (checked: staging lanes empty).
   RuntimeState capture_state() const;
 
-  /// Restore a previously captured state. The runtime must have the same
-  /// rank count and empty staging lanes; windows and deferred queues are
-  /// replaced wholesale. Continuing after a same-layout restore is
-  /// byte-identical to never having snapshotted (tests/test_elastic.cpp).
+  /// Restore previously captured cursors into a fresh runtime of the same
+  /// rank count. The runtime must hold no traffic (checked: staging lanes,
+  /// windows and deferred queues all empty) — recovery resumes with
+  /// nothing in flight.
   void restore_state(const RuntimeState& state);
 
   /// Switch to event-driven delivery (simmpi/delivery.hpp). Without this

@@ -46,29 +46,9 @@ void ChannelSet::set_batch_staging(bool on) {
   batch_ = on;
 }
 
-std::uint64_t ChannelSet::sent_seq(std::size_t k) const {
-  DSOUTH_CHECK(k < send_seq_.size());
-  return send_seq_[k];
-}
-
-void ChannelSet::set_sent_seq(std::size_t k, std::uint64_t seq) {
-  DSOUTH_CHECK(k < send_seq_.size());
-  DSOUTH_CHECK_MSG(pending_.empty(),
-                   "cannot restore sequence counters with envelopes pending");
-  send_seq_[k] = seq;
-}
-
 std::size_t ChannelSet::buffered(std::size_t k) const {
   DSOUTH_CHECK(k < buffers_.size());
   return buffers_[k].types.size();
-}
-
-bool ChannelSet::idle() const {
-  if (!pending_.empty()) return false;
-  for (const auto& buf : buffers_) {
-    if (!buf.types.empty()) return false;
-  }
-  return true;
 }
 
 MutableRecord ChannelSet::open(simmpi::RankContext& ctx, std::size_t k,

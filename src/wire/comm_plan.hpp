@@ -78,15 +78,6 @@ class ChannelSet {
   void set_sequencing(bool on);
   bool sequencing() const { return sequence_; }
 
-  /// Envelopes sent so far to peer `k` (== the next sequence number).
-  std::uint64_t sent_seq(std::size_t k) const;
-
-  /// Restore peer `k`'s envelope counter from a checkpoint
-  /// (DistStationarySolver::restore_state). Call only between put phases —
-  /// an unsealed envelope (pending flush) would already have consumed the
-  /// old counter.
-  void set_sent_seq(std::size_t k, std::uint64_t seq);
-
   /// Toggle batch-sink staging (batched multi-tenant serving,
   /// dist/batch.hpp). While on, open() buffers every record — including
   /// sequenced envelopes, whose checksums are sealed at flush() — and
@@ -131,11 +122,6 @@ class ChannelSet {
 
   /// Records currently buffered for peer `k` (batch staging only).
   std::size_t buffered(std::size_t k) const;
-
-  /// True when no put phase is in flight: nothing buffered for any peer
-  /// and no envelope awaiting its flush() seal. Checkpointing requires an
-  /// idle channel set (solver_base.hpp capture_state).
-  bool idle() const;
 
  private:
   struct PeerBuffer {

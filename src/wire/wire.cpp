@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 
@@ -40,9 +41,12 @@ std::uint64_t load_word(const std::byte* p) {
 /// Safely read a double that should hold a non-negative integer <= `max`.
 /// Returns false for NaN, negative, fractional, or out-of-range values —
 /// corrupted payloads can hold any bit pattern, and casting such doubles
-/// to an integer type before validating them is undefined behaviour.
+/// to an integer type before validating them is undefined behaviour. -0.0
+/// is refused too: it passes the compares, but no encoder writes it, so
+/// accepting it would decode two payloads to the same value.
 bool integral_in_range(double v, double max, std::uint64_t& out) {
   if (!(v >= 0.0 && v <= max)) return false;  // NaN fails both compares
+  if (std::signbit(v)) return false;
   const auto u = static_cast<std::uint64_t>(v);
   if (static_cast<double>(u) != v) return false;
   out = u;
@@ -290,8 +294,15 @@ TenantEntryHeader check_tenant_entry(std::span<const double> payload,
 }  // namespace detail
 
 namespace {
+/// Discriminators compare bit-exactly: -0.0 == 0.0 as doubles, but a
+/// record leading with -0.0 is not what any encoder writes.
+bool is_discriminator(double field, double expected) {
+  return std::bit_cast<std::uint64_t>(field) ==
+         std::bit_cast<std::uint64_t>(expected);
+}
+
 void check_discriminator(std::span<const double> body, double expected) {
-  if (body[0] != expected) {
+  if (!is_discriminator(body[0], expected)) {
     std::ostringstream os;
     os << "discriminator " << body[0] << ", expected " << expected;
     throw_decode_error(DecodeErrorKind::kBadDiscriminator, 0, os.str());
@@ -349,8 +360,8 @@ bool leading_discriminator(std::span<const double> payload,
     throw_decode_error(DecodeErrorKind::kTruncated, 0,
                        "record shorter than its family header");
   }
-  const bool solve = payload[0] == kSolveDiscriminator;
-  if (!solve && payload[0] != kResidualDiscriminator) {
+  const bool solve = is_discriminator(payload[0], kSolveDiscriminator);
+  if (!solve && !is_discriminator(payload[0], kResidualDiscriminator)) {
     std::ostringstream os;
     os << "discriminator " << payload[0] << " is neither 0 nor 1";
     throw_decode_error(DecodeErrorKind::kBadDiscriminator, 0, os.str());
@@ -418,7 +429,8 @@ EnvelopeView decode_envelope(std::span<const double> payload) {
     throw_decode_error(DecodeErrorKind::kBadVersion, 1, os.str());
   }
   std::uint64_t seq = 0;
-  if (!integral_in_range(payload[2], 0x1.0p53, seq)) {
+  // begin_envelope writes sequence numbers below 2^53 only.
+  if (!integral_in_range(payload[2], 0x1.0p53 - 1.0, seq)) {
     std::ostringstream os;
     os << "envelope seq " << payload[2] << " not integral";
     throw_decode_error(DecodeErrorKind::kBadCount, 2, os.str());

@@ -154,8 +154,8 @@ Record decode_record(Family family, std::span<const double> payload,
 
 // ---------------------------------------------------------------------------
 // Word-lane checksum: seals envelopes (below) and elastic checkpoints
-// (elastic/checkpoint.hpp; from checkpoint v4 on it covers the header
-// fields num_ranks, method, flags, epoch and step as well as the payload).
+// (elastic/checkpoint.hpp, where it covers the header fields num_ranks,
+// method, epoch and step as well as the payload).
 //
 // Four independent lanes run the XXH64 round acc = rotl(acc + w·P2, 31)·P1
 // over the stripes of `words` (four words a stripe), so the multiplies of

@@ -1,12 +1,11 @@
 /// Tests for the elastic-ranks subsystem (src/elastic, docs/resilience.md
 /// "Permanent failure and recovery"): permanent-kill schedule semantics,
 /// dead-rank silencing at the runtime fence, the versioned checkpoint
-/// codec (round-trip determinism, corruption rejection), byte-identical
-/// restore-continuation across backends and composed with async delivery /
-/// node topologies, fault-free byte-identity of run_elastic against
-/// run_distributed (series AND trace bytes), full kill-and-repartition
-/// recovery for all four solvers, and the
-/// Runtime::reset_stats / CommStats save-load audit.
+/// codec (round-trip determinism, corruption rejection, and a format that
+/// holds only the iterate and the runtime cursors), fault-free
+/// byte-identity of run_elastic against run_distributed (series AND trace
+/// bytes), full kill-and-repartition recovery for all four solvers, and
+/// the Runtime::reset_stats / CommStats save-load audit.
 
 #include <gtest/gtest.h>
 
@@ -143,7 +142,6 @@ elastic::Checkpoint capture_checkpoint(dist::RunHarness& h, int method,
   elastic::Checkpoint c;
   c.num_ranks = h.runtime().num_ranks();
   c.method = method;
-  c.flags = elastic::kFlagNodeTopology;  // arbitrary nonzero flag stamp
   c.epoch = h.runtime().epochs_completed();
   c.step = step;
   c.runtime = h.runtime().capture_state();
@@ -152,7 +150,7 @@ elastic::Checkpoint capture_checkpoint(dist::RunHarness& h, int method,
 }
 
 /// A DS checkpoint of a 10x10 Poisson problem on 4 ranks after 3 steps
-/// (2824 bytes).
+/// (1208 bytes).
 elastic::Checkpoint small_ds_checkpoint() {
   auto p = make_problem(10, 4, 21);
   dist::DistRunOptions opt;
@@ -172,13 +170,10 @@ TEST(CheckpointCodec, EncodeDecodeRoundTripIsByteStable) {
   const auto d = elastic::decode(bytes);
   EXPECT_EQ(d.num_ranks, c.num_ranks);
   EXPECT_EQ(d.method, c.method);
-  EXPECT_EQ(d.flags, c.flags);
   EXPECT_EQ(d.epoch, c.epoch);
   EXPECT_EQ(d.step, c.step);
   EXPECT_EQ(d.runtime.epochs, c.runtime.epochs);
   EXPECT_EQ(d.solver.x, c.solver.x);  // bitwise: doubles travel as u64
-  EXPECT_EQ(d.solver.r, c.solver.r);
-  EXPECT_EQ(d.solver.ghost_x, c.solver.ghost_x);
   // Re-encoding the decoded checkpoint reproduces the buffer byte for byte.
   EXPECT_EQ(elastic::encode(d), bytes);
 }
@@ -217,6 +212,11 @@ TEST(CheckpointCodec, RejectsCorruptionTruncationAndBadHeaders) {
   auto v3 = bytes;
   v3[8] = 3;
   EXPECT_THROW(elastic::decode(v3), util::CheckError);
+  // Nor a version-4 buffer, which also carried the residuals, the solver
+  // caches and the messages in flight.
+  auto v4 = bytes;
+  v4[8] = 4;
+  EXPECT_THROW(elastic::decode(v4), util::CheckError);
 
   // Truncation: drop the tail (word-aligned and not).
   auto truncated = bytes;
@@ -248,11 +248,15 @@ TEST(CheckpointCodec, EveryBitFlipIsRejected) {
   }
 }
 
+/// Header words of a v5 checkpoint: magic, version, payload words,
+/// checksum, num_ranks, method, epoch, step.
+constexpr std::size_t kCheckpointHeaderWords = 8;
+
 /// Stamp a mutant's payload word count (header word 2) and checksum (word
 /// 3, over words 4 on), so that the parser, not the checksum, has to judge
 /// it. Buffers too short or ragged for a header stay as they are.
 void reseal(std::vector<std::uint8_t>& m) {
-  constexpr std::size_t kHeaderBytes = 8 * 9;
+  constexpr std::size_t kHeaderBytes = 8 * kCheckpointHeaderWords;
   if (m.size() % 8 != 0 || m.size() < kHeaderBytes) return;
   const std::uint64_t payload_words = (m.size() - kHeaderBytes) / 8;
   std::memcpy(m.data() + 16, &payload_words, 8);
@@ -261,22 +265,53 @@ void reseal(std::vector<std::uint8_t>& m) {
   std::memcpy(m.data() + 24, &sum, 8);
 }
 
-TEST(CheckpointCodec, SeededMutationsNeverMisparse) {
-  // Every mutant either raises CheckError or decodes to a checkpoint that
-  // encodes back to exactly the mutant: nothing crashes, nothing is
-  // allocated from a corrupt count, nothing is silently narrowed.
+/// A DS checkpoint of a 6x6 Poisson problem on 3 ranks after 4 steps of
+/// an event-driven, resilient run: messages are in flight and the
+/// resilient caches are live when it is captured, and none of it belongs
+/// in the buffer.
+elastic::Checkpoint async_resilient_ds_checkpoint() {
   auto p = make_problem(6, 3, 23);
   dist::DistRunOptions opt;
-  opt.async = true;  // deferred messages ride the checkpoint
-  opt.resilience.enabled = true;  // so do envelopes and resilient caches
+  opt.async = true;
+  opt.resilience.enabled = true;
   dist::DistLayout layout(p.a, p.part);
   dist::RunHarness h(dist::DistMethod::kDistributedSouthwell, layout, p.b,
                      p.x0, opt);
   for (int k = 0; k < 4; ++k) h.solver().step();
-  const auto c = capture_checkpoint(h, 2, 4);
-  ASSERT_FALSE(c.runtime.window_msgs.empty());
-  ASSERT_FALSE(c.runtime.deferred.empty());
-  ASSERT_FALSE(c.solver.ghost_x.empty());
+  return capture_checkpoint(h, 2, 4);
+}
+
+TEST(CheckpointCodec, HoldsOnlyTheIterateAndRuntimeCursors) {
+  const auto c = async_resilient_ds_checkpoint();
+  const auto ranks = static_cast<std::size_t>(c.num_ranks);
+  ASSERT_EQ(c.solver.x.size(), ranks);
+  // The header; the cursors (epochs, model time, last-epoch seconds and
+  // arrival counter, then lane_seq and the CommStats words, each
+  // length-prefixed); the iterate's rank count and its length-prefixed
+  // per-rank blocks. Nothing else.
+  std::size_t words = kCheckpointHeaderWords + 4 + (1 + ranks) +
+                      (1 + simmpi::CommStats::saved_words(c.num_ranks, 0)) +
+                      1;
+  for (const auto& x_p : c.solver.x) words += 1 + x_p.size();
+  const auto bytes = elastic::encode(c);
+  EXPECT_EQ(bytes.size(), 8 * words);
+
+  const auto d = elastic::decode(bytes);
+  ASSERT_EQ(d.solver.x.size(), ranks);
+  for (std::size_t p = 0; p < ranks; ++p) {
+    ASSERT_EQ(d.solver.x[p].size(), c.solver.x[p].size());
+    EXPECT_EQ(std::memcmp(d.solver.x[p].data(), c.solver.x[p].data(),
+                          8 * c.solver.x[p].size()),
+              0)
+        << "rank " << p;
+  }
+}
+
+TEST(CheckpointCodec, SeededMutationsNeverMisparse) {
+  // Every mutant either raises CheckError or decodes to a checkpoint that
+  // encodes back to exactly the mutant: nothing crashes, nothing is
+  // allocated from a corrupt count, nothing is silently narrowed.
+  const auto c = async_resilient_ds_checkpoint();
   const std::vector<std::uint8_t> clean = elastic::encode(c);
 
   util::Rng rng(0x5eed'c4e7ULL);
@@ -320,67 +355,37 @@ TEST(CheckpointCodec, SeededMutationsNeverMisparse) {
   EXPECT_GT(decoded, 100);
 }
 
-// ---------------------------------------------------------------------------
-// Restore-continuation determinism: snapshot at step s, restore into a
-// fresh stack over the SAME layout, run to completion — byte-identical to
-// the uninterrupted run, under every delivery/wire composition.
+// The runtime half of a restore takes the cursors only, so it must land in
+// a runtime with nothing staged, delivered-but-unread or held back.
+TEST(CheckpointCodec, RuntimeRestoreNeedsARuntimeWithNoTraffic) {
+  const std::vector<double> payload = {1.0, 2.0};
+  simmpi::Runtime source(2);
+  source.put(0, 1, simmpi::MsgTag::kSolve, payload);
+  source.fence();
+  source.consume(1);
+  const simmpi::RuntimeState cursors = source.capture_state();
 
-void expect_restore_continuation_identical(const dist::DistRunOptions& opt,
-                                           simmpi::BackendKind backend) {
-  auto p = make_problem(12, 4, 31);
-  auto run_opt = opt;
-  run_opt.backend = backend;
-  dist::DistLayout layout(p.a, p.part);
-  const auto method = dist::DistMethod::kDistributedSouthwell;
-
-  // Uninterrupted reference, with a checkpoint captured mid-flight
-  // (capture is non-destructive — the run continues unperturbed).
-  dist::RunHarness ref(method, layout, p.b, p.x0, run_opt);
-  std::vector<std::uint8_t> bytes;
-  for (int k = 0; k < 10; ++k) {
-    if (k == 4) bytes = elastic::encode(capture_checkpoint(ref, 3, 4));
-    ref.solver().step();
-  }
-  const auto x_ref = ref.solver().gather_x();
-  std::vector<std::uint64_t> stats_ref;
-  ref.runtime().stats().save(stats_ref);
-
-  // Fresh stack, restore the decoded checkpoint, run the remaining steps.
-  const auto c = elastic::decode(bytes);
-  dist::RunHarness resumed(method, layout, p.b, p.x0, run_opt);
-  resumed.runtime().restore_state(c.runtime);
-  resumed.solver().restore_state(c.solver);
-  for (int k = 4; k < 10; ++k) resumed.solver().step();
-  const auto x_resumed = resumed.solver().gather_x();
-  std::vector<std::uint64_t> stats_resumed;
-  resumed.runtime().stats().save(stats_resumed);
-
-  EXPECT_EQ(x_resumed, x_ref);  // bitwise (vector<double> operator==)
-  EXPECT_EQ(stats_resumed, stats_ref);
-  EXPECT_EQ(resumed.runtime().epochs_completed(),
-            ref.runtime().epochs_completed());
-  EXPECT_EQ(resumed.runtime().model_time_seconds(),
-            ref.runtime().model_time_seconds());
-}
-
-TEST(RestoreContinuation, PlainBulkSynchronous) {
-  dist::DistRunOptions opt;
-  expect_restore_continuation_identical(opt, simmpi::BackendKind::kSequential);
-  expect_restore_continuation_identical(opt, simmpi::BackendKind::kThreadPool);
-}
-
-TEST(RestoreContinuation, WithAsyncDelivery) {
-  dist::DistRunOptions opt;
-  opt.async = true;  // in-flight deferred messages ride the checkpoint
-  expect_restore_continuation_identical(opt, simmpi::BackendKind::kSequential);
-  expect_restore_continuation_identical(opt, simmpi::BackendKind::kThreadPool);
-}
-
-TEST(RestoreContinuation, WithNodeTopologyRouting) {
-  dist::DistRunOptions opt;
-  opt.ranks_per_node = 2;
-  expect_restore_continuation_identical(opt, simmpi::BackendKind::kSequential);
-  expect_restore_continuation_identical(opt, simmpi::BackendKind::kThreadPool);
+  simmpi::Runtime target(2);
+  simmpi::AsyncDelivery delivery;
+  delivery.min_latency_epochs = 2;
+  delivery.max_latency_epochs = 2;
+  target.set_async_delivery(delivery);
+  target.put(1, 0, simmpi::MsgTag::kSolve, payload);
+  EXPECT_THROW(target.restore_state(cursors), util::CheckError);  // staged
+  target.fence();
+  ASSERT_EQ(target.delayed_in_flight(), 1u);
+  EXPECT_THROW(target.restore_state(cursors), util::CheckError);  // held
+  target.drain_delayed();
+  ASSERT_EQ(target.window(0).size(), 1u);
+  EXPECT_THROW(target.restore_state(cursors), util::CheckError);  // unread
+  target.consume(0);
+  target.restore_state(cursors);
+  EXPECT_EQ(target.epochs_completed(), source.epochs_completed());
+  EXPECT_EQ(target.model_time_seconds(), source.model_time_seconds());
+  std::vector<std::uint64_t> want, got;
+  source.stats().save(want);
+  target.stats().save(got);
+  EXPECT_EQ(got, want);
 }
 
 // ---------------------------------------------------------------------------
@@ -422,14 +427,6 @@ TEST(ElasticDriver, FaultFreeRunIsByteIdenticalToRunDistributed) {
   // No kills configured -> no kElastic events -> identical trace bytes.
   EXPECT_EQ(jsonl_bytes(er.run.trace_log, "t"),
             jsonl_bytes(plain.trace_log, "t"));
-
-  // Recovery disabled degenerates to run_distributed by construction.
-  elastic::RecoveryOptions off;
-  off.enabled = false;
-  auto er_off = elastic::run_elastic(dist::DistMethod::kDistributedSouthwell,
-                                     p.a, p.part, p.b, p.x0, opt, off);
-  EXPECT_EQ(er_off.checkpoints_taken, 0);
-  EXPECT_EQ(er_off.run.final_x, plain.final_x);
 
   // Both drivers apply the same observer-side stop rules (dist::StopRules),
   // so a run that one rule stops early stops at the same step, with the

@@ -227,7 +227,7 @@ const Pinned kPinned[] = {
     {"trace/bsp",
      {0xc95677bc0dde2b83ULL, 0xdbdbd2b948cc9baaULL, 0x8ac05f02a630b490ULL}},
     {"trace/elastic-kill",
-     {0xae89ee0897dde828ULL, 0xd4a2657074711f7dULL, 0x1a6ed7e2c9b1b0a5ULL}},
+     {0x2eb64336fbd4dde5ULL, 0x244bb3f458f65102ULL, 0x9159bff04f26d390ULL}},
     {"trace/faults",
      {0x6b5fdde9e84a4086ULL, 0xb49df336559c8a48ULL, 0xabc41e08c92e8657ULL}},
     {"trace/node-route",

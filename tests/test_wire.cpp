@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -220,6 +221,164 @@ TEST(Checksum64, SeqAndInnerLengthMoveTheEnvelopeChecksum) {
               std::bit_cast<std::uint64_t>(sealed))
         << "field " << field;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutations of the wire decoders: every mutant of a record, an
+// envelope or a tenant frame is either refused with a DecodeError or
+// decodes to a value that encodes back to exactly the mutant, word for
+// word — nothing crashes, nothing raises another check, nothing is read
+// past the payload, and no two payloads decode to the same value.
+
+std::vector<std::uint64_t> words_of(std::span<const double> v) {
+  std::vector<std::uint64_t> w(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    w[i] = std::bit_cast<std::uint64_t>(v[i]);
+  }
+  return w;
+}
+
+/// Run 2000 seeded mutants of `clean` — one to four bit flips, a
+/// truncation, or a splice of a run of the buffer over another place, in
+/// turn — through `judge`, which decodes a payload and returns its
+/// re-encoding. Every odd mutant passes through `reseal` first, so that
+/// checksums do not hide the parser behind them. Expects both outcomes.
+template <typename Judge, typename Reseal>
+void expect_mutants_never_misparse(const char* what,
+                                   const std::vector<double>& clean,
+                                   Judge judge, Reseal reseal) {
+  SCOPED_TRACE(what);
+  util::Rng rng(0x5eed'3173ULL);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  int rejected = 0, decoded = 0;
+  for (int t = 0; t < 2000; ++t) {
+    std::vector<double> m = clean;
+    switch (t / 2 % 3) {
+      case 0:  // one to four bit flips
+        for (std::size_t f = 0, flips = 1 + below(4); f < flips; ++f) {
+          double& d = m[below(m.size())];
+          d = std::bit_cast<double>(std::bit_cast<std::uint64_t>(d) ^
+                                    (1ULL << below(64)));
+        }
+        break;
+      case 1:  // truncation
+        m.resize(below(m.size()));
+        break;
+      case 2: {  // splice
+        const std::size_t from = below(m.size());
+        const std::size_t to = below(m.size());
+        const std::size_t len =
+            std::min({1 + below(8), m.size() - from, m.size() - to});
+        std::copy_n(clean.begin() + static_cast<std::ptrdiff_t>(from), len,
+                    m.begin() + static_cast<std::ptrdiff_t>(to));
+        break;
+      }
+    }
+    if (t % 2 == 1) reseal(m);
+    try {
+      const std::vector<double> again = judge(std::span<const double>(m));
+      ASSERT_EQ(words_of(again), words_of(m)) << "mutant " << t;
+      ++decoded;
+    } catch (const DecodeError&) {
+      ++rejected;
+    } catch (const CheckError& e) {
+      ADD_FAILURE() << "mutant " << t << " raised " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 300);
+  EXPECT_GT(decoded, 10);
+}
+
+TEST(WireCodec, SeededMutationsNeverMisparse) {
+  constexpr std::size_t nb = 5;
+  const auto no_reseal = [](std::vector<double>&) {};
+  const auto record_judge = [](Family family) {
+    return [family](std::span<const double> payload) {
+      const Record rec = decode_record(family, payload, nb);
+      std::vector<double> out(encoded_doubles(rec.type, nb));
+      const MutableRecord w =
+          begin_record(rec.type, rec.norm2, rec.gamma2, out, nb);
+      std::copy(rec.dx.begin(), rec.dx.end(), w.dx.begin());
+      std::copy(rec.rb.begin(), rec.rb.end(), w.rb.begin());
+      return out;
+    };
+  };
+  expect_mutants_never_misparse(
+      "DS SolveUpdate", encode(RecordType::kSolveUpdate, 0.5, 0.25, nb),
+      record_judge(Family::kEstimate), no_reseal);
+  expect_mutants_never_misparse(
+      "PS NormUpdate", encode(RecordType::kNormUpdate, 0.5, 0.0, nb),
+      record_judge(Family::kNorm), no_reseal);
+  expect_mutants_never_misparse(
+      "BJ GhostDelta", encode(RecordType::kGhostDelta, 0.0, 0.0, nb),
+      record_judge(Family::kDelta), no_reseal);
+
+  // A sealed envelope around a DS record, sequence number 0 (a channel's
+  // first); resealing stamps a fresh checksum wherever the magic survived.
+  const auto record = encode(RecordType::kSolveUpdate, 0.5, 0.25, nb);
+  std::vector<double> envelope(kEnvelopeDoubles + record.size());
+  const auto body = begin_envelope(envelope, /*seq=*/0);
+  std::copy(record.begin(), record.end(), body.begin());
+  seal_envelope(envelope);
+  expect_mutants_never_misparse(
+      "envelope", envelope,
+      [](std::span<const double> payload) {
+        const EnvelopeView v = decode_envelope(payload);
+        std::vector<double> out(kEnvelopeDoubles + v.body.size());
+        const auto b = begin_envelope(out, v.seq);
+        std::copy(v.body.begin(), v.body.end(), b.begin());
+        seal_envelope(out);
+        return out;
+      },
+      [](std::vector<double>& m) {
+        if (m.size() >= kEnvelopeDoubles &&
+            std::bit_cast<std::uint64_t>(m[0]) == kEnvelopeMagicBits) {
+          seal_envelope(m);
+        }
+      });
+
+  // A three-tenant frame: a bare DS record, the envelope, a PS record.
+  const auto ps = encode(RecordType::kNormUpdate, 0.75, 0.0, 2);
+  const TenantEntry entries[] = {{0, record}, {1, envelope}, {2, ps}};
+  const std::size_t lengths[] = {record.size(), envelope.size(), ps.size()};
+  std::vector<double> frame(tenant_frame_doubles(lengths));
+  encode_tenant_frame(entries, frame);
+  expect_mutants_never_misparse(
+      "tenant frame", frame,
+      [](std::span<const double> payload) {
+        std::vector<TenantEntry> got;
+        std::vector<std::size_t> lens;
+        for_each_tenant(payload, 3, [&](const TenantEntry& e) {
+          got.push_back(e);
+          lens.push_back(e.body.size());
+        });
+        std::vector<double> out(tenant_frame_doubles(lens));
+        encode_tenant_frame(got, out);
+        return out;
+      },
+      no_reseal);
+
+  // Signed zeros the mutants turn up: -0.0 == 0.0 as doubles, but no
+  // encoder writes it, so a discriminator, sequence number or tenant id
+  // holding it is refused rather than decoded as its positive twin.
+  auto neg_disc = encode(RecordType::kSolveUpdate, 0.5, 0.25, nb);
+  neg_disc[0] = -0.0;
+  EXPECT_THROW(decode_record(Family::kEstimate, neg_disc, nb), DecodeError);
+  auto neg_seq = envelope;
+  neg_seq[2] = -0.0;
+  seal_envelope(neg_seq);
+  EXPECT_THROW(decode_envelope(neg_seq), DecodeError);
+  auto neg_tenant = frame;
+  neg_tenant[kTenantHeaderDoubles] = -0.0;
+  EXPECT_THROW(for_each_tenant(neg_tenant, 3, [](const TenantEntry&) {}),
+               DecodeError);
+  // Nor does the decoder accept a sequence number begin_envelope refuses.
+  auto big_seq = envelope;
+  big_seq[2] = 0x1.0p53;
+  seal_envelope(big_seq);
+  EXPECT_THROW(decode_envelope(big_seq), DecodeError);
 }
 
 // ---------------------------------------------------------------------------
