@@ -1,8 +1,8 @@
 /// Google-benchmark microbenchmarks for the library's hot kernels: SpMV,
-/// the local Gauss–Seidel sweep, Sequential Southwell's heap-driven
-/// relaxation, graph coloring, partitioning, and one full parallel step of
-/// each distributed method, the wire codec and checksum, and the elastic
-/// checkpoint codec. These guard the constant factors the
+/// the local Gauss–Seidel sweep and residual norm, Sequential Southwell's
+/// heap-driven relaxation, graph coloring, partitioning, and one full
+/// parallel step of each distributed method, the wire codec and checksum,
+/// and the elastic checkpoint codec. These guard the constant factors the
 /// simulation's throughput depends on (all experiment "timings" come from
 /// the machine model, not from these).
 
@@ -60,6 +60,26 @@ void BM_LocalGsSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.rows());
 }
 BENCHMARK(BM_LocalGsSweep)->Arg(64)->Arg(256);
+
+// ‖r‖² of one rank's residual, at the per-rank sizes of bone010p P=256
+// (242 rows), ldoorp P=64 (893) and Emilia_923p P=16 (3690). The sum runs
+// in a fixed order, one dependent add per row, so it is latency-bound;
+// the solvers read it through DistStationarySolver's per-rank cache.
+void BM_NormSq(benchmark::State& state) {
+  std::vector<double> r(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(3);
+  rng.fill_uniform(r, -1.0, 1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::norm_sq(r));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  // Seconds per row: the counter reads e.g. "800ps" for 0.8 ns a row.
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(state.range(0)),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_NormSq)->Arg(242)->Arg(893)->Arg(3690);
 
 void BM_SequentialSouthwellSweep(benchmark::State& state) {
   const auto dim = static_cast<sparse::index_t>(state.range(0));

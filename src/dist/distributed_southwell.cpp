@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "kernels/kernels.hpp"
 #include "util/error.hpp"
 
 namespace dsouth::dist {
@@ -17,7 +16,6 @@ DistributedSouthwell::DistributedSouthwell(
   gamma2_.resize(static_cast<std::size_t>(nranks));
   gtilde2_.resize(static_cast<std::size_t>(nranks));
   ghost_.resize(static_cast<std::size_t>(nranks));
-  dz_scratch_.resize(static_cast<std::size_t>(nranks));
   corrections_sent_.assign(static_cast<std::size_t>(nranks), 0);
   deferred_sends_.assign(static_cast<std::size_t>(nranks), 0);
   if (auto* tracer = rt.tracer()) {
@@ -39,12 +37,8 @@ DistributedSouthwell::DistributedSouthwell(
     }
   }
   // Setup exchange (Alg. 3 lines 5-9): exact norms, exact ghost layers,
-  // and consistent Γ̃ (everyone knows everyone's true norm at k=0).
-  std::vector<value_t> norms2(static_cast<std::size_t>(nranks));
-  for (int p = 0; p < nranks; ++p) {
-    norms2[static_cast<std::size_t>(p)] =
-        kernels::norm_sq(r_[static_cast<std::size_t>(p)]);
-  }
+  // and consistent Γ̃ (everyone knows everyone's true norm at k=0). The
+  // norm reads seed every rank's cache.
   for (int p = 0; p < nranks; ++p) {
     const RankData& rd = layout.rank(p);
     const auto up = static_cast<std::size_t>(p);
@@ -53,8 +47,8 @@ DistributedSouthwell::DistributedSouthwell(
     ghost_[up].resize(rd.neighbors.size());
     for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
       const auto& nb = rd.neighbors[k];
-      gamma2_[up][k] = norms2[static_cast<std::size_t>(nb.rank)];
-      gtilde2_[up][k] = norms2[up];
+      gamma2_[up][k] = local_norm_sq(nb.rank);
+      gtilde2_[up][k] = local_norm_sq(p);
       auto& z = ghost_[up][k];
       z.resize(nb.ghost_rows.size());
       for (std::size_t g = 0; g < nb.ghost_rows.size(); ++g) {
@@ -87,7 +81,7 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0) return;
   const auto up = static_cast<std::size_t>(p);
-  const value_t norm2 = kernels::norm_sq(r_[up]);
+  const value_t norm2 = local_norm_sq(p);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
   if (norm2 <= 0.0) return;
   for (value_t g : gamma2_[up]) {
@@ -99,22 +93,28 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   const auto dx_full = relax_subdomain(ctx, p);
   const auto xs = boundary_x_source(p, dx_full);
   const auto& rp = r_[up];
-  const value_t norm2_new = kernels::norm_sq(rp);
-  auto& dz = dz_scratch_[up];
+  const value_t norm2_new = local_norm_sq(p);
   auto& ch = channels_[up];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
     const auto& nb = rd.neighbors[k];
     // Local estimate maintenance: z_q -= a_qp · Δx_p, and fold the ghost
-    // change into the Γ[q] estimate (all with local data only).
+    // change into the Γ[q] estimate (all with local data only), in one
+    // pass. Each row product sums from 0.0 in stored order, exactly as
+    // CsrMatrix::spmv does.
     if (opt_.enable_local_estimates) {
       auto& z = ghost_[up][k];
-      dz.assign(z.size(), 0.0);
-      nb.a_qp.spmv(dx_full, dz);
+      const auto row_ptr = nb.a_qp.row_ptr();
+      const auto col_idx = nb.a_qp.col_idx();
+      const auto vals = nb.a_qp.values();
       ctx.add_flops(2.0 * static_cast<double>(nb.a_qp.nnz()));
       value_t old_sq = 0.0, new_sq = 0.0;
       for (std::size_t g = 0; g < z.size(); ++g) {
+        value_t dz = 0.0;
+        for (index_t j = row_ptr[g]; j < row_ptr[g + 1]; ++j) {
+          dz += vals[j] * dx_full[static_cast<std::size_t>(col_idx[j])];
+        }
         old_sq += z[g] * z[g];
-        z[g] -= dz[g];
+        z[g] -= dz;
         new_sq += z[g] * z[g];
       }
       gamma2_[up][k] =
@@ -165,7 +165,7 @@ void DistributedSouthwell::rank_correct(simmpi::RankContext& ctx, int p,
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0 || rd.neighbors.empty()) return;
   const auto up = static_cast<std::size_t>(p);
-  const value_t norm2 = kernels::norm_sq(r_[up]);
+  const value_t norm2 = local_norm_sq(p);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
   const auto& rp = r_[up];
   auto& ch = channels_[up];

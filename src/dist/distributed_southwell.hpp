@@ -111,9 +111,6 @@ class DistributedSouthwell final : public DistStationarySolver {
   std::vector<std::vector<value_t>> gamma2_;   // per rank/neighbor: ‖r_q‖² est
   std::vector<std::vector<value_t>> gtilde2_;  // per rank/neighbor: their est of me
   std::vector<std::vector<std::vector<value_t>>> ghost_;  // z_q layers
-  // Per-rank Δz scratch for the local ghost-layer updates (reused across
-  // neighbors and steps so the relax hot path never allocates).
-  std::vector<std::vector<value_t>> dz_scratch_;
   // send_threshold extension: per rank/neighbor accumulated unsent Δx
   // (aligned with send_rows_local).
   std::vector<std::vector<std::vector<value_t>>> pending_dx_;

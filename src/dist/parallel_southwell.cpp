@@ -1,6 +1,5 @@
 #include "dist/parallel_southwell.hpp"
 
-#include "kernels/kernels.hpp"
 #include "util/error.hpp"
 
 namespace dsouth::dist {
@@ -16,9 +15,9 @@ ParallelSouthwell::ParallelSouthwell(const DistLayout& layout,
   gamma2_.resize(static_cast<std::size_t>(nranks));
   advertised2_.resize(static_cast<std::size_t>(nranks));
   // Setup exchange: neighbors start with exact knowledge (Alg. 2 line 5).
+  // The norm reads seed every rank's cache.
   for (int p = 0; p < nranks; ++p) {
-    advertised2_[static_cast<std::size_t>(p)] =
-        kernels::norm_sq(r_[static_cast<std::size_t>(p)]);
+    advertised2_[static_cast<std::size_t>(p)] = local_norm_sq(p);
   }
   for (int p = 0; p < nranks; ++p) {
     const RankData& rd = layout.rank(p);
@@ -34,7 +33,7 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0) return;
   const auto up = static_cast<std::size_t>(p);
-  const value_t norm2 = kernels::norm_sq(r_[up]);
+  const value_t norm2 = local_norm_sq(p);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
   if (norm2 <= 0.0) return;
   for (value_t g : gamma2_[up]) {
@@ -42,7 +41,7 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   }
 
   const auto dx = relax_subdomain(ctx, p);
-  const value_t norm2_new = kernels::norm_sq(r_[up]);
+  const value_t norm2_new = local_norm_sq(p);
   advertised2_[up] = norm2_new;
   auto& ch = channels_[up];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
@@ -59,7 +58,7 @@ void ParallelSouthwell::rank_residual_update(simmpi::RankContext& ctx,
   const RankData& rd = layout_->rank(p);
   if (rd.num_rows() == 0 || rd.neighbors.empty()) return;
   const auto up = static_cast<std::size_t>(p);
-  const value_t norm2 = kernels::norm_sq(r_[up]);
+  const value_t norm2 = local_norm_sq(p);
   ctx.add_flops(2.0 * static_cast<double>(rd.num_rows()));
   const bool norm_changed = norm2 != advertised2_[up];
   auto& ch = channels_[up];

@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "kernels/kernels.hpp"
 #include "util/error.hpp"
 
 namespace dsouth::dist {
+
+namespace {
+
+/// The stale mark of a norm2_ slot (norm_sq never returns NaN for a
+/// finite residual).
+constexpr value_t kStaleNorm = std::numeric_limits<value_t>::quiet_NaN();
+
+}  // namespace
 
 void subtract_a_times_x_local(const DistLayout& layout,
                               const std::vector<std::vector<value_t>>& x,
@@ -47,6 +56,7 @@ DistStationarySolver::DistStationarySolver(const DistLayout& layout,
   // read neighbor x directly).
   r_ = layout.scatter(b);
   const auto nranks = static_cast<std::size_t>(layout.num_ranks());
+  norm2_.assign(nranks, kStaleNorm);
   scratch_.resize(nranks);
   rank_stats_.resize(nranks);
   channels_.reserve(nranks);
@@ -67,12 +77,17 @@ DistStationarySolver::DistStationarySolver(const DistLayout& layout,
   }
 }
 
+value_t DistStationarySolver::local_norm_sq(int p) {
+  value_t& n2 = norm2_[static_cast<std::size_t>(p)];
+  if (std::isnan(n2)) n2 = kernels::norm_sq(r_[static_cast<std::size_t>(p)]);
+  return n2;
+}
+
 void DistStationarySolver::trace_relax(simmpi::RankContext& ctx,
                                        index_t rows) {
   if (!ctx.tracing()) return;
-  const auto& rp = r_[static_cast<std::size_t>(ctx.rank())];
   ctx.trace_event(trace::EventKind::kRelax, static_cast<double>(rows),
-                  kernels::norm_sq(rp));
+                  local_norm_sq(ctx.rank()));
   ctx.metric_add(m_relaxed_rows_, static_cast<double>(rows));
   ctx.metric_add(m_rank_relaxations_, 1.0);
 }
@@ -87,6 +102,7 @@ std::span<const value_t> DistStationarySolver::relax_subdomain(
     dx[static_cast<std::size_t>(li)] = xp[static_cast<std::size_t>(li)];
   }
   ctx.add_flops(kernels::gs_sweep(rd.a_local, xp, r_[up]));
+  norm2_[up] = kStaleNorm;
   ++rank_stats_[up].active_ranks;
   rank_stats_[up].relaxations += rd.num_rows();
   trace_relax(ctx, rd.num_rows());
@@ -111,7 +127,9 @@ void DistStationarySolver::trace_absorb(simmpi::RankContext& ctx) {
 
 double DistStationarySolver::global_residual_norm() const {
   double sum = 0.0;
-  for (const auto& rp : r_) sum += kernels::norm_sq(rp);
+  for (std::size_t p = 0; p < r_.size(); ++p) {
+    sum += std::isnan(norm2_[p]) ? kernels::norm_sq(r_[p]) : norm2_[p];
+  }
   return std::sqrt(sum);
 }
 
@@ -333,7 +351,9 @@ DistStepStats DistStationarySolver::merge_rank_stats() {
 void DistStationarySolver::apply_incoming_delta(simmpi::RankContext& ctx,
                                                 const NeighborBlock& nb,
                                                 std::span<const double> dx) {
-  nb.subtract_coupling(dx, r_[static_cast<std::size_t>(ctx.rank())]);
+  const auto up = static_cast<std::size_t>(ctx.rank());
+  nb.subtract_coupling(dx, r_[up]);
+  norm2_[up] = kStaleNorm;
   ctx.add_flops(2.0 * static_cast<double>(nb.a_pq.nnz()));
 }
 

@@ -8,13 +8,14 @@
 ///
 /// SPMD structure: a step's work is decomposed into per-rank phases —
 /// `rank_*`(RankContext&, p) member functions that touch only rank-p state
-/// (x_[p], r_[p], scratch_[p], the solver's per-rank estimate arrays) plus
-/// the rank-scoped runtime facade. `for_each_rank` hands those phases to
-/// the solver's ExecutionBackend, so the same phase code runs sequentially
-/// or on a thread pool with bit-identical results (the runtime merges
-/// staged effects deterministically at the fence). Ranks never read each
-/// other's arrays except through simmpi messages; the tests enforce the
-/// convergence consequences of that discipline.
+/// (x_[p], r_[p], the cached ‖r_p‖² norm2_[p], scratch_[p], the solver's
+/// per-rank estimate arrays) plus the rank-scoped runtime facade.
+/// `for_each_rank` hands those phases to the solver's ExecutionBackend, so
+/// the same phase code runs sequentially or on a thread pool with
+/// bit-identical results (the runtime merges staged effects
+/// deterministically at the fence). Ranks never read each other's arrays
+/// except through simmpi messages; the tests enforce the convergence
+/// consequences of that discipline.
 
 #include <cstdint>
 #include <functional>
@@ -225,8 +226,11 @@ class DistStationarySolver {
   SolverState capture_state() const;
   // ------------------------------------------------------------------------
 
-  /// Observer-side exact global residual norm (gathers local residuals;
-  /// local residuals are exact by construction in all three methods).
+  /// Observer-side exact global residual norm: the square root of the
+  /// per-rank ‖r_p‖², summed in rank order (local residuals are exact by
+  /// construction in every method). Reads each rank's cached norm; a
+  /// stale one is computed without being stored, so this stays const and
+  /// may run between steps only.
   double global_residual_norm() const;
 
   /// Observer-side gather of the current iterate.
@@ -252,26 +256,35 @@ class DistStationarySolver {
   virtual void absorb_record(int /*p*/, std::size_t /*nbi*/,
                              const wire::Record& /*rec*/) {}
 
+  /// Rank p's ‖r_p‖²: kernels::norm_sq(r_[p]), computed on the first read
+  /// after r_[p] changed and reused until it changes again. Only
+  /// relax_subdomain's sweep and apply_incoming_delta write r_[p] after
+  /// construction, and each marks the slot stale, so every read returns
+  /// norm_sq over the current bits of r_[p]. Call from rank p's phase (or
+  /// set-up).
+  value_t local_norm_sq(int p);
+
   /// Observability hook (docs/observability.md; trace_absorb above is its
-  /// public sibling). An inlined no-op on untraced runs and never touches
+  /// public sibling). An inlined no-op on untraced runs and never changes
   /// the simulation state, so enabling tracing cannot change results.
   ///
   /// Record that rank `ctx.rank()` relaxed `rows` rows this epoch: emits a
-  /// kRelax event (a0 = rows, a1 = the rank's new local ‖r‖² — computed
-  /// here, observer-side, only when tracing) and bumps the
+  /// kRelax event (a0 = rows, a1 = the rank's new local ‖r‖², read through
+  /// local_norm_sq — filling the cache with the value the solver's next
+  /// read would compute) and bumps the
   /// "solver.relaxed_rows"/"solver.rank_relaxations" counters.
   void trace_relax(simmpi::RankContext& ctx, index_t rows);
 
   /// Relax rank p's (nonempty) subdomain with one Gauss–Seidel sweep — the
   /// relax step every solver shares: snapshot x on the rank's
-  /// boundary_rows, sweep, charge the sweep's flops, count the relaxation,
-  /// trace_relax. Returns scratch_[p] holding Δx at every boundary row
-  /// (indexed by local row; other entries are stale), which is all a send
-  /// loop or an a_qp product reads.
+  /// boundary_rows, sweep, mark ‖r_p‖² stale, charge the sweep's flops,
+  /// count the relaxation, trace_relax. Returns scratch_[p] holding Δx at
+  /// every boundary row (indexed by local row; other entries are stale),
+  /// which is all a send loop or an a_qp product reads.
   std::span<const value_t> relax_subdomain(simmpi::RankContext& ctx, int p);
 
-  /// r_p -= a_pq · Δx_q and charge the flops; dx is ordered by the
-  /// neighbor's ghost_rows channel convention.
+  /// r_p -= a_pq · Δx_q, mark ‖r_p‖² stale and charge the flops; dx is
+  /// ordered by the neighbor's ghost_rows channel convention.
   void apply_incoming_delta(simmpi::RankContext& ctx, const NeighborBlock& nb,
                             std::span<const double> dx);
 
@@ -355,6 +368,10 @@ class DistStationarySolver {
   const DistLayout* layout_;
   simmpi::Runtime* rt_;
   std::vector<std::vector<value_t>> x_, r_;
+  /// Per-rank cached ‖r_p‖² (local_norm_sq); NaN marks a slot stale, so a
+  /// non-finite residual whose norm is NaN recomputes on every read. One
+  /// double per rank, written only by rank p's phase.
+  std::vector<value_t> norm2_;
   /// Per-rank wire channels over the layout's CommPlan (channel index k ==
   /// neighbor index k). Each rank phase may touch only its own slot.
   std::vector<wire::ChannelSet> channels_;

@@ -30,7 +30,11 @@ double gs_sweep(const CsrMatrix& a_local, std::span<value_t> x,
                 std::span<value_t> r);
 
 /// Squared 2-norm of the local residual (the quantity the Southwell
-/// methods exchange; squared to avoid needless square roots).
+/// methods exchange; squared to avoid needless square roots). The sum
+/// runs in a fixed order, one accumulator from 0.0, so runs are
+/// bit-reproducible; that makes it latency-bound (one dependent add per
+/// row), and the distributed solvers read it through
+/// DistStationarySolver's per-rank cache, once per change of r.
 value_t norm_sq(std::span<const value_t> r);
 
 }  // namespace dsouth::kernels
