@@ -1,10 +1,10 @@
 /// Google-benchmark microbenchmarks for the library's hot kernels: SpMV,
 /// the local Gauss–Seidel sweep and residual norm, Sequential Southwell's
-/// heap-driven relaxation, graph coloring, partitioning, and one full
-/// parallel step of each distributed method, the wire codec and checksum,
-/// and the elastic checkpoint codec. These guard the constant factors the
-/// simulation's throughput depends on (all experiment "timings" come from
-/// the machine model, not from these).
+/// heap-driven relaxation, graph coloring, partitioning, the distributed
+/// layout build, one full parallel step of each distributed method, the
+/// wire codec and checksum, and the elastic checkpoint codec. These guard
+/// the constant factors the simulation's throughput depends on (all
+/// experiment "timings" come from the machine model, not from these).
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +20,7 @@
 #include "kernels/kernels.hpp"
 #include "graph/coloring.hpp"
 #include "graph/partition.hpp"
+#include "sparse/proxy_suite.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/stencils.hpp"
 #include "util/indexed_heap.hpp"
@@ -138,6 +139,25 @@ void BM_PartitionBisection(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_vertices());
 }
 BENCHMARK(BM_PartitionBisection)->Arg(64)->Arg(128);
+
+// One DistLayout build at the elastic-ldoor-p64 shape (ldoorp, P = 64;
+// run_elastic builds three inside each solve) and the ds-bone-p256 shape
+// (bone010p, P = 256). Matrix and partition are made once, outside the
+// timed loop.
+void BM_DistLayout(benchmark::State& state, const char* matrix, int procs) {
+  const auto a = sparse::make_proxy(matrix, 1.0).a;
+  const auto part = graph::partition_recursive_bisection(
+      graph::Graph::from_matrix_structure(a), procs);
+  for (auto _ : state) {
+    const dist::DistLayout layout(a, part);
+    benchmark::DoNotOptimize(layout.rank(0).a_local.nnz());
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK_CAPTURE(BM_DistLayout, ldoorp_p64, "ldoorp", 64)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DistLayout, bone010p_p256, "bone010p", 256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DistStep(benchmark::State& state) {
   const auto method = static_cast<dist::DistMethod>(state.range(0));

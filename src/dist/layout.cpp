@@ -1,8 +1,8 @@
 #include "dist/layout.hpp"
 
 #include <algorithm>
+#include <numeric>
 
-#include "sparse/coo.hpp"
 #include "util/error.hpp"
 
 namespace dsouth::dist {
@@ -32,28 +32,6 @@ void NeighborBlock::subtract_coupling(std::span<const value_t> x_q,
   }
 }
 
-namespace {
-
-/// a_pqᵀ with its columns mapped from boundary-row index to local row
-/// (the map is ascending, so rows stay sorted). Local rows lie below
-/// local_rows, which the local block's own row count bounds, so each
-/// mapped column fits csr_index_t.
-CsrMatrix transpose_to_local_cols(const CsrMatrix& a_pq,
-                                  std::span<const index_t> send_rows_local,
-                                  index_t local_rows) {
-  const CsrMatrix t = a_pq.transpose();
-  std::vector<sparse::csr_index_t> cols(t.col_idx().size());
-  for (std::size_t k = 0; k < cols.size(); ++k) {
-    cols[k] = static_cast<sparse::csr_index_t>(
-        send_rows_local[static_cast<std::size_t>(t.col_idx()[k])]);
-  }
-  return CsrMatrix(t.rows(), local_rows,
-                   {t.row_ptr().begin(), t.row_ptr().end()}, std::move(cols),
-                   {t.values().begin(), t.values().end()});
-}
-
-}  // namespace
-
 DistLayout::DistLayout(const CsrMatrix& a, const graph::Partition& partition) {
   DSOUTH_CHECK(a.rows() == a.cols());
   DSOUTH_CHECK(partition.is_valid(a.rows()));
@@ -72,16 +50,29 @@ DistLayout::DistLayout(const CsrMatrix& a, const graph::Partition& partition) {
     rows.push_back(i);  // ascending because i ascends
   }
 
-  // Per-rank assembly. Collect local-block entries and per-neighbor
-  // coupling entries in one pass over the owned rows. slot[q] indexes
-  // rank p's neighbor q in `nbs` while p is being built (-1 otherwise).
+  // slot[q] indexes rank p's neighbor q in `nbs` while p's pass 1 runs (-1
+  // otherwise). col_map is -1 outside the one cut that is using it.
   std::vector<int> slot(static_cast<std::size_t>(num_parts), -1);
+  std::vector<index_t> col_map(static_cast<std::size_t>(n_), -1);
+  // A(rows_sel, cols) for ascending global cols: column cols[k] becomes
+  // block column k. The map ascends, so each row keeps A's entry order.
+  const auto cut = [&a, &col_map](std::span<const index_t> rows_sel,
+                                  std::span<const index_t> cols) {
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      col_map[static_cast<std::size_t>(cols[k])] = static_cast<index_t>(k);
+    }
+    CsrMatrix block =
+        a.extract(rows_sel, col_map, static_cast<index_t>(cols.size()));
+    for (const index_t j : cols) col_map[static_cast<std::size_t>(j)] = -1;
+    return block;
+  };
+  std::vector<index_t> cut_rows;  // one coupling block's rows, in A or a_pqᵀ
   for (int p = 0; p < num_parts; ++p) {
     RankData& rd = ranks_[static_cast<std::size_t>(p)];
     const auto m = static_cast<index_t>(rd.rows.size());
 
-    // Pass 1: discover neighbor ranks, their coupled (ghost) rows, and p's
-    // boundary rows toward each (ascending because li ascends).
+    // Pass 1: discover neighbor ranks, their coupled (ghost) rows, p's
+    // rows coupled to each and to any (ascending because li ascends).
     std::vector<NeighborBlock>& nbs = rd.neighbors;
     for (index_t li = 0; li < m; ++li) {
       const index_t gi = rd.rows[static_cast<std::size_t>(li)];
@@ -97,79 +88,72 @@ DistLayout::DistLayout(const CsrMatrix& a, const graph::Partition& partition) {
         nb.ghost_rows.push_back(gj);
         auto& sr = nb.send_rows_local;
         if (sr.empty() || sr.back() != li) sr.push_back(li);
+        auto& br = rd.boundary_rows;
+        if (br.empty() || br.back() != li) br.push_back(li);
       }
     }
+    for (const auto& nb : nbs) slot[static_cast<std::size_t>(nb.rank)] = -1;
     std::sort(nbs.begin(), nbs.end(),
               [](const NeighborBlock& x, const NeighborBlock& y) {
                 return x.rank < y.rank;
               });
-    for (std::size_t k = 0; k < nbs.size(); ++k) {
-      slot[static_cast<std::size_t>(nbs[k].rank)] = static_cast<int>(k);
-      auto& ghosts = nbs[k].ghost_rows;
+
+    // Pass 2: cut the blocks.
+    rd.a_local = cut(rd.rows, rd.rows);
+    for (auto& nb : nbs) {
+      auto& ghosts = nb.ghost_rows;
       std::sort(ghosts.begin(), ghosts.end());
       ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
-    }
-
-    // Pass 2: build the local block and the per-neighbor a_pq blocks over
-    // p's boundary rows toward q.
-    sparse::CooBuilder local(m, m);
-    std::vector<sparse::CooBuilder> pq;  // per neighbor, same order as nbs
-    pq.reserve(nbs.size());
-    for (const auto& nb : nbs) {
-      pq.emplace_back(static_cast<index_t>(nb.send_rows_local.size()),
-                      static_cast<index_t>(nb.ghost_rows.size()));
-    }
-    for (index_t li = 0; li < m; ++li) {
-      const index_t gi = rd.rows[static_cast<std::size_t>(li)];
-      auto cols = a.row_cols(gi);
-      auto vals = a.row_vals(gi);
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        const index_t gj = cols[k];
-        const int q = rank_of_[static_cast<std::size_t>(gj)];
-        if (q == p) {
-          local.add(li, local_of_[static_cast<std::size_t>(gj)], vals[k]);
-          continue;
-        }
-        const auto n =
-            static_cast<std::size_t>(slot[static_cast<std::size_t>(q)]);
-        const auto& ghosts = nbs[n].ghost_rows;
-        const auto g = std::lower_bound(ghosts.begin(), ghosts.end(), gj);
-        DSOUTH_ASSERT(g != ghosts.end() && *g == gj);
-        const auto& sr = nbs[n].send_rows_local;
-        const auto s = std::lower_bound(sr.begin(), sr.end(), li);
-        DSOUTH_ASSERT(s != sr.end() && *s == li);
-        pq[n].add(s - sr.begin(), g - ghosts.begin(), vals[k]);
+      cut_rows.clear();
+      for (const index_t li : nb.send_rows_local) {
+        cut_rows.push_back(rd.rows[static_cast<std::size_t>(li)]);
       }
+      nb.a_pq = cut(cut_rows, ghosts);
+      // a_qp = a_pqᵀ, its columns mapped from boundary-row index to local
+      // row through send_rows_local.
+      cut_rows.resize(ghosts.size());
+      std::iota(cut_rows.begin(), cut_rows.end(), index_t{0});
+      nb.a_qp = nb.a_pq.transpose().extract(cut_rows, nb.send_rows_local, m);
     }
-
-    rd.a_local = local.to_csr();
-    for (std::size_t k = 0; k < nbs.size(); ++k) {
-      auto& nb = nbs[k];
-      nb.a_pq = pq[k].to_csr();
-      nb.a_qp = transpose_to_local_cols(nb.a_pq, nb.send_rows_local, m);
-      rd.boundary_rows.insert(rd.boundary_rows.end(),
-                              nb.send_rows_local.begin(),
-                              nb.send_rows_local.end());
-      slot[static_cast<std::size_t>(nb.rank)] = -1;
-    }
-    std::sort(rd.boundary_rows.begin(), rd.boundary_rows.end());
-    rd.boundary_rows.erase(
-        std::unique(rd.boundary_rows.begin(), rd.boundary_rows.end()),
-        rd.boundary_rows.end());
   }
 
   // Derive the wire CommPlan from the neighbor blocks, one Peer per
   // NeighborBlock in the same (ascending-rank) order so solvers can index
-  // channels and neighbors with the same k.
+  // channels and neighbors with the same k. Each channel's two ends must
+  // agree on its rows and entries, which structural symmetry guarantees.
   std::vector<std::vector<wire::CommPlan::Peer>> peers(ranks_.size());
   for (std::size_t p = 0; p < ranks_.size(); ++p) {
     peers[p].reserve(ranks_[p].neighbors.size());
     for (const auto& nb : ranks_[p].neighbors) {
+      DSOUTH_CHECK_MSG(mirrored(static_cast<int>(p), nb),
+                       "DistLayout: the matrix is not structurally symmetric "
+                       "between rank " << p << " and rank " << nb.rank);
       peers[p].emplace_back(nb.rank, nb.send_rows_local.size(),
                             nb.ghost_rows.size());
     }
   }
   plan_ = wire::CommPlan(std::move(peers));
+}
+
+bool DistLayout::mirrored(int p, const NeighborBlock& nb) const {
+  const RankData& qd = ranks_[static_cast<std::size_t>(nb.rank)];
+  const int back = qd.neighbor_index(p);
+  if (back < 0) return false;
+  const NeighborBlock& qnb = qd.neighbors[static_cast<std::size_t>(back)];
+  const auto& rows = ranks_[static_cast<std::size_t>(p)].rows;
+  const auto& send = nb.send_rows_local;
+  const auto global = [&rows](index_t li) {
+    return rows[static_cast<std::size_t>(li)];
+  };
+  // q's block toward p has a_qp's pattern; a_qp names p's rows by local
+  // index, q's block by position in send_rows_local.
+  const auto local = [&send](sparse::csr_index_t s) {
+    const auto k = static_cast<std::size_t>(s);
+    return k < send.size() ? send[k] : index_t{-1};
+  };
+  return std::ranges::equal(qnb.ghost_rows, send, {}, {}, global) &&
+         std::ranges::equal(qnb.a_pq.row_ptr(), nb.a_qp.row_ptr()) &&
+         std::ranges::equal(qnb.a_pq.col_idx(), nb.a_qp.col_idx(), {}, local);
 }
 
 const RankData& DistLayout::rank(int p) const {
@@ -232,6 +216,17 @@ bool DistLayout::validate(const CsrMatrix& a) const {
       return false;
     }
     block_nnz += rd.a_local.nnz();
+    // a_local's values match A.
+    for (index_t li = 0; li < rd.num_rows(); ++li) {
+      auto cols = rd.a_local.row_cols(li);
+      auto vals = rd.a_local.row_vals(li);
+      const index_t gi = rd.rows[static_cast<std::size_t>(li)];
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        if (cols[k] < 0 || cols[k] >= rd.num_rows()) return false;
+        const index_t gj = rd.rows[static_cast<std::size_t>(cols[k])];
+        if (a.at(gi, gj) != vals[k]) return false;
+      }
+    }
     std::vector<char> boundary(rd.rows.size(), 0);
     for (const auto& nb : rd.neighbors) {
       if (nb.rank == p || nb.rank < 0 || nb.rank >= num_ranks()) return false;
@@ -249,18 +244,7 @@ bool DistLayout::validate(const CsrMatrix& a) const {
         if (s > 0 && li <= nb.send_rows_local[s - 1]) return false;
         boundary[static_cast<std::size_t>(li)] = 1;
       }
-      // Mirrored channel lists: q's send rows == p's ghost rows for q.
-      const RankData& qd = rank(nb.rank);
-      const int back = qd.neighbor_index(p);
-      if (back < 0) return false;
-      const auto& qnb = qd.neighbors[static_cast<std::size_t>(back)];
-      if (qnb.ghost_rows.size() != nb.send_rows_local.size()) return false;
-      for (std::size_t k = 0; k < nb.send_rows_local.size(); ++k) {
-        if (qnb.ghost_rows[k] !=
-            rd.rows[static_cast<std::size_t>(nb.send_rows_local[k])]) {
-          return false;
-        }
-      }
+      if (!mirrored(p, nb)) return false;
       // Every stored a_pq row is a coupled row (nonempty), its values match
       // A, and a_qp holds the same entry transposed under the row map.
       for (index_t s = 0; s < nb.a_pq.rows(); ++s) {

@@ -79,7 +79,9 @@ struct RankData {
 class DistLayout {
  public:
   /// Requires a square, structurally symmetric matrix and a valid partition
-  /// of its rows. Empty parts are allowed (their ranks just idle).
+  /// of its rows; throws CheckError, naming the two ranks, where the
+  /// coupling blocks of a neighbor pair are not each other's transpose in
+  /// structure. Empty parts are allowed (their ranks just idle).
   DistLayout(const CsrMatrix& a, const graph::Partition& partition);
 
   int num_ranks() const { return static_cast<int>(ranks_.size()); }
@@ -98,9 +100,9 @@ class DistLayout {
       const std::vector<std::vector<value_t>>& local) const;
 
   /// Structural self-check (used by tests): row ownership, block
-  /// dimensions, mirrored ghost/send lists, a_pq values against A,
-  /// a_qp == a_pqᵀ under the send_rows_local row map, the blocks'
-  /// nonzeros partitioning A, and boundary_rows.
+  /// dimensions, mirrored ghost/send lists, a_local and a_pq values
+  /// against A, a_qp == a_pqᵀ under the send_rows_local row map, the
+  /// blocks' nonzeros partitioning A, and boundary_rows.
   bool validate(const CsrMatrix& a) const;
 
   /// The wire-level communication plan precomputed from the neighbor
@@ -111,6 +113,10 @@ class DistLayout {
   const wire::CommPlan& comm_plan() const { return plan_; }
 
  private:
+  /// q = nb.rank's ghost rows for p are p's send rows toward q, in order,
+  /// and q's a_pq toward p has the pattern of nb.a_qp.
+  bool mirrored(int p, const NeighborBlock& nb) const;
+
   index_t n_ = 0;
   std::vector<RankData> ranks_;
   wire::CommPlan plan_;

@@ -152,8 +152,7 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
         if (ev.detected_step == detected_step) ev.resumed_step = c.step;
       }
 
-      part = graph::repartition_after_failure(g, part, dead_parts,
-                                              rec.repartition);
+      part = graph::repartition_after_failure(g, part, dead_parts);
       // Fresh generation: destroy the harness BEFORE its layout, then
       // rebuild both over the new partition, seeding the solver with the
       // checkpointed iterate (residuals are re-derived exactly, estimates

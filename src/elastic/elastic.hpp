@@ -57,8 +57,6 @@ struct RecoveryOptions {
   /// must match the *current* partition generation); this period paces the
   /// ones in between. 0 keeps only those mandatory checkpoints.
   index_t checkpoint_every = 8;
-  /// Partition-refinement knobs for the post-failure FM polish.
-  graph::PartitionOptions repartition{};
 };
 
 /// One detected death and the recovery that followed.

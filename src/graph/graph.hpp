@@ -3,7 +3,7 @@
 /// \file graph.hpp
 /// Undirected adjacency graphs derived from sparse-matrix structure.
 /// Substrate for multicoloring (Multicolor Gauss–Seidel), partitioning
-/// (replaces METIS) and the distributed layout's neighbor discovery.
+/// (replaces METIS) and repartitioning after a rank failure.
 
 #include <span>
 #include <vector>

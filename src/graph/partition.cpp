@@ -53,6 +53,18 @@ PartitionQuality evaluate_partition(const Graph& g, const Partition& p) {
 
 namespace {
 
+/// FM refinement passes per bisection.
+constexpr int kFmPasses = 2;
+/// A pass aborts after this many consecutive non-improving moves (bounds
+/// FM cost on large subdomains; classic FM would move every vertex once).
+constexpr int kFmNegativeStreakLimit = 100;
+/// Allowed deviation of each side from its target size, as a fraction (at
+/// least one vertex of slack is always allowed). Kept tight because
+/// per-level drift compounds down the bisection tree: 0.005 yields final
+/// imbalance ≈ 1.25 at 8192 parts on mesh graphs, vs ≈ 1.9 at 0.03, at ≈ 2%
+/// extra edge cut.
+constexpr double kBalanceTolerance = 0.005;
+
 /// State for one bisection over a vertex subset of the global graph.
 /// Local indices index into `verts`.
 struct Bisection {
@@ -176,11 +188,10 @@ struct Bisection {
 
   /// One bounded FM pass. Side-0 size is kept within [min_size0, max_size0]
   /// ∩ [target0 - slack, target0 + slack]. Returns true if the cut improved.
-  bool fm_pass(index_t target0, index_t min_size0, index_t max_size0,
-               const PartitionOptions& opt) {
+  bool fm_pass(index_t target0, index_t min_size0, index_t max_size0) {
     const auto n_local = static_cast<index_t>(verts.size());
     const auto slack = std::max<index_t>(
-        1, static_cast<index_t>(std::ceil(opt.balance_tolerance *
+        1, static_cast<index_t>(std::ceil(kBalanceTolerance *
                                           static_cast<double>(n_local))));
     const index_t lo = std::max(min_size0, target0 - slack);
     const index_t hi = std::min(max_size0, target0 + slack);
@@ -208,7 +219,7 @@ struct Bisection {
     std::size_t best_prefix = 0;
     int negative_streak = 0;
 
-    while (!heap.empty() && negative_streak < opt.fm_negative_streak_limit) {
+    while (!heap.empty() && negative_streak < kFmNegativeStreakLimit) {
       const auto l = static_cast<index_t>(heap.pop());
       if (locked[static_cast<std::size_t>(l)]) continue;
       // Balance check: moving from side s shrinks side s.
@@ -248,8 +259,7 @@ struct Bisection {
 };
 
 void bisect_recursive(const Graph& g, const std::vector<index_t>& verts,
-                      index_t first_part, index_t k,
-                      const PartitionOptions& opt, util::Rng& rng,
+                      index_t first_part, index_t k, util::Rng& rng,
                       std::vector<index_t>& scratch_local_of,
                       std::vector<index_t>& out_part) {
   DSOUTH_CHECK(k >= 1);
@@ -273,8 +283,8 @@ void bisect_recursive(const Graph& g, const std::vector<index_t>& verts,
 
   Bisection bis(g, verts, scratch_local_of);
   bis.grow_side0(target0_clamped, rng);
-  for (int pass = 0; pass < opt.fm_passes; ++pass) {
-    if (!bis.fm_pass(target0_clamped, k0, n_local - k1, opt)) break;
+  for (int pass = 0; pass < kFmPasses; ++pass) {
+    if (!bis.fm_pass(target0_clamped, k0, n_local - k1)) break;
   }
 
   std::vector<index_t> verts0, verts1;
@@ -288,9 +298,9 @@ void bisect_recursive(const Graph& g, const std::vector<index_t>& verts,
   // their part counts though.
   DSOUTH_CHECK(static_cast<index_t>(verts0.size()) >= k0);
   DSOUTH_CHECK(static_cast<index_t>(verts1.size()) >= k1);
-  bisect_recursive(g, verts0, first_part, k0, opt, rng, scratch_local_of,
+  bisect_recursive(g, verts0, first_part, k0, rng, scratch_local_of,
                    out_part);
-  bisect_recursive(g, verts1, first_part + k0, k1, opt, rng, scratch_local_of,
+  bisect_recursive(g, verts1, first_part + k0, k1, rng, scratch_local_of,
                    out_part);
 }
 
@@ -307,13 +317,12 @@ Partition partition_recursive_bisection(const Graph& g, index_t k,
   std::iota(all.begin(), all.end(), index_t{0});
   std::vector<index_t> scratch(static_cast<std::size_t>(g.num_vertices()), -1);
   util::Rng rng(opt.seed);
-  bisect_recursive(g, all, 0, k, opt, rng, scratch, p.part);
+  bisect_recursive(g, all, 0, k, rng, scratch, p.part);
   return p;
 }
 
 Partition repartition_after_failure(const Graph& g, const Partition& p,
-                                    std::span<const index_t> dead_parts,
-                                    const PartitionOptions& opt) {
+                                    std::span<const index_t> dead_parts) {
   DSOUTH_CHECK(p.is_valid(g.num_vertices()));
   const index_t k = p.num_parts;
   std::vector<char> dead(static_cast<std::size_t>(k), 0);
@@ -446,8 +455,8 @@ Partition repartition_after_failure(const Graph& g, const Partition& p,
     }
     bis.size0 = size0;
     const index_t target0 = (n_local + 1) / 2;
-    for (int pass = 0; pass < opt.fm_passes; ++pass) {
-      if (!bis.fm_pass(target0, 1, n_local - 1, opt)) break;
+    for (int pass = 0; pass < kFmPasses; ++pass) {
+      if (!bis.fm_pass(target0, 1, n_local - 1)) break;
     }
     for (std::size_t l = 0; l < subset.size(); ++l) {
       out.part[static_cast<std::size_t>(subset[l])] =

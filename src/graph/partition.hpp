@@ -38,19 +38,10 @@ struct PartitionQuality {
 
 PartitionQuality evaluate_partition(const Graph& g, const Partition& p);
 
+/// The FM pass count, its early-exit streak and the balance tolerance are
+/// constants in partition.cpp; only the BFS seed varies.
 struct PartitionOptions {
-  /// FM refinement passes per bisection (0 disables refinement).
-  int fm_passes = 2;
-  /// A pass aborts after this many consecutive non-improving moves
-  /// (bounds FM cost on large subdomains; classic FM would move every
-  /// vertex once).
-  int fm_negative_streak_limit = 100;
-  /// Allowed deviation of each side from its target size, as a fraction
-  /// (at least one vertex of slack is always allowed). Kept tight because
-  /// per-level drift compounds down the bisection tree: 0.005 yields
-  /// final imbalance ≈ 1.25 at 8192 parts on mesh graphs, vs ≈ 1.9 at
-  /// 0.03, at ≈ 2% extra edge cut.
-  double balance_tolerance = 0.005;
+  /// Seeds the random start-vertex probes of each bisection's BFS growth.
   std::uint64_t seed = 0x5041525449ULL;
 };
 
@@ -74,8 +65,7 @@ Partition partition_recursive_bisection(const Graph& g, index_t k,
 /// rebuild cost after a failure is proportional to the failed region, not
 /// the graph. Requires at least one surviving part.
 Partition repartition_after_failure(const Graph& g, const Partition& p,
-                                    std::span<const index_t> dead_parts,
-                                    const PartitionOptions& opt = {});
+                                    std::span<const index_t> dead_parts);
 
 /// Simple baseline: k seeds grown breadth-first in round-robin (no
 /// refinement). Used in tests as a sanity comparator and in the

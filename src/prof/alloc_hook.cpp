@@ -5,7 +5,8 @@
 /// linked into the final binary, and pulling a no-undefined-symbol object
 /// out of a static archive is linker-dependent — so targets opt in by
 /// compiling this TU directly via `dsouth_enable_alloc_tracking(target)`
-/// (src/prof/CMakeLists.txt). bench/scaling and tests/test_wire do.
+/// (src/prof/CMakeLists.txt). bench/scaling and the tests that count
+/// allocations do.
 ///
 /// The replacement pair routes through malloc/posix_memalign + free,
 /// which is consistent, but GCC cannot see that once it inlines the

@@ -5,7 +5,9 @@
 /// counter. It answers a host-side question the deterministic trace
 /// cannot: how many operator-new calls a piece of the simulator makes.
 /// bench/scaling gates its `allocs_per_step` record field on it, and
-/// tests/test_wire.cpp asserts the warm solver step allocates nothing.
+/// tests assert with it that the warm solver step allocates nothing and
+/// that the binary reader and `CsrMatrix::extract` allocate no more than
+/// they must.
 ///
 /// The counters are process-wide tallies, nondeterministic in general, so
 /// nothing may feed them back into the simulation. Per-layer host *time*

@@ -70,8 +70,8 @@ CsrMatrix CooBuilder::to_csr() const {
     const auto end = static_cast<std::size_t>(row_ptr[i + 1]);
     const auto first = order.begin() + static_cast<std::ptrdiff_t>(begin);
     const auto last = order.begin() + static_cast<std::ptrdiff_t>(end);
-    // Rows that arrive column-ascending (every DistLayout block does)
-    // merge as they are.
+    // Rows that arrive column-ascending (every row of a column-major
+    // symmetric Matrix Market file read through add_sym) merge as they are.
     if (!std::is_sorted(first, last, col_less)) {
       std::sort(first, last, key_less);
     }

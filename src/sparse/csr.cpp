@@ -159,42 +159,42 @@ CsrMatrix CsrMatrix::extract(std::span<const index_t> rows_sel,
   DSOUTH_CHECK_MSG(new_cols >= 0 && new_cols <= kMaxCsrIndex,
                    "extract: " << new_cols
                                << " columns exceed the 32-bit CSR limit");
+  // Count, then fill: each output array is allocated once, at its size.
   std::vector<csr_index_t> new_ptr(rows_sel.size() + 1, 0);
-  std::vector<csr_index_t> new_col;
-  std::vector<value_t> new_val;
+  std::size_t count = 0;
   for (std::size_t out_i = 0; out_i < rows_sel.size(); ++out_i) {
-    index_t i = rows_sel[out_i];
+    const index_t i = rows_sel[out_i];
     DSOUTH_CHECK(i >= 0 && i < rows_);
     for (csr_index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      index_t nj = col_map[static_cast<std::size_t>(col_idx_[k])];
-      if (nj < 0) continue;
-      DSOUTH_ASSERT(nj < new_cols);
-      new_col.push_back(static_cast<csr_index_t>(nj));
-      new_val.push_back(values_[k]);
+      if (col_map[static_cast<std::size_t>(col_idx_[k])] >= 0) ++count;
     }
     // A row selected twice repeats its entries, so the count can grow
     // past nnz().
-    DSOUTH_CHECK_MSG(std::in_range<csr_index_t>(new_col.size()),
+    DSOUTH_CHECK_MSG(std::in_range<csr_index_t>(count),
                      "extract: entry count exceeds the 32-bit CSR limit");
-    new_ptr[out_i + 1] = static_cast<csr_index_t>(new_col.size());
+    new_ptr[out_i + 1] = static_cast<csr_index_t>(count);
   }
-  // Column maps are monotone within a row only if col_map is monotone on
-  // stored columns; sort each row to restore the CSR invariant.
+  std::vector<csr_index_t> new_col(count);
+  std::vector<value_t> new_val(count);
   for (std::size_t out_i = 0; out_i < rows_sel.size(); ++out_i) {
-    auto b = static_cast<std::size_t>(new_ptr[out_i]);
-    auto e = static_cast<std::size_t>(new_ptr[out_i + 1]);
-    // insertion sort: rows are short and usually already sorted
-    for (std::size_t k = b + 1; k < e; ++k) {
-      csr_index_t c = new_col[k];
-      value_t v = new_val[k];
-      std::size_t q = k;
-      while (q > b && new_col[q - 1] > c) {
+    const index_t i = rows_sel[out_i];
+    const auto b = static_cast<std::size_t>(new_ptr[out_i]);
+    std::size_t e = b;
+    for (csr_index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+      const index_t nj = col_map[static_cast<std::size_t>(col_idx_[k])];
+      if (nj < 0) continue;
+      DSOUTH_ASSERT(nj < new_cols);
+      // Insertion into the row kept sorted so far: a col_map monotone on
+      // the row's stored columns (every layout block's) never shifts, a
+      // reordering one (graph::permute_symmetric's) does.
+      std::size_t q = e++;
+      while (q > b && new_col[q - 1] > nj) {
         new_col[q] = new_col[q - 1];
         new_val[q] = new_val[q - 1];
         --q;
       }
-      new_col[q] = c;
-      new_val[q] = v;
+      new_col[q] = static_cast<csr_index_t>(nj);
+      new_val[q] = values_[k];
     }
   }
   return CsrMatrix(static_cast<index_t>(rows_sel.size()), new_cols,

@@ -76,8 +76,10 @@ class CsrMatrix {
   bool has_full_diagonal() const;
 
   /// Submatrix A(rows_sel, cols_sel) where col_map[j] gives the new column
-  /// index of global column j, or -1 if the column is dropped. Used by the
-  /// distributed layout to cut subdomain diagonal and off-diagonal blocks.
+  /// index of global column j, or -1 if the column is dropped. Counts before
+  /// it fills, so each output array is allocated once at its exact size.
+  /// Cuts all three blocks of the distributed layout: A_pp, A_pq, and
+  /// A_pqᵀ with its columns mapped to local rows.
   CsrMatrix extract(std::span<const index_t> rows_sel,
                     std::span<const index_t> col_map, index_t new_cols) const;
 

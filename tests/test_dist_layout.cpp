@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "sparse/coo.hpp"
 #include "sparse/proxy_suite.hpp"
 #include "sparse/stencils.hpp"
 #include "util/error.hpp"
@@ -196,6 +199,21 @@ TEST(DistLayout, ValidateRejectsBrokenBlocks) {
   EXPECT_FALSE(layout.validate(bigger));
 }
 
+TEST(DistLayout, ValidateComparesLocalBlockValues) {
+  auto a = sparse::poisson2d_5pt(8, 8);
+  const DistLayout layout(a, make_partition(a, 4));
+  ASSERT_TRUE(layout.validate(a));
+  // A(0,0) lands in a_local, which no coupling block holds.
+  auto vals = std::vector<value_t>(a.values().begin(), a.values().end());
+  vals[static_cast<std::size_t>(a.diag_pos()[0])] += 1.0;
+  const CsrMatrix perturbed(
+      a.rows(), a.cols(),
+      std::vector<sparse::csr_index_t>(a.row_ptr().begin(), a.row_ptr().end()),
+      std::vector<sparse::csr_index_t>(a.col_idx().begin(), a.col_idx().end()),
+      std::move(vals));
+  EXPECT_FALSE(layout.validate(perturbed));
+}
+
 TEST(DistLayout, NeighborRelationIsSymmetric) {
   auto a = sparse::poisson2d_5pt(10, 10);
   auto p = make_partition(a, 7);
@@ -213,6 +231,34 @@ TEST(DistLayout, RejectsInvalidPartition) {
   bad.num_parts = 2;
   bad.part = {0, 0, 0};  // wrong size
   EXPECT_THROW(DistLayout(a, bad), util::CheckError);
+}
+
+TEST(DistLayout, RejectsStructurallyNonsymmetricMatrix) {
+  // Rows {0, 1} on rank 0 and {2, 3} on rank 1, unit diagonal, and the
+  // given off-diagonal entries.
+  using Entries = std::vector<std::pair<index_t, index_t>>;
+  const auto expect_rejected = [](const Entries& off) {
+    sparse::CooBuilder coo(4, 4);
+    for (index_t i = 0; i < 4; ++i) coo.add(i, i, 4.0);
+    for (const auto& [i, j] : off) coo.add(i, j, -1.0);
+    graph::Partition p;
+    p.num_parts = 2;
+    p.part = {0, 0, 1, 1};
+    try {
+      const DistLayout layout(coo.to_csr(), p);
+      ADD_FAILURE() << "a structurally nonsymmetric matrix was accepted";
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    }
+  };
+  // A(1,3) has no A(3,1): rank 0 would send two values to rank 1, which
+  // expects one.
+  expect_rejected({{0, 2}, {2, 0}, {1, 3}});
+  // Both ranks couple rows {0, 1} to rows {2, 3}, so the channel widths
+  // agree, but A(0,2), A(1,3) are not mirrored by A(2,1), A(3,0).
+  expect_rejected({{0, 2}, {1, 3}, {2, 1}, {3, 0}});
 }
 
 TEST(DistLayout, ContiguousBlocksWork) {

@@ -5,13 +5,14 @@
 /// that six traced DS runs export (JSONL, the analyzer's JSON document and
 /// the Chrome trace); plus the set-up outputs every run starts from: each
 /// proxy's CSR and the small FEM problem's, the matrix graph and partition
-/// of two proxies, and one DistLayout's blocks. Host-side optimisations of
-/// the set-up, solve or trace path (assembly, graph build, coupling-block
-/// storage, relax snapshots, sweep kernels, event storage) must leave every
-/// matrix, iterate and exported byte where it was; a changed digest means a
-/// changed trajectory or file format, not a rounding detail. On a mismatch
-/// the failure prints the row to paste back into kPinned — do that only for
-/// a change that is MEANT to move iterates or the trace format.
+/// of two proxies, and four DistLayouts (one after a two-rank failure).
+/// Host-side optimisations of the set-up, solve or trace path (assembly,
+/// graph build, coupling-block storage, relax snapshots, sweep kernels,
+/// event storage) must leave every matrix, iterate and exported byte where
+/// it was; a changed digest means a changed trajectory or file format, not
+/// a rounding detail. On a mismatch the failure prints the row to paste
+/// back into kPinned — do that only for a change that is MEANT to move
+/// iterates or the trace format.
 
 #include <gtest/gtest.h>
 
@@ -220,6 +221,12 @@ const Pinned kPinned[] = {
      {0x8bd45a5cd1d08854ULL, 0x857907abc2ea051eULL, 0x9455f8a55d1214b7ULL}},
     {"layout/bone010p",
      {0x0a0b90159f513539ULL, 0x8028f4ab6d38edd8ULL, 0x8e94fb7be25944b6ULL}},
+    {"layout-all/Emilia_923p",
+     {0x24fb41067827d1ffULL, 0xd072b92b20a56ffaULL, 0x2658bb1cf4c4f477ULL}},
+    {"layout-all/bone010p",
+     {0xef0622ed5ee2df9cULL, 0x86f337fd6d6e2782ULL, 0x43eec92fa8598443ULL}},
+    {"layout-all/ldoorp-dead-3-11",
+     {0xed99270274238ebeULL, 0x4613390b36556645ULL, 0x4c4985d0689bb658ULL}},
     {"trace/async",
      {0x933af970950af29aULL, 0xd670b5dd8d3f68c1ULL, 0x902368cc0e907e97ULL}},
     {"trace/batch3",
@@ -449,6 +456,51 @@ TEST(SetupDigests, LayoutBlocks) {
     }
   }
   expect_pinned("layout/bone010p", d);
+}
+
+/// {rows and a_local per rank, boundary_rows per rank, coupling blocks
+/// with their channel lists}.
+Digests digest_layout(const dist::DistLayout& layout) {
+  Digests d{kFnvOffsetBasis, kFnvOffsetBasis, kFnvOffsetBasis};
+  for (int p = 0; p < layout.num_ranks(); ++p) {
+    const dist::RankData& rd = layout.rank(p);
+    d.residual = fold(fnv1a(d.residual, digest(rd.rows)),
+                      digest_csr(rd.a_local));
+    d.x = fnv1a(d.x, digest(rd.boundary_rows));
+    for (const dist::NeighborBlock& nb : rd.neighbors) {
+      d.comm = fnv1a(d.comm, static_cast<std::uint64_t>(nb.rank));
+      d.comm = fnv1a(d.comm, digest(nb.ghost_rows));
+      d.comm = fnv1a(d.comm, digest(nb.send_rows_local));
+      d.comm = fold(fold(d.comm, digest_csr(nb.a_pq)), digest_csr(nb.a_qp));
+    }
+  }
+  return d;
+}
+
+TEST(SetupDigests, LayoutRowListsAndMoreShapes) {
+  // The bone layout of LayoutBlocks, with the row lists it leaves out.
+  const CsrMatrix bone = sparse::make_proxy("bone010p", 0.05).a;
+  expect_pinned("layout-all/bone010p",
+                digest_layout(dist::DistLayout(
+                    bone, graph::partition_recursive_bisection(
+                              graph::Graph::from_matrix_structure(bone), 16))));
+  // A 3-D proxy.
+  const CsrMatrix emilia = sparse::make_proxy("Emilia_923p", 0.05).a;
+  expect_pinned("layout-all/Emilia_923p",
+                digest_layout(dist::DistLayout(
+                    emilia,
+                    graph::partition_recursive_bisection(
+                        graph::Graph::from_matrix_structure(emilia), 16))));
+  // After a failure: parts 3 and 11 are empty, so two ranks own no rows.
+  const CsrMatrix ldoor = sparse::make_proxy("ldoorp", 0.05).a;
+  const auto g = graph::Graph::from_matrix_structure(ldoor);
+  const std::vector<index_t> dead = {3, 11};
+  const auto part = graph::repartition_after_failure(
+      g, graph::partition_recursive_bisection(g, 16), dead);
+  const dist::DistLayout layout(ldoor, part);
+  ASSERT_EQ(layout.rank(3).num_rows(), 0);
+  ASSERT_EQ(layout.rank(11).num_rows(), 0);
+  expect_pinned("layout-all/ldoorp-dead-3-11", digest_layout(layout));
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
+#include "prof/prof.hpp"
 #include "reference_csr.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
@@ -238,6 +240,29 @@ TEST(CsrMatrix, ExtractWithReorderingSortsRows) {
   EXPECT_DOUBLE_EQ(s.at(0, 0), 2.0);   // old (2,2)
   EXPECT_DOUBLE_EQ(s.at(0, 1), -1.0);  // old (2,1)
   EXPECT_DOUBLE_EQ(s.at(2, 2), 2.0);   // old (0,0)
+}
+
+TEST(CsrMatrix, ExtractAllocatesEachArrayOnce) {
+  // A rectangular cut, so the constructor records no diagonal positions:
+  // one allocation per output array, each at its exact size.
+  namespace alloc_hook = prof::alloc_hook;
+  ASSERT_TRUE(alloc_hook::available());
+  const auto a = poisson2d_5pt(40, 40);
+  std::vector<index_t> rows(800);
+  std::iota(rows.begin(), rows.end(), index_t{400});
+  std::vector<index_t> col_map(static_cast<std::size_t>(a.cols()), -1);
+  std::iota(col_map.begin(), col_map.begin() + 1200, index_t{0});
+  const std::uint64_t calls = alloc_hook::allocations();
+  const std::uint64_t bytes = alloc_hook::bytes();
+  const CsrMatrix s = a.extract(rows, col_map, 1200);
+  const std::uint64_t got_calls = alloc_hook::allocations() - calls;
+  const std::uint64_t got_bytes = alloc_hook::bytes() - bytes;
+  ASSERT_TRUE(s.validate());
+  ASSERT_GT(s.nnz(), 2000);
+  const auto nnz = static_cast<std::uint64_t>(s.nnz());
+  EXPECT_EQ(got_calls, 3u);
+  EXPECT_EQ(got_bytes, (rows.size() + 1) * sizeof(csr_index_t) +
+                           nnz * (sizeof(csr_index_t) + sizeof(value_t)));
 }
 
 TEST(CsrMatrix, ConstructorValidatesShape) {
