@@ -4,16 +4,18 @@
 /// Trace analysis: turns a RunTrace (the deterministic event stream of one
 /// run) into the reports the paper's communication-cost argument is made
 /// of — who computed, who talked to whom, which α–β–γ term paid for each
-/// superstep, and how the residual fell against modeled time. Every report
-/// is a pure function of (RunTrace, MachineModel), so reports — like the
-/// traces they come from — are bit-identical across execution backends.
+/// superstep, and how the residual fell against modeled time. analyze_run
+/// builds every report in one walk over the events; each is a pure
+/// function of (RunTrace, MachineModel), so reports — like the traces they
+/// come from — are bit-identical across execution backends.
 ///
 /// Epoch accounting mirrors the runtime exactly (simmpi/runtime.cpp):
 /// events carry the epoch index in flight when they were recorded, so
-/// summing compute/put events per (rank, epoch) in stream order reproduces
-/// the runtime's per-epoch accumulators addend for addend — which is what
-/// lets the critical-path report recompute every fence's modeled seconds
-/// bit-exactly (`CriticalPathReport::model_matches`).
+/// summing compute/put/hop events per (rank, epoch) in stream order
+/// reproduces the runtime's per-epoch accumulators addend for addend. At
+/// each fence the walk rebuilds every rank's cost once; that one rebuild
+/// feeds both the timeline and the critical path, which recomputes every
+/// fence's modeled seconds bit-exactly (`CriticalPathReport::model_matches`).
 
 #include <array>
 #include <cstdint>
@@ -73,9 +75,6 @@ struct TimelineReport {
   double mean_imbalance = 1.0;       ///< mean over steps
 };
 
-TimelineReport analyze_timeline(const RunTrace& run,
-                                const simmpi::MachineModel& model);
-
 // ---------------------------------------------------------------------------
 // (b) P×P communication matrix
 // ---------------------------------------------------------------------------
@@ -113,13 +112,11 @@ struct CommMatrixReport {
   const Pair* find(int src, int dst) const;
 
   /// The paper's §4.3 metric, total msgs / P — equals CommStats::comm_cost
-  /// exactly when the trace is drop-free.
+  /// exactly.
   double comm_cost() const;
   /// Per-tag comm cost (Table 3 columns).
   double comm_cost(simmpi::MsgTag tag) const;
 };
-
-CommMatrixReport analyze_comm_matrix(const RunTrace& run);
 
 // ---------------------------------------------------------------------------
 // (c) Critical-path attribution under the α–β–γ model
@@ -127,7 +124,7 @@ CommMatrixReport analyze_comm_matrix(const RunTrace& run);
 
 /// The places an epoch's modeled seconds can go:
 /// T_epoch = max_p(flops_p·c + msgs_p·α + bytes_p·β) + γ·msgs/P + σ.
-/// Traces with hop events (node-aware runs) charge per physical hop on a
+/// Epochs with hop events (node-aware runs) charge per physical hop on a
 /// two-tier network instead (MachineModel::rank_cost_tiered): the
 /// latency/bandwidth terms then cover the straggler's *inter-node* hops and
 /// the two intra terms its intra-node hops (zero for single-level traces,
@@ -177,20 +174,19 @@ struct CriticalPathReport {
   double total_modeled_seconds = 0.0;
   /// True when every epoch's recomputed seconds equal the fence record
   /// bit-for-bit — the analyzer's proof that it reconstructed the machine
-  /// model's accounting exactly. Every drop-free trace must match,
+  /// model's accounting exactly. Every trace must match, faulted and
   /// node-aware ones included: hop tallies are integers, so the tiered
   /// rebuild is order-independent and lands on the runtime's doubles
   /// addend for addend.
   bool model_matches = false;
-  /// True when the trace carries hop events: the rebuild charged
-  /// rank_cost_tiered from physical hops rather than rank_cost from puts,
-  /// and the two intra CostTerms can be nonzero. Selects the cost formula
-  /// only; the rendered shape is the same either way.
+  /// True when some epoch carried hop events. Each epoch picks its cost
+  /// formula from its own events: with hops, rank_cost_tiered from the
+  /// physical hops (the two intra CostTerms can be nonzero); without,
+  /// rank_cost from the puts. Under a topology every put pays at least one
+  /// hop, so an epoch without hops has no puts, and the two formulas agree
+  /// bit for bit on it. The rendered shape is the same either way.
   bool tiered = false;
 };
-
-CriticalPathReport analyze_critical_path(const RunTrace& run,
-                                         const simmpi::MachineModel& model);
 
 // ---------------------------------------------------------------------------
 // (d) Convergence diagnostics
@@ -231,8 +227,6 @@ struct ConvergenceReport {
   std::optional<int> max_deferral_rank;
 };
 
-ConvergenceReport analyze_convergence(const RunTrace& run);
-
 // ---------------------------------------------------------------------------
 // (e) Fault injection (src/faults)
 // ---------------------------------------------------------------------------
@@ -264,8 +258,6 @@ struct FaultReport {
   bool any() const { return total > 0; }
 };
 
-FaultReport analyze_faults(const RunTrace& run);
-
 // ---------------------------------------------------------------------------
 // (f) Asynchronous delivery (simmpi::AsyncDelivery)
 // ---------------------------------------------------------------------------
@@ -294,8 +286,6 @@ struct AsyncReport {
                                 static_cast<double>(delivered);
   }
 };
-
-AsyncReport analyze_async(const RunTrace& run);
 
 // ---------------------------------------------------------------------------
 // (g) Node-aware routing (simmpi/node_topology.hpp)
@@ -338,8 +328,6 @@ struct NodeReport {
   bool any() const { return msgs_intra + msgs_inter > 0; }
 };
 
-NodeReport analyze_node_routing(const RunTrace& run);
-
 // ---------------------------------------------------------------------------
 // (h) Elastic recovery (src/elastic)
 // ---------------------------------------------------------------------------
@@ -380,6 +368,33 @@ struct ElasticReport {
   bool any() const { return total > 0; }
 };
 
-ElasticReport analyze_elastic(const RunTrace& run);
+// ---------------------------------------------------------------------------
+// The whole analysis
+// ---------------------------------------------------------------------------
+
+/// Everything the analyzer knows about one run.
+struct RunAnalysis {
+  std::string label;
+  int num_ranks = 0;
+  TimelineReport timeline;
+  CommMatrixReport comm;
+  CriticalPathReport critical_path;
+  ConvergenceReport convergence;
+  /// Feature tallies, all-zero when the run had the feature off. The JSON
+  /// always carries their sections; the ASCII report skips empty ones.
+  FaultReport faults;
+  AsyncReport async;    ///< staleness histogram
+  NodeReport node;      ///< tier totals, leader pairs
+  ElasticReport elastic;
+};
+
+struct AnalyzeOptions {
+  simmpi::MachineModel model{};  ///< must match the traced run's model
+  int top_pairs = 10;            ///< hot pairs listed in ASCII/JSON output
+};
+
+/// Build every report in one walk over `run.events`. Throws CheckError on
+/// an event no report can use (a rank, peer or code out of range).
+RunAnalysis analyze_run(const RunTrace& run, const AnalyzeOptions& opt = {});
 
 }  // namespace dsouth::analysis

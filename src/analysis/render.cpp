@@ -16,22 +16,6 @@ using util::append_json_number;
 using util::format_double;
 using util::json_quote;
 
-RunAnalysis analyze_run(const RunTrace& run, const AnalyzeOptions& opt) {
-  RunAnalysis a;
-  a.label = run.label;
-  a.num_ranks = run.num_ranks;
-  a.dropped_events = run.dropped_events;
-  a.timeline = analyze_timeline(run, opt.model);
-  a.comm = analyze_comm_matrix(run);
-  a.critical_path = analyze_critical_path(run, opt.model);
-  a.convergence = analyze_convergence(run);
-  a.faults = analyze_faults(run);
-  a.async = analyze_async(run);
-  a.node = analyze_node_routing(run);
-  a.elastic = analyze_elastic(run);
-  return a;
-}
-
 // ---------------------------------------------------------------------------
 // ASCII
 // ---------------------------------------------------------------------------
@@ -60,11 +44,6 @@ void render_ascii(std::ostream& os, const RunAnalysis& a,
      << " ===\n";
   os << "Ranks: " << a.num_ranks << "   fenced epochs: "
      << a.timeline.steps.size() << "\n";
-  if (a.dropped_events > 0) {
-    os << "WARNING: " << a.dropped_events
-       << " events were dropped at capture (ring overflow); counts below "
-          "are lower bounds and model reconstruction is approximate.\n";
-  }
 
   // --- (a) timeline / load imbalance ---
   os << "\n--- Per-rank timeline (modeled ms) ---\n";
@@ -245,10 +224,9 @@ void render_ascii(std::ostream& os, const RunAnalysis& a,
   os << "Model reconstruction: "
      << (a.critical_path.model_matches
              ? "every epoch matches the fence record bit-exactly"
-             : "MISMATCH vs fence records (wrong machine model, or "
-               "dropped events?)")
+             : "MISMATCH vs fence records (wrong machine model?)")
      << "\n";
-  // Straggler ranking: who was the max-cost rank most often.
+  // Rank by critical-path epochs: who was the max-cost rank most often.
   std::vector<int> order(static_cast<std::size_t>(a.num_ranks));
   for (int r = 0; r < a.num_ranks; ++r) order[static_cast<std::size_t>(r)] = r;
   std::sort(order.begin(), order.end(), [&](int x, int y) {
@@ -501,10 +479,9 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
   out.reserve(1 << 14);
   out += "{";
   kv_s(out, "schema", "dsouth.analysis", /*first=*/true);
-  kv_i(out, "schema_version", 2);
+  kv_i(out, "schema_version", 3);
   kv_s(out, "run", a.label);
   kv_i(out, "num_ranks", a.num_ranks);
-  kv_u(out, "dropped_events", a.dropped_events);
 
   // model parameters the attribution used
   out += ",\"machine_model\":{";

@@ -1,12 +1,13 @@
 #pragma once
 
 /// \file render.hpp
-/// Output for the analyzer reports, in the three forms the repo's other
-/// artifacts use: ASCII (human, util::Table + util/ascii_plot), CSV (one
-/// schema per report, same columns as the ASCII tables), and JSON (one
-/// document for the whole analysis). All three are pure functions of the
-/// reports, so — reports being pure functions of the deterministic trace —
-/// renderer output is byte-identical across execution backends.
+/// Output for the analyzer reports (analyze_run, analyzer.hpp), in the
+/// three forms the repo's other artifacts use: ASCII (human, util::Table +
+/// util/ascii_plot), CSV (one schema per report, same columns as the ASCII
+/// tables), and JSON (one document for the whole analysis). All three are
+/// pure functions of the reports, so — reports being pure functions of the
+/// deterministic trace — renderer output is byte-identical across
+/// execution backends.
 
 #include <iosfwd>
 #include <string>
@@ -14,31 +15,6 @@
 #include "analysis/analyzer.hpp"
 
 namespace dsouth::analysis {
-
-/// Everything the analyzer knows about one run.
-struct RunAnalysis {
-  std::string label;
-  int num_ranks = 0;
-  std::uint64_t dropped_events = 0;
-  TimelineReport timeline;
-  CommMatrixReport comm;
-  CriticalPathReport critical_path;
-  ConvergenceReport convergence;
-  /// Feature tallies, all-zero when the run had the feature off. The JSON
-  /// always carries their sections; the ASCII report skips empty ones.
-  FaultReport faults;
-  AsyncReport async;    ///< staleness histogram
-  NodeReport node;      ///< tier totals, leader pairs
-  ElasticReport elastic;
-};
-
-struct AnalyzeOptions {
-  simmpi::MachineModel model{};  ///< must match the traced run's model
-  int top_pairs = 10;            ///< hot pairs listed in ASCII/JSON output
-};
-
-/// Run all four analyses.
-RunAnalysis analyze_run(const RunTrace& run, const AnalyzeOptions& opt = {});
 
 /// Human-readable report: per-rank timeline table, imbalance summary, hot
 /// pairs + Table 3-style per-tag comm costs, per-term critical-path rollup,
@@ -54,7 +30,7 @@ std::string critical_path_csv(const RunAnalysis& a);  ///< one row per epoch
 std::string convergence_csv(const RunAnalysis& a);    ///< one row per epoch
 
 /// The whole analysis as one JSON document (schema "dsouth.analysis",
-/// version 2; see docs/observability.md). Its shape is fixed: every
+/// version 3; see docs/observability.md). Its shape is fixed: every
 /// section and key is present for every run.
 std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt = {});
 

@@ -29,7 +29,6 @@ RunTrace from_trace_log(const trace::TraceLog& log, std::string label) {
   RunTrace run;
   run.label = std::move(label);
   run.num_ranks = log.num_ranks;
-  run.dropped_events = log.dropped_events;
   run.events = log.events;  // shares the chunks; no event is copied
   const trace::MetricsRegistry& reg = log.metrics;
   run.metrics.reserve(reg.size());
@@ -179,8 +178,6 @@ RunTrace parse_header(const JsonValue& v) {
   RunTrace run;
   run.num_ranks = static_cast<int>(count_field(v, "num_ranks", kIntEnd));
   DSOUTH_CHECK_MSG(run.num_ranks > 0, "header has no ranks");
-  run.dropped_events = static_cast<std::uint64_t>(
-      count_field(v, "dropped_events", kUint64End));
   if (const JsonValue* label = v.find("run")) {
     run.label = label->as_string();
   }

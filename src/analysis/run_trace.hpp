@@ -33,7 +33,6 @@ struct MetricSeries {
 struct RunTrace {
   std::string label;  ///< the bench's run label ("bone010p P=13 DS", …)
   int num_ranks = 0;
-  std::uint64_t dropped_events = 0;  ///< ring overflows; 0 = complete trace
   trace::EventLog events;  ///< an event's seq is its index
   std::vector<MetricSeries> metrics;
 

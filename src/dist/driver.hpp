@@ -34,15 +34,19 @@ enum class DistMethod {
 const char* method_name(DistMethod m);
 const char* method_abbrev(DistMethod m);  // BJ / PS / DS, as in the tables
 
+/// The watchdog's divergence bound: ‖r‖ above this multiple of the initial
+/// residual counts as diverged.
+inline constexpr double kWatchdogGrowthFactor = 1e3;
+
 /// Divergence watchdog (docs/resilience.md): observer-side checks on the
 /// recorded residual series that stop a faulted run deterministically
 /// instead of letting it hang or overflow. Fires are reported, never
 /// thrown — histories keep everything recorded up to the stop.
+///
+/// An enabled watchdog always fires when ‖r‖ is NaN/Inf, or when it exceeds
+/// kWatchdogGrowthFactor × the initial residual.
 struct WatchdogOptions {
   bool enabled = false;
-  /// Fire when ‖r‖ exceeds growth_factor × the initial residual, or is
-  /// NaN/Inf (always checked when enabled).
-  double growth_factor = 1e3;
   /// Fire when the best residual seen has not improved for this many
   /// consecutive steps (0 disables the stall check).
   index_t stall_steps = 0;

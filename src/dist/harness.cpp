@@ -96,7 +96,7 @@ RunHarness::RunHarness(DistMethod method,
   // The tracer must be attached before the solver is constructed so solver
   // ctors can register their metrics.
   if (opt.trace.enabled) {
-    tracer_ = std::make_unique<trace::Tracer>(num_ranks, opt.trace);
+    tracer_ = std::make_unique<trace::Tracer>(num_ranks);
     rt_.set_tracer(tracer_.get());
   }
   // A fault schedule is attached only for a nonzero plan, so the default
@@ -241,7 +241,7 @@ bool StopRules::stop(DistRunResult& result) {
     result.watchdog = {true, "non-finite residual", step};
     return true;
   }
-  if (rn > opt_->watchdog.growth_factor * r0_) {
+  if (rn > kWatchdogGrowthFactor * r0_) {
     result.watchdog = {true, "residual exceeded growth_factor x initial",
                        step};
     return true;

@@ -151,6 +151,7 @@ std::vector<std::uint8_t> encode(const Checkpoint& c) {
   DSOUTH_CHECK(c.method >= 0 &&
                static_cast<std::uint64_t>(c.method) <= kMaxMethod);
   DSOUTH_CHECK(c.step >= 0);
+  DSOUTH_CHECK(c.epoch == c.runtime.epochs);
   DSOUTH_CHECK(c.runtime.lane_seq.size() ==
                    static_cast<std::size_t>(c.num_ranks) &&
                c.solver.x.size() == static_cast<std::size_t>(c.num_ranks));
@@ -208,6 +209,10 @@ Checkpoint decode(std::span<const std::uint8_t> bytes) {
 
   read_payload(r, c);
   DSOUTH_CHECK_MSG(r.remaining() == 0, "checkpoint: trailing payload words");
+  DSOUTH_CHECK_MSG(c.epoch == c.runtime.epochs,
+                   "checkpoint: header epoch " << c.epoch
+                                               << " != runtime epochs "
+                                               << c.runtime.epochs);
   return c;
 }
 

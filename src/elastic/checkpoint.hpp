@@ -55,7 +55,9 @@ inline constexpr std::uint64_t kCheckpointVersion = 5;
 struct Checkpoint {
   int num_ranks = 0;
   int method = 0;           ///< dist::DistMethod as int
-  std::uint64_t epoch = 0;  ///< Runtime::epochs_completed() at capture
+  /// Runtime::epochs_completed() at capture; must equal runtime.epochs
+  /// (encode and decode refuse a checkpoint where the two differ).
+  std::uint64_t epoch = 0;
   index_t step = 0;         ///< parallel steps completed at capture
 
   simmpi::RuntimeState runtime{1};
@@ -66,9 +68,10 @@ struct Checkpoint {
 std::vector<std::uint8_t> encode(const Checkpoint& c);
 
 /// Parse and verify (magic, version, checksum, every length prefix and
-/// element count) a buffer produced by encode(). Malformed input is
-/// checked fatal — a checkpoint is trusted state, not a network input, so
-/// corruption means the experiment itself is broken.
+/// element count, header epoch == payload epochs) a buffer produced by
+/// encode(). Malformed input is checked fatal — a checkpoint is trusted
+/// state, not a network input, so corruption means the experiment itself
+/// is broken.
 Checkpoint decode(std::span<const std::uint8_t> bytes);
 
 }  // namespace dsouth::elastic

@@ -48,24 +48,10 @@ constexpr std::uint64_t kSaltKill = 0xDEADULL;
 
 inline void check_probability(double p) { DSOUTH_CHECK(p >= 0.0 && p <= 1.0); }
 
-void check_edge(const EdgeFaults& e) {
-  check_probability(e.drop_probability);
-  check_probability(e.duplicate_probability);
-  check_probability(e.reorder_probability);
-  check_probability(e.corrupt_probability);
-  check_probability(e.truncate_probability);
-}
-
 }  // namespace
 
 bool FaultPlan::any() const {
   if (defaults.any()) return true;
-  for (const auto& e : edges) {
-    if (e.faults.any()) return true;
-  }
-  for (const auto& s : stragglers) {
-    if (s.slowdown != 1.0) return true;
-  }
   for (const auto& s : stalls) {
     if (s.epochs > 0) return true;
   }
@@ -79,29 +65,16 @@ bool FaultPlan::any() const {
 FaultSchedule::FaultSchedule(const FaultPlan& plan, int num_ranks)
     : plan_(plan),
       num_ranks_(num_ranks),
-      edges_(static_cast<std::size_t>(num_ranks) *
-                 static_cast<std::size_t>(num_ranks),
-             plan.defaults),
-      slowdowns_(static_cast<std::size_t>(num_ranks), 1.0),
       stalls_(static_cast<std::size_t>(num_ranks)),
       kill_epochs_(static_cast<std::size_t>(num_ranks), kNeverKilled) {
   DSOUTH_CHECK(num_ranks > 0);
   DSOUTH_CHECK(plan.max_reorder_epochs >= 1);
-  check_edge(plan.defaults);
-  for (const auto& o : plan.edges) {
-    DSOUTH_CHECK(o.src >= 0 && o.src < num_ranks);
-    DSOUTH_CHECK(o.dst >= 0 && o.dst < num_ranks);
-    DSOUTH_CHECK_MSG(o.src != o.dst, "fault edge " << o.src << " -> itself");
-    check_edge(o.faults);
-    edges_[static_cast<std::size_t>(o.src) *
-               static_cast<std::size_t>(num_ranks) +
-           static_cast<std::size_t>(o.dst)] = o.faults;
-  }
-  for (const auto& s : plan.stragglers) {
-    DSOUTH_CHECK(s.rank >= 0 && s.rank < num_ranks);
-    DSOUTH_CHECK_MSG(s.slowdown >= 1.0, "straggler speeds a rank up");
-    slowdowns_[static_cast<std::size_t>(s.rank)] = s.slowdown;
-  }
+  const EdgeFaults& probs = plan.defaults;
+  check_probability(probs.drop_probability);
+  check_probability(probs.duplicate_probability);
+  check_probability(probs.reorder_probability);
+  check_probability(probs.corrupt_probability);
+  check_probability(probs.truncate_probability);
   for (const auto& s : plan.stalls) {
     DSOUTH_CHECK(s.rank >= 0 && s.rank < num_ranks);
     stalls_[static_cast<std::size_t>(s.rank)].push_back(s);
@@ -151,7 +124,7 @@ FaultDecision FaultSchedule::decide(std::uint64_t epoch, int src, int dst,
                                     std::size_t payload_doubles) const {
   DSOUTH_ASSERT(src >= 0 && src < num_ranks_);
   DSOUTH_ASSERT(dst >= 0 && dst < num_ranks_);
-  const EdgeFaults& e = edge(src, dst);
+  const EdgeFaults& e = plan_.defaults;
   const std::uint64_t seed = plan_.seed;
   FaultDecision d;
   if (e.drop_probability > 0.0 &&
@@ -193,11 +166,6 @@ FaultDecision FaultSchedule::decide(std::uint64_t epoch, int src, int dst,
     d.corrupt = false;  // truncation supersedes the bit flip
   }
   return d;
-}
-
-double FaultSchedule::slowdown(int rank) const {
-  DSOUTH_ASSERT(rank >= 0 && rank < num_ranks_);
-  return slowdowns_[static_cast<std::size_t>(rank)];
 }
 
 std::uint64_t FaultSchedule::hold_until(int rank, std::uint64_t epoch) const {

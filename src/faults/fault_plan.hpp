@@ -5,12 +5,14 @@
 /// (docs/resilience.md).
 ///
 /// A FaultPlan is a declarative description of what may go wrong on the
-/// simulated fabric: per-edge message drop / duplication / bounded
-/// reordering / payload corruption or truncation probabilities, straggler
-/// ranks whose epochs run slower, and transient rank stalls that hold a
-/// rank's outgoing messages for k epochs. Compiling the plan against a
-/// rank count yields a FaultSchedule, which the Runtime consults at fence
-/// time (Runtime::set_fault_schedule).
+/// simulated fabric: message drop / duplication / bounded reordering /
+/// payload corruption or truncation probabilities, applied alike to every
+/// directed channel; transient rank stalls that hold a rank's outgoing
+/// messages for k epochs; and permanent rank kills. Compiling the plan
+/// against a rank count yields a FaultSchedule, which the Runtime consults
+/// at fence time (Runtime::set_fault_schedule). A plan adds no term to the
+/// machine model: every modeled-time input still reaches the trace, so a
+/// faulted run's fences rebuild from its trace bit for bit (src/analysis).
 ///
 /// Determinism contract: every draw is a *stateless* SplitMix64-style hash
 /// of (seed, fault-type salt, epoch, src, dst, seq). Because a message's
@@ -25,7 +27,7 @@
 
 namespace dsouth::faults {
 
-/// Per-channel fault probabilities (all in [0, 1], all default 0).
+/// Per-message fault probabilities (all in [0, 1], all default 0).
 struct EdgeFaults {
   double drop_probability = 0.0;       ///< message silently lost
   double duplicate_probability = 0.0;  ///< message delivered twice
@@ -38,21 +40,6 @@ struct EdgeFaults {
            reorder_probability > 0.0 || corrupt_probability > 0.0 ||
            truncate_probability > 0.0;
   }
-};
-
-/// Override the default EdgeFaults on one directed (src -> dst) channel.
-struct EdgeOverride {
-  int src = -1;
-  int dst = -1;
-  EdgeFaults faults;
-};
-
-/// A rank whose local epoch cost is multiplied by `slowdown` (>= 1.0):
-/// the bulk-synchronous fence then charges every epoch at the straggler's
-/// pace — the "one slow node drags the machine" regime.
-struct Straggler {
-  int rank = -1;
-  double slowdown = 1.0;
 };
 
 /// A transient stall: `rank` goes silent for `epochs` epochs starting at
@@ -93,11 +80,8 @@ struct RandomKills {
 /// with no plan at all (the driver never attaches an empty plan).
 struct FaultPlan {
   std::uint64_t seed = 0xFA17ULL;
-  EdgeFaults defaults;              ///< applied to every directed channel
-  std::vector<EdgeOverride> edges;  ///< per-channel overrides (win over
-                                    ///< defaults; last override wins)
-  int max_reorder_epochs = 2;       ///< bound on reordering delay (>= 1)
-  std::vector<Straggler> stragglers;
+  EdgeFaults defaults;         ///< applied to every directed channel
+  int max_reorder_epochs = 2;  ///< bound on reordering delay (>= 1)
   std::vector<Stall> stalls;
   /// Explicit kill-at-epoch overrides (the earliest epoch wins when a rank
   /// appears more than once, or also draws a random kill).
@@ -123,10 +107,9 @@ struct FaultDecision {
   std::size_t truncate_len = 0;   ///< delivered payload length (prefix)
 };
 
-/// A FaultPlan compiled against a rank count: dense per-edge probability
-/// table, per-rank slowdowns, per-rank stall windows. Immutable after
-/// construction, so it is safe to share by const pointer with a Runtime
-/// whose rank programs run concurrently.
+/// A FaultPlan compiled against a rank count: per-rank stall windows and
+/// kill epochs. Immutable after construction, so it is safe to share by
+/// const pointer with a Runtime whose rank programs run concurrently.
 class FaultSchedule {
  public:
   FaultSchedule(const FaultPlan& plan, int num_ranks);
@@ -139,9 +122,6 @@ class FaultSchedule {
   /// seed and the arguments — see the determinism contract above.
   FaultDecision decide(std::uint64_t epoch, int src, int dst,
                        std::uint64_t seq, std::size_t payload_doubles) const;
-
-  /// Epoch-cost multiplier for `rank` (1.0 unless a straggler).
-  double slowdown(int rank) const;
 
   /// The earliest epoch at which a message staged by `rank` in `epoch`
   /// may be delivered: `epoch` itself, or the end of the stall window
@@ -171,16 +151,8 @@ class FaultSchedule {
   bool any_kills() const { return any_kills_; }
 
  private:
-  const EdgeFaults& edge(int src, int dst) const {
-    return edges_[static_cast<std::size_t>(src) *
-                      static_cast<std::size_t>(num_ranks_) +
-                  static_cast<std::size_t>(dst)];
-  }
-
   FaultPlan plan_;
   int num_ranks_;
-  std::vector<EdgeFaults> edges_;   // dense num_ranks x num_ranks
-  std::vector<double> slowdowns_;   // per rank, default 1.0
   std::vector<std::vector<Stall>> stalls_;  // per rank, sorted by start
   std::vector<std::uint64_t> kill_epochs_;  // per rank, kNeverKilled default
   bool any_kills_ = false;

@@ -361,12 +361,12 @@ void Runtime::fence() {
   // charging loop below reads.
   if (topo_) node_prepass();
 
-  // Charge the machine model for this epoch. A straggler rank's cost is
-  // multiplied by its slowdown before the max: the bulk-synchronous fence
-  // then runs at the straggler's pace. With a topology attached the
-  // charge is per physical hop on the two-tier network (rank_cost_tiered,
-  // fed by the prepass) and the fence's message total is the physical hop
-  // count; without one it is the legacy per-put accounting, bit for bit.
+  // Charge the machine model for this epoch: the slowest rank's cost sets
+  // the bulk-synchronous pace. With a topology attached the charge is per
+  // physical hop on the two-tier network (rank_cost_tiered, fed by the
+  // prepass) and the fence's message total is the physical hop count;
+  // without one it is the legacy per-put accounting, bit for bit. Every
+  // input here is a traced event, so the analyzer rebuilds this charge.
   double max_rank_cost = 0.0;
   std::uint64_t epoch_total_msgs = 0;
   for (int r = 0; r < num_ranks_; ++r) {
@@ -386,7 +386,6 @@ void Runtime::fence() {
                                    epoch_bytes_[i]);
       epoch_total_msgs += epoch_msgs_[i];
     }
-    if (faults_) rank_cost *= faults_->slowdown(r);
     max_rank_cost = std::max(max_rank_cost, rank_cost);
     epoch_flops_[i] = 0.0;
     epoch_msgs_[i] = 0;

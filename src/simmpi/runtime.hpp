@@ -229,8 +229,9 @@ class Runtime {
   /// docs/resilience.md). Not owned; must outlive the runtime (or be
   /// detached with nullptr). The schedule is consulted once per staged
   /// message at fence time — drops, duplications, reordering, payload
-  /// corruption/truncation, stalls — and straggler slowdowns multiply the
-  /// per-rank epoch cost. Call before the first epoch, like set_tracer.
+  /// corruption/truncation, stalls, kills. It adds no cost term of its
+  /// own: the fence charges only what the trace records (puts, hops,
+  /// flops). Call before the first epoch, like set_tracer.
   ///
   /// Composition and determinism: fault draws are stateless hashes of
   /// (epoch, src, dst, seq), so runs are bit-identical across execution

@@ -166,7 +166,12 @@ CsrMatrix CsrMatrix::extract(std::span<const index_t> rows_sel,
     const index_t i = rows_sel[out_i];
     DSOUTH_CHECK(i >= 0 && i < rows_);
     for (csr_index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      if (col_map[static_cast<std::size_t>(col_idx_[k])] >= 0) ++count;
+      const index_t nj = col_map[static_cast<std::size_t>(col_idx_[k])];
+      if (nj < 0) continue;
+      DSOUTH_CHECK_MSG(nj < new_cols, "extract: a column maps to "
+                                          << nj << ", past " << new_cols
+                                          << " columns");
+      ++count;
     }
     // A row selected twice repeats its entries, so the count can grow
     // past nnz().
@@ -183,7 +188,6 @@ CsrMatrix CsrMatrix::extract(std::span<const index_t> rows_sel,
     for (csr_index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
       const index_t nj = col_map[static_cast<std::size_t>(col_idx_[k])];
       if (nj < 0) continue;
-      DSOUTH_ASSERT(nj < new_cols);
       // Insertion into the row kept sorted so far: a col_map monotone on
       // the row's stored columns (every layout block's) never shifts, a
       // reordering one (graph::permute_symmetric's) does.

@@ -54,8 +54,6 @@ void write_jsonl(std::ostream& out, const TraceLog& log,
   append_kv(line, "num_ranks", log.num_ranks);
   line += ",";
   append_kv(line, "events", static_cast<std::uint64_t>(log.events.size()));
-  line += ",";
-  append_kv(line, "dropped_events", log.dropped_events);
   if (!opt.run_label.empty()) {
     line += ",";
     append_kv(line, "run", opt.run_label);

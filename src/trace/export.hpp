@@ -23,8 +23,10 @@ struct TraceExportOptions {
   std::string run_label;
 };
 
-/// JSON Lines: one header object, one object per event (in log order; an
-/// event's "seq" is its index), one object per metric. See
+/// JSON Lines: one header object (schema version kTraceVersion, rank
+/// count, event count and the run label), one object per event (in log
+/// order; an event's "seq" is its index), one object per metric. The
+/// tracer keeps every event, so the file is the whole run. See
 /// docs/observability.md for the field tables.
 void write_jsonl(std::ostream& out, const TraceLog& log,
                  const TraceExportOptions& opt = {});

@@ -71,13 +71,11 @@ void EventLog::append(std::span<const Event> events) {
   }
 }
 
-Tracer::Tracer(int num_ranks, TraceOptions opt)
+Tracer::Tracer(int num_ranks)
     : num_ranks_(num_ranks),
-      opt_(opt),
       metrics_(num_ranks),
       lanes_(static_cast<std::size_t>(num_ranks)) {
   DSOUTH_CHECK(num_ranks > 0);
-  DSOUTH_CHECK(opt.ring_capacity > 0);
 }
 
 void Tracer::record(int rank, EventKind kind, int peer, int tag, double a0,
@@ -85,7 +83,6 @@ void Tracer::record(int rank, EventKind kind, int peer, int tag, double a0,
   DSOUTH_ASSERT(rank >= 0 && rank < num_ranks_);
   DSOUTH_CHECK(epoch < kEpochEnd);
   DSOUTH_CHECK(tag >= -1 && tag < kTagEnd);
-  Lane& lane = lanes_[static_cast<std::size_t>(rank)];
   Event e;
   e.kind = kind;
   e.rank = rank;
@@ -95,37 +92,13 @@ void Tracer::record(int rank, EventKind kind, int peer, int tag, double a0,
   e.a0 = a0;
   e.a1 = a1;
   e.t_model = t_model;
-  // Ring indices wrap by one compare, not a division per event.
-  if (lane.count < opt_.ring_capacity) {
-    if (lane.buf.size() == lane.count) {
-      lane.buf.push_back(e);  // storage still growing to capacity
-    } else {
-      std::size_t slot = lane.head + lane.count;
-      if (slot >= lane.buf.size()) slot -= lane.buf.size();
-      lane.buf[slot] = e;
-    }
-    ++lane.count;
-  } else {
-    // Ring full: drop the oldest (deterministic — lane contents depend only
-    // on this rank's program order).
-    lane.buf[lane.head] = e;
-    if (++lane.head == lane.buf.size()) lane.head = 0;
-    ++lane.dropped;
-  }
+  lanes_[static_cast<std::size_t>(rank)].push_back(e);
 }
 
 void Tracer::merge_lanes() {
-  for (Lane& lane : lanes_) {
-    // The live ring is at most two contiguous runs: [head, end) and the
-    // wrapped-around prefix.
-    const std::span<const Event> buf(lane.buf);
-    const std::size_t first = std::min(lane.count, buf.size() - lane.head);
-    merged_.append(buf.subspan(lane.head, first));
-    merged_.append(buf.first(lane.count - first));
-    dropped_ += lane.dropped;
-    lane.head = 0;
-    lane.count = 0;
-    lane.dropped = 0;
+  for (std::vector<Event>& lane : lanes_) {
+    merged_.append(lane);
+    lane.clear();
   }
 }
 
@@ -149,7 +122,6 @@ TraceLog Tracer::take_log() {
   TraceLog log(num_ranks_);
   log.events = std::exchange(merged_, EventLog{});
   log.metrics = std::move(metrics_);
-  log.dropped_events = dropped_;
   return log;
 }
 

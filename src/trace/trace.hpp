@@ -4,23 +4,27 @@
 /// Deterministic structured event tracer for the simulated runtime and the
 /// distributed solvers (docs/observability.md).
 ///
-/// Design: each rank records events into its *own* bounded ring lane while
-/// an epoch is in flight — the same one-thread-per-rank discipline the
-/// simmpi Runtime uses for staging lanes, so recording never contends and
-/// never perturbs the simulation. At every fence the lanes are merged into
-/// the global event stream in (source rank, record order) order — exactly
-/// the order the Runtime merges staged puts — which makes the merged stream
-/// **bit-identical across execution backends and thread counts**. Every
-/// event field is deterministic; host time stays out of the trace.
+/// Design: each rank records events into its *own* lane, a plain vector,
+/// while an epoch is in flight — the same one-thread-per-rank discipline
+/// the simmpi Runtime uses for staging lanes, so recording never contends
+/// and never perturbs the simulation. At every fence the lanes are merged
+/// into the global event stream in (source rank, record order) order —
+/// exactly the order the Runtime merges staged puts — which makes the
+/// merged stream **bit-identical across execution backends and thread
+/// counts**. Every event field is deterministic; host time stays out of
+/// the trace.
+///
+/// Lossless: a lane keeps every event its rank records, so the trace holds
+/// every input of the machine model and the analysis layer can rebuild
+/// each fence's modeled seconds from it bit for bit (src/analysis).
 ///
 /// Overhead contract: tracing is attached by pointer
 /// (Runtime::set_tracer); with no tracer attached every hook is an inlined
 /// null-pointer test, and attaching one never changes the simulation's
 /// results, CommStats, or modeled time (TraceOverhead tests). With a
-/// tracer attached, recording is an append to a preallocated-on-demand
-/// per-rank ring (drop-oldest beyond `ring_capacity`, with a drop count),
-/// and the fence drains each ring into the shared EventLog with at most
-/// two contiguous copies.
+/// tracer attached, recording is a push_back onto the rank's lane, and the
+/// fence appends each lane to the shared EventLog with one contiguous copy
+/// and clears it, keeping its capacity for the next epoch.
 
 #include <cstddef>
 #include <cstdint>
@@ -86,7 +90,7 @@ inline constexpr int kNumEventKinds = 9;
 /// every run: a feature that is off just records no events of its kind
 /// and leaves its counters at zero. write_jsonl always writes this number
 /// and analysis::parse_jsonl accepts no other.
-inline constexpr int kTraceVersion = 7;
+inline constexpr int kTraceVersion = 8;
 
 /// Hop kinds carried in a kHop event's tag field.
 inline constexpr int kHopIntraDirect = 0;  ///< same-node message
@@ -201,15 +205,11 @@ class EventLog {
   std::vector<ChunkPtr> chunks_;  // every chunk but the last is full
 };
 
-/// Tracer knobs. `enabled` is consumed by the callers that own the tracer's
-/// lifetime (dist::DistRunOptions, the benches' -trace flag); a constructed
-/// Tracer is always live.
+/// Tracer switch. `enabled` is consumed by the callers that own the
+/// tracer's lifetime (dist::DistRunOptions, the benches' -trace flag); a
+/// constructed Tracer is always live.
 struct TraceOptions {
   bool enabled = false;
-  /// Per-rank ring lane capacity (events held between two fences). Lanes
-  /// drain at every fence, so this only bounds pathological epochs; drops
-  /// are counted, deterministic, and reported in the export header.
-  std::size_t ring_capacity = 4096;
 };
 
 /// The merged result of a traced run (what DistRunResult carries and the
@@ -218,21 +218,19 @@ struct TraceLog {
   int num_ranks = 0;
   EventLog events;          ///< fence-merged; an event's seq is its index
   MetricsRegistry metrics;  ///< final per-rank counter/gauge values
-  std::uint64_t dropped_events = 0;  ///< ring overflows (0 in healthy runs)
 
   explicit TraceLog(int ranks) : num_ranks(ranks), metrics(ranks) {}
 };
 
-/// Per-rank ring-buffered event recorder with a deterministic fence merge.
+/// Per-rank lane event recorder with a deterministic fence merge.
 /// Thread-safety contract (mirrors Runtime's): during an epoch at most one
 /// thread records for a given rank; distinct ranks may record concurrently.
 /// end_epoch()/flush() are single-caller, between epochs.
 class Tracer {
  public:
-  explicit Tracer(int num_ranks, TraceOptions opt = {});
+  explicit Tracer(int num_ranks);
 
   int num_ranks() const { return num_ranks_; }
-  const TraceOptions& options() const { return opt_; }
 
   /// The metrics registry solvers and the runtime register into.
   MetricsRegistry& metrics() { return metrics_; }
@@ -257,29 +255,20 @@ class Tracer {
 
   /// Events merged so far (valid between epochs).
   const EventLog& events() const { return merged_; }
-  std::uint64_t dropped_events() const { return dropped_; }
 
   /// Move the merged stream + metrics out into a TraceLog.
   TraceLog take_log();
 
  private:
-  /// Drop-oldest ring of events; storage grows on demand up to capacity so
-  /// idle ranks cost nothing.
-  struct Lane {
-    std::vector<Event> buf;
-    std::size_t head = 0;   // index of oldest element
-    std::size_t count = 0;  // live elements
-    std::uint64_t dropped = 0;
-  };
-
   void merge_lanes();
 
   int num_ranks_;
-  TraceOptions opt_;
   MetricsRegistry metrics_;
-  std::vector<Lane> lanes_;
+  /// One lane per rank: the events it recorded since the last merge. A
+  /// lane grows on demand, so idle ranks cost nothing, and keeps its
+  /// capacity across merges.
+  std::vector<std::vector<Event>> lanes_;
   EventLog merged_;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace dsouth::trace

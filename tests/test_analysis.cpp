@@ -18,6 +18,7 @@
 #include "analysis/render.hpp"
 #include "analysis/run_trace.hpp"
 #include "dist/driver.hpp"
+#include "elastic/elastic.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "sparse/scaling.hpp"
@@ -75,9 +76,8 @@ DistRunResult golden_ds_run(simmpi::BackendKind backend =
 TEST(CommMatrix, TotalsEqualCommStatsExactly) {
   const auto r = golden_ds_run();
   ASSERT_TRUE(r.trace_log);
-  ASSERT_EQ(r.trace_log->dropped_events, 0u);
   const auto run = from_trace_log(*r.trace_log, "golden");
-  const auto cm = analyze_comm_matrix(run);
+  const auto cm = analyze_run(run).comm;
 
   EXPECT_EQ(cm.total_msgs, r.comm_totals.msgs);
   EXPECT_EQ(cm.total_bytes, r.comm_totals.bytes);
@@ -97,7 +97,7 @@ TEST(CommMatrix, TotalsEqualCommStatsExactly) {
 TEST(CommMatrix, MatrixCellsAreConsistentWithTotals) {
   const auto r = golden_ds_run();
   const auto run = from_trace_log(*r.trace_log, "golden");
-  const auto cm = analyze_comm_matrix(run);
+  const auto cm = analyze_run(run).comm;
   ASSERT_EQ(cm.num_ranks, 4);
   ASSERT_FALSE(cm.pairs.empty());
 
@@ -139,7 +139,7 @@ TEST(CommMatrix, MatrixCellsAreConsistentWithTotals) {
 TEST(CriticalPath, ReproducesFenceModelSecondsBitExactly) {
   const auto r = golden_ds_run();
   const auto run = from_trace_log(*r.trace_log, "golden");
-  const auto cp = analyze_critical_path(run, simmpi::MachineModel{});
+  const auto cp = analyze_run(run).critical_path;
 
   EXPECT_TRUE(cp.model_matches);
   for (const auto& step : cp.steps) {
@@ -192,7 +192,7 @@ TEST(CriticalPath, TermsMatchHandComputedBreakdownOnSyntheticTrace) {
   ev(EventKind::kCompute, 1, -1, -1, 1, 20.0, 0.0);
   ev(EventKind::kFence, -1, -1, -1, 1, 41.0, 0.0);
 
-  const auto cp = analyze_critical_path(run, m);
+  const auto cp = analyze_run(run, {.model = m}).critical_path;
   ASSERT_EQ(cp.steps.size(), 2u);
   EXPECT_TRUE(cp.model_matches);
 
@@ -228,7 +228,98 @@ TEST(CriticalPath, MismatchedModelIsDetected) {
   const auto run = from_trace_log(*r.trace_log, "golden");
   simmpi::MachineModel wrong;
   wrong.alpha *= 2.0;
-  EXPECT_FALSE(analyze_critical_path(run, wrong).model_matches);
+  EXPECT_FALSE(analyze_run(run, {.model = wrong}).critical_path.model_matches);
+}
+
+// Every fault the runtime can inject, async delivery and an elastic kill
+// leave each fence's modeled seconds rebuildable from the trace alone, and
+// each event tally equal to the counter the runtime bumps beside it.
+TEST(CriticalPath, EveryFaultKindReconstructsBitExactly) {
+  auto p = make_problem(12, 8, 91);
+  DistRunOptions base;
+  base.max_parallel_steps = 16;
+  base.trace.enabled = true;
+  base.resilience.enabled = true;
+
+  struct Case {
+    const char* name;
+    DistRunOptions opt;
+    int action;  ///< FaultReport action the run must record, or -1
+  };
+  std::vector<Case> cases;
+  const auto faulted = [&](const char* name, int action,
+                           double faults::EdgeFaults::*probability) {
+    Case c{name, base, action};
+    c.opt.faults.defaults.*probability = 0.1;
+    cases.push_back(c);
+  };
+  faulted("drop", FaultReport::kDrop, &faults::EdgeFaults::drop_probability);
+  faulted("duplicate", FaultReport::kDuplicate,
+          &faults::EdgeFaults::duplicate_probability);
+  faulted("reorder", FaultReport::kReorder,
+          &faults::EdgeFaults::reorder_probability);
+  faulted("corrupt", FaultReport::kCorrupt,
+          &faults::EdgeFaults::corrupt_probability);
+  faulted("truncate", FaultReport::kTruncate,
+          &faults::EdgeFaults::truncate_probability);
+  Case stall{"stall", base, FaultReport::kStall};
+  stall.opt.faults.stalls.push_back({3, 4, 3});
+  cases.push_back(stall);
+  Case async{"async", base, -1};
+  async.opt.async = true;
+  cases.push_back(async);
+
+  const auto expect_complete = [](const RunTrace& run,
+                                  const std::string& name) {
+    SCOPED_TRACE(name);
+    const RunAnalysis a = analyze_run(run);
+    EXPECT_TRUE(a.critical_path.model_matches);
+    EXPECT_EQ(a.critical_path.total_modeled_seconds,
+              a.critical_path.total_recorded_seconds);
+    const auto counter = [&run](const char* metric) {
+      const MetricSeries* m = run.find_metric(metric);
+      EXPECT_NE(m, nullptr) << metric;
+      return m ? m->total() : -1.0;
+    };
+    const auto& f = a.faults.by_action;
+    EXPECT_EQ(a.comm.total_msgs, counter("simmpi.msgs_sent"));
+    EXPECT_EQ(a.comm.total_bytes, counter("simmpi.bytes_sent"));
+    EXPECT_EQ(f[FaultReport::kDrop], counter("simmpi.faults_dropped"));
+    EXPECT_EQ(f[FaultReport::kDuplicate], counter("simmpi.faults_duplicated"));
+    EXPECT_EQ(f[FaultReport::kReorder], counter("simmpi.faults_reordered"));
+    EXPECT_EQ(f[FaultReport::kCorrupt] + f[FaultReport::kTruncate],
+              counter("simmpi.faults_corrupted"));
+    EXPECT_EQ(f[FaultReport::kDeadDrop], counter("simmpi.faults_killed"));
+    EXPECT_EQ(a.async.delivered, counter("simmpi.async_delivered"));
+    EXPECT_EQ(a.async.staleness_sum, counter("simmpi.async_staleness_sum"));
+    return a;
+  };
+
+  for (const Case& c : cases) {
+    const auto r = dist::run_distributed(DistMethod::kDistributedSouthwell,
+                                         p.a, p.part, p.b, p.x0, c.opt);
+    ASSERT_TRUE(r.trace_log) << c.name;
+    const auto a = expect_complete(from_trace_log(*r.trace_log, c.name),
+                                   c.name);
+    if (c.action >= 0) {
+      EXPECT_GT(a.faults.by_action[static_cast<std::size_t>(c.action)], 0u)
+          << c.name;
+    } else {
+      EXPECT_GT(a.async.delivered, 0u) << c.name;
+    }
+  }
+
+  DistRunOptions killed = base;
+  killed.faults.kills.push_back({3, 6});
+  elastic::RecoveryOptions rec;
+  rec.checkpoint_every = 4;
+  const auto er = elastic::run_elastic(DistMethod::kDistributedSouthwell,
+                                       p.a, p.part, p.b, p.x0, killed, rec);
+  ASSERT_EQ(er.recoveries.size(), 1u);
+  ASSERT_TRUE(er.run.trace_log);
+  const auto a =
+      expect_complete(from_trace_log(*er.run.trace_log, "elastic"), "elastic");
+  EXPECT_EQ(a.elastic.by_action[ElasticReport::kKill], 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +329,7 @@ TEST(CriticalPath, MismatchedModelIsDetected) {
 TEST(Timeline, PerRankAccountingMatchesRunTotals) {
   const auto r = golden_ds_run();
   const auto run = from_trace_log(*r.trace_log, "golden");
-  const auto tl = analyze_timeline(run, simmpi::MachineModel{});
+  const auto tl = analyze_run(run).timeline;
 
   ASSERT_EQ(tl.num_ranks, 4);
   std::uint64_t msgs = 0, rows = 0;
@@ -267,7 +358,7 @@ TEST(Timeline, PerRankAccountingMatchesRunTotals) {
 TEST(Convergence, PointsTrackEpochsAndDsCountersSurface) {
   const auto r = golden_ds_run();
   const auto run = from_trace_log(*r.trace_log, "golden");
-  const auto cv = analyze_convergence(run);
+  const auto cv = analyze_run(run).convergence;
 
   ASSERT_FALSE(cv.points.empty());
   for (std::size_t i = 1; i < cv.points.size(); ++i) {
@@ -324,7 +415,6 @@ TEST(RunTrace, JsonlRoundTripPreservesEveryDeterministicField) {
 
   EXPECT_EQ(parsed.label, "golden");
   EXPECT_EQ(parsed.num_ranks, direct.num_ranks);
-  EXPECT_EQ(parsed.dropped_events, direct.dropped_events);
   ASSERT_EQ(parsed.events.size(), direct.events.size());
   for (std::size_t i = 0; i < parsed.events.size(); ++i) {
     const auto& a = parsed.events[i];
@@ -354,7 +444,7 @@ TEST(RunTrace, ParserRejectsGarbageAndUnknownVersions) {
   // refused, with both numbers in the message.
   const auto header = [](int version) {
     return R"({"type":"header","version":)" + std::to_string(version) +
-           R"(,"num_ranks":2,"events":0,"dropped_events":0})" + "\n";
+           R"(,"num_ranks":2,"events":0})" + "\n";
   };
   const std::string metric =
       R"({"type":"metric","name":"simmpi.msgs","metric_kind":"counter",)"
@@ -366,14 +456,14 @@ TEST(RunTrace, ParserRejectsGarbageAndUnknownVersions) {
   try {
     parse_jsonl(R"({"type":"header","version":)" +
                 std::to_string(trace::kTraceVersion) +
-                R"(,"num_ranks":2000000000,"dropped_events":0})");
+                R"(,"num_ranks":2000000000})");
     ADD_FAILURE() << "a header-only run with 2e9 ranks parsed";
   } catch (const util::CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("no metric line"),
               std::string::npos)
         << e.what();
   }
-  for (int version : {2, 6, 99}) {
+  for (int version : {2, 6, 7, 99}) {
     try {
       parse_jsonl(header(version));
       ADD_FAILURE() << "version " << version << " parsed";
@@ -403,7 +493,7 @@ TEST(RunTrace, ParserRejectsFieldsAnalyzersCannotUse) {
   // casting -1 to an unsigned count is undefined behaviour).
   const std::string prefix =
       R"({"type":"header","version":)" + std::to_string(trace::kTraceVersion) +
-      R"(,"num_ranks":2,"events":2,"dropped_events":0})" "\n"
+      R"(,"num_ranks":2,"events":2})" "\n"
       R"({"type":"event","kind":"fence","seq":0,"epoch":0,"rank":-1,)"
       R"("t_model":1,"a0":1,"a1":0})" "\n";
   const auto deliver = [](const std::string& epoch, const std::string& a0) {

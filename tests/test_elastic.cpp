@@ -265,6 +265,23 @@ void reseal(std::vector<std::uint8_t>& m) {
   std::memcpy(m.data() + 24, &sum, 8);
 }
 
+TEST(CheckpointCodec, RejectsHeaderEpochThatDisagreesWithRuntime) {
+  // The header's epoch word (word 6) repeats the payload's runtime epochs;
+  // resealed, a buffer where the two differ passes the checksum and must
+  // still be refused. encode() refuses to write one in the first place.
+  auto c = small_ds_checkpoint();
+  auto bytes = elastic::encode(c);
+  std::uint64_t epoch = 0;
+  std::memcpy(&epoch, bytes.data() + 8 * 6, 8);
+  ASSERT_EQ(epoch, c.runtime.epochs);
+  ++epoch;
+  std::memcpy(bytes.data() + 8 * 6, &epoch, 8);
+  reseal(bytes);
+  EXPECT_THROW(elastic::decode(bytes), util::CheckError);
+  c.epoch += 1;
+  EXPECT_THROW(elastic::encode(c), util::CheckError);
+}
+
 /// A DS checkpoint of a 6x6 Poisson problem on 3 ranks after 4 steps of
 /// an event-driven, resilient run: messages are in flight and the
 /// resilient caches are live when it is captured, and none of it belongs
@@ -559,7 +576,7 @@ TEST(ElasticDriver, TraceEventsRoundTripThroughAnalyzer) {
   auto runs = analysis::parse_jsonl(text);
   ASSERT_EQ(runs.size(), 1u);
 
-  const auto rep = analysis::analyze_elastic(runs[0]);
+  const auto rep = analysis::analyze_run(runs[0]).elastic;
   EXPECT_TRUE(rep.any());
   EXPECT_TRUE(rep.restores_ordered);
   EXPECT_EQ(rep.by_action[analysis::ElasticReport::kKill], 1u);

@@ -228,17 +228,17 @@ const Pinned kPinned[] = {
     {"layout-all/ldoorp-dead-3-11",
      {0xed99270274238ebeULL, 0x4613390b36556645ULL, 0x4c4985d0689bb658ULL}},
     {"trace/async",
-     {0x933af970950af29aULL, 0xd670b5dd8d3f68c1ULL, 0x902368cc0e907e97ULL}},
+     {0x5249fa267187b5b6ULL, 0x60a09faa772bf0c3ULL, 0x902368cc0e907e97ULL}},
     {"trace/batch3",
-     {0x0ae71e301f1eff0cULL, 0xb7f2e0617a1aa4bcULL, 0x4523c42896985a28ULL}},
+     {0xbe6dc7b40d49fb3aULL, 0x802d47cf1a88a340ULL, 0x4523c42896985a28ULL}},
     {"trace/bsp",
-     {0xc95677bc0dde2b83ULL, 0xdbdbd2b948cc9baaULL, 0x8ac05f02a630b490ULL}},
+     {0x9983adeecf84290bULL, 0x875193f347cfc252ULL, 0x8ac05f02a630b490ULL}},
     {"trace/elastic-kill",
-     {0x2eb64336fbd4dde5ULL, 0x244bb3f458f65102ULL, 0x9159bff04f26d390ULL}},
+     {0x46c1416dfd2aec3dULL, 0x40847fbd459aee02ULL, 0x9159bff04f26d390ULL}},
     {"trace/faults",
-     {0x6b5fdde9e84a4086ULL, 0xb49df336559c8a48ULL, 0xabc41e08c92e8657ULL}},
+     {0x730a9c08d532a392ULL, 0x3dbebfdce9e1466aULL, 0xabc41e08c92e8657ULL}},
     {"trace/node-route",
-     {0x16772474c5e8bb6cULL, 0x8777a183b401efb0ULL, 0x1257591faa259f58ULL}},
+     {0x66ae78057be8816cULL, 0xae3be7906e44677aULL, 0x1257591faa259f58ULL}},
 };
 
 std::string pinned_row(const std::string& name, const Digests& d) {

@@ -386,7 +386,7 @@ TEST(NodeAnalysis, TieredCriticalPathReproducesModeledSeconds) {
                                  p.a, p.part, p.b, p.x0, opt);
   ASSERT_TRUE(r.trace_log != nullptr);
   auto run = analysis::from_trace_log(*r.trace_log, "node routed");
-  const auto cp = analysis::analyze_critical_path(run, simmpi::MachineModel{});
+  const auto cp = analysis::analyze_run(run).critical_path;
   EXPECT_TRUE(cp.tiered);
   EXPECT_TRUE(cp.model_matches)
       << "tiered critical path must rebuild every fence's modeled seconds "
@@ -402,7 +402,7 @@ TEST(NodeAnalysis, NodeReportMatchesRuntimeTotalsAndMetrics) {
   ASSERT_TRUE(r.trace_log != nullptr);
   ASSERT_TRUE(r.node_totals.has_value());
   auto run = analysis::from_trace_log(*r.trace_log, "node routed");
-  const auto rep = analysis::analyze_node_routing(run);
+  const auto rep = analysis::analyze_run(run).node;
   EXPECT_TRUE(rep.any());
   // Event tallies reproduce the runtime's CommStats tier totals...
   EXPECT_EQ(rep.msgs_intra, r.node_totals->msgs_intra);

