@@ -15,50 +15,41 @@
 /// *logical* record count is exactly its solo count. bench/throughput
 /// measures both and gates on them.
 ///
-/// Scheduling: each parallel step runs every non-converged tenant's phase
-/// table (solver_base.hpp) inside shared epochs —
-///
-///   bulk-synchronous:  for e in [0, step_epochs()):
-///                        for_each_rank(per-tenant rank_send(e), ship);
-///                        fence;
-///                        for_each_rank(demux absorb)
-///   event-driven:      for_each_rank(demux absorb,
-///                                    per-tenant rank_async_send, ship);
-///                        fence
-///
-/// where "ship" merges what the tenants' ChannelSets buffered into one
-/// tenant frame per (peer, tag) (wire::ChannelSet::ship_batch) and "demux
-/// absorb" walks each received frame, dispatching every entry to its
-/// tenant's absorb_payload. Tenants only share the wire — no solver state
-/// crosses tenants — so each tenant's iterates, absorb order, and
-/// floating-point operation order are exactly its solo run's, and the
-/// per-tenant trajectories are bit-identical to B solo runs under the
-/// default bulk-synchronous configuration (tests/test_batch.cpp).
+/// Scheduling: each parallel step runs every non-converged tenant through
+/// run_parallel_step (solver_base.hpp), the one step schedule a solo
+/// step() runs too. The coordinator plugs in two rank phases: "ship"
+/// merges what the tenants' ChannelSets buffered into one tenant frame per
+/// (peer, tag) (wire::ChannelSet::ship_batch), and the "demux absorb"
+/// walks each received frame, dispatching every entry to its tenant's
+/// absorb_payload. Tenants only share the wire — no solver state crosses
+/// tenants — so each tenant's iterates, absorb order, and floating-point
+/// operation order are exactly its solo run's, and the per-tenant
+/// trajectories are bit-identical to B solo runs under the default
+/// bulk-synchronous configuration (tests/test_batch.cpp).
 ///
 /// Convergence and dropout: tenants converge at different steps. A tenant
 /// whose residual reaches its target stops scheduling (no begin_step, no
 /// sends — it drops out of the frames) but keeps absorbing anything still
 /// in flight to it (event-driven runs mature messages late), so survivors
 /// are not perturbed: their per-tenant record streams are unchanged by a
-/// neighbor tenant's exit.
+/// neighbor tenant's exit. A tenant whose initial residual already meets
+/// its target takes 0 steps.
 ///
-/// B = 1 degenerates to the unbatched driver outright — run_batched
-/// delegates to run_distributed, so a single-tenant "batched" run is
-/// byte-identical to an unbatched one (iterates AND traces) by
-/// construction, the same degeneracy contract flat topologies and
-/// staleness-0 async follow. Residual-norm accounting for B >= 2 reads
-/// each tenant solver's global_residual_norm().
+/// B = 1 runs the same loop over run_distributed's own stack (no tenant
+/// accounting, no batch staging), absorbing with the solver's rank_absorb
+/// and shipping nothing, so a single-tenant batch is byte-identical to
+/// run_distributed — iterates, traces, totals — by construction, and every
+/// BatchRunResult field means the same for every B. (run_distributed
+/// always takes a first step; a tenant already at its target takes none.)
 ///
 /// Composes with batching (tests/test_batch.cpp): async delivery, node
 /// topology, tracing, fault injection with resilience, and kill plans — a
 /// killed rank goes silent for every tenant at once, exactly as in each
-/// tenant's solo run (both schedules run ranks through
-/// for_each_live_rank). Unsupported in batched runs (checked): watchdog
-/// and divergence_abort (observer policies defined on a single
-/// trajectory).
+/// tenant's solo run (every phase runs through for_each_live_rank).
+/// Unsupported for every B (checked): watchdog and divergence_abort
+/// (observer policies defined on a single trajectory).
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "dist/harness.hpp"
@@ -80,7 +71,8 @@ struct TenantResult {
   std::uint64_t relaxations = 0;
   /// Logical wire records shipped on the tenant's behalf — equal to the
   /// logical message count of the tenant's solo run (CommStats tenant
-  /// tallies; tests pin the invariance).
+  /// tallies, or the run's logical totals when B = 1; tests pin the
+  /// invariance).
   std::uint64_t wire_records = 0;
   /// Payload doubles shipped on the tenant's behalf (its share of the
   /// shared frames, excluding frame headers).
@@ -102,9 +94,10 @@ struct BatchRunResult {
   /// Exact end-of-run CommStats totals for the SHARED wire (physical
   /// messages are shared frames; logical records sum the tenants').
   DistRunResult::CommTotals comm_totals;
-  double model_time = 0.0;  ///< modeled seconds for the whole batch
+  /// Modeled seconds for the whole batch, an async run's drain included.
+  double model_time = 0.0;
   index_t steps_taken = 0;  ///< parallel steps until all tenants finished
-  std::uint64_t epochs = 0; ///< runtime epochs the batch closed
+  std::uint64_t epochs = 0; ///< runtime epochs the batch closed (drain too)
   /// Tenant frames the demux rejected as malformed under fault injection
   /// (a bad header, length or tenant id). Entries before the bad field
   /// stay applied; the rest are lost to their tenants and recovered by
@@ -112,10 +105,6 @@ struct BatchRunResult {
   std::uint64_t frames_rejected = 0;
   /// Merged trace when opt.trace.enabled, else null.
   std::shared_ptr<const trace::TraceLog> trace_log;
-  /// B == 1 only: the delegated unbatched result, in full (the batched
-  /// fields above are derived from it; byte-identity tests compare this
-  /// against a direct run_distributed call).
-  std::optional<DistRunResult> solo;
 };
 
 /// Run `specs.size()` tenants of `method` batched through one runtime.
@@ -123,7 +112,7 @@ struct BatchRunResult {
 /// different-RHS case) or one per tenant (different coefficients, same
 /// sparsity); all layouts must share the rank count and communication
 /// structure, which proxy-suite tenant sweeps guarantee by construction
-/// (sparse/proxy_suite.hpp). B == 1 delegates to run_distributed.
+/// (sparse/proxy_suite.hpp).
 BatchRunResult run_distributed_batch(DistMethod method,
                                      std::span<const DistLayout* const> layouts,
                                      std::span<const TenantSpec> specs,

@@ -9,7 +9,6 @@
 #include "simmpi/delivery.hpp"
 #include "util/error.hpp"
 #include "util/interp.hpp"
-#include "util/stopwatch.hpp"
 
 namespace dsouth::dist {
 
@@ -115,28 +114,18 @@ DistRunResult run_distributed(DistMethod method, const DistLayout& layout,
   // the elastic driver assembles the identical stack; this function keeps
   // only the stepping loop and its observer-side stop rules.
   RunHarness h(method, layout, b, x0, opt);
-  DistStationarySolver* solver = &h.solver();
 
   DistRunResult result;
   h.init_result(result);
   h.record_state(result);
 
-  index_t total_relax = 0;
   StopRules stop_rules(opt, result);
   for (index_t k = 0; k < opt.max_parallel_steps; ++k) {
-    // Time the parallel steps only — the observer-side recording below is
-    // backend-independent bookkeeping.
-    util::Stopwatch wall;
-    const DistStepStats stats = solver->step();
-    result.wall_seconds += wall.seconds();
-    total_relax += stats.relaxations;
-    result.active_ranks.push_back(stats.active_ranks);
-    h.record_state(result);
-    result.relaxations.back() = static_cast<double>(total_relax);
+    h.step_and_record(result);
     if (stop_rules.stop(result)) break;
   }
   h.drain_if_async();
-  result.final_x = solver->gather_x();
+  result.final_x = h.solver().gather_x();
   h.fill_totals(result);
   h.finish(result);
   return result;

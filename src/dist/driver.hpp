@@ -209,7 +209,9 @@ struct DistRunResult {
   CommTotals comm_totals;
 
   std::vector<double> residual_norm;  ///< ‖r‖₂ (exact, observer-side)
-  std::vector<double> model_time;     ///< modeled seconds, cumulative
+  /// Modeled seconds, cumulative. The last entry is the runtime's clock
+  /// at the end of the run, an async run's drain epochs included.
+  std::vector<double> model_time;
   std::vector<double> comm_cost;      ///< total msgs / P, cumulative
   std::vector<double> solve_comm;     ///< solve-message cost, cumulative
   std::vector<double> res_comm;       ///< explicit-residual cost, cumulative

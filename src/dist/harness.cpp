@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 #include "wire/comm_plan.hpp"
 
 namespace dsouth::dist {
@@ -68,8 +69,8 @@ RunHarness::RunHarness(DistMethod method,
   const int num_ranks = layout.num_ranks();
   const bool batched = specs.size() > 1;
 
-  // Async delivery must be set before the solver is constructed (so
-  // async_mode() is stable from construction on).
+  // Async delivery must be set before the solver is constructed (so every
+  // step of the run sees one delivery mode).
   if (opt.async) {
     rt_.set_async_delivery({.seed = opt.async_seed,
                             .min_latency_epochs = opt.async_min_latency,
@@ -153,6 +154,17 @@ void RunHarness::record_state(DistRunResult& result) const {
       result.relaxations.empty() ? 0.0 : result.relaxations.back());
 }
 
+void RunHarness::step_and_record(DistRunResult& result) {
+  // Time the parallel step only — the observer-side recording below is
+  // backend-independent bookkeeping.
+  util::Stopwatch wall;
+  const DistStepStats stats = solver().step();
+  result.wall_seconds += wall.seconds();
+  result.active_ranks.push_back(stats.active_ranks);
+  record_state(result);
+  result.relaxations.back() += static_cast<double>(stats.relaxations);
+}
+
 void RunHarness::drain_if_async() {
   if (!rt_.async_delivery()) return;
   // Gated on the runtime, not opt.async: staleness-0 async delivery
@@ -179,6 +191,9 @@ DistRunResult::CommTotals RunHarness::comm_totals() const {
 void RunHarness::fill_totals(DistRunResult& result) const {
   const simmpi::CommStats& cs = rt_.stats();
   result.comm_totals = comm_totals();
+  if (!result.model_time.empty()) {
+    result.model_time.back() = rt_.model_time_seconds();
+  }
   if (fault_schedule_) {
     FaultSummary fs;
     fs.msgs_dropped = cs.dropped_messages();

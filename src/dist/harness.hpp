@@ -11,9 +11,9 @@
 ///   tenants → backend → solver(s) → batch staging → resilience
 ///
 /// The order is load-bearing: async delivery must precede the tracer
-/// (async metrics register at attach) and the solver (async_mode() must be
-/// stable from construction); the tracer must precede the solver (ctors
-/// register metrics). Sharing the assembly makes the elastic driver's
+/// (async metrics register at attach) and the solver (every step of the
+/// run must see one delivery mode); the tracer must precede the solver
+/// (ctors register metrics). Sharing the assembly makes the elastic driver's
 /// fault-free runs byte-identical to run_distributed, and lets batched
 /// runs compose with every feature the way solo runs do, *by construction*
 /// rather than by parallel maintenance (tests/test_elastic.cpp and
@@ -77,9 +77,13 @@ class RunHarness {
   void init_result(DistRunResult& result) const;
 
   /// Append one series entry (residual, model time, comm costs, carried
-  /// relaxations) — the caller overwrites relaxations.back() after
-  /// accumulating the step's count, exactly as run_distributed always did.
+  /// relaxations).
   void record_state(DistRunResult& result) const;
+
+  /// Run one solver().step() and record it: its host seconds into
+  /// wall_seconds, its active-rank count, one record_state entry, and its
+  /// relaxed rows added to relaxations.back().
+  void step_and_record(DistRunResult& result);
 
   /// Asynchronous epilogue: deliver everything still maturing and absorb
   /// it, so final_x and the totals describe a fully-drained run. No-op
@@ -91,7 +95,9 @@ class RunHarness {
   DistRunResult::CommTotals comm_totals() const;
 
   /// Copy comm_totals() and the conditional summaries (fault / async /
-  /// node) into `result`.
+  /// node) into `result`, and end its model_time series at the runtime's
+  /// clock, so a drain's epochs count (bulk-synchronous runs read the same
+  /// value).
   void fill_totals(DistRunResult& result) const;
 
   /// End-of-run teardown: flush the tracer and detach it from the runtime.

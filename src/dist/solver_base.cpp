@@ -138,29 +138,11 @@ std::vector<value_t> DistStationarySolver::gather_x() const {
 }
 
 DistStepStats DistStationarySolver::step() {
-  begin_step();
-  if (async_mode()) {
-    // Relax-on-arrival: absorb whatever matured at earlier fences, run the
-    // solver's fused send phase on that (staleness-bounded) state, fence
-    // once. Messages sent here land whenever async delivery's virtual
-    // clock says they do.
-    for_each_rank([this](simmpi::RankContext& ctx, int p) {
-      rank_absorb(ctx, p);
-      rank_async_send(ctx, p);
-    });
-    rt_->fence();
-    return merge_rank_stats();
-  }
-  const int epochs = step_epochs();
-  for (int e = 0; e < epochs; ++e) {
-    for_each_rank([this, e](simmpi::RankContext& ctx, int p) {
-      rank_send(e, ctx, p);
-    });
-    rt_->fence();
-    for_each_rank([this](simmpi::RankContext& ctx, int p) {
-      rank_absorb(ctx, p);
-    });
-  }
+  DistStationarySolver* const self = this;
+  run_parallel_step(*backend_, *rt_, {&self, 1},
+                    [self](simmpi::RankContext& ctx, int p) {
+                      self->rank_absorb(ctx, p);
+                    });
   return merge_rank_stats();
 }
 
@@ -191,9 +173,10 @@ void DistStationarySolver::absorb_payload(simmpi::RankContext& ctx, int p,
 }
 
 void DistStationarySolver::absorb_all() {
-  for_each_rank([this](simmpi::RankContext& ctx, int p) {
-    rank_absorb(ctx, p);
-  });
+  for_each_live_rank(*backend_, *rt_,
+                     [this](simmpi::RankContext& ctx, int p) {
+                       rank_absorb(ctx, p);
+                     });
 }
 
 void DistStationarySolver::set_batch_staging(bool on) {
@@ -319,23 +302,55 @@ bool DistStationarySolver::resil_refresh_due(int p, std::size_t nbi) const {
          resil_.refresh_period;
 }
 
-// The dispatch lambda below captures exactly one reference (8 bytes) to a
-// stack-local Call struct so the std::function run_epoch receives fits in
-// libstdc++'s small-buffer (16 bytes) — capturing rt + fn directly would
-// heap-allocate on every epoch and break the hot path's zero-allocation
-// guarantee (tested in test_wire).
-void for_each_live_rank(
-    simmpi::ExecutionBackend& backend, simmpi::Runtime& rt,
-    const std::function<void(simmpi::RankContext&, int)>& fn) {
+// Every closure handed to run_epoch or for_each_live_rank below captures
+// exactly one reference (8 bytes) to a stack-local struct, so each
+// std::function it becomes fits in libstdc++'s small buffer (16 bytes) —
+// capturing several references directly would heap-allocate on every epoch
+// and break the hot path's zero-allocation guarantee (tested in test_wire).
+void for_each_live_rank(simmpi::ExecutionBackend& backend,
+                        simmpi::Runtime& rt, const RankPhase& fn) {
   struct Call {
     simmpi::Runtime* rt;
-    const std::function<void(simmpi::RankContext&, int)>* fn;
+    const RankPhase* fn;
   } call{&rt, &fn};
   backend.run_epoch(rt.num_ranks(), [&call](int p) {
     if (call.rt->rank_dead(p)) return;
     simmpi::RankContext ctx(*call.rt, p);
     (*call.fn)(ctx, p);
   });
+}
+
+void run_parallel_step(simmpi::ExecutionBackend& backend, simmpi::Runtime& rt,
+                       std::span<DistStationarySolver* const> solvers,
+                       const RankPhase& absorb, const RankPhase& ship) {
+  DSOUTH_CHECK(!solvers.empty());
+  for (DistStationarySolver* s : solvers) s->begin_step();
+  struct Step {
+    std::span<DistStationarySolver* const> solvers;
+    const RankPhase* absorb;
+    const RankPhase* ship;
+    int epoch;
+  } step{solvers, &absorb, &ship, 0};
+  if (rt.async_delivery()) {
+    for_each_live_rank(backend, rt, [&step](simmpi::RankContext& ctx, int p) {
+      (*step.absorb)(ctx, p);
+      for (DistStationarySolver* s : step.solvers) s->rank_async_send(ctx, p);
+      if (*step.ship) (*step.ship)(ctx, p);
+    });
+    rt.fence();
+    return;
+  }
+  const int epochs = solvers.front()->step_epochs();
+  for (; step.epoch < epochs; ++step.epoch) {
+    for_each_live_rank(backend, rt, [&step](simmpi::RankContext& ctx, int p) {
+      for (DistStationarySolver* s : step.solvers) {
+        s->rank_send(step.epoch, ctx, p);
+      }
+      if (*step.ship) (*step.ship)(ctx, p);
+    });
+    rt.fence();
+    for_each_live_rank(backend, rt, absorb);
+  }
 }
 
 DistStepStats DistStationarySolver::merge_rank_stats() {

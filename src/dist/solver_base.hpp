@@ -10,7 +10,7 @@
 /// `rank_*`(RankContext&, p) member functions that touch only rank-p state
 /// (x_[p], r_[p], the cached ‖r_p‖² norm2_[p], scratch_[p], the solver's
 /// per-rank estimate arrays) plus the rank-scoped runtime facade.
-/// `for_each_rank` hands those phases to the solver's ExecutionBackend, so
+/// `for_each_live_rank` hands those phases to an ExecutionBackend, so
 /// the same phase code runs sequentially or on a thread pool with
 /// bit-identical results (the runtime merges staged effects
 /// deterministically at the fence). Ranks never read each other's arrays
@@ -79,16 +79,40 @@ void subtract_a_times_x_local(const DistLayout& layout,
                               const std::vector<std::vector<value_t>>& x,
                               std::vector<value_t>& r_p, int p);
 
+/// One rank's share of an epoch phase: fn(ctx, p) touches only rank p.
+using RankPhase = std::function<void(simmpi::RankContext&, int)>;
+
 /// Run fn(ctx, p) for every rank p on `backend` (one epoch phase) — the
-/// one rank runner of the solo step and the batch coordinator. A
-/// permanently failed rank (faults::RankKill) stops the moment it dies: no
-/// phases run, its window is never absorbed, and peers observe silence
-/// (the runtime swallows its traffic at the fence). rank_dead is
-/// constant-false without a kill plan, so kill-free runs take the exact
-/// same path either way.
-void for_each_live_rank(
-    simmpi::ExecutionBackend& backend, simmpi::Runtime& rt,
-    const std::function<void(simmpi::RankContext&, int)>& fn);
+/// one rank runner of every step. A permanently failed rank
+/// (faults::RankKill) stops the moment it dies: no phases run, its window
+/// is never absorbed, and peers observe silence (the runtime swallows its
+/// traffic at the fence). rank_dead is constant-false without a kill plan,
+/// so kill-free runs take the exact same path either way.
+void for_each_live_rank(simmpi::ExecutionBackend& backend,
+                        simmpi::Runtime& rt, const RankPhase& fn);
+
+class DistStationarySolver;
+
+/// Run one parallel step of `solvers`, which share `rt` and one method —
+/// the one step schedule of every run, solo or batched:
+///
+///   begin_step() on each solver
+///   bulk-synchronous:  for e in [0, step_epochs()):
+///                        each live rank: every solver's rank_send(e); ship
+///                        fence
+///                        each live rank: absorb
+///   event-driven:      each live rank: absorb; every solver's
+///                        rank_async_send; ship
+///                      fence
+///
+/// `absorb` empties rank p's window: a solo step passes the solver's
+/// rank_absorb, the batch coordinator its tenant-frame demux. `ship`, when
+/// non-empty, puts what the solvers staged (the coordinator's
+/// wire::ChannelSet::ship_batch). Per-step stats stay in each solver's
+/// slots for merge_rank_stats.
+void run_parallel_step(simmpi::ExecutionBackend& backend, simmpi::Runtime& rt,
+                       std::span<DistStationarySolver* const> solvers,
+                       const RankPhase& absorb, const RankPhase& ship = {});
 
 class DistStationarySolver {
  public:
@@ -103,19 +127,19 @@ class DistStationarySolver {
   DistStationarySolver(const DistStationarySolver&) = delete;
   DistStationarySolver& operator=(const DistStationarySolver&) = delete;
 
-  /// Advance one parallel step (including its fences).
+  /// Advance one parallel step (including its fences): run_parallel_step
+  /// on this solver alone, with rank_absorb and no ship.
   ///
   /// Under bulk-synchronous delivery this is the paper's stepping: one or
   /// two epochs with every message delivered at its closing fence. Under
-  /// async delivery (async_mode()) every solver switches to single-epoch
-  /// relax-on-arrival stepping: absorb whatever matured into the window,
-  /// relax on the (possibly stale, staleness-bounded) state, fold any
-  /// phase-B traffic into the same epoch, fence once.
+  /// async delivery every solver switches to single-epoch relax-on-arrival
+  /// stepping: absorb whatever matured into the window, relax on the
+  /// (possibly stale, staleness-bounded) state, fold any phase-B traffic
+  /// into the same epoch, fence once.
   ///
-  /// Non-virtual: the step schedule is a fixed phase table the base class
-  /// drives through the stepping hooks below, so an external coordinator
-  /// (batch.hpp) can interleave several solvers' phases inside shared
-  /// epochs and a solo step() stays call-for-call what it always was.
+  /// Non-virtual: the schedule is run_parallel_step's, driven through the
+  /// stepping hooks below, so the batch coordinator (batch.hpp) runs
+  /// several solvers' phases inside the same shared epochs.
   DistStepStats step();
   virtual const char* name() const = 0;
 
@@ -126,18 +150,10 @@ class DistStationarySolver {
   void absorb_all();
 
   // --- Stepping hooks -----------------------------------------------------
-  // The phase table step() executes, exposed so the batched multi-tenant
-  // coordinator (batch.hpp) can run B solvers' phases inside SHARED epochs:
-  //
-  //   begin_step()
-  //   bulk-synchronous:  for e in [0, step_epochs()):
-  //                        for_each_rank(rank_send(e)); fence;
-  //                        for_each_rank(rank_absorb)
-  //   event-driven:      for_each_rank(rank_absorb; rank_async_send); fence
-  //
-  // Every hook preserves the SPMD discipline (rank phases touch only
-  // rank-p state). Calling them outside step()/the coordinator's schedule
-  // voids the byte-identity guarantees.
+  // What run_parallel_step (above) calls, public so one schedule drives a
+  // solo step and B tenants' phases inside shared epochs alike. Every hook
+  // preserves the SPMD discipline (rank phases touch only rank-p state).
+  // Calling them outside that schedule voids the byte-identity guarantees.
 
   /// Per-step bookkeeping that runs once, before any epoch (resilience
   /// step counter; DS advances its heartbeat clock, MCBGS its color).
@@ -239,17 +255,6 @@ class DistStationarySolver {
   std::span<const value_t> local_x(int p) const { return x_[p]; }
 
  protected:
-  /// True when the runtime delivers asynchronously — the cue for step()
-  /// to take its single-epoch relax-on-arrival path.
-  bool async_mode() const { return rt_->async_delivery(); }
-
-  /// Run fn(ctx, p) for every live rank p via the backend (one epoch
-  /// phase; for_each_live_rank).
-  void for_each_rank(
-      const std::function<void(simmpi::RankContext&, int)>& fn) {
-    for_each_live_rank(*backend_, *rt_, fn);
-  }
-
   /// Apply the norm fields of a record received on channel (p, neighbor
   /// nbi); absorb_payload has already applied its boundary x. Default:
   /// the record carries none (Block Jacobi).

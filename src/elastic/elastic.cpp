@@ -7,7 +7,6 @@
 #include "elastic/checkpoint.hpp"
 #include "graph/graph.hpp"
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace dsouth::elastic {
 
@@ -84,18 +83,11 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
   std::vector<index_t> dead_parts;
   std::vector<value_t> x_restored;
 
-  index_t total_relax = 0;
   dist::StopRules stop_rules(opt, result);
   index_t k = 0;  // surviving parallel steps recorded so far
   while (k < opt.max_parallel_steps) {
-    util::Stopwatch wall;
-    const dist::DistStepStats stats = h->solver().step();
-    result.wall_seconds += wall.seconds();
+    h->step_and_record(result);
     ++k;
-    total_relax += stats.relaxations;
-    result.active_ranks.push_back(stats.active_ranks);
-    h->record_state(result);
-    result.relaxations.back() = static_cast<double>(total_relax);
 
     // --- Detect: which ranks were permanently dead during the step's
     // epochs? (dead() is monotone, so the last closed epoch suffices.)
@@ -147,7 +139,6 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
       result.relaxations.resize(keep + 1);
       result.active_ranks.resize(keep);
       k = c.step;
-      total_relax = static_cast<index_t>(result.relaxations.back());
       for (auto& ev : out.recoveries) {
         if (ev.detected_step == detected_step) ev.resumed_step = c.step;
       }

@@ -116,7 +116,7 @@ void ChannelSet::ship_batch(simmpi::RankContext& ctx,
                             std::span<const int> tenants) {
   DSOUTH_CHECK(!sets.empty());
   DSOUTH_CHECK(sets.size() == tenants.size());
-  const ChannelSet& first = *sets.front();
+  ChannelSet& first = *sets.front();
   for (const ChannelSet* s : sets) {
     DSOUTH_CHECK_MSG(s->batch_,
                      "ship_batch needs batch-staged channel sets");
@@ -128,7 +128,7 @@ void ChannelSet::ship_batch(simmpi::RankContext& ctx,
                      "ship_batch sets must share one rank and peer list");
   }
   const auto peers = first.plan_->peers(first.rank_);
-  std::vector<TenantEntry> entries;
+  std::vector<TenantEntry>& entries = first.ship_entries_;
   for (std::size_t k = 0; k < peers.size(); ++k) {
     for (int tag_i = 0; tag_i < simmpi::kNumTags; ++tag_i) {
       const auto tag = static_cast<simmpi::MsgTag>(tag_i);
@@ -162,6 +162,7 @@ void ChannelSet::ship_batch(simmpi::RankContext& ctx,
       }
     }
   }
+  entries.clear();  // its spans alias the buffers cleared below
   for (ChannelSet* s : sets) {
     for (auto& buf : s->buffers_) {
       buf.bodies.clear();

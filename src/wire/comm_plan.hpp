@@ -94,10 +94,12 @@ class ChannelSet {
   /// ONE physical tenant frame (wire.hpp) counted as one logical record
   /// per entry, with each entry's records/doubles attributed to its tenant
   /// (RankContext::add_tenant_records). A lone entry still ships framed:
-  /// the receiver needs the tenant id to demux (B = 1 byte-identity is the
-  /// coordinator's job — it bypasses batching entirely). All sets must be
-  /// batch-staged views of the same (plan, rank); `tenants[i]` is the
-  /// batch index of `sets[i]`. Buffers are cleared on return.
+  /// the receiver needs the tenant id to demux (a batch of one stages no
+  /// frames — the coordinator leaves its channels in direct mode). All
+  /// sets must be batch-staged views of the same (plan, rank); `tenants[i]`
+  /// is the batch index of `sets[i]`. Buffers are cleared on return; the
+  /// entry list reuses the first set's scratch, so a warm ship allocates
+  /// nothing.
   static void ship_batch(simmpi::RankContext& ctx,
                          std::span<ChannelSet* const> sets,
                          std::span<const int> tenants);
@@ -137,6 +139,9 @@ class ChannelSet {
   std::vector<PeerBuffer> buffers_;  ///< indexed like peers(rank_)
   std::vector<std::uint64_t> send_seq_;    ///< per-peer envelope counters
   std::vector<std::span<double>> pending_;  ///< envelopes awaiting seal
+  /// ship_batch's entry list, kept in the first set it ships (a set of
+  /// the shipping rank, so only that rank's phase touches it).
+  std::vector<TenantEntry> ship_entries_;
 };
 
 }  // namespace dsouth::wire

@@ -246,10 +246,9 @@ EnvelopeView decode_envelope(std::span<const double> payload);
 // and the demux must be able to skip bodies while dispatching. Entries
 // appear in tenant-schedule order, preserving each tenant's own send order
 // — the order the unbatched run would have delivered in. A lone entry
-// still ships framed: dropping the header would drop the tenant id. B = 1
-// byte-identity is instead achieved one level up — the batch coordinator
-// with a single tenant delegates to the unbatched driver outright
-// (dist/batch.hpp).
+// still ships framed: dropping the header would drop the tenant id. A
+// batch of one ships no frames at all — its channels stay in direct mode,
+// so it is byte-identical to the unbatched run (dist/batch.hpp).
 
 /// Tenant-frame magic: a quiet NaN distinct from the envelope magic.
 inline constexpr std::uint64_t kTenantMagicBits = 0x7ff8'd500'57e1'1ed4ULL;

@@ -301,6 +301,10 @@ TEST(CriticalPath, EveryFaultKindReconstructsBitExactly) {
     ASSERT_TRUE(r.trace_log) << c.name;
     const auto a = expect_complete(from_trace_log(*r.trace_log, c.name),
                                    c.name);
+    // The run's modeled-time series ends where the trace does: after the
+    // async drain's epochs too.
+    EXPECT_EQ(a.critical_path.total_modeled_seconds, r.model_time.back())
+        << c.name;
     if (c.action >= 0) {
       EXPECT_GT(a.faults.by_action[static_cast<std::size_t>(c.action)], 0u)
           << c.name;
@@ -319,6 +323,7 @@ TEST(CriticalPath, EveryFaultKindReconstructsBitExactly) {
   ASSERT_TRUE(er.run.trace_log);
   const auto a =
       expect_complete(from_trace_log(*er.run.trace_log, "elastic"), "elastic");
+  EXPECT_EQ(a.critical_path.total_modeled_seconds, er.run.model_time.back());
   EXPECT_EQ(a.elastic.by_action[ElasticReport::kKill], 1u);
 }
 

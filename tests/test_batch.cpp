@@ -25,6 +25,7 @@
 #include "sparse/proxy_suite.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/stencils.hpp"
+#include "sparse/vec.hpp"
 #include "trace/export.hpp"
 #include "util/rng.hpp"
 #include "wire/comm_plan.hpp"
@@ -264,6 +265,14 @@ std::string trace_bytes(const std::shared_ptr<const trace::TraceLog>& log) {
   return os.str();
 }
 
+/// Bulk-synchronous epochs in one parallel step of `m`.
+std::uint64_t epochs_per_step(dist::DistMethod m) {
+  return m == dist::DistMethod::kParallelSouthwell ||
+                 m == dist::DistMethod::kDistributedSouthwell
+             ? 2
+             : 1;
+}
+
 const std::vector<dist::DistMethod>& all_methods() {
   static const std::vector<dist::DistMethod> ms = {
       dist::DistMethod::kBlockJacobi, dist::DistMethod::kMulticolorBlockGs,
@@ -327,8 +336,24 @@ TEST(BatchDegeneracy, SingleTenantIsByteIdenticalToUnbatched) {
             << what;
         EXPECT_EQ(trace_bytes(batched.trace_log), trace_bytes(solo.trace_log))
             << what;
-        ASSERT_TRUE(batched.solo.has_value());
-        EXPECT_EQ(batched.solo->residual_norm, solo.residual_norm) << what;
+        // The batch counts the epochs the solo run closed, drain included,
+        // and its modeled time is the solo series' last entry.
+        const std::uint64_t solo_epochs =
+            solo.async_totals
+                ? solo.async_totals->epochs
+                : static_cast<std::uint64_t>(solo.steps_taken()) *
+                      epochs_per_step(m);
+        EXPECT_EQ(batched.epochs, solo_epochs) << what;
+        EXPECT_EQ(batched.model_time, solo.model_time.back()) << what;
+        if (!opt.faults.any()) {
+          // final_residual is final_x's: after an async run's drain, not
+          // at its last step (no message is lost without faults).
+          std::vector<value_t> r(p.b.size());
+          p.a.residual(p.b, batched.tenants[0].final_x, r);
+          EXPECT_NEAR(batched.tenants[0].final_residual, sparse::norm2(r),
+                      1e-9 * sparse::norm2(r))
+              << what;
+        }
       }
     }
   }
@@ -406,26 +431,34 @@ TEST(BatchServing, ThreadedBatchIsBitIdenticalToSequential) {
   const dist::DistLayout* layouts[] = {&layout};
   const dist::TenantSpec specs[] = {{p.b, p.x0, 0.0}, {b1, x1, 0.0}};
 
-  dist::DistRunOptions seq;
-  seq.max_parallel_steps = 12;
-  auto thr = seq;
-  thr.backend = simmpi::BackendKind::kThreadPool;
-  thr.num_threads = 3;
-  for (const auto m : {dist::DistMethod::kParallelSouthwell,
-                       dist::DistMethod::kDistributedSouthwell}) {
-    const auto a = dist::run_distributed_batch(m, layouts, specs, seq);
-    const auto b = dist::run_distributed_batch(m, layouts, specs, thr);
-    for (std::size_t t = 0; t < 2; ++t) {
-      EXPECT_EQ(a.tenants[t].residual_norm, b.tenants[t].residual_norm)
-          << dist::method_name(m) << " tenant " << t;
-      EXPECT_EQ(a.tenants[t].final_x, b.tenants[t].final_x)
-          << dist::method_name(m) << " tenant " << t;
-      EXPECT_EQ(a.tenants[t].wire_records, b.tenants[t].wire_records);
-      EXPECT_EQ(a.tenants[t].wire_doubles, b.tenants[t].wire_doubles);
+  for (const bool async : {false, true}) {
+    dist::DistRunOptions seq;
+    seq.max_parallel_steps = 12;
+    seq.async = async;
+    auto thr = seq;
+    thr.backend = simmpi::BackendKind::kThreadPool;
+    thr.num_threads = 3;
+    for (const auto m : {dist::DistMethod::kParallelSouthwell,
+                         dist::DistMethod::kDistributedSouthwell}) {
+      const std::string what =
+          std::string(dist::method_name(m)) + (async ? "/async" : "/bsp");
+      const auto a = dist::run_distributed_batch(m, layouts, specs, seq);
+      const auto b = dist::run_distributed_batch(m, layouts, specs, thr);
+      for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_EQ(a.tenants[t].residual_norm, b.tenants[t].residual_norm)
+            << what << " tenant " << t;
+        EXPECT_EQ(a.tenants[t].final_x, b.tenants[t].final_x)
+            << what << " tenant " << t;
+        EXPECT_EQ(a.tenants[t].wire_records, b.tenants[t].wire_records)
+            << what;
+        EXPECT_EQ(a.tenants[t].wire_doubles, b.tenants[t].wire_doubles)
+            << what;
+      }
+      EXPECT_EQ(a.comm_totals.msgs, b.comm_totals.msgs) << what;
+      EXPECT_EQ(a.comm_totals.bytes, b.comm_totals.bytes) << what;
+      EXPECT_EQ(a.model_time, b.model_time) << what;
+      EXPECT_EQ(a.epochs, b.epochs) << what;
     }
-    EXPECT_EQ(a.comm_totals.msgs, b.comm_totals.msgs);
-    EXPECT_EQ(a.comm_totals.bytes, b.comm_totals.bytes);
-    EXPECT_EQ(a.model_time, b.model_time);
   }
 }
 
@@ -504,16 +537,45 @@ TEST(BatchServing, UnsupportedObserverPoliciesAreRejected) {
   dist::DistLayout layout(p.a, p.part);
   const dist::DistLayout* layouts[] = {&layout};
   const dist::TenantSpec specs[] = {{p.b, p.x0, 0.0}, {p.b, p.x0, 0.0}};
+  // A batch of one is a batch: it rejects them too.
+  for (const std::size_t b : {std::size_t{1}, std::size_t{2}}) {
+    const std::span<const dist::TenantSpec> batch(specs, b);
+    dist::DistRunOptions opt;
+    opt.watchdog.enabled = true;
+    EXPECT_THROW(dist::run_distributed_batch(dist::DistMethod::kBlockJacobi,
+                                             layouts, batch, opt),
+                 util::CheckError)
+        << "B = " << b;
+    dist::DistRunOptions opt2;
+    opt2.divergence_abort = 1e6;
+    EXPECT_THROW(dist::run_distributed_batch(dist::DistMethod::kBlockJacobi,
+                                             layouts, batch, opt2),
+                 util::CheckError)
+        << "B = " << b;
+  }
+}
+
+// A tenant whose initial residual already meets its target is never
+// scheduled, whatever the batch size: 0 steps, one series entry.
+TEST(BatchServing, TenantAtTargetFromTheStartTakesNoSteps) {
+  auto p = make_problem(8, 4, 5);
+  dist::DistLayout layout(p.a, p.part);
+  const dist::DistLayout* layouts[] = {&layout};
+  const dist::TenantSpec specs[] = {{p.b, p.x0, 2.0}, {p.b, p.x0, 0.0}};
   dist::DistRunOptions opt;
-  opt.watchdog.enabled = true;
-  EXPECT_THROW(dist::run_distributed_batch(dist::DistMethod::kBlockJacobi,
-                                           layouts, specs, opt),
-               util::CheckError);
-  dist::DistRunOptions opt2;
-  opt2.divergence_abort = 1e6;
-  EXPECT_THROW(dist::run_distributed_batch(dist::DistMethod::kBlockJacobi,
-                                           layouts, specs, opt2),
-               util::CheckError);
+  opt.max_parallel_steps = 5;
+  for (const std::size_t b : {std::size_t{1}, std::size_t{2}}) {
+    const auto r = dist::run_distributed_batch(
+        dist::DistMethod::kDistributedSouthwell, layouts,
+        std::span<const dist::TenantSpec>(specs, b), opt);
+    ASSERT_EQ(r.tenants.size(), b);
+    const auto& t = r.tenants[0];
+    EXPECT_TRUE(t.converged) << "B = " << b;
+    EXPECT_EQ(t.steps, 0) << "B = " << b;
+    EXPECT_EQ(t.residual_norm.size(), 1u) << "B = " << b;
+    EXPECT_EQ(t.relaxations, 0u) << "B = " << b;
+    EXPECT_EQ(r.steps_taken, b == 1 ? 0 : 5) << "B = " << b;
+  }
 }
 
 // Under fault injection a corrupted tenant frame is dropped and counted,

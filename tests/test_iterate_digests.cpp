@@ -1,7 +1,8 @@
 /// Iterate digests: FNV-1a64 fingerprints of the residual series, modeled
 /// time series, final iterate, and exact CommTotals of small Poisson runs,
-/// pinned for every solver under each delivery/wire configuration, for a
-/// batched B = 3 run, and for an elastic single-kill recovery; the bytes
+/// pinned for every solver under each delivery/wire configuration, for
+/// B = 3 batches (bulk-synchronous, and event-driven with drops), and for
+/// an elastic single-kill recovery; the bytes
 /// that six traced DS runs export (JSONL, the analyzer's JSON document and
 /// the Chrome trace); plus the set-up outputs every run starts from: each
 /// proxy's CSR and the small FEM problem's, the matrix graph and partition
@@ -144,9 +145,11 @@ struct Pinned {
 // comment before editing.
 const Pinned kPinned[] = {
     {"BJ/async",
-     {0x23e24dadbec4d856ULL, 0x4b9272bbeade74c3ULL, 0x78b9a7d6a3510672ULL}},
+     {0x1c2af47be8c408bcULL, 0x4b9272bbeade74c3ULL, 0x78b9a7d6a3510672ULL}},
     {"BJ/batch3",
      {0x7aa252bd69384244ULL, 0x8fc402990e76eaa8ULL, 0xbf9a7523a0f4f7bdULL}},
+    {"BJ/batch3-async",
+     {0x8231042a98623c16ULL, 0x9cbf591fd18cfe60ULL, 0xc94e894138abf0c9ULL}},
     {"BJ/bsp",
      {0x3182961ca665577fULL, 0x337d05b0f9aa9cbdULL, 0x0c38d0f1fd609ebcULL}},
     {"BJ/faults",
@@ -154,9 +157,11 @@ const Pinned kPinned[] = {
     {"BJ/node-route",
      {0x8103dd96f419c38eULL, 0x337d05b0f9aa9cbdULL, 0x0c38d0f1fd609ebcULL}},
     {"DS/async",
-     {0x1fc8845849d492e4ULL, 0x27646752fc58b351ULL, 0xba9df60c247bad5aULL}},
+     {0x4089cea7ed644be7ULL, 0x27646752fc58b351ULL, 0xba9df60c247bad5aULL}},
     {"DS/batch3",
      {0xf0512863457306b6ULL, 0x2bbab3cc278fa040ULL, 0xc6c37eb804e2ba0fULL}},
+    {"DS/batch3-async",
+     {0x81f4d43b70b85d8dULL, 0xe828dce076396ab4ULL, 0x2231fd4a0a4fbbd1ULL}},
     {"DS/bsp",
      {0x4963f943a92d8106ULL, 0x1b68600299e5d661ULL, 0x32eb70815b2903ebULL}},
     {"DS/elastic-kill",
@@ -166,9 +171,11 @@ const Pinned kPinned[] = {
     {"DS/node-route",
      {0xc40410105081276aULL, 0x1b68600299e5d661ULL, 0x32eb70815b2903ebULL}},
     {"MCBGS/async",
-     {0xdcedfb126816759cULL, 0x3f0be1f4d64e8ad9ULL, 0x4b6685559b8dad6fULL}},
+     {0xb4b339dceb7161e8ULL, 0x3f0be1f4d64e8ad9ULL, 0x4b6685559b8dad6fULL}},
     {"MCBGS/batch3",
      {0x00e4fb885ba238c3ULL, 0xcfc5140f77809a0bULL, 0x75f58929bb353868ULL}},
+    {"MCBGS/batch3-async",
+     {0x80c8db634abf2b84ULL, 0xd19692d945184512ULL, 0x3779cf86c03e2bf3ULL}},
     {"MCBGS/bsp",
      {0x1f072f73784bc41aULL, 0x192b67cc173cdb97ULL, 0xf3c3b91ae81afb3fULL}},
     {"MCBGS/faults",
@@ -176,9 +183,11 @@ const Pinned kPinned[] = {
     {"MCBGS/node-route",
      {0x8904836c7afceb08ULL, 0x192b67cc173cdb97ULL, 0xf3c3b91ae81afb3fULL}},
     {"PS/async",
-     {0x67e8f9c1dcbe73b8ULL, 0x27646752fc58b351ULL, 0x6f44c267da088861ULL}},
+     {0x453783d3d5db92fdULL, 0x27646752fc58b351ULL, 0x6f44c267da088861ULL}},
     {"PS/batch3",
      {0x80098b1721d8e3a1ULL, 0x5ceba3d3026acaa6ULL, 0xffde612a7119c20dULL}},
+    {"PS/batch3-async",
+     {0xb9934e697ba1e5b3ULL, 0xc426d0c5070a9468ULL, 0x7e041d8b3080788bULL}},
     {"PS/bsp",
      {0xa595e6d81390b798ULL, 0x5f680170a700786cULL, 0x8b14ff2ae23945f1ULL}},
     {"PS/faults",
@@ -347,19 +356,25 @@ TEST(IterateDigests, BatchedThreeTenants) {
   const dist::DistLayout* layouts[] = {&layout, &layout, &layout2};
   const dist::TenantSpec specs[] = {
       {p.b, p.x0, 0.0}, {b1, x1, 0.0}, {p.b, p.x0, 0.0}};
-  dist::DistRunOptions opt;
-  opt.max_parallel_steps = 20;
-  for (const auto& m : kMethods) {
-    const auto r = dist::run_distributed_batch(m.m, layouts, specs, opt);
-    ASSERT_EQ(r.tenants.size(), 3u);
-    std::uint64_t res = kFnvOffsetBasis, x = kFnvOffsetBasis;
-    for (const auto& t : r.tenants) {
-      res = fnv1a(res, digest(t.residual_norm));
-      x = fnv1a(x, digest(t.final_x));
+  dist::DistRunOptions bsp;
+  bsp.max_parallel_steps = 20;
+  auto async = bsp;
+  async.async = true;
+  async.faults.defaults.drop_probability = 0.05;
+  const Config batch_configs[] = {{"batch3", bsp}, {"batch3-async", async}};
+  for (const auto& cfg : batch_configs) {
+    for (const auto& m : kMethods) {
+      const auto r = dist::run_distributed_batch(m.m, layouts, specs, cfg.opt);
+      ASSERT_EQ(r.tenants.size(), 3u);
+      std::uint64_t res = kFnvOffsetBasis, x = kFnvOffsetBasis;
+      for (const auto& t : r.tenants) {
+        res = fnv1a(res, digest(t.residual_norm));
+        x = fnv1a(x, digest(t.final_x));
+      }
+      res = fnv1a(res, std::bit_cast<std::uint64_t>(r.model_time));
+      expect_pinned(std::string(m.tag) + "/" + cfg.tag,
+                    {res, x, digest(r.comm_totals)});
     }
-    res = fnv1a(res, std::bit_cast<std::uint64_t>(r.model_time));
-    expect_pinned(std::string(m.tag) + "/batch3",
-                  {res, x, digest(r.comm_totals)});
   }
 }
 

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "dist/batch.hpp"
 #include "dist/driver.hpp"
 #include "dist/solver_base.hpp"
 #include "prof/prof.hpp"
@@ -520,6 +521,36 @@ TEST(Allocation, SolverStepsAreAllocationFreeOnceWarm) {
     for (int s = 0; s < 10; ++s) solver->step();
     const auto after = prof::alloc_hook::allocations();
     EXPECT_EQ(after - before, 0u);
+  }
+}
+
+// The same bar for a B = 3 batch: shared epochs, tenant frames and the
+// demux allocate nothing once warm. Whole runs of 100 and 110 steps grow
+// every per-tenant series to one capacity (101 and 111 entries both fit
+// 128), so their allocation counts differ by the last ten steps alone.
+TEST(Allocation, BatchedStepsAreAllocationFreeOnceWarm) {
+  ASSERT_TRUE(prof::alloc_hook::available());
+  auto p = make_problem(8, 4, 7);
+  DistLayout layout(p.a, p.part);
+  const DistLayout* layouts[] = {&layout};
+  std::vector<value_t> x1(p.x0.size()), x2(p.x0.size());
+  util::Rng rng(8);
+  rng.fill_uniform(x1, -1.0, 1.0);
+  rng.fill_uniform(x2, -1.0, 1.0);
+  const TenantSpec specs[] = {{p.b, p.x0, 0.0}, {p.b, x1, 0.0}, {p.b, x2, 0.0}};
+  for (const auto method : kAllMethods) {
+    SCOPED_TRACE(method_name(method));
+    const auto run_allocations = [&](index_t steps) {
+      DistRunOptions opt;
+      opt.max_parallel_steps = steps;
+      const auto before = prof::alloc_hook::allocations();
+      const auto r = run_distributed_batch(method, layouts, specs, opt);
+      const auto after = prof::alloc_hook::allocations();
+      EXPECT_EQ(r.steps_taken, steps);
+      return after - before;
+    };
+    const auto short_run = run_allocations(100);
+    EXPECT_EQ(run_allocations(110), short_run);
   }
 }
 
