@@ -33,7 +33,7 @@ int run(int argc, char** argv) {
 
   // With -trace, re-derive the breakdown from the per-tag trace counters
   // and cross-check it against the CommStats the table is built from. The
-  // counters never drop (only ring events can), so the match must be exact.
+  // trace drops nothing, so the match must be exact.
   std::size_t checked = 0, mismatched = 0;
   auto cross_check = [&](const dist::DistRunResult& r,
                          const std::string& label) {

@@ -272,7 +272,7 @@ class Walk {
     }
 
     // (src, dst) ascending — the order a dense row-major scan that skips
-    // zeros would visit, which comm_matrix_csv prints.
+    // zeros would visit, which CommMatrixReport::find searches.
     CommMatrixReport& cm = a_.comm;
     std::sort(cm.pairs.begin(), cm.pairs.end(),
               [](const CommMatrixReport::Pair& x,

@@ -390,7 +390,7 @@ struct RunAnalysis {
 
 struct AnalyzeOptions {
   simmpi::MachineModel model{};  ///< must match the traced run's model
-  int top_pairs = 10;            ///< hot pairs listed in ASCII/JSON output
+  int top_pairs = 10;            ///< pairs per ASCII list (JSON lists all)
 };
 
 /// Build every report in one walk over `run.events`. Throws CheckError on

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -309,133 +310,6 @@ void render_ascii(std::ostream& os, const RunAnalysis& a,
 }
 
 // ---------------------------------------------------------------------------
-// CSV
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void csv_num(std::string& out, double v, int precision = 12) {
-  out += format_double(v, precision);
-}
-
-}  // namespace
-
-std::string timeline_csv(const RunAnalysis& a) {
-  std::string out =
-      "rank,compute_seconds,send_seconds,wait_seconds,relax_phases,"
-      "rows_relaxed,absorb_phases,absorbed_msgs,msgs_sent\n";
-  for (int r = 0; r < a.num_ranks; ++r) {
-    const auto& rk = a.timeline.ranks[static_cast<std::size_t>(r)];
-    out += std::to_string(r);
-    out += ',';
-    csv_num(out, rk.compute_seconds);
-    out += ',';
-    csv_num(out, rk.send_seconds);
-    out += ',';
-    csv_num(out, rk.wait_seconds);
-    out += ',';
-    out += std::to_string(rk.relax_phases);
-    out += ',';
-    out += std::to_string(rk.rows_relaxed);
-    out += ',';
-    out += std::to_string(rk.absorb_phases);
-    out += ',';
-    out += std::to_string(rk.absorbed_msgs);
-    out += ',';
-    out += std::to_string(rk.msgs_sent);
-    out += '\n';
-  }
-  return out;
-}
-
-std::string steps_csv(const RunAnalysis& a) {
-  std::string out =
-      "epoch,epoch_seconds,max_cost,mean_cost,imbalance,straggler\n";
-  for (const auto& s : a.timeline.steps) {
-    out += std::to_string(s.epoch);
-    out += ',';
-    csv_num(out, s.epoch_seconds);
-    out += ',';
-    csv_num(out, s.max_cost);
-    out += ',';
-    csv_num(out, s.mean_cost);
-    out += ',';
-    csv_num(out, s.imbalance());
-    out += ',';
-    out += std::to_string(s.straggler);
-    out += '\n';
-  }
-  return out;
-}
-
-std::string comm_matrix_csv(const RunAnalysis& a) {
-  std::string out = "src,dst,msgs,bytes,msgs_solve,msgs_residual,msgs_other\n";
-  // `pairs` is (src, dst) ascending — the same order the dense row-major
-  // scan used to emit nonzero cells in, so the CSV is byte-identical.
-  for (const auto& cell : a.comm.pairs) {
-    out += std::to_string(cell.src);
-    out += ',';
-    out += std::to_string(cell.dst);
-    out += ',';
-    out += std::to_string(cell.msgs);
-    out += ',';
-    out += std::to_string(cell.bytes);
-    for (int t = 0; t < simmpi::kNumTags; ++t) {
-      out += ',';
-      out += std::to_string(cell.msgs_by_tag[static_cast<std::size_t>(t)]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::string critical_path_csv(const RunAnalysis& a) {
-  std::string out = "epoch,straggler";
-  for (int t = 0; t < kNumCostTerms; ++t) {
-    out += ',';
-    out += cost_term_name(static_cast<CostTerm>(t));
-  }
-  out += ",recorded_seconds,modeled_seconds,dominant\n";
-  for (const auto& s : a.critical_path.steps) {
-    out += std::to_string(s.epoch);
-    out += ',';
-    out += std::to_string(s.straggler);
-    for (int t = 0; t < kNumCostTerms; ++t) {
-      out += ',';
-      csv_num(out, s.terms[static_cast<std::size_t>(t)]);
-    }
-    out += ',';
-    csv_num(out, s.recorded_seconds);
-    out += ',';
-    csv_num(out, s.modeled_seconds);
-    out += ',';
-    out += cost_term_name(s.dominant);
-    out += '\n';
-  }
-  return out;
-}
-
-std::string convergence_csv(const RunAnalysis& a) {
-  std::string out =
-      "epoch,t_model,residual_estimate,ranks_reporting,relax_events,msgs\n";
-  for (const auto& pt : a.convergence.points) {
-    out += std::to_string(pt.epoch);
-    out += ',';
-    csv_num(out, pt.t_model);
-    out += ',';
-    csv_num(out, pt.residual_estimate);
-    out += ',';
-    out += std::to_string(pt.ranks_reporting);
-    out += ',';
-    out += std::to_string(pt.relax_events);
-    out += ',';
-    out += std::to_string(pt.msgs);
-    out += '\n';
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // JSON
 // ---------------------------------------------------------------------------
 
@@ -472,6 +346,23 @@ void kv_s(std::string& out, const char* key, const std::string& v,
   out += json_quote(v);
 }
 
+/// `"key":v`, or `"key":null` when the run has no such value.
+template <typename T>
+void kv_opt(std::string& out, const char* key, const std::optional<T>& v) {
+  out += ',';
+  out += json_quote(key);
+  out += ':';
+  if (v) {
+    append_json_number(out, static_cast<double>(*v));
+  } else {
+    out += "null";
+  }
+}
+
+/// Per-tag message-count keys, indexed by simmpi::MsgTag.
+constexpr const char* kMsgsByTagKey[simmpi::kNumTags] = {
+    "msgs_solve", "msgs_residual", "msgs_other"};
+
 }  // namespace
 
 std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
@@ -479,7 +370,7 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
   out.reserve(1 << 14);
   out += "{";
   kv_s(out, "schema", "dsouth.analysis", /*first=*/true);
-  kv_i(out, "schema_version", 3);
+  kv_i(out, "schema_version", 4);
   kv_s(out, "run", a.label);
   kv_i(out, "num_ranks", a.num_ranks);
 
@@ -516,6 +407,19 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
     kv_u(out, "msgs_sent", rk.msgs_sent);
     out += '}';
   }
+  out += "],\"steps\":[";
+  for (std::size_t i = 0; i < a.timeline.steps.size(); ++i) {
+    const auto& s = a.timeline.steps[i];
+    if (i) out += ',';
+    out += '{';
+    kv_u(out, "epoch", s.epoch, true);
+    kv(out, "epoch_seconds", s.epoch_seconds);
+    kv(out, "max_cost", s.max_cost);
+    kv(out, "mean_cost", s.mean_cost);
+    kv(out, "imbalance", s.imbalance());
+    kv_i(out, "straggler", s.straggler);
+    out += '}';
+  }
   out += "]}";
 
   // (b) comm matrix (sparse: nonzero entries only)
@@ -524,10 +428,7 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
   kv_u(out, "total_bytes", a.comm.total_bytes);
   kv(out, "comm_cost", a.comm.comm_cost());
   for (int t = 0; t < simmpi::kNumTags; ++t) {
-    const std::string key =
-        std::string("msgs_") +
-        (t == 0 ? "solve" : t == 1 ? "residual" : "other");
-    kv_u(out, key.c_str(),
+    kv_u(out, kMsgsByTagKey[t],
          a.comm.total_by_tag[static_cast<std::size_t>(t)]);
   }
   out += ",\"pairs\":[";
@@ -539,6 +440,9 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
     kv_i(out, "dst", pr.dst);
     kv_u(out, "msgs", pr.msgs);
     kv_u(out, "bytes", pr.bytes);
+    for (int t = 0; t < simmpi::kNumTags; ++t) {
+      kv_u(out, kMsgsByTagKey[t], pr.msgs_by_tag[static_cast<std::size_t>(t)]);
+    }
     out += '}';
   }
   out += "]}";
@@ -589,15 +493,9 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
   // (d) convergence
   out += ",\"convergence\":{";
   kv_u(out, "stalled_epochs", a.convergence.stalled_epochs, true);
-  if (a.convergence.ds_corrections_sent) {
-    kv(out, "ds_corrections_sent", *a.convergence.ds_corrections_sent);
-  }
-  if (a.convergence.ds_deferred_sends) {
-    kv(out, "ds_deferred_sends", *a.convergence.ds_deferred_sends);
-  }
-  if (a.convergence.max_deferral_rank) {
-    kv_i(out, "max_deferral_rank", *a.convergence.max_deferral_rank);
-  }
+  kv_opt(out, "ds_corrections_sent", a.convergence.ds_corrections_sent);
+  kv_opt(out, "ds_deferred_sends", a.convergence.ds_deferred_sends);
+  kv_opt(out, "max_deferral_rank", a.convergence.max_deferral_rank);
   out += ",\"stalls\":[";
   for (std::size_t i = 0; i < a.convergence.stalls.size(); ++i) {
     const auto& st = a.convergence.stalls[i];
@@ -671,8 +569,7 @@ std::string to_json(const RunAnalysis& a, const AnalyzeOptions& opt) {
     out += '}';
   }
   out += "},\"leader_pairs\":[";
-  const auto ntop = static_cast<std::size_t>(std::max(0, opt.top_pairs));
-  for (std::size_t i = 0; i < a.node.leader_pairs.size() && i < ntop; ++i) {
+  for (std::size_t i = 0; i < a.node.leader_pairs.size(); ++i) {
     const auto& pr = a.node.leader_pairs[i];
     if (i) out += ',';
     out += '{';

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/error.hpp"
-
 namespace dsouth::dist {
 
 DistributedSouthwell::DistributedSouthwell(
@@ -58,13 +56,6 @@ DistributedSouthwell::DistributedSouthwell(
       }
     }
   }
-}
-
-void DistributedSouthwell::set_resilience(const ResilienceOptions& opt) {
-  DSOUTH_CHECK_MSG(!(opt.enabled && opt_.send_threshold > 0.0),
-                   "resilience is incompatible with send_threshold "
-                   "(deferred sends would ship partial boundary state)");
-  DistStationarySolver::set_resilience(opt);
 }
 
 std::uint64_t DistributedSouthwell::corrections_sent() const {

@@ -43,6 +43,8 @@ struct DistributedSouthwellOptions {
   /// the unsent contributions until the flush, so the local-residual
   /// exactness invariant holds only at flush boundaries — the
   /// ablation/extension bench quantifies the comm-vs-convergence trade.
+  /// make_dist_solver refuses a negative or NaN value, and a positive one
+  /// with resilience or async delivery.
   double send_threshold = 0.0;
   /// Robustness hardening for weakly-ordered delivery (fault-injection
   /// reordering, faults::EdgeFaults::reorder_probability): every
@@ -57,7 +59,9 @@ struct DistributedSouthwellOptions {
   /// 40 bone010p P = 256 and 1 of 200 Emilia_923p P = 16 instances that
   /// stop converging with the heartbeat off. The ROADMAP's "crossing
   /// records" item traces this to Γ̃ being overwritten by records that
-  /// cross in the same epoch, and plans the fix.
+  /// cross in the same epoch, and plans the fix. The heartbeat is sent from
+  /// Epoch B's correction phase: make_dist_solver refuses a positive period
+  /// with enable_corrections off, and a negative one.
   index_t heartbeat_period = 0;
 };
 
@@ -69,11 +73,6 @@ class DistributedSouthwell final : public DistStationarySolver {
                        const DistributedSouthwellOptions& opt = {});
 
   const char* name() const override { return "DistributedSouthwell"; }
-
-  /// Rejects the combination with send_threshold: deferral accumulates
-  /// unsent Δx, which contradicts the resilient absolute-x encoding
-  /// (every message must carry the full boundary state).
-  void set_resilience(const ResilienceOptions& opt) override;
 
   /// Explicit residual-update messages sent so far (observer convenience;
   /// also available from the runtime's per-tag stats).

@@ -86,10 +86,39 @@ double DistRunResult::mean_active_fraction() const {
                 static_cast<double>(num_ranks));
 }
 
+namespace {
+
+/// The DS option rules: a combination that would silently do nothing (or
+/// mean "off" by accident) is refused with both options named.
+void check_ds_options(const DistRunOptions& opt) {
+  const DistributedSouthwellOptions& ds = opt.ds;
+  DSOUTH_CHECK_MSG(ds.heartbeat_period >= 0,
+                   "ds.heartbeat_period must be >= 0, got "
+                       << ds.heartbeat_period);
+  DSOUTH_CHECK_MSG(ds.send_threshold >= 0.0,
+                   "ds.send_threshold must be >= 0, got "
+                       << ds.send_threshold);
+  DSOUTH_CHECK_MSG(ds.heartbeat_period == 0 || ds.enable_corrections,
+                   "ds.heartbeat_period > 0 needs ds.enable_corrections: "
+                   "the heartbeat is sent from Epoch B's correction phase");
+  // Deferral accumulates unsent Δx, which contradicts the resilient
+  // absolute-x encoding (every message must carry the full boundary
+  // state). Async delivery turns resilience on by itself.
+  DSOUTH_CHECK_MSG(
+      ds.send_threshold == 0.0 || !(opt.resilience.enabled || opt.async),
+      "ds.send_threshold > 0 is incompatible with "
+          << (opt.resilience.enabled ? "resilience.enabled"
+                                     : "async, which enables resilience")
+          << " (deferred sends would ship partial boundary state)");
+}
+
+}  // namespace
+
 std::unique_ptr<DistStationarySolver> make_dist_solver(
     DistMethod method, const DistLayout& layout, simmpi::Runtime& rt,
     std::span<const value_t> b, std::span<const value_t> x0,
     const DistRunOptions& opt) {
+  if (method == DistMethod::kDistributedSouthwell) check_ds_options(opt);
   switch (method) {
     case DistMethod::kBlockJacobi:
       return std::make_unique<BlockJacobi>(layout, rt, b, x0);

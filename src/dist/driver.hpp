@@ -172,8 +172,8 @@ struct DistRunOptions {
   /// fault-free build. Injected faults are bit-reproducible across
   /// execution backends.
   faults::FaultPlan faults{};
-  /// Solver-side recovery (solver_base.hpp). Incompatible with
-  /// ds.send_threshold for DS.
+  /// Solver-side recovery (solver_base.hpp). make_dist_solver refuses it
+  /// with a positive ds.send_threshold for DS.
   ResilienceOptions resilience{};
   /// Observer-side divergence watchdog; fires stop the run loop early and
   /// are reported in DistRunResult::watchdog.
@@ -251,7 +251,12 @@ struct DistRunResult {
   double mean_active_fraction() const;
 };
 
-/// Build a solver (tests use this to poke at solver internals).
+/// Build a solver (tests use this to poke at solver internals). Every
+/// RunHarness solver is built here, so this is where DS option rules live:
+/// it throws CheckError, naming the options, for a negative
+/// ds.heartbeat_period or ds.send_threshold, a heartbeat with
+/// ds.enable_corrections off, and a positive send_threshold with
+/// resilience or async.
 std::unique_ptr<DistStationarySolver> make_dist_solver(
     DistMethod method, const DistLayout& layout, simmpi::Runtime& rt,
     std::span<const value_t> b, std::span<const value_t> x0,

@@ -82,17 +82,17 @@ RunHarness::RunHarness(DistMethod method,
   // "detached" inside the runtime, so attaching one is byte-identical to
   // not attaching.
   if (opt.ranks_per_node > 0) {
-    run_topo_.emplace(
-        simmpi::NodeTopology::ranks_per_node(num_ranks, opt.ranks_per_node));
+    const auto topo =
+        simmpi::NodeTopology::ranks_per_node(num_ranks, opt.ranks_per_node);
     simmpi::NodeRoutingOptions nro;
     nro.route_via_leaders = opt.node_route;
     if (opt.node_route) {
       // The runtime sizes forward-frame bitmaps from the per-node-pair
       // channel counts.
       nro.pair_channel_counts =
-          wire::node_pair_channel_counts(layout.comm_plan(), *run_topo_);
+          wire::node_pair_channel_counts(layout.comm_plan(), topo);
     }
-    rt_.set_node_topology(&*run_topo_, std::move(nro));
+    rt_.set_node_topology(topo, std::move(nro));
   }
   // The tracer must be attached before the solver is constructed so solver
   // ctors can register their metrics.

@@ -10,17 +10,15 @@
 ///   runtime → async delivery → node topology → tracer → fault schedule →
 ///   tenants → backend → solver(s) → batch staging → resilience
 ///
-/// The order is load-bearing: async delivery must precede the tracer
-/// (async metrics register at attach) and the solver (every step of the
-/// run must see one delivery mode); the tracer must precede the solver
-/// (ctors register metrics). Sharing the assembly makes the elastic driver's
+/// The order is load-bearing: async delivery must precede the solver
+/// (every step of the run must see one delivery mode), and so must the
+/// tracer (DS's constructor registers its ds.* metrics). Sharing the assembly makes the elastic driver's
 /// fault-free runs byte-identical to run_distributed, and lets batched
 /// runs compose with every feature the way solo runs do, *by construction*
 /// rather than by parallel maintenance (tests/test_elastic.cpp and
 /// tests/test_batch.cpp pin it).
 
 #include <memory>
-#include <optional>
 
 #include "dist/driver.hpp"
 
@@ -110,7 +108,6 @@ class RunHarness {
  private:
   const DistRunOptions* opt_;
   simmpi::Runtime rt_;
-  std::optional<simmpi::NodeTopology> run_topo_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<faults::FaultSchedule> fault_schedule_;
   std::unique_ptr<simmpi::ExecutionBackend> backend_;

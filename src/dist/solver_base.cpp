@@ -66,15 +66,6 @@ DistStationarySolver::DistStationarySolver(const DistLayout& layout,
         static_cast<std::size_t>(layout.rank(p).num_rows()));
     channels_.emplace_back(layout.comm_plan(), p);
   }
-  if (auto* tracer = rt.tracer()) {
-    auto& m = tracer->metrics();
-    m_relaxed_rows_ = m.register_metric("solver.relaxed_rows",
-                                        trace::MetricKind::kCounter);
-    m_rank_relaxations_ = m.register_metric("solver.rank_relaxations",
-                                            trace::MetricKind::kCounter);
-    m_absorbed_msgs_ = m.register_metric("solver.absorbed_msgs",
-                                         trace::MetricKind::kCounter);
-  }
 }
 
 value_t DistStationarySolver::local_norm_sq(int p) {
@@ -88,8 +79,6 @@ void DistStationarySolver::trace_relax(simmpi::RankContext& ctx,
   if (!ctx.tracing()) return;
   ctx.trace_event(trace::EventKind::kRelax, static_cast<double>(rows),
                   local_norm_sq(ctx.rank()));
-  ctx.metric_add(m_relaxed_rows_, static_cast<double>(rows));
-  ctx.metric_add(m_rank_relaxations_, 1.0);
 }
 
 std::span<const value_t> DistStationarySolver::relax_subdomain(
@@ -122,7 +111,6 @@ void DistStationarySolver::trace_absorb(simmpi::RankContext& ctx) {
   ctx.trace_event(trace::EventKind::kAbsorb,
                   static_cast<double>(window.size()),
                   static_cast<double>(doubles));
-  ctx.metric_add(m_absorbed_msgs_, static_cast<double>(window.size()));
 }
 
 double DistStationarySolver::global_residual_norm() const {

@@ -194,8 +194,8 @@ class DistStationarySolver {
 
   /// Record the rank's absorb phase; call *before* ctx.consume(). Emits a
   /// kAbsorb event (a0 = messages in the window, a1 = total payload
-  /// doubles) when the window is non-empty and bumps
-  /// "solver.absorbed_msgs". Public for the coordinator's demux absorb.
+  /// doubles) when the window is non-empty. Public for the coordinator's
+  /// demux absorb.
   void trace_absorb(simmpi::RankContext& ctx);
 
   /// Rank p's wire channels (the coordinator toggles batch staging and
@@ -218,9 +218,9 @@ class DistStationarySolver {
   /// Enable solver-side fault recovery (see ResilienceOptions). Must be
   /// called before the first step() — the receiver's boundary-x caches are
   /// initialized from the current iterate, which both ends only agree on
-  /// at setup. Virtual so solvers with incompatible extensions can reject
-  /// the combination.
-  virtual void set_resilience(const ResilienceOptions& opt);
+  /// at setup. make_dist_solver (driver.hpp) refuses the option
+  /// combinations a solver cannot honour.
+  void set_resilience(const ResilienceOptions& opt);
   bool resilient() const { return resil_.enabled; }
   const ResilienceOptions& resilience() const { return resil_; }
 
@@ -276,8 +276,7 @@ class DistStationarySolver {
   /// Record that rank `ctx.rank()` relaxed `rows` rows this epoch: emits a
   /// kRelax event (a0 = rows, a1 = the rank's new local ‖r‖², read through
   /// local_norm_sq — filling the cache with the value the solver's next
-  /// read would compute) and bumps the
-  /// "solver.relaxed_rows"/"solver.rank_relaxations" counters.
+  /// read would compute).
   void trace_relax(simmpi::RankContext& ctx, index_t rows);
 
   /// Relax rank p's (nonempty) subdomain with one Gauss–Seidel sweep — the
@@ -386,11 +385,6 @@ class DistStationarySolver {
   std::vector<std::vector<value_t>> scratch_;
   /// Per-rank step accounting, merged by merge_rank_stats().
   std::vector<DistStepStats> rank_stats_;
-  /// Metric ids registered at construction when the runtime carries a
-  /// tracer (trace::kInvalidMetric otherwise — all bumps no-op).
-  trace::MetricId m_relaxed_rows_ = trace::kInvalidMetric;
-  trace::MetricId m_rank_relaxations_ = trace::kInvalidMetric;
-  trace::MetricId m_absorbed_msgs_ = trace::kInvalidMetric;
   /// The record types this solver's channels carry (absorb_payload).
   wire::Family family_;
 

@@ -3,35 +3,13 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dsouth::faults {
 
 namespace {
 
-/// SplitMix64 output function, applied as a stateless avalanche over the
-/// draw key.
-inline std::uint64_t mix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// Hash of (seed, salt, epoch, src, dst, seq). Each fault type uses its
-/// own salt so the draws are mutually independent; `lane` further splits
-/// one fault type into independent sub-draws (e.g. corrupt index vs bit).
-inline std::uint64_t draw(std::uint64_t seed, std::uint64_t salt,
-                          std::uint64_t epoch, int src, int dst,
-                          std::uint64_t seq, std::uint64_t lane = 0) {
-  std::uint64_t h = mix(seed ^ salt);
-  h = mix(h ^ epoch);
-  h = mix(h ^ ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-                << 32) |
-               static_cast<std::uint32_t>(dst)));
-  h = mix(h ^ seq);
-  if (lane != 0) h = mix(h ^ lane);
-  return h;
-}
+using util::draw;
 
 /// Map a hash to a uniform double in [0, 1) (the top 53 bits).
 inline double unit(std::uint64_t h) {

@@ -14,8 +14,8 @@
 /// machine model: every modeled-time input still reaches the trace, so a
 /// faulted run's fences rebuild from its trace bit for bit (src/analysis).
 ///
-/// Determinism contract: every draw is a *stateless* SplitMix64-style hash
-/// of (seed, fault-type salt, epoch, src, dst, seq). Because a message's
+/// Determinism contract: every draw is a *stateless* hash (util::draw) of
+/// (seed, fault-type salt, epoch, src, dst, seq). Because a message's
 /// (epoch, src, dst, seq) key is assigned identically whichever execution
 /// backend staged it (seq is the source's monotonic send counter), the
 /// same plan produces bit-identical faults — and therefore bit-identical

@@ -14,7 +14,7 @@
 /// Zou & Magoulès synchronization-reduction survey (PAPERS.md).
 ///
 /// Determinism contract (same as src/faults): every latency draw is a
-/// *stateless* SplitMix64-style hash of (seed, salt, epoch, src, dst, seq).
+/// *stateless* hash of (seed, salt, epoch, src, dst, seq) (util::draw).
 /// A message's key is assigned identically whichever execution backend
 /// staged it, so asynchronous runs are bit-identical across the sequential
 /// and threaded backends, and the draws are independent of the fault

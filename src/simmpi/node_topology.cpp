@@ -8,39 +8,7 @@ NodeTopology NodeTopology::ranks_per_node(int num_ranks, int ranks_per_node) {
   DSOUTH_CHECK(num_ranks >= 1);
   DSOUTH_CHECK_MSG(ranks_per_node >= 1,
                    "ranks_per_node must be >= 1, got " << ranks_per_node);
-  std::vector<int> map(static_cast<std::size_t>(num_ranks));
-  for (int r = 0; r < num_ranks; ++r) {
-    map[static_cast<std::size_t>(r)] = r / ranks_per_node;
-  }
-  return explicit_map(std::move(map));
-}
-
-NodeTopology NodeTopology::explicit_map(std::vector<int> node_of_rank) {
-  DSOUTH_CHECK_MSG(!node_of_rank.empty(), "empty rank -> node map");
-  int max_node = -1;
-  for (int node : node_of_rank) {
-    DSOUTH_CHECK_MSG(node >= 0, "negative node id " << node);
-    max_node = node > max_node ? node : max_node;
-  }
-  NodeTopology t;
-  t.node_of_ = std::move(node_of_rank);
-  t.leader_of_.assign(static_cast<std::size_t>(max_node) + 1, -1);
-  t.ranks_on_.assign(static_cast<std::size_t>(max_node) + 1, {});
-  for (int r = 0; r < t.num_ranks(); ++r) {
-    const auto node = static_cast<std::size_t>(t.node_of_[
-        static_cast<std::size_t>(r)]);
-    // Ranks iterate ascending, so the first rank seen on a node is its
-    // lowest — the leader — and ranks_on_ lists stay sorted.
-    if (t.leader_of_[node] < 0) t.leader_of_[node] = r;
-    t.ranks_on_[node].push_back(r);
-  }
-  t.flat_ = true;
-  for (std::size_t node = 0; node < t.ranks_on_.size(); ++node) {
-    DSOUTH_CHECK_MSG(!t.ranks_on_[node].empty(),
-                     "node ids not dense: node " << node << " has no ranks");
-    if (t.ranks_on_[node].size() != 1) t.flat_ = false;
-  }
-  return t;
+  return NodeTopology(num_ranks, ranks_per_node);
 }
 
 }  // namespace dsouth::simmpi

@@ -41,7 +41,6 @@ void Runtime::set_tracer(trace::Tracer* tracer) {
   constexpr auto kCounter = trace::MetricKind::kCounter;
   m_msgs_sent_ = reg("simmpi.msgs_sent", kCounter);
   m_bytes_sent_ = reg("simmpi.bytes_sent", kCounter);
-  m_flops_ = reg("simmpi.flops", kCounter);
   m_msgs_logical_ = reg("simmpi.msgs_logical", kCounter);
   m_msgs_by_tag_[static_cast<std::size_t>(MsgTag::kSolve)] =
       reg("simmpi.msgs_solve", kCounter);
@@ -127,16 +126,14 @@ void Runtime::set_async_delivery(const AsyncDelivery& delivery) {
   async_ = delivery.max_staleness > 0;
 }
 
-void Runtime::set_node_topology(const NodeTopology* topo,
-                                NodeRoutingOptions opts) {
+void Runtime::set_node_topology(NodeTopology topo, NodeRoutingOptions opts) {
+  DSOUTH_CHECK(topo.num_ranks() == num_ranks_);
   // A flat topology (one rank per node) has no intra-node tier to model:
   // treat it exactly like no topology at all, so flat runs stay
   // byte-identical to topology-free runs (the header's degeneracy
   // contract).
-  if (topo && topo->is_flat()) topo = nullptr;
-  if (topo) {
-    DSOUTH_CHECK(topo->num_ranks() == num_ranks_);
-    const auto nn = static_cast<std::size_t>(topo->num_nodes());
+  if (!topo.is_flat()) {
+    const auto nn = static_cast<std::size_t>(topo.num_nodes());
     node_route_ = opts.route_via_leaders;
     if (node_route_) {
       DSOUTH_CHECK_MSG(
@@ -152,6 +149,7 @@ void Runtime::set_node_topology(const NodeTopology* topo,
     group_doubles_.assign(nn * nn * kNumTags, 0);
     group_touched_.clear();
     group_touched_.reserve(nn * nn * kNumTags);
+    topo_ = topo;
   } else {
     node_route_ = false;
     node_pair_channels_.clear();
@@ -159,8 +157,8 @@ void Runtime::set_node_topology(const NodeTopology* topo,
     group_records_.clear();
     group_doubles_.clear();
     group_touched_.clear();
+    topo_.reset();
   }
-  topo_ = topo;
 }
 
 std::span<const Message> Runtime::window(int rank) const {
@@ -218,7 +216,6 @@ void Runtime::add_flops(int rank, double flops) {
     // reproduces epoch_flops_ bit-exactly — same addends, same order.
     tracer_->record(rank, trace::EventKind::kCompute, /*peer=*/-1,
                     /*tag=*/-1, flops, 0.0, epochs_, model_time_);
-    tracer_->metrics().add(m_flops_, rank, flops);
   }
 }
 

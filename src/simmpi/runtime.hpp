@@ -42,6 +42,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -285,8 +286,8 @@ class Runtime {
   bool async_delivery() const { return async_; }
 
   /// Attach a two-level node topology (node_topology.hpp,
-  /// docs/communication.md). Not owned; must outlive the runtime (or be
-  /// detached with nullptr). Call before the first epoch, like set_tracer.
+  /// docs/communication.md), kept by value; a flat one detaches. Call
+  /// before the first epoch, like set_tracer.
   ///
   /// With a (non-flat) topology attached the fence charges the machine
   /// model per *physical hop* on the two-tier network instead of per
@@ -320,12 +321,13 @@ class Runtime {
   /// runtime charges per staged put, and results stay byte-identical to a
   /// topology-free run — the same degeneracy contract staleness-0 async
   /// delivery follows.
-  void set_node_topology(const NodeTopology* topo,
-                         NodeRoutingOptions opts = {});
+  void set_node_topology(NodeTopology topo, NodeRoutingOptions opts = {});
 
   /// The effective topology, or nullptr (never a flat topology — those
   /// degenerate to detached at attach time).
-  const NodeTopology* node_topology() const { return topo_; }
+  const NodeTopology* node_topology() const {
+    return topo_ ? &*topo_ : nullptr;
+  }
 
   /// True when inter-node records route through node leaders (only
   /// meaningful while node_topology() is attached).
@@ -428,7 +430,6 @@ class Runtime {
   // attached (kInvalidMetric while untraced).
   trace::MetricId m_msgs_sent_ = trace::kInvalidMetric;
   trace::MetricId m_bytes_sent_ = trace::kInvalidMetric;
-  trace::MetricId m_flops_ = trace::kInvalidMetric;
   // Wire records carried (docs/observability.md): exceeds msgs_sent only
   // when batched tenant frames are in flight.
   trace::MetricId m_msgs_logical_ = trace::kInvalidMetric;
@@ -487,7 +488,7 @@ class Runtime {
   // charges are emitted, so steady-state fences stay allocation-free. The
   // epoch_*_intra_/inter_ vectors are the per-rank physical-hop tier
   // accumulators rank_cost_tiered charges from.
-  const NodeTopology* topo_ = nullptr;
+  std::optional<NodeTopology> topo_;
   bool node_route_ = false;
   std::vector<std::uint32_t> node_pair_channels_;
   std::vector<std::uint32_t> group_puts_;

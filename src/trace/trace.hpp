@@ -90,7 +90,7 @@ inline constexpr int kNumEventKinds = 9;
 /// every run: a feature that is off just records no events of its kind
 /// and leaves its counters at zero. write_jsonl always writes this number
 /// and analysis::parse_jsonl accepts no other.
-inline constexpr int kTraceVersion = 8;
+inline constexpr int kTraceVersion = 9;
 
 /// Hop kinds carried in a kHop event's tag field.
 inline constexpr int kHopIntraDirect = 0;  ///< same-node message

@@ -15,17 +15,43 @@
 
 namespace dsouth::util {
 
+/// One SplitMix64 step as a stateless function: advance `z` by the golden
+/// gamma and avalanche it. (Public-domain algorithm by Sebastiano Vigna.)
+inline std::uint64_t mix(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// Stateless hash of (seed, salt, epoch, src, dst, seq): the key of every
+/// per-message draw the runtime makes (fault decisions, async latencies),
+/// so a draw never depends on call order or thread. Each user passes its
+/// own salt, which keeps the draws mutually independent; a nonzero `lane`
+/// splits one draw into independent sub-draws (e.g. corrupt index vs bit).
+/// Inline: the fence makes one per staged message.
+inline std::uint64_t draw(std::uint64_t seed, std::uint64_t salt,
+                          std::uint64_t epoch, int src, int dst,
+                          std::uint64_t seq, std::uint64_t lane = 0) {
+  std::uint64_t h = mix(seed ^ salt);
+  h = mix(h ^ epoch);
+  h = mix(h ^ ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
+                << 32) |
+               static_cast<std::uint32_t>(dst)));
+  h = mix(h ^ seq);
+  if (lane != 0) h = mix(h ^ lane);
+  return h;
+}
+
 /// SplitMix64: used to expand a single 64-bit seed into the xoshiro state.
-/// (Public-domain algorithm by Sebastiano Vigna.)
 class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    const std::uint64_t z = state_;
+    state_ += 0x9e3779b97f4a7c15ULL;
+    return mix(z);
   }
 
  private:

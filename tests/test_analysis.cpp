@@ -25,6 +25,7 @@
 #include "sparse/stencils.hpp"
 #include "trace/export.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace dsouth::analysis {
@@ -395,11 +396,99 @@ TEST(AnalyzerDeterminism, EveryRenderedFormatIsByteIdenticalAcrossBackends) {
     const auto a = analyze_run(run, opt);
     std::ostringstream ascii;
     render_ascii(ascii, a, opt);
-    return ascii.str() + "\x1f" + timeline_csv(a) + "\x1f" + steps_csv(a) +
-           "\x1f" + comm_matrix_csv(a) + "\x1f" + critical_path_csv(a) +
-           "\x1f" + convergence_csv(a) + "\x1f" + to_json(a, opt);
+    return ascii.str() + "\x1f" + to_json(a, opt);
   };
   EXPECT_EQ(render_all(seq), render_all(thr));
+}
+
+// ---------------------------------------------------------------------------
+// The JSON document: every report value, one shape for every run.
+// ---------------------------------------------------------------------------
+
+TEST(AnalysisJson, CarriesEveryReportValueWithAFixedShape) {
+  auto p = make_problem(12, 8, 31);
+  DistRunOptions bj;
+  bj.max_parallel_steps = 10;
+  bj.trace.enabled = true;
+  DistRunOptions node = bj;
+  node.ranks_per_node = 2;
+  node.node_route = true;
+  const struct {
+    const char* name;
+    DistMethod method;
+    const DistRunOptions& opt;
+  } runs[] = {{"bj", DistMethod::kBlockJacobi, bj},
+              {"ds-node", DistMethod::kDistributedSouthwell, node}};
+
+  AnalyzeOptions opt;
+  opt.top_pairs = 1;  // shortens the ASCII lists only
+  for (const auto& r : runs) {
+    SCOPED_TRACE(r.name);
+    const auto res =
+        dist::run_distributed(r.method, p.a, p.part, p.b, p.x0, r.opt);
+    ASSERT_TRUE(res.trace_log);
+    const RunAnalysis a = analyze_run(from_trace_log(*res.trace_log, r.name),
+                                      opt);
+    const util::JsonValue doc = util::parse_json(to_json(a, opt));
+    EXPECT_EQ(doc.at("schema_version").as_int(), 4);
+
+    const auto& steps = doc.at("timeline").at("steps").as_array();
+    ASSERT_EQ(steps.size(), a.timeline.steps.size());
+    ASSERT_FALSE(steps.empty());
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      const auto& want = a.timeline.steps[i];
+      EXPECT_EQ(steps[i].at("epoch").as_int(),
+                static_cast<std::int64_t>(want.epoch));
+      EXPECT_EQ(steps[i].at("epoch_seconds").as_number(), want.epoch_seconds);
+      EXPECT_EQ(steps[i].at("max_cost").as_number(), want.max_cost);
+      EXPECT_EQ(steps[i].at("mean_cost").as_number(), want.mean_cost);
+      EXPECT_EQ(steps[i].at("imbalance").as_number(), want.imbalance());
+      EXPECT_EQ(steps[i].at("straggler").as_int(), want.straggler);
+    }
+
+    // Every pair, hottest first, with its per-tag split.
+    const auto& pairs = doc.at("comm_matrix").at("pairs").as_array();
+    ASSERT_EQ(pairs.size(), a.comm.hot_pairs.size());
+    ASSERT_GT(pairs.size(), 1u);
+    const char* tag_keys[] = {"msgs_solve", "msgs_residual", "msgs_other"};
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto& want = a.comm.hot_pairs[i];
+      EXPECT_EQ(pairs[i].at("src").as_int(), want.src);
+      EXPECT_EQ(pairs[i].at("dst").as_int(), want.dst);
+      for (int t = 0; t < simmpi::kNumTags; ++t) {
+        EXPECT_EQ(pairs[i].at(tag_keys[t]).as_int(),
+                  static_cast<std::int64_t>(
+                      want.msgs_by_tag[static_cast<std::size_t>(t)]));
+      }
+    }
+
+    const auto& leaders = doc.at("node").at("leader_pairs").as_array();
+    ASSERT_EQ(leaders.size(), a.node.leader_pairs.size());
+    if (r.opt.ranks_per_node > 0) {
+      ASSERT_GT(leaders.size(), 1u);
+    }
+    for (std::size_t i = 0; i < leaders.size(); ++i) {
+      EXPECT_EQ(leaders[i].at("src").as_int(), a.node.leader_pairs[i].src);
+      EXPECT_EQ(leaders[i].at("dst").as_int(), a.node.leader_pairs[i].dst);
+    }
+
+    // The DS keys are on every run: numbers when the trace carries the
+    // ds.* counters, null when it does not.
+    const auto& cv = doc.at("convergence");
+    const auto expect_key = [&](const char* key, bool has) {
+      const util::JsonValue* v = cv.find(key);
+      ASSERT_NE(v, nullptr) << key;
+      EXPECT_EQ(v->is_null(), !has) << key;
+    };
+    expect_key("ds_corrections_sent",
+               a.convergence.ds_corrections_sent.has_value());
+    expect_key("ds_deferred_sends",
+               a.convergence.ds_deferred_sends.has_value());
+    expect_key("max_deferral_rank",
+               a.convergence.max_deferral_rank.has_value());
+    EXPECT_EQ(a.convergence.ds_corrections_sent.has_value(),
+              r.method == DistMethod::kDistributedSouthwell);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -454,7 +543,8 @@ TEST(RunTrace, ParserRejectsGarbageAndUnknownVersions) {
   const std::string metric =
       R"({"type":"metric","name":"simmpi.msgs","metric_kind":"counter",)"
       R"("per_rank":[0,0]})" "\n";
-  EXPECT_EQ(parse_jsonl(header(trace::kTraceVersion) + metric).size(), 1u);
+  EXPECT_EQ(trace::kTraceVersion, 9);
+  EXPECT_EQ(parse_jsonl(header(9) + metric).size(), 1u);
   // A header alone never reaches an analyzer: nothing confirms num_ranks,
   // and a crafted count would size P-long tables to bad_alloc.
   EXPECT_THROW(parse_jsonl(header(trace::kTraceVersion)), util::CheckError);
@@ -468,7 +558,7 @@ TEST(RunTrace, ParserRejectsGarbageAndUnknownVersions) {
               std::string::npos)
         << e.what();
   }
-  for (int version : {2, 6, 7, 99}) {
+  for (int version : {2, 6, 7, 8, 99}) {
     try {
       parse_jsonl(header(version));
       ADD_FAILURE() << "version " << version << " parsed";

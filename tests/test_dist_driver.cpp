@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "sparse/scaling.hpp"
 #include "sparse/stencils.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dsouth::dist {
@@ -140,6 +144,63 @@ TEST(Driver, MachineModelScalesModelTime) {
   auto r_fast = run_distributed(DistMethod::kBlockJacobi, p.a, p.part, p.b,
                                 p.x0, fast);
   EXPECT_GT(r_slow.model_time.back(), r_fast.model_time.back());
+}
+
+// DS options that would silently do nothing (or mean "off" by accident)
+// are refused where every run builds its solver, naming the options.
+TEST(DistOptions, DsRejectsCombinationsThatDoNothing) {
+  auto p = make_problem(8, 4, 8);
+  // The message a 2-step DS run is refused with (the part after the
+  // failed condition's text), or "" when it runs.
+  const auto refusal = [&p](const DistRunOptions& opt) -> std::string {
+    DistRunOptions o = opt;
+    o.max_parallel_steps = 2;
+    try {
+      run_distributed(DistMethod::kDistributedSouthwell, p.a, p.part, p.b,
+                      p.x0, o);
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      const auto dash = what.find(" — ");
+      return dash == std::string::npos ? "(no message)" : what.substr(dash);
+    }
+    return "";
+  };
+  const auto names = [](const std::string& what, const char* option) {
+    return what.find(option) != std::string::npos;
+  };
+
+  DistRunOptions heartbeat;
+  heartbeat.ds.heartbeat_period = 4;
+  EXPECT_EQ(refusal(heartbeat), "");
+  heartbeat.ds.enable_corrections = false;
+  const std::string no_corrections = refusal(heartbeat);
+  EXPECT_TRUE(names(no_corrections, "heartbeat_period")) << no_corrections;
+  EXPECT_TRUE(names(no_corrections, "enable_corrections")) << no_corrections;
+
+  DistRunOptions negative;
+  negative.ds.heartbeat_period = -1;
+  EXPECT_TRUE(names(refusal(negative), "heartbeat_period"));
+  for (const double bad : {-0.5, std::nan("")}) {
+    DistRunOptions threshold;
+    threshold.ds.send_threshold = bad;
+    EXPECT_TRUE(names(refusal(threshold), "send_threshold")) << bad;
+  }
+
+  DistRunOptions deferred;
+  deferred.ds.send_threshold = 0.5;
+  EXPECT_EQ(refusal(deferred), "");
+  DistRunOptions resilient = deferred;
+  resilient.resilience.enabled = true;
+  const std::string with_resilience = refusal(resilient);
+  EXPECT_TRUE(names(with_resilience, "send_threshold")) << with_resilience;
+  EXPECT_TRUE(names(with_resilience, "resilience")) << with_resilience;
+  // Async turns resilience on by itself; the message says which option
+  // the caller set.
+  DistRunOptions async = deferred;
+  async.async = true;
+  const std::string with_async = refusal(async);
+  EXPECT_TRUE(names(with_async, "send_threshold")) << with_async;
+  EXPECT_TRUE(names(with_async, "async")) << with_async;
 }
 
 }  // namespace

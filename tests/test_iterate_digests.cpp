@@ -237,17 +237,17 @@ const Pinned kPinned[] = {
     {"layout-all/ldoorp-dead-3-11",
      {0xed99270274238ebeULL, 0x4613390b36556645ULL, 0x4c4985d0689bb658ULL}},
     {"trace/async",
-     {0x5249fa267187b5b6ULL, 0x60a09faa772bf0c3ULL, 0x902368cc0e907e97ULL}},
+     {0xeb033ee35803624dULL, 0x0ce1d99bb7912f92ULL, 0xa2e4494052c7e743ULL}},
     {"trace/batch3",
-     {0xbe6dc7b40d49fb3aULL, 0x802d47cf1a88a340ULL, 0x4523c42896985a28ULL}},
+     {0x7ef2feaf6892322fULL, 0xf31c32a091e5beb4ULL, 0x301ef5bc84148867ULL}},
     {"trace/bsp",
-     {0x9983adeecf84290bULL, 0x875193f347cfc252ULL, 0x8ac05f02a630b490ULL}},
+     {0x6bb9ea6b6ffc0cfeULL, 0xfa16d482669f401cULL, 0xd64058d2ae8e52ccULL}},
     {"trace/elastic-kill",
-     {0x46c1416dfd2aec3dULL, 0x40847fbd459aee02ULL, 0x9159bff04f26d390ULL}},
+     {0x2303b5ab5a393571ULL, 0x40f16b748a073681ULL, 0xf98a6671d9e7a289ULL}},
     {"trace/faults",
-     {0x730a9c08d532a392ULL, 0x3dbebfdce9e1466aULL, 0xabc41e08c92e8657ULL}},
+     {0x7ebe2b97521b4823ULL, 0x6fe3a1b5c0e6ae90ULL, 0xfedd8f2770cacef0ULL}},
     {"trace/node-route",
-     {0x66ae78057be8816cULL, 0xae3be7906e44677aULL, 0x1257591faa259f58ULL}},
+     {0xa02ba3f87d6798f0ULL, 0xc8fe3312f1786f32ULL, 0x8c217d4011af4bc2ULL}},
 };
 
 std::string pinned_row(const std::string& name, const Digests& d) {

@@ -48,28 +48,13 @@ TEST(NodeTopology, RanksPerNodePacksConsecutiveBlocks) {
   EXPECT_EQ(topo.leader_of(0), 0);
   EXPECT_EQ(topo.leader_of(1), 4);
   EXPECT_EQ(topo.leader_of(2), 8);
-  EXPECT_TRUE(topo.is_leader(4));
-  EXPECT_FALSE(topo.is_leader(5));
   EXPECT_TRUE(topo.same_node(4, 7));
   EXPECT_FALSE(topo.same_node(3, 4));
-  EXPECT_EQ(topo.ranks_on(1), (std::vector<int>{4, 5, 6, 7}));
-}
-
-TEST(NodeTopology, ExplicitMapElectsLowestRankLeader) {
-  // Interleaved assignment: leaders must still be the lowest rank per
-  // node, independent of rank order in the map.
-  const auto topo =
-      simmpi::NodeTopology::explicit_map({1, 0, 1, 0, 1, 0});
-  EXPECT_EQ(topo.num_nodes(), 2);
-  EXPECT_EQ(topo.leader_of(0), 1);
-  EXPECT_EQ(topo.leader_of(1), 0);
-  EXPECT_EQ(topo.ranks_on(0), (std::vector<int>{1, 3, 5}));
-  EXPECT_EQ(topo.ranks_on(1), (std::vector<int>{0, 2, 4}));
 }
 
 TEST(NodeTopology, FlatTopologiesAreDetected) {
   EXPECT_TRUE(simmpi::NodeTopology::ranks_per_node(4, 1).is_flat());
-  EXPECT_TRUE(simmpi::NodeTopology::explicit_map({2, 0, 1}).is_flat());
+  EXPECT_TRUE(simmpi::NodeTopology::ranks_per_node(1, 4).is_flat());
   EXPECT_FALSE(simmpi::NodeTopology::ranks_per_node(4, 2).is_flat());
   // One node holding everything is not flat (all traffic is intra-node).
   EXPECT_FALSE(simmpi::NodeTopology::ranks_per_node(4, 4).is_flat());
@@ -78,7 +63,7 @@ TEST(NodeTopology, FlatTopologiesAreDetected) {
 TEST(NodeTopology, RuntimeTreatsFlatTopologyAsDetached) {
   simmpi::Runtime rt(4);
   const auto flat = simmpi::NodeTopology::ranks_per_node(4, 1);
-  rt.set_node_topology(&flat);
+  rt.set_node_topology(flat);
   EXPECT_EQ(rt.node_topology(), nullptr);
 }
 
@@ -151,7 +136,7 @@ TEST(NodeRuntime, TierAccountingMatchesHandComputedHops) {
   simmpi::NodeRoutingOptions nro;
   nro.route_via_leaders = true;
   nro.pair_channel_counts = {0, 4, 4, 0};
-  rt.set_node_topology(&topo, nro);
+  rt.set_node_topology(topo, nro);
   ASSERT_NE(rt.node_topology(), nullptr);
   EXPECT_TRUE(rt.node_routing());
 
@@ -190,7 +175,7 @@ TEST(NodeRuntime, SingleRecordGroupsShipBareAndClassifierChargesDirect) {
     simmpi::Runtime rt(4);
     simmpi::NodeRoutingOptions nro;
     nro.pair_channel_counts = {0, 4, 4, 0};
-    rt.set_node_topology(&topo, nro);
+    rt.set_node_topology(topo, nro);
     rt.put(0, 2, simmpi::MsgTag::kSolve, std::vector<double>{1.0});
     rt.fence();
     EXPECT_EQ(rt.stats().inter_messages(), 1u);
@@ -205,7 +190,7 @@ TEST(NodeRuntime, SingleRecordGroupsShipBareAndClassifierChargesDirect) {
     simmpi::Runtime rt(4);
     simmpi::NodeRoutingOptions nro;
     nro.route_via_leaders = false;
-    rt.set_node_topology(&topo, nro);
+    rt.set_node_topology(topo, nro);
     EXPECT_FALSE(rt.node_routing());
     rt.put(1, 3, simmpi::MsgTag::kSolve, std::vector<double>{2.0, 3.0});
     rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{4.0});
@@ -424,8 +409,8 @@ TEST(NodeAnalysis, NodeReportMatchesRuntimeTotalsAndMetrics) {
   const auto topo = simmpi::NodeTopology::ranks_per_node(8, 2);
   std::uint64_t frames = 0;
   for (const auto& lp : rep.leader_pairs) {
-    EXPECT_TRUE(topo.is_leader(lp.src));
-    EXPECT_TRUE(topo.is_leader(lp.dst));
+    EXPECT_EQ(topo.leader_of(topo.node_of(lp.src)), lp.src);
+    EXPECT_EQ(topo.leader_of(topo.node_of(lp.dst)), lp.dst);
     frames += lp.frames;
   }
   EXPECT_EQ(frames, rep.hops_by_kind[trace::kHopInterLeader]);

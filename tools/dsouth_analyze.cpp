@@ -4,7 +4,8 @@
 /// distributed bench, possibly holding several runs) and emits, per run,
 /// the four analyzer reports — per-rank timeline & load imbalance, P×P
 /// communication matrix with hot-pair ranking, α–β–γ critical-path
-/// attribution, and convergence diagnostics — as ASCII, CSV, and/or JSON.
+/// attribution, and convergence diagnostics — as an ASCII report for
+/// people and/or one JSON document (`<prefix>_<run>.json`) for programs.
 ///
 /// Because the trace is deterministic (docs/observability.md), every
 /// deterministic output of this tool is byte-identical no matter which
@@ -18,7 +19,7 @@
 /// everything wrong with a capture.
 ///
 /// Usage:
-///   dsouth-analyze -trace runs.jsonl [-run SUBSTR] [-format ascii|csv|json|all]
+///   dsouth-analyze -trace runs.jsonl [-run SUBSTR] [-format ascii|json|all]
 ///                  [-out PREFIX] [-top K] [-check] [-list]
 ///                  [-alpha A] [-beta B] [-gamma G] [-sigma S] [-flop_time C]
 ///
@@ -244,10 +245,10 @@ int run_main(int argc, char** argv) {
         << "  -trace FILE    JSONL trace capture (required)\n"
         << "  -list          list run labels in the capture and exit\n"
         << "  -run SUBSTR    only analyze runs whose label contains SUBSTR\n"
-        << "  -format F      ascii|csv|json|all (default ascii)\n"
-        << "  -out PREFIX    file prefix for csv/json output\n"
+        << "  -format F      ascii|json|all (default ascii)\n"
+        << "  -out PREFIX    file prefix for json output\n"
         << "                 (default: trace path minus .jsonl)\n"
-        << "  -top K         hot pairs to list (default 10)\n"
+        << "  -top K         pairs the ASCII report lists (default 10)\n"
         << "  -check         verify model reconstruction + counter\n"
         << "                 consistency; nonzero exit on failure\n"
         << "                 (every rule runs; failures accumulate)\n"
@@ -263,7 +264,7 @@ int run_main(int argc, char** argv) {
   const bool list_only = args.has("list");
   const std::string run_filter = args.get_or("run", "");
   const std::string format =
-      args.get_choice_or("format", {"ascii", "csv", "json", "all"}, "ascii");
+      args.get_choice_or("format", {"ascii", "json", "all"}, "ascii");
   const bool check = args.has("check");
   std::string out_prefix = args.get_or("out", "");
   if (out_prefix.empty()) {
@@ -313,17 +314,6 @@ int run_main(int argc, char** argv) {
     if (format == "ascii" || format == "all") {
       dsouth::analysis::render_ascii(std::cout, a, opt);
       std::cout << "\n";
-    }
-    if (format == "csv" || format == "all") {
-      const std::string base = out_prefix + "_" + slug(run.label);
-      write_file(base + "_timeline.csv", dsouth::analysis::timeline_csv(a));
-      write_file(base + "_steps.csv", dsouth::analysis::steps_csv(a));
-      write_file(base + "_comm_matrix.csv",
-                 dsouth::analysis::comm_matrix_csv(a));
-      write_file(base + "_critical_path.csv",
-                 dsouth::analysis::critical_path_csv(a));
-      write_file(base + "_convergence.csv",
-                 dsouth::analysis::convergence_csv(a));
     }
     if (format == "json" || format == "all") {
       write_file(out_prefix + "_" + slug(run.label) + ".json",
