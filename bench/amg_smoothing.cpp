@@ -11,6 +11,7 @@
 #include "sparse/proxy_suite.hpp"
 #include "sparse/vec.hpp"
 #include "support/bench_support.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dsouth::bench {
@@ -19,6 +20,8 @@ namespace {
 int run(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   const int cycles = static_cast<int>(args.get_int_or("cycles", 9));
+  // Checked before the CSV is opened, so a bad value leaves no file behind.
+  DSOUTH_CHECK_MSG(cycles >= 1, "-cycles must be >= 1, got " << cycles);
   const double size_factor = args.get_double_or("size_factor", 0.15);
   std::vector<std::string> matrices{"af_5_k101p", "Serenap", "msdoorp",
                                     "Fault_639p"};
@@ -37,7 +40,7 @@ int run(int argc, char** argv) {
                       {"matrix", "smoother", "rel_residual"});
   for (const auto& name : matrices) {
     auto proxy = sparse::make_proxy(name, size_factor);
-    multigrid::AmgHierarchy amg(proxy.a);
+    auto amg = multigrid::amg_hierarchy(proxy.a);
     util::Rng rng(0xA3136ULL);
     std::vector<value_t> b(static_cast<std::size_t>(proxy.a.rows()));
     rng.fill_uniform(b, -1.0, 1.0);
@@ -51,7 +54,7 @@ int run(int argc, char** argv) {
       std::unique_ptr<multigrid::Smoother> smoother;
     };
     Config configs[3];
-    configs[0] = {"GS 1 sweep", multigrid::make_gauss_seidel_smoother(1)};
+    configs[0] = {"GS 1 sweep", multigrid::make_gauss_seidel_smoother()};
     configs[1] = {"DistSW 1/2 sweep",
                   multigrid::make_distributed_southwell_smoother(0.5)};
     configs[2] = {"DistSW 1 sweep",

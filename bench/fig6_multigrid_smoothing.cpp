@@ -10,8 +10,9 @@
 #include <iostream>
 #include <sstream>
 
-#include "multigrid/vcycle.hpp"
+#include "multigrid/hierarchy.hpp"
 #include "support/bench_support.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dsouth::bench {
@@ -20,6 +21,8 @@ namespace {
 int run(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   const auto cycles = static_cast<int>(args.get_int_or("cycles", 9));
+  // Checked before the CSV is opened, so a bad value leaves no file behind.
+  DSOUTH_CHECK_MSG(cycles >= 1, "-cycles must be >= 1, got " << cycles);
   auto dims = args.get_int_list_or("dims", {15, 31, 63, 127, 255});
   reject_unread_args(args);
 
@@ -36,7 +39,7 @@ int run(int argc, char** argv) {
 
   for (auto dim64 : dims) {
     const auto dim = static_cast<index_t>(dim64);
-    multigrid::MultigridHierarchy mg(dim);
+    auto mg = multigrid::geometric_poisson_hierarchy(dim);
     util::Rng rng(0xF166ULL + static_cast<std::uint64_t>(dim));
     std::vector<value_t> b(static_cast<std::size_t>(dim * dim));
     rng.fill_uniform(b, -1.0, 1.0);
@@ -46,7 +49,7 @@ int run(int argc, char** argv) {
       std::unique_ptr<multigrid::Smoother> smoother;
     };
     Config configs[3];
-    configs[0] = {"GS 1 sweep", multigrid::make_gauss_seidel_smoother(1)};
+    configs[0] = {"GS 1 sweep", multigrid::make_gauss_seidel_smoother()};
     configs[1] = {"DistSW 1/2 sweep",
                   multigrid::make_distributed_southwell_smoother(0.5)};
     configs[2] = {"DistSW 1 sweep",

@@ -9,9 +9,10 @@
 #include <iostream>
 #include <sstream>
 
-#include "multigrid/vcycle.hpp"
+#include "multigrid/hierarchy.hpp"
 #include "sparse/vec.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -20,9 +21,10 @@ int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   const auto dim = static_cast<sparse::index_t>(args.get_int_or("dim", 127));
   const int cycles = static_cast<int>(args.get_int_or("cycles", 9));
+  DSOUTH_CHECK_MSG(cycles >= 1, "-cycles must be >= 1, got " << cycles);
   const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 3));
 
-  multigrid::MultigridHierarchy mg(dim);
+  auto mg = multigrid::geometric_poisson_hierarchy(dim);
   std::cout << "Geometric multigrid on a " << dim << "x" << dim
             << " Poisson grid, " << mg.num_levels()
             << " levels down to 3x3 (exact solve), V(1,1) cycles.\n\n";
@@ -38,10 +40,10 @@ int main(int argc, char** argv) {
     double r0 = 0.0;
   };
   Config configs[5];
-  configs[0] = {"GS 1 sweep", multigrid::make_gauss_seidel_smoother(1), {}, 0};
+  configs[0] = {"GS 1 sweep", multigrid::make_gauss_seidel_smoother(), {}, 0};
   configs[1] = {"Jacobi(2/3) 1 sweep", multigrid::make_jacobi_smoother(), {},
                 0};
-  configs[2] = {"Chebyshev(3)", multigrid::make_chebyshev_smoother(3), {}, 0};
+  configs[2] = {"Chebyshev(3)", multigrid::make_chebyshev_smoother(), {}, 0};
   configs[3] = {"DistSW 1/2 sweep",
                 multigrid::make_distributed_southwell_smoother(0.5), {}, 0};
   configs[4] = {"DistSW 1 sweep",

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file amg.hpp
-/// Plain-aggregation algebraic multigrid. The paper's geometric study
+/// Smoothed-aggregation algebraic multigrid. The paper's geometric study
 /// (§4.1, Figure 6) runs on a structured Poisson grid; AMG extends the
 /// same smoothing question — is Distributed Southwell an effective,
 /// budget-exact smoother? — to the *unstructured* proxy matrices, where no
@@ -9,41 +9,22 @@
 ///
 ///   1. strength graph: |a_ij| > θ √(a_ii a_jj)
 ///   2. greedy aggregation of strongly-connected neighborhoods
-///   3. piecewise-constant prolongation P (one column per aggregate)
+///   3. piecewise-constant tentative prolongator (one column per
+///      aggregate), smoothed by one damped Jacobi step
 ///   4. Galerkin coarse operator A_c = Pᵀ A P (sparse triple product)
 ///
 /// recursing until the operator is small enough for a dense Cholesky.
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "multigrid/smoother.hpp"
+#include "multigrid/hierarchy.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/dense.hpp"
 #include "sparse/types.hpp"
 
 namespace dsouth::multigrid {
 
 using sparse::index_t;
-
-struct AmgOptions {
-  /// Strength-of-connection threshold θ in |a_ij| > θ √(a_ii a_jj).
-  double strength_threshold = 0.08;
-  /// Stop coarsening when the operator has at most this many rows.
-  index_t coarse_size = 64;
-  /// Safety cap on levels.
-  int max_levels = 20;
-  /// Stop coarsening if a level shrinks by less than this factor
-  /// (aggregation stagnation guard).
-  double min_coarsening_factor = 1.2;
-  /// Smoothed aggregation: P = (I − ω D⁻¹A) P_tent with
-  /// ω = 4/3 / λ_max(D⁻¹A). Plain (piecewise-constant) aggregation
-  /// contracts only ~0.6–0.8 per V-cycle; smoothing the prolongator
-  /// restores grid-independent rates at a modest operator-complexity
-  /// cost. Disable to study the plain variant.
-  bool smoothed_prolongation = true;
-};
 
 /// Greedy aggregation of the strength graph of `a`: returns per-row
 /// aggregate ids (dense from 0) and the number of aggregates. Exposed for
@@ -57,41 +38,8 @@ std::vector<index_t> aggregate(const sparse::CsrMatrix& a,
 sparse::CsrMatrix aggregation_prolongator(std::span<const index_t> agg,
                                           index_t num_aggregates);
 
-class AmgHierarchy {
- public:
-  /// Build from any SPD matrix (copied into level 0).
-  explicit AmgHierarchy(sparse::CsrMatrix a_fine,
-                        const AmgOptions& opt = {});
-
-  int num_levels() const { return static_cast<int>(levels_.size()); }
-  const sparse::CsrMatrix& level_matrix(int l) const;
-  index_t level_rows(int l) const { return level_matrix(l).rows(); }
-
-  /// Total stored nonzeros across levels / nonzeros of the finest level
-  /// (the classical grid/operator complexity measure).
-  double operator_complexity() const;
-
-  /// One V(1,1) AMG cycle for A₀ x = b.
-  void vcycle(std::span<const sparse::value_t> b,
-              std::span<sparse::value_t> x, Smoother& smoother);
-
-  /// Run `cycles` V-cycles; returns ‖r‖₂ / ‖r⁰‖₂.
-  double solve_relative_residual(std::span<const sparse::value_t> b,
-                                 std::span<sparse::value_t> x,
-                                 Smoother& smoother, int cycles);
-
- private:
-  struct Level {
-    sparse::CsrMatrix a;
-    sparse::CsrMatrix p;  // prolongator to THIS level's fine side (empty on
-                          // the coarsest level)
-    std::vector<sparse::value_t> r, bc, xc;
-  };
-  void cycle_level(int l, std::span<const sparse::value_t> b,
-                   std::span<sparse::value_t> x, Smoother& smoother);
-
-  std::vector<Level> levels_;
-  std::unique_ptr<sparse::DenseCholesky> coarse_solver_;
-};
+/// The smoothed-aggregation hierarchy of `a` (any SPD matrix; level 0
+/// holds it), with the constants of amg.cpp.
+Hierarchy amg_hierarchy(sparse::CsrMatrix a);
 
 }  // namespace dsouth::multigrid

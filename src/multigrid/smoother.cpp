@@ -1,7 +1,7 @@
 #include "multigrid/smoother.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -19,52 +19,33 @@ namespace {
 
 class GaussSeidelSmoother final : public Smoother {
  public:
-  explicit GaussSeidelSmoother(int sweeps) : sweeps_(sweeps) {
-    DSOUTH_CHECK(sweeps >= 1);
-  }
-
   void smooth(const CsrMatrix& a, std::span<const value_t> b,
               std::span<value_t> x) override {
     core::ScalarRelaxationEngine eng(a, b, x, /*check_symmetry=*/false);
-    for (int s = 0; s < sweeps_; ++s) {
-      for (sparse::index_t i = 0; i < a.rows(); ++i) eng.relax_row(i, 1.0);
-    }
+    for (sparse::index_t i = 0; i < a.rows(); ++i) eng.relax_row(i, 1.0);
     std::copy(eng.x().begin(), eng.x().end(), x.begin());
   }
-
-  const char* name() const override { return "GaussSeidel"; }
-
- private:
-  int sweeps_;
 };
 
 class JacobiSmoother final : public Smoother {
  public:
-  JacobiSmoother(value_t omega, int sweeps) : omega_(omega), sweeps_(sweeps) {
-    DSOUTH_CHECK(omega > 0.0 && omega <= 1.0);
-    DSOUTH_CHECK(sweeps >= 1);
-  }
-
   void smooth(const CsrMatrix& a, std::span<const value_t> b,
               std::span<value_t> x) override {
     core::ScalarRelaxationEngine eng(a, b, x, /*check_symmetry=*/false);
     std::vector<sparse::index_t> all(static_cast<std::size_t>(a.rows()));
     std::iota(all.begin(), all.end(), sparse::index_t{0});
-    for (int s = 0; s < sweeps_; ++s) eng.relax_simultaneously(all, omega_);
+    eng.relax_simultaneously(all, kOmega);
     std::copy(eng.x().begin(), eng.x().end(), x.begin());
   }
 
-  const char* name() const override { return "Jacobi"; }
-
  private:
-  value_t omega_;
-  int sweeps_;
+  static constexpr value_t kOmega = 2.0 / 3.0;
 };
 
 class DistSouthwellSmoother final : public Smoother {
  public:
-  DistSouthwellSmoother(double sweep_fraction, std::uint64_t seed)
-      : sweep_fraction_(sweep_fraction), seed_(seed) {
+  explicit DistSouthwellSmoother(double sweep_fraction)
+      : sweep_fraction_(sweep_fraction) {
     DSOUTH_CHECK(sweep_fraction > 0.0);
   }
 
@@ -81,38 +62,24 @@ class DistSouthwellSmoother final : public Smoother {
     std::copy(result.x.begin(), result.x.end(), x.begin());
   }
 
-  const char* name() const override { return "DistSouthwell"; }
-
  private:
   double sweep_fraction_;
-  std::uint64_t seed_;
+  std::uint64_t seed_ = 0x4d47534d4fULL;
 };
 
 class ChebyshevSmoother final : public Smoother {
  public:
-  ChebyshevSmoother(int degree, double ratio)
-      : degree_(degree), ratio_(ratio) {
-    DSOUTH_CHECK(degree >= 1);
-    DSOUTH_CHECK(ratio > 1.0);
-  }
-
   void smooth(const CsrMatrix& a, std::span<const value_t> b,
               std::span<value_t> x) override {
     const auto n = static_cast<std::size_t>(a.rows());
     DSOUTH_CHECK(b.size() == n && x.size() == n);
     // λ_max(D⁻¹A) equals λ_max of the symmetrically scaled operator
-    // (similarity); estimate once per matrix and cache by identity — the
-    // operators of a multigrid hierarchy are stable across cycles.
-    double beta;
-    auto it = lambda_cache_.find(&a);
-    if (it != lambda_cache_.end()) {
-      beta = it->second;
-    } else {
-      auto scaled = sparse::symmetric_unit_diagonal_scale(a);
-      beta = 1.02 * sparse::lambda_max_estimate(scaled.a, 30, 0xC4EBULL);
-      lambda_cache_.emplace(&a, beta);
-    }
-    const double alpha = beta / ratio_;
+    // (similarity). It is estimated afresh on every application: a matrix
+    // is known only by reference, so no cache key can tell two apart.
+    auto scaled = sparse::symmetric_unit_diagonal_scale(a);
+    const double beta =
+        1.02 * sparse::lambda_max_estimate(scaled.a, 30, 0xC4EBULL);
+    const double alpha = beta / kRatio;
     const double theta = 0.5 * (beta + alpha);
     const double delta = 0.5 * (beta - alpha);
 
@@ -126,7 +93,7 @@ class ChebyshevSmoother final : public Smoother {
     }
     const double sigma = theta / delta;
     double rho_prev = 1.0 / sigma;
-    for (int k = 1; k < degree_; ++k) {
+    for (int k = 1; k < kDegree; ++k) {
       const double rho = 1.0 / (2.0 * sigma - rho_prev);
       a.residual(b, x, r);
       for (std::size_t i = 0; i < n; ++i) {
@@ -138,31 +105,29 @@ class ChebyshevSmoother final : public Smoother {
     }
   }
 
-  const char* name() const override { return "Chebyshev"; }
-
  private:
-  int degree_;
-  double ratio_;
-  std::map<const CsrMatrix*, double> lambda_cache_;
+  static constexpr int kDegree = 3;
+  /// The smoothing band is [λ_max / kRatio, λ_max].
+  static constexpr double kRatio = 30.0;
 };
 
 }  // namespace
 
-std::unique_ptr<Smoother> make_gauss_seidel_smoother(int sweeps) {
-  return std::make_unique<GaussSeidelSmoother>(sweeps);
+std::unique_ptr<Smoother> make_gauss_seidel_smoother() {
+  return std::make_unique<GaussSeidelSmoother>();
 }
 
 std::unique_ptr<Smoother> make_distributed_southwell_smoother(
-    double sweep_fraction, std::uint64_t seed) {
-  return std::make_unique<DistSouthwellSmoother>(sweep_fraction, seed);
+    double sweep_fraction) {
+  return std::make_unique<DistSouthwellSmoother>(sweep_fraction);
 }
 
-std::unique_ptr<Smoother> make_jacobi_smoother(value_t omega, int sweeps) {
-  return std::make_unique<JacobiSmoother>(omega, sweeps);
+std::unique_ptr<Smoother> make_jacobi_smoother() {
+  return std::make_unique<JacobiSmoother>();
 }
 
-std::unique_ptr<Smoother> make_chebyshev_smoother(int degree, double ratio) {
-  return std::make_unique<ChebyshevSmoother>(degree, ratio);
+std::unique_ptr<Smoother> make_chebyshev_smoother() {
+  return std::make_unique<ChebyshevSmoother>();
 }
 
 }  // namespace dsouth::multigrid

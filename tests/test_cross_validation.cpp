@@ -12,7 +12,7 @@
 #include "dist/block_jacobi.hpp"
 #include "dist/driver.hpp"
 #include "dist/parallel_southwell.hpp"
-#include "multigrid/vcycle.hpp"
+#include "multigrid/hierarchy.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/stencils.hpp"
@@ -118,7 +118,7 @@ TEST(CrossValidation, SorWithUnitOmegaIsGaussSeidel) {
 /// A multigrid hierarchy whose finest level is the coarsest grid solves
 /// exactly — compare against dense Cholesky on the same operator.
 TEST(CrossValidation, CoarsestVcycleMatchesDirectSolve) {
-  multigrid::MultigridHierarchy mg(3);
+  auto mg = multigrid::geometric_poisson_hierarchy(3);
   util::Rng rng(4);
   std::vector<value_t> b(9);
   rng.fill_uniform(b, -1.0, 1.0);

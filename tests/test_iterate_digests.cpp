@@ -6,7 +6,9 @@
 /// that six traced DS runs export (JSONL, the analyzer's JSON document and
 /// the Chrome trace); plus the set-up outputs every run starts from: each
 /// proxy's CSR and the small FEM problem's, the matrix graph and partition
-/// of two proxies, and four DistLayouts (one after a two-rank failure).
+/// of two proxies, and four DistLayouts (one after a two-rank failure); and
+/// nine V(1,1) multigrid cycles on a geometric and an AMG hierarchy under
+/// each smoother, with every level operator.
 /// Host-side optimisations of the set-up, solve or trace path (assembly,
 /// graph build, coupling-block storage, relax snapshots, sweep kernels,
 /// event storage) must leave every matrix, iterate and exported byte where
@@ -20,6 +22,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -33,9 +36,12 @@
 #include "dist/layout.hpp"
 #include "elastic/elastic.hpp"
 #include "graph/partition.hpp"
+#include "multigrid/amg.hpp"
+#include "multigrid/hierarchy.hpp"
 #include "sparse/proxy_suite.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/stencils.hpp"
+#include "sparse/vec.hpp"
 #include "trace/export.hpp"
 #include "util/rng.hpp"
 
@@ -236,6 +242,22 @@ const Pinned kPinned[] = {
      {0xef0622ed5ee2df9cULL, 0x86f337fd6d6e2782ULL, 0x43eec92fa8598443ULL}},
     {"layout-all/ldoorp-dead-3-11",
      {0xed99270274238ebeULL, 0x4613390b36556645ULL, 0x4c4985d0689bb658ULL}},
+    {"mg/amg-af_5_k101p-ds-1",
+     {0x1aab85b4b8daa0a3ULL, 0x835a62fb88aee5f9ULL, 0x6256a5ad07f19b48ULL}},
+    {"mg/amg-af_5_k101p-ds-half",
+     {0x0c5dbdb753d4326eULL, 0xcf9ed358a580fff8ULL, 0x6256a5ad07f19b48ULL}},
+    {"mg/amg-af_5_k101p-gs",
+     {0x980da48cd670f1faULL, 0x3d477d04d0d6d2eaULL, 0x6256a5ad07f19b48ULL}},
+    {"mg/geo31-chebyshev",
+     {0xfd3380ea067d1261ULL, 0xb4c0ea01bc204c45ULL, 0xb48cddd5d368d1d9ULL}},
+    {"mg/geo31-ds-1",
+     {0x573b6919d2e7c5adULL, 0xf27a32b259939177ULL, 0xb48cddd5d368d1d9ULL}},
+    {"mg/geo31-ds-half",
+     {0x9e20dde0955a53d6ULL, 0xd3f084bc17017ac7ULL, 0xb48cddd5d368d1d9ULL}},
+    {"mg/geo31-gs",
+     {0x7d2d05e61163d939ULL, 0x1e7c12fb5ed3fbf8ULL, 0xb48cddd5d368d1d9ULL}},
+    {"mg/geo31-jacobi",
+     {0xeacaaa1d1b5a7ecaULL, 0x3a13440c73038a74ULL, 0xb48cddd5d368d1d9ULL}},
     {"trace/async",
      {0xeb033ee35803624dULL, 0x0ce1d99bb7912f92ULL, 0xa2e4494052c7e743ULL}},
     {"trace/batch3",
@@ -390,6 +412,66 @@ TEST(IterateDigests, ElasticSingleKill) {
   ASSERT_EQ(er.recoveries.size(), 1u);
   expect_pinned("DS/elastic-kill", digest_run(er.run));
   EXPECT_EQ(er.run.comm_totals.msgs, er.run.comm_totals.msgs_logical);
+}
+
+/// {‖r‖/‖r⁰‖ after each of nine V(1,1) cycles from x = 0, final x, every
+/// level operator's CSR folded in order}.
+Digests digest_multigrid(multigrid::Hierarchy& mg,
+                         multigrid::Smoother& smoother,
+                         std::span<const value_t> b) {
+  const CsrMatrix& a = mg.level_matrix(0);
+  std::vector<value_t> x(b.size(), 0.0), r(b.size());
+  a.residual(b, x, r);
+  const double r0 = sparse::norm2(r);
+  std::vector<double> rel;
+  for (int c = 0; c < 9; ++c) {
+    mg.vcycle(b, x, smoother);
+    a.residual(b, x, r);
+    rel.push_back(sparse::norm2(r) / r0);
+  }
+  std::uint64_t ops = kFnvOffsetBasis;
+  for (int l = 0; l < mg.num_levels(); ++l) {
+    ops = fold(ops, digest_csr(mg.level_matrix(l)));
+  }
+  return {digest(rel), digest(x), ops};
+}
+
+std::unique_ptr<multigrid::Smoother> make_smoother(std::string_view tag) {
+  if (tag == "gs") return multigrid::make_gauss_seidel_smoother();
+  if (tag == "ds-half") {
+    return multigrid::make_distributed_southwell_smoother(0.5);
+  }
+  if (tag == "ds-1") return multigrid::make_distributed_southwell_smoother(1.0);
+  if (tag == "jacobi") return multigrid::make_jacobi_smoother();
+  return multigrid::make_chebyshev_smoother();
+}
+
+std::vector<value_t> uniform_rhs(std::size_t n, std::uint64_t seed) {
+  std::vector<value_t> b(n);
+  util::Rng rng(seed);
+  rng.fill_uniform(b, -1.0, 1.0);
+  return b;
+}
+
+// The geometric 31² hierarchy under every smoother, and a three-level AMG
+// hierarchy on a proxy under the three the smoothing benches compare.
+TEST(IterateDigests, MultigridSmoothing) {
+  auto geo = multigrid::geometric_poisson_hierarchy(31);
+  const auto b_geo = uniform_rhs(31 * 31, 0x316);
+  for (const char* tag : {"gs", "ds-half", "ds-1", "jacobi", "chebyshev"}) {
+    expect_pinned(std::string("mg/geo31-") + tag,
+                  digest_multigrid(geo, *make_smoother(tag), b_geo));
+  }
+
+  auto amg =
+      multigrid::amg_hierarchy(sparse::make_proxy("af_5_k101p", 0.05).a);
+  ASSERT_EQ(amg.level_matrix(0).rows(), 1600);
+  ASSERT_EQ(amg.num_levels(), 3);
+  const auto b_amg = uniform_rhs(1600, 0xAF5);
+  for (const char* tag : {"gs", "ds-half", "ds-1"}) {
+    expect_pinned(std::string("mg/amg-af_5_k101p-") + tag,
+                  digest_multigrid(amg, *make_smoother(tag), b_amg));
+  }
 }
 
 // The exported bytes of six traced DS runs: plain bulk-synchronous,
