@@ -1,16 +1,20 @@
-/// Regenerates **Figure 2** of the paper: convergence (residual norm vs
-/// number of relaxations) of Gauss–Seidel, Sequential Southwell, Parallel
-/// Southwell, Multicolor Gauss–Seidel and Jacobi for three sweeps on the
-/// small irregular-FEM Poisson problem (3081 rows; see
-/// sparse::make_small_fem_problem). The full curves go to CSV; the console
-/// shows the residual at half-sweep checkpoints plus the paper's headline
-/// readings (relaxations to reach 0.8/0.6/0.4, parallel-step counts,
-/// number of colors).
+/// Regenerates **Figures 2 and 5** of the paper from one set of runs on
+/// the small irregular-FEM Poisson problem (3081 rows; see
+/// sparse::make_small_fem_problem), three sweeps each. Figure 2 compares
+/// Gauss–Seidel, Sequential Southwell, Parallel Southwell, Multicolor
+/// Gauss–Seidel and Jacobi; Figure 5 adds scalar Distributed Southwell
+/// (subdomain size 1) against SW, Par SW and MC GS, where DS should match
+/// Par SW down to ‖r‖ ≈ 0.6 (the Southwell "sweet spot") while relaxing
+/// more equations per parallel step. The full curves go to one CSV per
+/// figure; the console shows the residual at half-sweep checkpoints, the
+/// relaxations to reach 0.8/0.6/0.4, parallel-step counts and the number
+/// of colors.
 
 #include <algorithm>
 #include <iostream>
 
 #include "core/classic.hpp"
+#include "core/dist_southwell_scalar.hpp"
 #include "core/parallel_southwell.hpp"
 #include "core/southwell.hpp"
 #include "graph/coloring.hpp"
@@ -59,6 +63,53 @@ void dump_series(util::CsvWriter& csv, const std::string& method,
   }
 }
 
+struct Entry {
+  const char* name;
+  const ConvergenceHistory* h;
+};
+
+/// Relaxations to reach each target, parallel steps and relaxations per
+/// parallel step, one row per method.
+void print_summary(const std::vector<Entry>& entries) {
+  std::cout << "\nRelaxations to reach a residual norm target "
+               "(interpolated):\n";
+  util::Table summary({"Method", "to 0.8", "to 0.6", "to 0.4",
+                       "parallel steps", "relax/step"});
+  for (const auto& e : entries) {
+    summary.row().cell(e.name);
+    for (double target : {0.8, 0.6, 0.4}) {
+      summary.cell(value_or_dagger(e.h->relaxations_to_reach(target), 0));
+    }
+    if (e.h->step_marks.empty()) {
+      summary.cell(std::string("(sequential)")).cell(std::string("1"));
+    } else {
+      summary.cell(std::to_string(e.h->num_parallel_steps()));
+      summary.cell(static_cast<double>(e.h->total_relaxations()) /
+                       static_cast<double>(e.h->num_parallel_steps()),
+                   1);
+    }
+  }
+  summary.print(std::cout);
+}
+
+void plot_series(const std::vector<Entry>& entries) {
+  std::cout << "\nResidual norm vs. relaxations (log y):\n";
+  std::vector<util::PlotSeries> plot;
+  for (const auto& e : entries) {
+    util::PlotSeries ps;
+    ps.name = e.name;
+    for (const auto& pt : e.h->points) {
+      ps.x.push_back(static_cast<double>(pt.relaxations));
+      ps.y.push_back(pt.residual_norm);
+    }
+    plot.push_back(std::move(ps));
+  }
+  util::PlotOptions popts;
+  popts.x_label = "relaxations";
+  popts.y_label = "||r||_2";
+  util::render_plot(std::cout, plot, popts);
+}
+
 int run(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   const auto sweeps = static_cast<index_t>(args.get_int_or("sweeps", 3));
@@ -66,9 +117,9 @@ int run(int argc, char** argv) {
 
   auto fem = sparse::make_small_fem_problem();
   const index_t n = fem.a.rows();
-  print_header("Figure 2 — scalar method convergence on the small FEM "
-               "problem",
-               "paper Figure 2",
+  print_header("Figures 2 and 5 — scalar method convergence on the small "
+               "FEM problem",
+               "paper Figures 2 and 5",
                "P1 FEM Poisson on a perturbed 81x41 triangulation, n=" +
                    std::to_string(n) + ", b random with ||b||=1, x0=0, " +
                    std::to_string(sweeps) + " sweeps");
@@ -91,64 +142,54 @@ int run(int argc, char** argv) {
   core::ParallelSouthwellOptions popt;
   popt.base.max_sweeps = sweeps;
   auto psw = core::run_parallel_southwell(fem.a, b, x0, popt);
+  core::DistSouthwellScalarOptions dopt;
+  dopt.base.max_sweeps = sweeps;
+  auto ds = core::run_distributed_southwell_scalar(fem.a, b, x0, dopt);
 
-  struct Entry {
-    const char* name;
-    const ConvergenceHistory* h;
-  };
-  const Entry entries[] = {{"GS", &gs},
-                           {"SW", &sw},
-                           {"Par SW", &psw},
-                           {"MC GS", &mcgs},
-                           {"Jacobi", &jac}};
+  const std::vector<Entry> fig2 = {{"GS", &gs},
+                                   {"SW", &sw},
+                                   {"Par SW", &psw},
+                                   {"MC GS", &mcgs},
+                                   {"Jacobi", &jac}};
+  const std::vector<Entry> fig5 = {{"SW", &sw},
+                                   {"Par SW", &psw},
+                                   {"MC GS", &mcgs},
+                                   {"Dist SW", &ds.history}};
 
+  std::cout << "--- Figure 2: GS, SW, Par SW, MC GS and Jacobi ---\n";
   util::Table curve({"Relaxations", "GS", "SW", "Par SW", "MC GS", "Jacobi"});
   for (index_t c = 0; c <= 2 * sweeps; ++c) {
     const double rlx = 0.5 * static_cast<double>(c) * static_cast<double>(n);
     curve.row().cell(static_cast<std::size_t>(rlx));
-    for (const auto& e : entries) curve.cell(residual_at(*e.h, rlx), 4);
+    for (const auto& e : fig2) curve.cell(residual_at(*e.h, rlx), 4);
   }
   curve.print(std::cout);
-
-  std::cout << "\nRelaxations to reach a residual norm target "
-               "(interpolated):\n";
-  util::Table summary({"Method", "to 0.8", "to 0.6", "to 0.4",
-                       "parallel steps"});
-  for (const auto& e : entries) {
-    summary.row().cell(e.name);
-    for (double target : {0.8, 0.6, 0.4}) {
-      auto c = e.h->relaxations_to_reach(target);
-      summary.cell(value_or_dagger(c, 0));
-    }
-    summary.cell(e.h->step_marks.empty()
-                     ? std::string("(sequential)")
-                     : std::to_string(e.h->num_parallel_steps()));
-  }
-  summary.print(std::cout);
+  print_summary(fig2);
   std::cout << "\nMulticolor GS uses " << coloring.num_colors
             << " colors (BFS greedy; the paper reports 6).\n";
+  plot_series(fig2);
 
-  std::cout << "\nResidual norm vs. relaxations (log y):\n";
-  std::vector<util::PlotSeries> plot;
-  for (const auto& e : entries) {
-    util::PlotSeries ps;
-    ps.name = e.name;
+  std::cout << "\n--- Figure 5: scalar Distributed Southwell vs SW, Par SW "
+               "and MC GS ---\n";
+  print_summary(fig5);
+  std::cout << "\nDist SW messages: solve=" << ds.solve_messages
+            << ", explicit residual=" << ds.residual_messages << "\n";
+  plot_series(fig5);
+
+  util::CsvWriter csv2(csv_path("fig2_scalar_convergence.csv"),
+                       {"method", "relaxations", "residual_norm",
+                        "parallel_step_mark"});
+  for (const auto& e : fig2) dump_series(csv2, e.name, *e.h);
+  util::CsvWriter csv5(csv_path("fig5_distsw_scalar.csv"),
+                       {"method", "relaxations", "residual_norm"});
+  for (const auto& e : fig5) {
     for (const auto& pt : e.h->points) {
-      ps.x.push_back(static_cast<double>(pt.relaxations));
-      ps.y.push_back(pt.residual_norm);
+      csv5.write_row(std::vector<std::string>{
+          e.name, std::to_string(pt.relaxations),
+          util::format_double(pt.residual_norm, 9)});
     }
-    plot.push_back(std::move(ps));
   }
-  util::PlotOptions popts2;
-  popts2.x_label = "relaxations";
-  popts2.y_label = "||r||_2";
-  util::render_plot(std::cout, plot, popts2);
-
-  util::CsvWriter csv(csv_path("fig2_scalar_convergence.csv"),
-                      {"method", "relaxations", "residual_norm",
-                       "parallel_step_mark"});
-  for (const auto& e : entries) dump_series(csv, e.name, *e.h);
-  std::cout << "CSV: " << csv.path() << "\n";
+  std::cout << "CSV: " << csv2.path() << "\nCSV: " << csv5.path() << "\n";
   return 0;
 }
 

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file bench_support.hpp
-/// Shared machinery for the reproduction benches (one binary per paper
-/// table/figure — see DESIGN.md §4). Handles problem setup exactly as the
-/// paper specifies (§4.2: b = 0, random x⁰ scaled so ‖r⁰‖₂ = 1, matrices
-/// pre-scaled to unit diagonal by the proxy suite), partitioning, and
-/// uniform table/CSV output.
+/// Shared machinery for the reproduction benches (one binary per paper run
+/// set, writing every table and figure built on its runs — see DESIGN.md
+/// §4). Handles problem setup exactly as the paper specifies (§4.2: b = 0,
+/// random x⁰ scaled so ‖r⁰‖₂ = 1, matrices pre-scaled to unit diagonal by
+/// the proxy suite), partitioning, and uniform table/CSV output.
 
 #include <cstdint>
 #include <memory>

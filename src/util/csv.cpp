@@ -1,6 +1,9 @@
 #include "util/csv.hpp"
 
+#include <cstdio>
+#include <exception>
 #include <iomanip>
+#include <iostream>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -9,8 +12,11 @@ namespace dsouth::util {
 
 CsvWriter::CsvWriter(const std::string& path,
                      std::vector<std::string> headers)
-    : path_(path), out_(path), arity_(headers.size()) {
-  DSOUTH_CHECK_MSG(out_.good(), "cannot open CSV file '" << path << "'");
+    : path_(path),
+      tmp_path_(path + ".tmp"),
+      out_(tmp_path_),
+      arity_(headers.size()) {
+  DSOUTH_CHECK_MSG(out_.good(), "cannot open CSV file '" << tmp_path_ << "'");
   DSOUTH_CHECK(arity_ > 0);
   for (std::size_t i = 0; i < headers.size(); ++i) {
     if (i) out_ << ',';
@@ -19,7 +25,16 @@ CsvWriter::CsvWriter(const std::string& path,
   out_ << '\n';
 }
 
-CsvWriter::~CsvWriter() = default;
+CsvWriter::~CsvWriter() {
+  out_.close();
+  if (std::uncaught_exceptions() > 0) {
+    std::remove(tmp_path_.c_str());  // a throw: keep the old file
+  } else if (out_.fail() ||
+             std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
+    std::cerr << "cannot write CSV file '" << path_ << "'\n";
+    std::remove(tmp_path_.c_str());
+  }
+}
 
 std::string CsvWriter::escape(const std::string& cell) {
   bool needs_quotes = cell.find_first_of(",\"\n\r") != std::string::npos;

@@ -13,6 +13,10 @@ namespace dsouth::util {
 
 /// Streaming CSV writer with RFC-4180 quoting. Throws CheckError if the
 /// file cannot be opened or a row has the wrong arity.
+///
+/// Rows go to `<path>.tmp`, which replaces `<path>` when the writer is
+/// destroyed with no exception in flight. A throw past the writer, or an
+/// abort before its destruction, leaves `<path>` as it was.
 class CsvWriter {
  public:
   CsvWriter(const std::string& path, std::vector<std::string> headers);
@@ -33,6 +37,7 @@ class CsvWriter {
   static std::string escape(const std::string& cell);
 
   std::string path_;
+  std::string tmp_path_;
   std::ofstream out_;
   std::size_t arity_;
   std::size_t rows_ = 0;

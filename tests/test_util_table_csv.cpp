@@ -11,6 +11,13 @@
 namespace dsouth::util {
 namespace {
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
 TEST(Table, BasicLayoutAlignsColumns) {
   Table t({"Matrix", "BJ", "DS"});
   t.row().cell("Flan_1565").cell(0.547, 3).cell(0.234, 3);
@@ -105,6 +112,33 @@ TEST(Csv, WrongArityThrows) {
   const std::string path = ::testing::TempDir() + "/dsouth_arity.csv";
   CsvWriter w(path, {"a", "b"});
   EXPECT_THROW(w.write_row(std::vector<std::string>{"only-one"}), CheckError);
+  std::remove(path.c_str());
+}
+
+TEST(Csv, DestinationUnchangedWhileWriterLives) {
+  const std::string path = ::testing::TempDir() + "/dsouth_publish.csv";
+  std::ofstream(path) << "old\n";
+  {
+    CsvWriter w(path, {"a"});
+    w.write_row(std::vector<std::string>{"1"});
+    EXPECT_EQ(read_file(path), "old\n");
+  }
+  EXPECT_EQ(read_file(path), "a\n1\n");
+  std::remove(path.c_str());
+}
+
+TEST(Csv, ThrowLeavesDestinationUnchanged) {
+  const std::string path = ::testing::TempDir() + "/dsouth_unwind.csv";
+  std::ofstream(path) << "old\n";
+  EXPECT_THROW(
+      {
+        CsvWriter w(path, {"a", "b"});
+        w.write_row(std::vector<std::string>{"1", "2"});
+        w.write_row(std::vector<std::string>{"only-one"});
+      },
+      CheckError);
+  EXPECT_EQ(read_file(path), "old\n");
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
   std::remove(path.c_str());
 }
 
